@@ -1,8 +1,15 @@
 """Catalog of discrete orthogonal polynomial families on the canonical lattices.
 
-Each entry binds a lattice, parameter-domain validation, the (q-)hypergeometric
-evaluation rule, the three-point difference-equation coefficients A and B, the
-certified sign interval K, and the catalogued zero-monotonicity claims.
+Each entry binds a lattice, a domain table, one (q-)hypergeometric series, the
+three-point difference-equation coefficients A and B, the certified sign
+interval K, and the catalogued zero-monotonicity claims.
+
+The domain table holds one record per parameter: the inequality as
+``copz families`` prints it, beside the predicate that enforces it.  The series
+is written once over lattice atoms: the base q, the lattice value X (on the
+q-quadratic lattice the pair q^(a-s), q^(a+s)), and there the rounded powers
+q^a, q^alpha, q^beta.  Float atoms come from X; exact rational atoms come
+from a support index, for the exact-summation path.
 
 The three-point relation determines A and B only up to a common factor;
 everything downstream consumes the ratio f = B/A and its signs, except the
@@ -27,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import DomainError, SingularityError
-from .grid import Q_EXP, Q_EXP_NEG, Grid
+from .grid import Q_EXP_NEG, Q_SYMMETRIC, Grid
 from .qseries import binom2, exact_summation, hyper_sum, q_pochhammer, qhyper_sum
 
 INFINITE_DEGREE_CAP = 30
@@ -114,11 +121,12 @@ class FamilySpec:
             raise DomainError(
                 f"{self.kind}: degree n={n} outside 0..{self.degree_max}"
             )
+        entry = _CATALOG[self.kind]
+        pref = entry.prefactor(self.params, n)
         if self.base is not None:
-            entry = _CATALOG[self.kind]
-            pref = entry.prefactor(self.params, n)
             return pref * self.base.eval_poly(n, X / self.zero_scale)
-        return _CATALOG[self.kind].series(self.params, n, X)
+        x = _qsym_atoms(self.params, X) if self.grid.tag == Q_SYMMETRIC else X
+        return pref * entry.series(self.params, n, x)
 
     def eval_at_s(self, n: int, s: float) -> float:
         """Value at the lattice point x(s); s may sit off the monotone branch."""
@@ -166,14 +174,19 @@ class FamilySpec:
         return make_family(self.kind, {**self.params, param: value})
 
 
+#: a domain record: parameter name, the printed inequality, and its predicate
+_Bound = tuple[str, str, Callable[[dict], bool]]
+
+# q and N come first in validation: other bounds read them
+_CHECK_FIRST = {"q": 0, "N": 1}
+
+
 @dataclass(frozen=True)
 class _Entry:
-    param_order: tuple[str, ...]
-    domains: Mapping[str, str]
-    validate: Callable[[dict], None]
+    domain: tuple[_Bound, ...]  # in parameter order
     make_grid: Callable[[dict], Grid]
     support: Callable[[dict], tuple[float, float]]
-    series: Callable[[dict, int, float], float] | None
+    series: Callable[[dict, int, object], float] | None  # (atoms, n, lattice atom)
     ab: Callable[[dict, float], tuple[float, float]] | None
     k_interval: Callable[[dict], tuple[float, float]] | None
     claims: Callable[[dict], tuple[Claim, ...]]
@@ -182,51 +195,67 @@ class _Entry:
     alias_map: Callable[[dict], tuple[str, dict]] | None = None
     zero_scale: Callable[[dict], float] = lambda p: 1.0
     prefactor: Callable[[dict, int], float] = lambda p, n: 1.0
-    series_lattice: Callable[[dict, int, int], float] | None = None
+    param_order: tuple[str, ...] = field(init=False)
+    checks: tuple[_Bound, ...] = field(init=False)  # domain in validation order
+
+    def __post_init__(self):
+        object.__setattr__(self, "param_order", tuple(b[0] for b in self.domain))
+        checks = sorted(self.domain, key=lambda b: _CHECK_FIRST.get(b[0], 2))
+        object.__setattr__(self, "checks", tuple(checks))
 
 
-def _need(ok: bool, kind: str, msg: str, got) -> None:
-    if not ok:
-        raise DomainError(f"{kind}: {msg} (got {got!r})")
-
-
-def _check_N(kind: str, p: dict) -> int:
-    N = p["N"]
-    _need(float(N).is_integer(), kind, "N must be an integer", N)
-    N = int(N)
-    _need(2 <= N <= MAX_FINITE_SUPPORT, kind, f"N must satisfy 2 <= N <= {MAX_FINITE_SUPPORT}", N)
-    return N
-
-
-def _check_q(kind: str, p: dict) -> float:
-    q = float(p["q"])
-    _need(0.0 < q < 1.0, kind, "q must satisfy 0 < q < 1", q)
-    return q
+# domain records shared by several families
+_Q = ("q", "0 < q < 1", lambda p: 0.0 < p["q"] < 1.0)
+_N = (
+    "N",
+    f"integer 2..{MAX_FINITE_SUPPORT}",
+    lambda p: p["N"].is_integer() and 2 <= p["N"] <= MAX_FINITE_SUPPORT,
+)
+_A_GT_MINUS_HALF = ("a", "a > -1/2", lambda p: p["a"] > -0.5)
+_A_POSITIVE = ("a", "a > 0", lambda p: p["a"] > 0.0)
+_ALPHA_GT_MINUS_1 = ("alpha", "alpha > -1", lambda p: p["alpha"] > -1.0)
+_ALPHA_POSITIVE = ("alpha", "alpha > 0", lambda p: p["alpha"] > 0.0)
+_ALPHA_UNIT = ("alpha", "0 < alpha < 1", lambda p: 0.0 < p["alpha"] < 1.0)
+_ALPHA_BELOW_1_Q = ("alpha", "0 < alpha < 1/q", lambda p: 0.0 < p["alpha"] < 1.0 / p["q"])
+_BETA_BELOW_1_Q = ("beta", "0 < beta < 1/q", lambda p: 0.0 < p["beta"] < 1.0 / p["q"])
 
 
 def _quadratic_s(X: float) -> float:
     return 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * X)))
 
 
-def _qsym_uv(X: float) -> tuple[float, float]:
-    """(q^s, q^-s) both recovered from X = (q^s + q^-s)/2 >= 1.
+def _qsym_atoms(p: dict, X: float) -> tuple[float, float]:
+    """The float pair (q^(a-s), q^(a+s)) at X = (q^s + q^-s)/2 >= 1.
 
-    The small root goes through the reciprocal of the large one; the direct
+    q^-s is the large root; q^s goes through its reciprocal, since the direct
     difference X - sqrt(X^2-1) cancels catastrophically for large X.
     """
+    qa = p["q"] ** p["a"]
     v = X + math.sqrt(max(0.0, X * X - 1.0))
-    return 1.0 / v, v
+    return qa * v, qa * (1.0 / v)
+
+
+def _qp(q, e1, e2=0, e3=0, e4=0):
+    """q^(e1+e2+e3+e4), for the real exponents of the q-quadratic lattice.
+
+    Float atoms sum the exponents left to right, as the formula reads.  Exact
+    atoms carry each real exponent as its rounded power (q^a, q^alpha,
+    q^beta) and integer exponents as they are, so the powers multiply.
+    """
+    if isinstance(q, float):
+        return q ** (e1 + e2 + e3 + e4)
+    out, k = 1, 0
+    for e in (e1, e2, e3, e4):
+        if isinstance(e, int):
+            k += e
+        else:
+            out *= e
+    return out * q**k
 
 
 # ---------------------------------------------------------------------------
 # lattice X = s
 # ---------------------------------------------------------------------------
-
-
-def _hahn_validate(p):
-    _need(p["alpha"] > -1.0, "hahn", "alpha must satisfy alpha > -1", p["alpha"])
-    _need(p["beta"] > -1.0, "hahn", "beta must satisfy beta > -1", p["beta"])
-    _check_N("hahn", p)
 
 
 def _hahn_series(p, n, X):
@@ -277,18 +306,6 @@ def _meixner_series(p, n, X):
 # ---------------------------------------------------------------------------
 # lattice X = s(s+1)
 # ---------------------------------------------------------------------------
-
-
-def _racah_validate(p):
-    _need(p["a"] > -0.5, "racah", "a must satisfy a > -1/2", p["a"])
-    _need(p["alpha"] > -1.0, "racah", "alpha must satisfy alpha > -1", p["alpha"])
-    _need(
-        -1.0 < p["beta"] < 2.0 * p["a"] + 1.0,
-        "racah",
-        "beta must satisfy -1 < beta < 2a+1",
-        p["beta"],
-    )
-    _check_N("racah", p)
 
 
 def _racah_series(p, n, X):
@@ -355,17 +372,6 @@ def _racah_claims(p):
     )
 
 
-def _dual_hahn_validate(p):
-    _need(p["a"] > -0.5, "dual_hahn", "a must satisfy a > -1/2", p["a"])
-    _need(
-        -1.0 < p["alpha"] < 2.0 * p["a"] + 1.0,
-        "dual_hahn",
-        "alpha must satisfy -1 < alpha < 2a+1",
-        p["alpha"],
-    )
-    _check_N("dual_hahn", p)
-
-
 def _dual_hahn_series(p, n, X):
     a, al, N = p["a"], p["alpha"], p["N"]
     s = _quadratic_s(X)
@@ -407,17 +413,6 @@ def _dual_hahn_claims(p):
 # ---------------------------------------------------------------------------
 
 
-def _q_meixner_validate(p):
-    q = _check_q("q_meixner", p)
-    _need(p["alpha"] > 0.0, "q_meixner", "alpha must satisfy alpha > 0", p["alpha"])
-    _need(
-        0.0 <= p["beta"] < 1.0 / q,
-        "q_meixner",
-        "beta must satisfy 0 <= beta < 1/q",
-        p["beta"],
-    )
-
-
 def _q_meixner_series(p, n, X):
     al, be, q = p["alpha"], p["beta"], p["q"]
     return qhyper_sum((q ** (-n), X), (be * q,), q, -(q ** (n + 1)) / al, n)
@@ -449,20 +444,13 @@ def _q_meixner_claims(p):
     )
 
 
-def _asc2_validate(p):
-    q = _check_q("al_salam_carlitz_2", p)
-    _need(
-        0.0 < p["alpha"] < 1.0 / q,
-        "al_salam_carlitz_2",
-        "alpha must satisfy 0 < alpha < 1/q",
-        p["alpha"],
-    )
-
-
 def _asc2_series(p, n, X):
     al, q = p["alpha"], p["q"]
-    pref = (-al) ** n * q ** (-binom2(n))
-    return pref * qhyper_sum((q ** (-n), X), (), q, q**n / al, n)
+    return qhyper_sum((q ** (-n), X), (), q, q**n / al, n)
+
+
+def _asc2_prefactor(p, n):
+    return (-p["alpha"]) ** n * p["q"] ** (-binom2(n))
 
 
 def _asc2_ab(p, s):
@@ -482,13 +470,6 @@ def _asc2_k(p):
 def _asc2_claims(p):
     q = p["q"]
     return (Claim("alpha", "increasing", (0.0, 1.0 / q), _central(0.0, 1.0 / q)),)
-
-
-def _q_hahn_validate(p):
-    q = _check_q("q_hahn", p)
-    _need(0.0 < p["alpha"] < 1.0 / q, "q_hahn", "alpha must satisfy 0 < alpha < 1/q", p["alpha"])
-    _need(0.0 < p["beta"] < 1.0 / q, "q_hahn", "beta must satisfy 0 < beta < 1/q", p["beta"])
-    _check_N("q_hahn", p)
 
 
 def _q_hahn_series(p, n, X):
@@ -515,12 +496,6 @@ def _q_hahn_claims(p):
     )
 
 
-def _q_krawtchouk_validate(p):
-    _check_q("q_krawtchouk", p)
-    _need(p["alpha"] > 0.0, "q_krawtchouk", "alpha must satisfy alpha > 0", p["alpha"])
-    _check_N("q_krawtchouk", p)
-
-
 def _q_krawtchouk_series(p, n, X):
     al, q, N = p["alpha"], p["q"], p["N"]
     return qhyper_sum((q ** (-n), -al * q**n, X), (0.0, q ** (1 - N)), q, q, n)
@@ -530,17 +505,6 @@ def _q_krawtchouk_ab(p, s):
     al, q, N = p["alpha"], p["q"], p["N"]
     u = q**s
     return al * (u - 1.0), 1.0 - u * q ** (1 - N)
-
-
-def _affine_qk_validate(p):
-    q = _check_q("affine_q_krawtchouk", p)
-    _need(
-        0.0 < p["alpha"] < 1.0 / q,
-        "affine_q_krawtchouk",
-        "alpha must satisfy 0 < alpha < 1/q",
-        p["alpha"],
-    )
-    _check_N("affine_q_krawtchouk", p)
 
 
 def _affine_qk_series(p, n, X):
@@ -556,21 +520,14 @@ def _affine_qk_ab(p, s):
     return A, B
 
 
-def _quantum_qk_validate(p):
-    q = _check_q("quantum_q_krawtchouk", p)
-    N = _check_N("quantum_q_krawtchouk", p)
-    _need(
-        p["alpha"] > q ** (1 - N),
-        "quantum_q_krawtchouk",
-        "alpha must satisfy alpha > q^(1-N)",
-        p["alpha"],
-    )
-
-
 def _quantum_qk_series(p, n, X):
     al, q, N = p["alpha"], p["q"], p["N"]
-    pref = q_pochhammer(q ** (-N), q, n) / (al**n * q ** (n * n))
-    return pref * qhyper_sum((q ** (-n), X), (q ** (1 - N),), q, al * q ** (n + 1), n)
+    return qhyper_sum((q ** (-n), X), (q ** (1 - N),), q, al * q ** (n + 1), n)
+
+
+def _quantum_qk_prefactor(p, n):
+    al, q, N = p["alpha"], p["q"], p["N"]
+    return q_pochhammer(q ** (-N), q, n) / (al**n * q ** (n * n))
 
 
 def _quantum_qk_ab(p, s):
@@ -597,11 +554,6 @@ def _quantum_qk_claims(p):
 # ---------------------------------------------------------------------------
 
 
-def _q_bessel_validate(p):
-    _check_q("q_bessel", p)
-    _need(p["alpha"] > 0.0, "q_bessel", "alpha must satisfy alpha > 0", p["alpha"])
-
-
 def _q_bessel_series(p, n, X):
     al, q = p["alpha"], p["q"]
     return qhyper_sum((q ** (-n), -al * q**n), (0.0,), q, q * X, n)
@@ -610,17 +562,6 @@ def _q_bessel_series(p, n, X):
 def _q_bessel_ab(p, s):
     al, q = p["alpha"], p["q"]
     return q**s - 1.0, al
-
-
-def _little_qj_validate(p):
-    q = _check_q("little_q_jacobi", p)
-    _need(
-        0.0 < p["alpha"] < 1.0 / q,
-        "little_q_jacobi",
-        "alpha must satisfy 0 < alpha < 1/q",
-        p["alpha"],
-    )
-    _need(p["beta"] < 1.0 / q, "little_q_jacobi", "beta must satisfy beta < 1/q", p["beta"])
 
 
 def _little_qj_series(p, n, X):
@@ -639,16 +580,6 @@ def _little_qj_claims(p):
     return (
         Claim("alpha", "decreasing", (0.0, 1.0 / q), _central(0.0, 1.0 / q)),
         Claim("beta", "increasing", (-math.inf, 1.0 / q), _central(-2.0, 1.0 / q)),
-    )
-
-
-def _little_ql_validate(p):
-    q = _check_q("little_q_laguerre", p)
-    _need(
-        0.0 < p["alpha"] < 1.0 / q,
-        "little_q_laguerre",
-        "alpha must satisfy 0 < alpha < 1/q",
-        p["alpha"],
     )
 
 
@@ -673,26 +604,12 @@ def _little_ql_claims(p):
 # ---------------------------------------------------------------------------
 
 
-def _q_racah_validate(p):
-    _check_q("q_racah", p)
-    _need(p["a"] > 0.0, "q_racah", "a must satisfy a > 0", p["a"])
-    _need(p["alpha"] > -1.0, "q_racah", "alpha must satisfy alpha > -1", p["alpha"])
-    _need(
-        -1.0 < p["beta"] < 2.0 * p["a"],
-        "q_racah",
-        "beta must satisfy -1 < beta < 2a",
-        p["beta"],
-    )
-    _check_N("q_racah", p)
-
-
-def _q_racah_series(p, n, X):
+def _q_racah_series(p, n, x):
     a, al, be, q, N = p["a"], p["alpha"], p["beta"], p["q"], p["N"]
-    u, v = _qsym_uv(X)  # u = q^s, v = q^-s
-    qa = q**a
+    w, u = x  # q^(a-s), q^(a+s)
     return qhyper_sum(
-        (q ** (-n), q ** (al + be + n + 1), qa * v, qa * u),
-        (q ** (2 * a + al + N), q ** (be + 1), q ** (1 - N)),
+        (q ** (-n), _qp(q, al, be, n, 1), w, u),
+        (_qp(q, a, a, al, N), _qp(q, be, 1), q ** (1 - N)),
         q,
         q,
         n,
@@ -796,25 +713,10 @@ def _q_racah_claims(p):
     )
 
 
-def _dual_q_hahn_validate(p):
-    _check_q("dual_q_hahn", p)
-    _need(p["a"] > 0.0, "dual_q_hahn", "a must satisfy a > 0", p["a"])
-    _need(
-        -1.0 < p["alpha"] < 2.0 * p["a"],
-        "dual_q_hahn",
-        "alpha must satisfy -1 < alpha < 2a",
-        p["alpha"],
-    )
-    _check_N("dual_q_hahn", p)
-
-
-def _dual_q_hahn_series(p, n, X):
-    a, al, q, N = p["a"], p["alpha"], p["q"], p["N"]
-    u, v = _qsym_uv(X)
-    qa = q**a
-    return qhyper_sum(
-        (q ** (-n), qa * v, qa * u), (q ** (al + 1), q ** (1 - N)), q, q, n
-    )
+def _dual_q_hahn_series(p, n, x):
+    al, q, N = p["alpha"], p["q"], p["N"]
+    w, u = x  # q^(a-s), q^(a+s)
+    return qhyper_sum((q ** (-n), w, u), (_qp(q, al, 1), q ** (1 - N)), q, q, n)
 
 
 def _dual_q_hahn_ab(p, s):
@@ -860,161 +762,8 @@ def _dual_q_hahn_claims(p):
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation at lattice points
-#
-# Near the top of the support the terminating series cancels to values far
-# below the size of its terms, and those values are hypersensitive to rounding
-# of the lattice coordinates and of the q-power parameters.  Building every
-# q-power from shared exact rational atoms (the base and one rounding per real
-# exponent) makes each family an exact polynomial model whose orthogonality
-# identities hold to within the float weight table alone.
-# ---------------------------------------------------------------------------
-
-
-def _q_meixner_series_lattice(p, n, k):
-    al, be, q = p["alpha"], p["beta"], p["q"]
-    qf, alf, bef = Fraction(q), Fraction(al), Fraction(be)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, qf**-k), (bef * qf,), q, -(qf ** (n + 1)) / alf, n
-        )
-
-
-def _asc2_series_lattice(p, n, k):
-    al, q = p["alpha"], p["q"]
-    qf, alf = Fraction(q), Fraction(al)
-    pref = (-al) ** n * q ** (-binom2(n))
-    with exact_summation():
-        return pref * qhyper_sum((qf**-n, qf**-k), (), q, (qf**n) / alf, n)
-
-
-def _q_hahn_series_lattice(p, n, k):
-    al, be, q, N = p["alpha"], p["beta"], p["q"], p["N"]
-    qf, alf, bef = Fraction(q), Fraction(al), Fraction(be)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, alf * bef * qf ** (n + 1), qf**-k),
-            (alf * qf, qf ** (1 - N)),
-            q,
-            q,
-            n,
-        )
-
-
-def _q_krawtchouk_series_lattice(p, n, k):
-    al, q, N = p["alpha"], p["q"], p["N"]
-    qf, alf = Fraction(q), Fraction(al)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, -alf * qf**n, qf**-k),
-            (Fraction(0), qf ** (1 - N)),
-            q,
-            q,
-            n,
-        )
-
-
-def _affine_qk_series_lattice(p, n, k):
-    al, q, N = p["alpha"], p["q"], p["N"]
-    qf, alf = Fraction(q), Fraction(al)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, Fraction(0), qf**-k), (alf * qf, qf ** (1 - N)), q, q, n
-        )
-
-
-def _quantum_qk_series_lattice(p, n, k):
-    al, q, N = p["alpha"], p["q"], p["N"]
-    qf, alf = Fraction(q), Fraction(al)
-    pref = q_pochhammer(q ** (-N), q, n) / (al**n * q ** (n * n))
-    with exact_summation():
-        return pref * qhyper_sum(
-            (qf**-n, qf**-k), (qf ** (1 - N),), q, alf * qf ** (n + 1), n
-        )
-
-
-def _q_bessel_series_lattice(p, n, k):
-    al, q = p["alpha"], p["q"]
-    qf, alf = Fraction(q), Fraction(al)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, -alf * qf**n), (Fraction(0),), q, qf ** (k + 1), n
-        )
-
-
-def _little_qj_series_lattice(p, n, k):
-    al, be, q = p["alpha"], p["beta"], p["q"]
-    qf, alf, bef = Fraction(q), Fraction(al), Fraction(be)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, alf * bef * qf ** (n + 1)), (alf * qf,), q, qf ** (k + 1), n
-        )
-
-
-def _little_ql_series_lattice(p, n, k):
-    al, q = p["alpha"], p["q"]
-    qf, alf = Fraction(q), Fraction(al)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, Fraction(0)), (alf * qf,), q, qf ** (k + 1), n
-        )
-
-
-def _q_racah_series_lattice(p, n, k):
-    a, al, be, q, N = p["a"], p["alpha"], p["beta"], p["q"], p["N"]
-    qf = Fraction(q)
-    qa = Fraction(q**a)
-    qalpha = Fraction(q**al)
-    qbeta = Fraction(q**be)
-    w = qf**-k  # q^(a-s) at s = a+k
-    u = qa * qa * qf**k  # q^(s+a)
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, qalpha * qbeta * qf ** (n + 1), w, u),
-            (qa * qa * qalpha * qf**N, qbeta * qf, qf ** (1 - N)),
-            q,
-            q,
-            n,
-        )
-
-
-def _dual_q_hahn_series_lattice(p, n, k):
-    a, al, q, N = p["a"], p["alpha"], p["q"], p["N"]
-    qf = Fraction(q)
-    qa = Fraction(q**a)
-    qalpha = Fraction(q**al)
-    w = qf**-k
-    u = qa * qa * qf**k
-    with exact_summation():
-        return qhyper_sum(
-            (qf**-n, w, u), (qalpha * qf, qf ** (1 - N)), q, q, n
-        )
-
-
-# ---------------------------------------------------------------------------
 # alias families
 # ---------------------------------------------------------------------------
-
-
-def _q_charlier_validate(p):
-    _check_q("q_charlier", p)
-    _need(p["alpha"] > 0.0, "q_charlier", "alpha must satisfy alpha > 0", p["alpha"])
-
-
-def _big_qj_validate(p):
-    q = _check_q("big_q_jacobi_special", p)
-    _need(
-        0.0 < p["alpha"] < 1.0 / q,
-        "big_q_jacobi_special",
-        "alpha must satisfy 0 < alpha < 1/q",
-        p["alpha"],
-    )
-    _need(
-        0.0 < p["beta"] < 1.0 / q,
-        "big_q_jacobi_special",
-        "beta must satisfy 0 < beta < 1/q",
-        p["beta"],
-    )
 
 
 def _big_qj_prefactor(p, n):
@@ -1035,16 +784,6 @@ def _big_qj_claims(p):
         Claim("alpha", "increasing", (0.0, 1.0 / q), win),
         Claim("beta", "decreasing", (0.0, 1.0 / q), win),
     )
-
-
-def _q_laguerre_validate(p):
-    _check_q("q_laguerre", p)
-    _need(p["alpha"] > -1.0, "q_laguerre", "alpha must satisfy alpha > -1", p["alpha"])
-
-
-def _q_laguerre_prefactor(p, n):
-    al, q = p["alpha"], p["q"]
-    return q ** (-al * n) * q_pochhammer(q ** (al + 1), q, n) / q_pochhammer(q, q, n)
 
 
 def _q_laguerre_claims(p):
@@ -1144,9 +883,7 @@ def _register(name: str, entry: _Entry) -> None:
 _register(
     "hahn",
     _Entry(
-        param_order=("alpha", "beta", "N"),
-        domains={"alpha": "alpha > -1", "beta": "beta > -1", "N": "integer 2..60"},
-        validate=_hahn_validate,
+        domain=(_ALPHA_GT_MINUS_1, ("beta", "beta > -1", lambda p: p["beta"] > -1.0), _N),
         make_grid=lambda p: Grid.linear(),
         support=lambda p: (0.0, float(p["N"])),
         series=_hahn_series,
@@ -1161,9 +898,7 @@ _register(
 _register(
     "charlier",
     _Entry(
-        param_order=("alpha",),
-        domains={"alpha": "alpha > 0"},
-        validate=lambda p: _need(p["alpha"] > 0.0, "charlier", "alpha must satisfy alpha > 0", p["alpha"]),
+        domain=(_ALPHA_POSITIVE,),
         make_grid=lambda p: Grid.linear(),
         support=lambda p: (0.0, math.inf),
         series=_charlier_series,
@@ -1177,12 +912,7 @@ _register(
 _register(
     "krawtchouk",
     _Entry(
-        param_order=("alpha", "N"),
-        domains={"alpha": "0 < alpha < 1", "N": "integer 2..60"},
-        validate=lambda p: (
-            _need(0.0 < p["alpha"] < 1.0, "krawtchouk", "alpha must satisfy 0 < alpha < 1", p["alpha"]),
-            _check_N("krawtchouk", p),
-        ),
+        domain=(_ALPHA_UNIT, _N),
         make_grid=lambda p: Grid.linear(),
         support=lambda p: (0.0, float(p["N"])),
         series=_krawtchouk_series,
@@ -1196,12 +926,7 @@ _register(
 _register(
     "meixner",
     _Entry(
-        param_order=("alpha", "beta"),
-        domains={"alpha": "0 < alpha < 1", "beta": "beta > 0"},
-        validate=lambda p: (
-            _need(0.0 < p["alpha"] < 1.0, "meixner", "alpha must satisfy 0 < alpha < 1", p["alpha"]),
-            _need(p["beta"] > 0.0, "meixner", "beta must satisfy beta > 0", p["beta"]),
-        ),
+        domain=(_ALPHA_UNIT, ("beta", "beta > 0", lambda p: p["beta"] > 0.0)),
         make_grid=lambda p: Grid.linear(),
         support=lambda p: (0.0, math.inf),
         series=_meixner_series,
@@ -1218,14 +943,12 @@ _register(
 _register(
     "racah",
     _Entry(
-        param_order=("a", "alpha", "beta", "N"),
-        domains={
-            "a": "a > -1/2",
-            "alpha": "alpha > -1",
-            "beta": "-1 < beta < 2a+1",
-            "N": "integer 2..60",
-        },
-        validate=_racah_validate,
+        domain=(
+            _A_GT_MINUS_HALF,
+            _ALPHA_GT_MINUS_1,
+            ("beta", "-1 < beta < 2a+1", lambda p: -1.0 < p["beta"] < 2.0 * p["a"] + 1.0),
+            _N,
+        ),
         make_grid=lambda p: Grid.quadratic(),
         support=lambda p: (p["a"], p["a"] + p["N"]),
         series=_racah_series,
@@ -1240,9 +963,11 @@ _register(
 _register(
     "dual_hahn",
     _Entry(
-        param_order=("a", "alpha", "N"),
-        domains={"a": "a > -1/2", "alpha": "-1 < alpha < 2a+1", "N": "integer 2..60"},
-        validate=_dual_hahn_validate,
+        domain=(
+            _A_GT_MINUS_HALF,
+            ("alpha", "-1 < alpha < 2a+1", lambda p: -1.0 < p["alpha"] < 2.0 * p["a"] + 1.0),
+            _N,
+        ),
         make_grid=lambda p: Grid.quadratic(),
         support=lambda p: (p["a"], p["a"] + p["N"]),
         series=_dual_hahn_series,
@@ -1256,9 +981,11 @@ _register(
 _register(
     "q_meixner",
     _Entry(
-        param_order=("alpha", "beta", "q"),
-        domains={"alpha": "alpha > 0", "beta": "0 <= beta < 1/q", "q": "0 < q < 1"},
-        validate=_q_meixner_validate,
+        domain=(
+            _ALPHA_POSITIVE,
+            ("beta", "0 <= beta < 1/q", lambda p: 0.0 <= p["beta"] < 1.0 / p["q"]),
+            _Q,
+        ),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=_q_meixner_series,
@@ -1266,7 +993,6 @@ _register(
         k_interval=lambda p: (0.0, math.inf),
         claims=_q_meixner_claims,
         f2_closed={"alpha": _q_meixner_f2_alpha, "beta": _q_meixner_f2_beta},
-        series_lattice=_q_meixner_series_lattice,
         sample=lambda rng: _with_q(
             rng,
             lambda q: {"alpha": rng.uniform(0.3, 3.0), "beta": rng.uniform(0.05, 0.9) / q},
@@ -1277,16 +1003,14 @@ _register(
 _register(
     "al_salam_carlitz_2",
     _Entry(
-        param_order=("alpha", "q"),
-        domains={"alpha": "0 < alpha < 1/q", "q": "0 < q < 1"},
-        validate=_asc2_validate,
+        domain=(_ALPHA_BELOW_1_Q, _Q),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=_asc2_series,
         ab=_asc2_ab,
         k_interval=_asc2_k,
         claims=_asc2_claims,
-        series_lattice=_asc2_series_lattice,
+        prefactor=_asc2_prefactor,
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(0.1, 0.9) / q}),
     ),
 )
@@ -1294,21 +1018,13 @@ _register(
 _register(
     "q_hahn",
     _Entry(
-        param_order=("alpha", "beta", "q", "N"),
-        domains={
-            "alpha": "0 < alpha < 1/q",
-            "beta": "0 < beta < 1/q",
-            "q": "0 < q < 1",
-            "N": "integer 2..60",
-        },
-        validate=_q_hahn_validate,
+        domain=(_ALPHA_BELOW_1_Q, _BETA_BELOW_1_Q, _Q, _N),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, float(p["N"])),
         series=_q_hahn_series,
         ab=_q_hahn_ab,
         k_interval=lambda p: (0.0, p["N"] - 1.0),
         claims=_q_hahn_claims,
-        series_lattice=_q_hahn_series_lattice,
         sample=lambda rng: _with_q(
             rng,
             lambda q: {
@@ -1323,16 +1039,13 @@ _register(
 _register(
     "q_krawtchouk",
     _Entry(
-        param_order=("alpha", "q", "N"),
-        domains={"alpha": "alpha > 0", "q": "0 < q < 1", "N": "integer 2..60"},
-        validate=_q_krawtchouk_validate,
+        domain=(_ALPHA_POSITIVE, _Q, _N),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, float(p["N"])),
         series=_q_krawtchouk_series,
         ab=_q_krawtchouk_ab,
         k_interval=lambda p: (0.0, p["N"] - 1.0),
         claims=lambda p: (Claim("alpha", "decreasing", (0.0, math.inf), _POSITIVE_WINDOW),),
-        series_lattice=_q_krawtchouk_series_lattice,
         sample=lambda rng: _with_q(
             rng, lambda q: {"alpha": rng.uniform(0.2, 3.0), "N": rng.randint(5, 10)}
         ),
@@ -1342,9 +1055,7 @@ _register(
 _register(
     "affine_q_krawtchouk",
     _Entry(
-        param_order=("alpha", "q", "N"),
-        domains={"alpha": "0 < alpha < 1/q", "q": "0 < q < 1", "N": "integer 2..60"},
-        validate=_affine_qk_validate,
+        domain=(_ALPHA_BELOW_1_Q, _Q, _N),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, float(p["N"])),
         series=_affine_qk_series,
@@ -1353,7 +1064,6 @@ _register(
         claims=lambda p: (
             Claim("alpha", "decreasing", (0.0, 1.0 / p["q"]), _central(0.0, 1.0 / p["q"])),
         ),
-        series_lattice=_affine_qk_series_lattice,
         sample=lambda rng: _with_q(
             rng,
             lambda q: {"alpha": rng.uniform(0.1, 0.9) / q, "N": rng.randint(5, 10)},
@@ -1364,16 +1074,18 @@ _register(
 _register(
     "quantum_q_krawtchouk",
     _Entry(
-        param_order=("alpha", "q", "N"),
-        domains={"alpha": "alpha > q^(1-N)", "q": "0 < q < 1", "N": "integer 2..60"},
-        validate=_quantum_qk_validate,
+        domain=(
+            ("alpha", "alpha > q^(1-N)", lambda p: p["alpha"] > p["q"] ** (1 - p["N"])),
+            _Q,
+            _N,
+        ),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, float(p["N"])),
         series=_quantum_qk_series,
         ab=_quantum_qk_ab,
         k_interval=_quantum_qk_k,
         claims=_quantum_qk_claims,
-        series_lattice=_quantum_qk_series_lattice,
+        prefactor=_quantum_qk_prefactor,
         sample=_sample_quantum_qk,
     ),
 )
@@ -1381,16 +1093,13 @@ _register(
 _register(
     "q_bessel",
     _Entry(
-        param_order=("alpha", "q"),
-        domains={"alpha": "alpha > 0", "q": "0 < q < 1"},
-        validate=_q_bessel_validate,
+        domain=(_ALPHA_POSITIVE, _Q),
         make_grid=lambda p: Grid.q_exp(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=_q_bessel_series,
         ab=_q_bessel_ab,
         k_interval=lambda p: (0.0, math.inf),
         claims=lambda p: (Claim("alpha", "decreasing", (0.0, math.inf), _POSITIVE_WINDOW),),
-        series_lattice=_q_bessel_series_lattice,
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(0.2, 3.0)}),
     ),
 )
@@ -1398,16 +1107,13 @@ _register(
 _register(
     "little_q_jacobi",
     _Entry(
-        param_order=("alpha", "beta", "q"),
-        domains={"alpha": "0 < alpha < 1/q", "beta": "beta < 1/q", "q": "0 < q < 1"},
-        validate=_little_qj_validate,
+        domain=(_ALPHA_BELOW_1_Q, ("beta", "beta < 1/q", lambda p: p["beta"] < 1.0 / p["q"]), _Q),
         make_grid=lambda p: Grid.q_exp(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=_little_qj_series,
         ab=_little_qj_ab,
         k_interval=lambda p: (0.0, math.inf),
         claims=_little_qj_claims,
-        series_lattice=_little_qj_series_lattice,
         sample=lambda rng: _with_q(
             rng,
             lambda q: {
@@ -1421,16 +1127,13 @@ _register(
 _register(
     "little_q_laguerre",
     _Entry(
-        param_order=("alpha", "q"),
-        domains={"alpha": "0 < alpha < 1/q", "q": "0 < q < 1"},
-        validate=_little_ql_validate,
+        domain=(_ALPHA_BELOW_1_Q, _Q),
         make_grid=lambda p: Grid.q_exp(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=_little_ql_series,
         ab=_little_ql_ab,
         k_interval=lambda p: (0.0, math.inf),
         claims=_little_ql_claims,
-        series_lattice=_little_ql_series_lattice,
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(0.1, 0.9) / q}),
     ),
 )
@@ -1438,15 +1141,13 @@ _register(
 _register(
     "q_racah",
     _Entry(
-        param_order=("a", "alpha", "beta", "q", "N"),
-        domains={
-            "a": "a > 0",
-            "alpha": "alpha > -1",
-            "beta": "-1 < beta < 2a",
-            "q": "0 < q < 1",
-            "N": "integer 2..60",
-        },
-        validate=_q_racah_validate,
+        domain=(
+            _A_POSITIVE,
+            _ALPHA_GT_MINUS_1,
+            ("beta", "-1 < beta < 2a", lambda p: -1.0 < p["beta"] < 2.0 * p["a"]),
+            _Q,
+            _N,
+        ),
         make_grid=lambda p: Grid.q_symmetric(p["q"]),
         support=lambda p: (p["a"], p["a"] + p["N"]),
         series=_q_racah_series,
@@ -1455,21 +1156,18 @@ _register(
         claims=_q_racah_claims,
         f2_closed={"alpha": _q_racah_f2_alpha, "beta": _q_racah_f2_beta},
         sample=_sample_q_racah,
-        series_lattice=_q_racah_series_lattice,
     ),
 )
 
 _register(
     "dual_q_hahn",
     _Entry(
-        param_order=("a", "alpha", "q", "N"),
-        domains={
-            "a": "a > 0",
-            "alpha": "-1 < alpha < 2a",
-            "q": "0 < q < 1",
-            "N": "integer 2..60",
-        },
-        validate=_dual_q_hahn_validate,
+        domain=(
+            _A_POSITIVE,
+            ("alpha", "-1 < alpha < 2a", lambda p: -1.0 < p["alpha"] < 2.0 * p["a"]),
+            _Q,
+            _N,
+        ),
         make_grid=lambda p: Grid.q_symmetric(p["q"]),
         support=lambda p: (p["a"], p["a"] + p["N"]),
         series=_dual_q_hahn_series,
@@ -1477,7 +1175,6 @@ _register(
         k_interval=_dual_q_hahn_k,
         claims=_dual_q_hahn_claims,
         sample=_sample_dual_q_hahn,
-        series_lattice=_dual_q_hahn_series_lattice,
     ),
 )
 
@@ -1486,9 +1183,7 @@ _register(
 _register(
     "q_charlier",
     _Entry(
-        param_order=("alpha", "q"),
-        domains={"alpha": "alpha > 0", "q": "0 < q < 1"},
-        validate=_q_charlier_validate,
+        domain=(_ALPHA_POSITIVE, _Q),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=None,
@@ -1503,9 +1198,7 @@ _register(
 _register(
     "al_salam_carlitz_1",
     _Entry(
-        param_order=("alpha", "q"),
-        domains={"alpha": "0 < alpha < 1/q", "q": "0 < q < 1"},
-        validate=lambda p: _asc2_validate({**p}),
+        domain=(_ALPHA_BELOW_1_Q, _Q),
         make_grid=lambda p: Grid.q_exp_neg(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=None,
@@ -1520,9 +1213,7 @@ _register(
 _register(
     "big_q_jacobi_special",
     _Entry(
-        param_order=("alpha", "beta", "q"),
-        domains={"alpha": "0 < alpha < 1/q", "beta": "0 < beta < 1/q", "q": "0 < q < 1"},
-        validate=_big_qj_validate,
+        domain=(_ALPHA_BELOW_1_Q, _BETA_BELOW_1_Q, _Q),
         make_grid=lambda p: Grid.q_exp(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=None,
@@ -1548,9 +1239,7 @@ _register(
 _register(
     "q_laguerre",
     _Entry(
-        param_order=("alpha", "q"),
-        domains={"alpha": "alpha > -1", "q": "0 < q < 1"},
-        validate=_q_laguerre_validate,
+        domain=(_ALPHA_GT_MINUS_1, _Q),
         make_grid=lambda p: Grid.q_exp(p["q"]),
         support=lambda p: (0.0, math.inf),
         series=None,
@@ -1604,7 +1293,9 @@ def make_family(kind: str, params: Mapping[str, float] | None = None, **kw) -> F
             parts.append(f"unexpected {extra}")
         raise DomainError(f"{key}: parameter mismatch ({'; '.join(parts)})")
     p = {k: float(v) for k, v in p.items()}
-    entry.validate(p)
+    for name, text, holds in entry.checks:
+        if not holds(p):
+            raise DomainError(f"{key}: {name} must satisfy {text} (got {p[name]!r})")
     if "N" in p:
         p["N"] = int(p["N"])
     a, b = entry.support(p)
@@ -1645,17 +1336,37 @@ def eval_exact_at_support(family: FamilySpec, n: int, k: int) -> float:
     if not 0 <= n <= base.degree_max:
         raise DomainError(f"{base.kind}: degree n={n} outside 0..{base.degree_max}")
     entry = _CATALOG[base.kind]
-    if entry.series_lattice is not None:
-        return entry.series_lattice(base.params, n, k)
-    g = base.grid
-    if g.tag == Q_EXP_NEG:
-        X = Fraction(g.q) ** (-k)
-    elif g.tag == Q_EXP:
-        X = Fraction(g.q) ** k
-    else:
-        X = g.x_raw(base.support_start + k)
+    pref = entry.prefactor(base.params, n)
+    p, x = _exact_atoms(base, k)
     with exact_summation():
-        return entry.series(base.params, n, X)
+        return pref * entry.series(p, n, x)
+
+
+def _exact_atoms(base: FamilySpec, k: int):
+    """Parameter and lattice atoms at the k-th support point, for exact summation.
+
+    Near the top of the support the terminating series cancels to values far
+    below the size of its terms, and those values are hypersensitive to
+    rounding of the lattice coordinates and of the q-power parameters.  On q
+    lattices every atom is an exact rational: the base, the real parameters
+    (on the q-quadratic lattice their rounded powers q^a, q^alpha, q^beta),
+    and the lattice value built from exact powers of the base, so each family
+    is an exact polynomial model whose orthogonality identities hold to within
+    the float weight table alone.  Other lattices keep their float atoms; the
+    sum over them is still exact.
+    """
+    g, p = base.grid, base.params
+    if g.q is None:
+        return p, g.x_raw(base.support_start + k)
+    q = Fraction(g.q)
+    power = g.tag == Q_SYMMETRIC
+    atoms = {
+        name: v if name == "N" else q if name == "q" else Fraction(g.q**v if power else v)
+        for name, v in p.items()
+    }
+    if power:
+        return atoms, (q**-k, atoms["a"] ** 2 * q**k)  # s = a+k
+    return atoms, q**-k if g.tag == Q_EXP_NEG else q**k
 
 
 def family_info(kind: str) -> dict:
@@ -1668,7 +1379,7 @@ def family_info(kind: str) -> dict:
     return {
         "kind": key,
         "params": list(entry.param_order),
-        "domains": dict(entry.domains),
+        "domains": {name: text for name, text, _ in entry.domain},
         "grid": spec.grid.tag,
         "finite_support": spec.is_finite,
         "alias_of": entry.alias_map(p)[0] if entry.alias_map else None,

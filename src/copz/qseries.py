@@ -117,7 +117,10 @@ def hyper_sum(num, den, z: float, n: int) -> float:
     return acc.value
 
 
-def _qhyper_sum_exact(num, den, q: float, z: float, n: int) -> float:
+def _qhyper_sum_exact(num, den, q, z, n: int) -> float:
+    # integer bounds: comparing an exact base with float bounds converts them
+    if not 0 < q < 1:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
     numf = [Fraction(a) for a in num]
     denf = [Fraction(b) for b in den]
     qf = Fraction(q)
@@ -148,10 +151,10 @@ def _qhyper_sum_exact(num, den, q: float, z: float, n: int) -> float:
 
 def qhyper_sum(num, den, q: float, z: float, n: int) -> float:
     """Terminating basic series iφj(num; den; q, z), summed over k = 0..n."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
     if _EXACT.get():
         return _qhyper_sum_exact(num, den, q, z, n)
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
     excess = 1 + len(den) - len(num)
     acc = Neumaier()
     term = 1.0
@@ -273,11 +276,6 @@ def binom2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def q_binom2_power(q: float, k: int) -> float:
-    """q^C(k,2), kept separate so prefactors read like the defining formulas."""
-    return q ** binom2(k)
-
-
 __all__ = [
     "Neumaier",
     "SeriesSpec",
@@ -287,7 +285,6 @@ __all__ = [
     "hyper_sum",
     "identity_value",
     "pochhammer",
-    "q_binom2_power",
     "q_chu_vandermonde",
     "q_pfaff_saalschutz",
     "q_pochhammer",

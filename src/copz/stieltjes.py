@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CopzError,
     DomainError,
     IllConditionedSystemError,
     SweepDiscontinuityError,
@@ -106,7 +107,7 @@ def hypothesis_report(
         try:
             fv = fam.monotonicity_f(s)
             f1, f2 = fam.f_partials(s, param)
-        except Exception:
+        except CopzError:
             counterexamples.append(s)
             f_pos = False
             continue

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import TruncationError, WeightPositivityError
+from .errors import SingularityError, TruncationError, WeightPositivityError
 from .families import FamilySpec, eval_exact_at_support
 from .qseries import Neumaier
 
@@ -252,7 +252,7 @@ def _a_lower(base: FamilySpec, s: float) -> float:
     g = base.grid
     try:
         A, _ = base.coeffs_AB(s)
-    except Exception:
+    except SingularityError:
         A, _ = base.coeffs_AB(s + 1e-7)
     return A * g.delta_x(s - 1.0) * g.delta_x_half(s)
 

@@ -54,7 +54,8 @@ def _scan(g, lo: float, hi: float, step: float):
     """Sample g on [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples.
 
     A sample within the node tolerance of zero (relative to its neighbors)
-    counts as a width-zero bracket.
+    counts as a width-zero bracket; its gl and gr carry the neighbors'
+    magnitude, the local scale its residual is measured against.
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -67,7 +68,7 @@ def _scan(g, lo: float, hi: float, step: float):
             abs(vs[i + 1]) if i + 1 < count else 0.0,
         )
         if v == 0.0 or abs(v) < _NODE_TOL * nbr:
-            brackets.append((ss[i], ss[i], v, v))
+            brackets.append((ss[i], ss[i], nbr, nbr))
             continue
         if prev_i is not None:
             # skip pairs separated by a node zero; that zero is already counted

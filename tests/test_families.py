@@ -14,6 +14,7 @@ from copz import (
     make_family,
     sample_params,
 )
+from copz.families import eval_exact_at_support
 from copz.qseries import hyper_sum
 
 
@@ -263,3 +264,83 @@ def test_zero_problem_validation():
         ZeroProblem(spec, 1, sweep_param="beta")
     pr = ZeroProblem(spec, 4, sweep_param="alpha")
     assert pr.degree == 4
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_exact_and_float_series_agree_at_support_points(kind):
+    # one series feeds both paths: float atoms from X, exact atoms from k
+    rng = random.Random(sum(map(ord, kind)))
+    for _ in range(5):
+        base = make_family(kind, sample_params(kind, rng)).resolve_base()
+        points = 6 if not base.is_finite else min(6, int(base.support_end - base.support_start))
+        for n in range(min(3, base.degree_max) + 1):
+            for k in range(points):
+                exact = eval_exact_at_support(base, n, k)
+                value = base.eval_at_s(n, base.support_start + k)
+                assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (n, k)
+
+
+_Q_AT_BOUND = 2.0 ** -5  # q^(1-N) at q=1/2, N=6
+
+#: a valid parameter set per kind, then one out-of-domain value per stated constraint
+DOMAIN_CASES = {
+    "hahn": ({"alpha": 0.5, "beta": 0.5, "N": 8}, {"alpha": -1.0, "beta": -1.5, "N": 1}),
+    "charlier": ({"alpha": 1.0}, {"alpha": 0.0}),
+    "krawtchouk": ({"alpha": 0.4, "N": 6}, {"alpha": 1.0, "N": 61}),
+    "meixner": ({"alpha": 0.5, "beta": 1.0}, {"alpha": 1.0, "beta": 0.0}),
+    "racah": (
+        {"a": 0.5, "alpha": 0.5, "beta": 0.5, "N": 6},
+        {"a": -0.5, "alpha": -1.0, "beta": 2.0, "N": 2.5},
+    ),
+    "dual_hahn": ({"a": 0.5, "alpha": 0.5, "N": 6}, {"a": -0.6, "alpha": 2.0, "N": 0}),
+    "q_meixner": ({"alpha": 1.0, "beta": 0.5, "q": 0.5}, {"alpha": 0.0, "beta": 2.0, "q": 1.0}),
+    "al_salam_carlitz_2": ({"alpha": 0.5, "q": 0.5}, {"alpha": 2.0, "q": 0.0}),
+    "q_hahn": (
+        {"alpha": 0.5, "beta": 0.5, "q": 0.5, "N": 6},
+        {"alpha": 0.0, "beta": 2.5, "q": 1.5, "N": 60.5},
+    ),
+    "q_krawtchouk": ({"alpha": 1.0, "q": 0.5, "N": 6}, {"alpha": -1.0, "q": -0.5, "N": 100}),
+    "affine_q_krawtchouk": ({"alpha": 0.5, "q": 0.5, "N": 6}, {"alpha": 2.0, "q": 1.0, "N": 1}),
+    "quantum_q_krawtchouk": (
+        {"alpha": 2.0 / _Q_AT_BOUND, "q": 0.5, "N": 6},
+        # N=10**6 must fail on N before the alpha bound q^(1-N) overflows
+        {"alpha": 1.0 / _Q_AT_BOUND, "q": 1.0, "N": 10**6},
+    ),
+    "q_bessel": ({"alpha": 1.0, "q": 0.5}, {"alpha": 0.0, "q": 1.0}),
+    "little_q_jacobi": ({"alpha": 0.5, "beta": 0.5, "q": 0.5}, {"alpha": 2.0, "beta": 2.0, "q": 0.0}),
+    "little_q_laguerre": ({"alpha": 0.5, "q": 0.5}, {"alpha": 0.0, "q": 2.0}),
+    "q_racah": (
+        {"a": 1.0, "alpha": 0.5, "beta": 0.5, "q": 0.5, "N": 6},
+        {"a": 0.0, "alpha": -1.0, "beta": 2.0, "q": 1.0, "N": 7.5},
+    ),
+    "dual_q_hahn": (
+        {"a": 1.0, "alpha": 0.5, "q": 0.5, "N": 6},
+        {"a": -1.0, "alpha": 2.0, "q": 0.0, "N": 61},
+    ),
+    "q_charlier": ({"alpha": 1.0, "q": 0.5}, {"alpha": -1.0, "q": 1.0}),
+    "al_salam_carlitz_1": ({"alpha": 0.5, "q": 0.5}, {"alpha": 0.0, "q": 1.0}),
+    "big_q_jacobi_special": (
+        {"alpha": 0.5, "beta": 0.5, "q": 0.5},
+        {"alpha": 2.0, "beta": 0.0, "q": 1.0},
+    ),
+    "q_laguerre": ({"alpha": 0.5, "q": 0.5}, {"alpha": -1.0, "q": 1.0}),
+}
+
+
+def test_domain_cases_cover_every_stated_constraint():
+    assert set(DOMAIN_CASES) == set(catalog_kinds())
+    for kind, (valid, bad) in DOMAIN_CASES.items():
+        assert set(bad) == set(family_info(kind)["domains"]), kind
+        make_family(kind, valid)
+
+
+@pytest.mark.parametrize(
+    "kind,param",
+    [(kind, param) for kind, (_, bad) in DOMAIN_CASES.items() for param in bad],
+)
+def test_out_of_domain_value_names_its_parameter(kind, param):
+    valid, bad = DOMAIN_CASES[kind]
+    with pytest.raises(DomainError, match=rf"^{kind}: {param} ") as err:
+        make_family(kind, {**valid, param: bad[param]})
+    assert family_info(kind)["domains"][param] in str(err.value)
+

@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from copz import DomainError, Grid
 
@@ -97,12 +98,19 @@ def test_derivative_matches_finite_difference(grid):
     st.floats(min_value=-0.49, max_value=20.0),
     st.floats(min_value=0.05, max_value=0.95),
 )
+@example(s=1.1567377555104551e-07, q=0.875)
 def test_quadratic_and_symmetric_round_trip_property(s, q):
     gq = Grid.quadratic()
     assert gq.x_inverse(gq.x(s)) == pytest.approx(s, rel=1e-12, abs=1e-9)
     gs = Grid.q_symmetric(q)
     sp = abs(s)
-    assert gs.x_inverse(gs.x(sp)) == pytest.approx(sp, rel=1e-9, abs=1e-7)
+    X = gs.x(sp)
+    back = gs.x_inverse(X)
+    # near s=0 the map is cosh(s ln q): a float X fixes s only to about
+    # sqrt(eps)/|ln q|, but the recovered s must reproduce X itself
+    abs_tol = 2.0 * math.sqrt(sys.float_info.epsilon) / abs(math.log(q))
+    assert back == pytest.approx(sp, rel=1e-9, abs=abs_tol)
+    assert abs(gs.x(back) - X) <= 64 * math.ulp(X)
 
 
 def test_theta_relation():

@@ -201,3 +201,15 @@ def test_trajectory_matrix_shape():
     assert len(v.trajectories) == 2
     assert all(len(row) == len(v.ts) for row in v.trajectories)
     assert math.isfinite(v.trajectories[0][0])
+
+
+def test_hypothesis_report_lets_programming_errors_through(monkeypatch):
+    from copz.families import FamilySpec
+
+    def broken(self, s):
+        raise TypeError("broken coefficient ratio")
+
+    monkeypatch.setattr(FamilySpec, "monotonicity_f", broken)
+    problem = ZeroProblem(make_family("charlier", alpha=1.5), 2)
+    with pytest.raises(TypeError, match="broken coefficient ratio"):
+        hypothesis_report(problem, "alpha")

@@ -166,3 +166,11 @@ def test_zero_count_randomized():
             assert zs.zeros_s == tuple(sorted(zs.zeros_s))
             gaps = [b - a for a, b in zip(zs.zeros_s, zs.zeros_s[1:])]
             assert all(g > 0.0 for g in gaps)
+
+
+def test_node_zero_residual_is_relative_to_neighbours():
+    # s=3 is a sample of the scan and an exact zero: a width-zero bracket
+    zs = find_zeros(ZeroProblem(make_family("krawtchouk", alpha=0.5, N=7), 3))
+    assert zs.zeros_s == pytest.approx((1.0, 3.0, 5.0), abs=1e-12)
+    assert zs.bracket_widths[1] == 0.0
+    assert max(zs.residuals) < 1e-12
