@@ -27,11 +27,10 @@ from .families import (
     make_family,
     sample_params,
 )
-from .interlacing import connection_residual, interlace_check
+from .interlacing import interlace_check
 from .stieltjes import (
     STRUCTURAL_PARAMS,
     build_stieltjes_system,
-    claimed_sweep,
     hypothesis_report,
     monotonicity_verdict,
     zero_derivatives_fd,
@@ -141,7 +140,7 @@ def _cmd_sweep(args) -> int:
     # the swept parameter needs no --set; seed it from the range midpoint
     params.setdefault(args.param, 0.5 * (args.lo + args.hi))
     spec = make_family(args.family, params)
-    problem = ZeroProblem(spec, args.n, args.param)
+    problem = ZeroProblem(spec, args.n)
     verdict = monotonicity_verdict(
         problem, args.param, (args.lo, args.hi), samples=args.steps
     )
@@ -169,9 +168,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_stieltjes(args) -> int:
     spec = make_family(args.family, _params_from_sets(args.sets))
-    system = build_stieltjes_system(ZeroProblem(spec, args.n), args.param)
-    fd = zero_derivatives_fd(ZeroProblem(spec, args.n), args.param)
-    rep = hypothesis_report(ZeroProblem(spec, args.n), args.param)
+    problem = ZeroProblem(spec, args.n)
+    zs = find_zeros(problem)
+    system = build_stieltjes_system(zs, args.param)
+    fd = zero_derivatives_fd(problem, args.param)
+    rep = hypothesis_report(zs, args.param)
     if args.format == "json":
         payload = {
             "command": "stieltjes",
@@ -221,16 +222,10 @@ def _cmd_interlace(args) -> int:
     params = _params_from_sets(args.sets)
     if "N" not in params:
         raise DomainError("interlace needs --set N=<support size>")
+    make_family(args.family, params)  # rejects a non-integer N before int() truncates it
     N = int(params["N"])
     try:
-        report = interlace_check(
-            args.family,
-            params,
-            args.n,
-            N,
-            check_weight=not args.force,
-            with_connection=True,
-        )
+        report = interlace_check(args.family, params, args.n, N, check_weight=not args.force)
     except WeightMismatchError as exc:
         _emit(f"not-applicable: {exc}\n", args.out)
         return 0
@@ -309,7 +304,7 @@ def _verify_one(spec, n: int, quick: bool, lines: list[str]) -> bool:
     hypotheses_held = False
     for claim in spec.claims():
         param = claim.param
-        rep = hypothesis_report(problem, param, samples=60 if quick else 200)
+        rep = hypothesis_report(zs, param, samples=60 if quick else 200)
         lines.append(
             f"[{label}] hypotheses[{param}]: f>0 {rep.f_positive}, f1<0 {rep.f1_negative}, "
             f"f2 {rep.f2_sign}, zeros_in_K {rep.zero_set_inside_k}, grid4 {rep.grid4_condition}"
@@ -317,7 +312,7 @@ def _verify_one(spec, n: int, quick: bool, lines: list[str]) -> bool:
         if rep.hypotheses_hold and not eq1.flagged:
             hypotheses_held = True
             if param not in STRUCTURAL_PARAMS:
-                system = build_stieltjes_system(problem, param)
+                system = build_stieltjes_system(zs, param)
                 fd = zero_derivatives_fd(problem, param)
                 mism = max(
                     abs(a - b) / max(abs(a), abs(b), 1e-10)
@@ -334,7 +329,9 @@ def _verify_one(spec, n: int, quick: bool, lines: list[str]) -> bool:
                     f"[{label}] zero-derivatives[{param}]: {'PASS' if good else 'FAIL'} "
                     f"(vs fd {_fmt(mism)}, matrix flags {flags})"
                 )
-        verdict = claimed_sweep(problem, claim, samples=7 if quick else 15)
+        verdict = monotonicity_verdict(
+            problem, param, claim.window, samples=7 if quick else 15
+        )
         good = bool(verdict.agrees) and verdict.reversals == 0
         ok &= good
         lines.append(

@@ -536,6 +536,14 @@ def _quantum_qk_ab(p, s):
     return (1.0 - u) * (al - u * q ** (-N)), -u * (1.0 - u * q ** (1 - N))
 
 
+def _quantum_qk_alpha_ok(p):
+    """alpha > q^(1-N); a bound beyond the float range exceeds every alpha."""
+    try:
+        return p["alpha"] > p["q"] ** (1 - p["N"])
+    except OverflowError:
+        return False
+
+
 def _quantum_qk_k(p):
     al, q, N = p["alpha"], p["q"], p["N"]
     return (max(0.0, math.log(al) / math.log(q) + N), N - 1.0)
@@ -1075,7 +1083,7 @@ _register(
     "quantum_q_krawtchouk",
     _Entry(
         domain=(
-            ("alpha", "alpha > q^(1-N)", lambda p: p["alpha"] > p["q"] ** (1 - p["N"])),
+            ("alpha", "alpha > q^(1-N)", _quantum_qk_alpha_ok),
             _Q,
             _N,
         ),
@@ -1392,18 +1400,13 @@ def family_info(kind: str) -> dict:
 
 @dataclass(frozen=True)
 class ZeroProblem:
-    """A family instance, a degree, and optionally the parameter to vary."""
+    """A family instance and a degree."""
 
     family: FamilySpec
     degree: int
-    sweep_param: str | None = None
 
     def __post_init__(self):
         if not 1 <= self.degree <= self.family.degree_max:
             raise DomainError(
                 f"degree {self.degree} outside 1..{self.family.degree_max} for {self.family.kind}"
-            )
-        if self.sweep_param is not None and self.sweep_param not in self.family.params:
-            raise DomainError(
-                f"{self.family.kind} has no parameter {self.sweep_param!r}"
             )

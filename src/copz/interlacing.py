@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, WeightMismatchError
-from .families import FINITE_FAMILIES, FamilySpec, ZeroProblem, make_family
+from .errors import WeightMismatchError
+from .families import FamilySpec, ZeroProblem, make_family
 from .weights import weight_ratio, weight_table
 from .zeros import find_zeros
 
@@ -48,8 +48,6 @@ def _pair(kind: str, params: dict, N: int) -> tuple[FamilySpec, FamilySpec]:
     key_params.pop("N", None)
     spec_n = make_family(kind, {**key_params, "N": N})
     spec_n1 = make_family(kind, {**key_params, "N": N + 1})
-    if spec_n.kind not in FINITE_FAMILIES:
-        raise DomainError(f"{spec_n.kind} does not have finite support")
     return spec_n, spec_n1
 
 
@@ -80,23 +78,17 @@ class InterlacingReport:
     zone_counts: tuple[int, ...]
     zones_ok: bool
     weight_shared: bool
-    connection: float | None = None  # filled when requested and the weight is shared
+    connection: float | None  # connection-formula residual; None unless the weight is shared
 
 
 def interlace_check(
-    kind: str,
-    params: dict,
-    n: int,
-    N: int,
-    check_weight: bool = True,
-    with_connection: bool = False,
+    kind: str, params: dict, n: int, N: int, check_weight: bool = True
 ) -> InterlacingReport:
     """Classify how the degree-n zeros move when the support grows by one point.
 
     With ``check_weight`` (the default), instances whose weight shape depends
     on N raise WeightMismatchError; pass False to compute the empirical report
-    anyway.  ``with_connection`` additionally evaluates the connection-formula
-    residual (shared-weight instances only).
+    anyway.  Shared-weight instances also carry the connection-formula residual.
     """
     spec_n, spec_n1 = _pair(kind, params, N)
     shared = same_weight(spec_n, spec_n1)
@@ -129,9 +121,7 @@ def interlace_check(
             counts.append(sum(1 for z in zn1 if lo < z < hi))
         zone_counts = tuple(counts)
         ok = all(cnt == 1 for cnt in zone_counts)
-    conn = None
-    if with_connection and shared:
-        conn = connection_residual(kind, params, n, N)
+    conn = _connection(spec_n, spec_n1, n, zn, zn1) if shared else None
     return InterlacingReport(
         kind=spec_n.kind,
         params=dict(spec_n.params),
@@ -163,10 +153,15 @@ def connection_residual(
         raise WeightMismatchError(
             f"{spec_n.kind}: connection formula needs a shared weight shape"
         )
-    g = spec_n.grid
-    xb = g.x(spec_n.support_end)
     zn = find_zeros(ZeroProblem(spec_n, n)).zeros_X_sorted
     zn1 = find_zeros(ZeroProblem(spec_n1, n)).zeros_X_sorted
+    return _connection(spec_n, spec_n1, n, zn, zn1, sample_X)
+
+
+def _connection(spec_n, spec_n1, n: int, zn, zn1, sample_X=None) -> float:
+    """connection_residual from the pair and its two degree-n zero sets (X, ascending)."""
+    g = spec_n.grid
+    xb = g.x(spec_n.support_end)
     znm1 = (
         find_zeros(ZeroProblem(spec_n, n - 1)).zeros_X_sorted if n >= 2 else ()
     )

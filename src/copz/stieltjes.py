@@ -26,7 +26,7 @@ from .errors import (
     IllConditionedSystemError,
     SweepDiscontinuityError,
 )
-from .families import Claim, ZeroProblem
+from .families import ZeroProblem
 from .grid import Grid, Q_ANTISYMMETRIC
 from .zeros import ZeroSet, find_zeros
 
@@ -35,11 +35,8 @@ from .zeros import ZeroSet, find_zeros
 STRUCTURAL_PARAMS = ("q", "N", "a")
 
 
-def _problem_at(problem: ZeroProblem, param: str, t: float | None) -> ZeroProblem:
-    if t is None:
-        return problem
-    fam = problem.family.with_param(param, float(t))
-    return ZeroProblem(fam, problem.degree, problem.sweep_param)
+def _problem_at(problem: ZeroProblem, param: str, t: float) -> ZeroProblem:
+    return ZeroProblem(problem.family.with_param(param, float(t)), problem.degree)
 
 
 @dataclass(frozen=True)
@@ -84,14 +81,11 @@ def direction_from_signs(f2_sign: str, grid_increasing: bool) -> str:
     return "increasing" if up else "decreasing"
 
 
-def hypothesis_report(
-    problem: ZeroProblem, param: str, t: float | None = None, samples: int = 200
-) -> HypothesisReport:
+def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> HypothesisReport:
     """Evaluate the sign hypotheses on the certified interval and the zero set."""
-    problem = _problem_at(problem, param, t)
+    problem = zs.problem
     fam = problem.family
     base = fam.resolve_base()
-    zs = find_zeros(problem)
     lo, hi = fam.k_interval()
     hi_eff = hi if math.isfinite(hi) else max(zs.zeros_s) + 2.0
     pts = list(np.linspace(lo, hi_eff, samples + 2)[1:-1])
@@ -201,24 +195,21 @@ class StieltjesSystem:
         return self.solution * np.array([g.dx_ds(y) for y in self.zeros.zeros_s])
 
 
-def build_stieltjes_system(
-    problem: ZeroProblem, param: str, t: float | None = None
-) -> StieltjesSystem:
-    """Assemble and solve the zero-derivative system at the current parameters.
+def build_stieltjes_system(zs: ZeroSet, param: str) -> StieltjesSystem:
+    """Assemble and solve the zero-derivative system at the zeros ``zs``.
 
     ``param`` must not move the lattice or the support (see STRUCTURAL_PARAMS).
     """
+    problem = zs.problem
     if param not in problem.family.params:
         raise DomainError(f"{problem.family.kind} has no parameter {param!r}")
     if param in STRUCTURAL_PARAMS:
         raise DomainError(
             f"parameter {param!r} moves the lattice or support; the system assumes them fixed"
         )
-    problem = _problem_at(problem, param, t)
     fam = problem.family
     base = fam.resolve_base()
     g = base.grid
-    zs = find_zeros(problem)
     n = problem.degree
     ys = zs.zeros_s
     Xs = [g.x_raw(y) for y in ys]
@@ -272,18 +263,14 @@ def build_stieltjes_system(
     )
 
 
-def zero_derivatives_fd(
-    problem: ZeroProblem, param: str, t: float | None = None, h: float | None = None
-) -> tuple[float, ...]:
+def zero_derivatives_fd(problem: ZeroProblem, param: str) -> tuple[float, ...]:
     """Central-difference derivatives of the s-coordinates of the zeros.
 
     Independent of the linear system; pairs zeros by sorted order at t-h and
-    t+h and requires matching counts.
+    t+h, with h = 1e-5 max(1, |t|), and requires matching counts.
     """
-    fam = problem.family
-    t0 = float(fam.params[param]) if t is None else float(t)
-    if h is None:
-        h = 1e-5 * max(1.0, abs(t0))
+    t0 = float(problem.family.params[param])
+    h = 1e-5 * max(1.0, abs(t0))
     up = find_zeros(_problem_at(problem, param, t0 + h))
     dn = find_zeros(_problem_at(problem, param, t0 - h))
     if len(up) != len(dn):
@@ -370,8 +357,3 @@ def monotonicity_verdict(
         claimed=claimed,
         agrees=agrees,
     )
-
-
-def claimed_sweep(problem: ZeroProblem, claim: Claim, samples: int = 15) -> MonotonicityVerdict:
-    """Run the sweep over the claim's catalogued finite window."""
-    return monotonicity_verdict(problem, claim.param, claim.window, samples)

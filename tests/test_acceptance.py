@@ -21,13 +21,13 @@ from copz import (
     ZeroProblem,
     build_stieltjes_system,
     catalog_kinds,
-    connection_residual,
     eq1_consistency,
     find_zeros,
     gram_offdiag_max,
     hypothesis_report,
     interlace_check,
     make_family,
+    monotonicity_verdict,
     pearson_residual_max,
     sample_params,
     weight_table,
@@ -49,7 +49,6 @@ from copz.stieltjes import (
     b_entry,
     b_quadratic_closed,
     b_symmetric_closed,
-    claimed_sweep,
 )
 
 FLAGGED = ("q_bessel", "little_q_laguerre", "q_laguerre")
@@ -103,7 +102,7 @@ def test_criterion_02_all_family_monotonicity_statements():
                     continue
                 problem = ZeroProblem(spec, n)
                 for claim in spec.claims():
-                    v = claimed_sweep(problem, claim, samples=15)
+                    v = monotonicity_verdict(problem, claim.param, claim.window, samples=15)
                     checked += 1
                     if not v.agrees or v.reversals != 0:
                         failures.append((kind, claim.param, n, ctx, v.directions))
@@ -139,12 +138,13 @@ def test_criterion_03_zero_derivative_system():
         spec = make_family(kind, params)
         grids.add(spec.grid.tag)
         problem = ZeroProblem(spec, min(3, spec.degree_max))
+        zs = find_zeros(problem)
         for claim in spec.claims():
-            rep = hypothesis_report(problem, claim.param)
+            rep = hypothesis_report(zs, claim.param)
             if not rep.hypotheses_hold:
                 hyp_ok = False
                 continue
-            system = build_stieltjes_system(problem, claim.param)
+            system = build_stieltjes_system(zs, claim.param)
             fd = zero_derivatives_fd(problem, claim.param)
             mism = max(
                 abs(a - b) / max(abs(a), abs(b), 1e-10)
@@ -362,7 +362,7 @@ def test_criterion_08_interlacing_and_connection():
         rep = interlace_check("hahn", params, n, N)
         ok &= rep.weight_shared and rep.zones_ok
         cases.add(rep.case)
-        worst_conn = max(worst_conn, connection_residual("hahn", params, n, N))
+        worst_conn = max(worst_conn, rep.connection)
         count += 1
     ok &= worst_conn < 1e-7
     _report(

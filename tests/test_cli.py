@@ -198,3 +198,56 @@ def test_out_file(tmp_path):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["schema"] == 1
+
+
+@pytest.mark.parametrize("N", ["6.7", "inf", "nan"])
+def test_interlace_rejects_non_integer_support_size(N):
+    code, out, err = run_cli(
+        ["interlace", "--family", "hahn", "--n", "2",
+         "--set", "alpha=0", "--set", "beta=0.5", "--set", f"N={N}"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: hahn: N must satisfy integer 2..60 (got {N})\n"
+
+
+def _count_zero_solves(monkeypatch, *modules):
+    import copz.zeros
+
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return copz.zeros.find_zeros(problem)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, "find_zeros", counted)
+    return calls
+
+
+def test_stieltjes_solves_each_instance_once(monkeypatch):
+    import copz.cli
+    import copz.stieltjes
+
+    calls = _count_zero_solves(monkeypatch, copz.cli, copz.stieltjes)
+    code, _, _ = run_cli(
+        ["stieltjes", "--family", "meixner", "--n", "2", "--param", "beta",
+         "--set", "alpha=0.5", "--set", "beta=1.5"]
+    )
+    assert code == 0
+    # the instance itself, then t-h and t+h for the finite-difference check
+    assert len(calls) == 3
+    assert len({c.family.params["beta"] for c in calls}) == 3
+
+
+def test_interlace_solves_each_instance_once(monkeypatch):
+    import copz.interlacing
+
+    calls = _count_zero_solves(monkeypatch, copz.interlacing)
+    code, _, _ = run_cli(
+        ["interlace", "--family", "hahn", "--n", "2",
+         "--set", "alpha=0", "--set", "beta=0.5", "--set", "N=6"]
+    )
+    assert code == 0
+    # degree n at N and N+1, degree n-1 at N for the connection formula
+    assert sorted((c.family.params["N"], c.degree) for c in calls) == [(6, 1), (6, 2), (7, 2)]

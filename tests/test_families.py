@@ -145,7 +145,7 @@ def test_partials_spot_values():
     ("q_racah", "beta"),
 ])
 def test_closed_partials_match_numeric(kind, param):
-    rng = random.Random(hash((kind, param)) % 2**32)
+    rng = random.Random(f"{kind}/{param}")
     for _ in range(8):
         spec = make_family(kind, sample_params(kind, rng))
         lo, hi = spec.k_interval()
@@ -260,10 +260,7 @@ def test_zero_problem_validation():
     spec = make_family("krawtchouk", alpha=0.4, N=5)
     with pytest.raises(DomainError):
         ZeroProblem(spec, 5)
-    with pytest.raises(DomainError):
-        ZeroProblem(spec, 1, sweep_param="beta")
-    pr = ZeroProblem(spec, 4, sweep_param="alpha")
-    assert pr.degree == 4
+    assert ZeroProblem(spec, 4).degree == 4
 
 
 @pytest.mark.parametrize("kind", catalog_kinds())
@@ -335,12 +332,24 @@ def test_domain_cases_cover_every_stated_constraint():
 
 
 @pytest.mark.parametrize(
-    "kind,param",
-    [(kind, param) for kind, (_, bad) in DOMAIN_CASES.items() for param in bad],
+    "kind,param,params",
+    [
+        pytest.param(kind, param, {**valid, param: bad[param]}, id=f"{kind}-{param}")
+        for kind, (valid, bad) in DOMAIN_CASES.items()
+        for param in bad
+    ]
+    + [
+        # the bound q^(1-N) is beyond the float range: no alpha satisfies it
+        pytest.param(
+            "quantum_q_krawtchouk",
+            "alpha",
+            {"alpha": 1.0, "q": 1e-10, "N": 60},
+            id="quantum_q_krawtchouk-alpha-overflow",
+        ),
+    ],
 )
-def test_out_of_domain_value_names_its_parameter(kind, param):
-    valid, bad = DOMAIN_CASES[kind]
+def test_out_of_domain_value_names_its_parameter(kind, param, params):
     with pytest.raises(DomainError, match=rf"^{kind}: {param} ") as err:
-        make_family(kind, {**valid, param: bad[param]})
+        make_family(kind, params)
     assert family_info(kind)["domains"][param] in str(err.value)
 

@@ -21,12 +21,60 @@ DATA = Path(__file__).parent / "data"
         (["verify-all", "--seed", "42"], "verify_all_seed42.txt"),
         (["families"], "families.txt"),
         (["families", "--format", "json"], "families.json"),
+        (
+            ["stieltjes", "--family", "racah", "--n", "3", "--param", "beta",
+             "--set", "a=1", "--set", "alpha=0", "--set", "beta=0.5", "--set", "N=6"],
+            "stieltjes_racah.txt",
+        ),
+        (
+            ["stieltjes", "--family", "q_hahn", "--n", "2", "--param", "alpha",
+             "--set", "alpha=0.5", "--set", "beta=0.4", "--set", "q=0.6", "--set", "N=7",
+             "--format", "json"],
+            "stieltjes_q_hahn.json",
+        ),
+        (
+            ["interlace", "--family", "hahn", "--n", "3",
+             "--set", "alpha=0", "--set", "beta=0.5", "--set", "N=7"],
+            "interlace_hahn.txt",
+        ),
+        (
+            ["interlace", "--family", "hahn", "--n", "3",
+             "--set", "alpha=0", "--set", "beta=0.5", "--set", "N=7", "--format", "json"],
+            "interlace_hahn.json",
+        ),
+        (
+            ["interlace", "--family", "krawtchouk", "--n", "2",
+             "--set", "alpha=0.5", "--set", "N=6"],
+            "interlace_krawtchouk.txt",
+        ),
+        (
+            ["interlace", "--family", "krawtchouk", "--n", "2",
+             "--set", "alpha=0.5", "--set", "N=6", "--force"],
+            "interlace_krawtchouk_force.txt",
+        ),
+        (
+            ["sweep", "--family", "hahn", "--n", "3", "--param", "alpha",
+             "--from", "-0.5", "--to", "2", "--steps", "9", "--set", "beta=1", "--set", "N=8"],
+            "sweep_hahn.csv",
+        ),
     ],
-    ids=["verify-all-seed42", "families-text", "families-json"],
+    ids=[
+        "verify-all-seed42",
+        "families-text",
+        "families-json",
+        "stieltjes-text",
+        "stieltjes-json",
+        "interlace-text",
+        "interlace-json",
+        "interlace-not-applicable",
+        "interlace-force",
+        "sweep-csv",
+    ],
 )
 def test_cli_output_matches_reference(argv, reference):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli_main(argv)
     assert code == 0
-    assert buf.getvalue() == (DATA / reference).read_text(encoding="utf-8")
+    # read bytes: the csv writer ends its rows with \r\n
+    assert buf.getvalue() == (DATA / reference).read_bytes().decode("utf-8")

@@ -8,6 +8,7 @@ from copz import (
     Grid,
     ZeroProblem,
     build_stieltjes_system,
+    find_zeros,
     hypothesis_report,
     make_family,
     monotonicity_verdict,
@@ -19,7 +20,6 @@ from copz.stieltjes import (
     b_entry,
     b_quadratic_closed,
     b_symmetric_closed,
-    claimed_sweep,
     direction_from_signs,
 )
 
@@ -42,7 +42,8 @@ SPANNING = [
 
 def test_hypothesis_report_hahn():
     spec = make_family("hahn", alpha=0.0, beta=0.0, N=5)
-    rep = hypothesis_report(ZeroProblem(spec, 2), "alpha")
+    zs = find_zeros(ZeroProblem(spec, 2))
+    rep = hypothesis_report(zs, "alpha")
     assert rep.k_interval == (0.0, 4.0)
     assert rep.f_positive and rep.f1_negative
     assert rep.f2_sign == "-"
@@ -50,13 +51,13 @@ def test_hypothesis_report_hahn():
     assert rep.zero_set_inside_k
     assert rep.hypotheses_hold
     assert rep.predicted_direction == "decreasing"
-    rep_b = hypothesis_report(ZeroProblem(spec, 2), "beta")
+    rep_b = hypothesis_report(zs, "beta")
     assert rep_b.f2_sign == "+" and rep_b.predicted_direction == "increasing"
 
 
 def test_hypothesis_report_racah_beta():
     spec = make_family("racah", a=1.0, alpha=0.0, beta=0.5, N=6)
-    rep = hypothesis_report(ZeroProblem(spec, 3), "beta")
+    rep = hypothesis_report(find_zeros(ZeroProblem(spec, 3)), "beta")
     assert rep.k_interval == (1.0, 6.0)
     assert rep.f2_sign == "+"
     assert rep.hypotheses_hold
@@ -71,8 +72,7 @@ def test_direction_sign_law():
 
 def test_single_zero_system_charlier():
     spec = make_family("charlier", alpha=2.0)
-    pr = ZeroProblem(spec, 1)
-    system = build_stieltjes_system(pr, "alpha")
+    system = build_stieltjes_system(find_zeros(ZeroProblem(spec, 1)), "alpha")
     # 1x1 system: a_11 = -f1 + f b_11 with empty off-diagonal sums
     y = system.zeros.zeros_s[0]
     f = spec.monotonicity_f(y)
@@ -140,10 +140,11 @@ def test_system_matches_fd_across_grids():
         spec = make_family(kind, sample_params(kind, rng))
         n = min(3, spec.degree_max)
         pr = ZeroProblem(spec, n)
+        zs = find_zeros(pr)
         param = spec.claims()[0].param
-        rep = hypothesis_report(pr, param, samples=80)
+        rep = hypothesis_report(zs, param, samples=80)
         assert rep.hypotheses_hold, (kind, rep)
-        system = build_stieltjes_system(pr, param)
+        system = build_stieltjes_system(zs, param)
         fd = zero_derivatives_fd(pr, param)
         for a, b in zip(system.solution, fd):
             assert a == pytest.approx(b, rel=1e-4, abs=1e-10)
@@ -159,10 +160,10 @@ def test_system_matches_fd_across_grids():
 def test_structural_parameter_guard():
     spec = make_family("q_hahn", alpha=0.8, beta=0.9, q=0.6, N=6)
     with pytest.raises(DomainError):
-        build_stieltjes_system(ZeroProblem(spec, 2), "q")
+        build_stieltjes_system(find_zeros(ZeroProblem(spec, 2)), "q")
     racah = make_family("racah", a=0.5, alpha=0.2, beta=0.4, N=6)
     with pytest.raises(DomainError):
-        build_stieltjes_system(ZeroProblem(racah, 2), "a")
+        build_stieltjes_system(find_zeros(ZeroProblem(racah, 2)), "a")
 
 
 def test_monotonicity_verdict_examples():
@@ -190,7 +191,7 @@ def test_claimed_sweeps_agree_across_catalog():
         spec = make_family(kind, sample_params(kind, rng))
         pr = ZeroProblem(spec, min(2, spec.degree_max))
         for claim in spec.claims():
-            v = claimed_sweep(pr, claim, samples=9)
+            v = monotonicity_verdict(pr, claim.param, claim.window, samples=9)
             assert v.agrees, (kind, claim.param, v.directions)
             assert v.reversals == 0
 
@@ -209,7 +210,23 @@ def test_hypothesis_report_lets_programming_errors_through(monkeypatch):
     def broken(self, s):
         raise TypeError("broken coefficient ratio")
 
+    zs = find_zeros(ZeroProblem(make_family("charlier", alpha=1.5), 2))
     monkeypatch.setattr(FamilySpec, "monotonicity_f", broken)
-    problem = ZeroProblem(make_family("charlier", alpha=1.5), 2)
     with pytest.raises(TypeError, match="broken coefficient ratio"):
-        hypothesis_report(problem, "alpha")
+        hypothesis_report(zs, "alpha")
+
+
+def test_zero_set_analyses_solve_nothing(monkeypatch):
+    import copz.stieltjes
+
+    zs = find_zeros(ZeroProblem(make_family("meixner", alpha=0.5, beta=1.5), 2))
+
+    def no_solve(problem):
+        raise AssertionError("the zero set is given; nothing to solve")
+
+    monkeypatch.setattr(copz.stieltjes, "find_zeros", no_solve)
+    rep = hypothesis_report(zs, "beta", samples=40)
+    system = build_stieltjes_system(zs, "beta")
+    assert rep.hypotheses_hold
+    assert system.zeros is zs
+    assert system.diag_dominant and system.inverse_positive
