@@ -1,0 +1,8 @@
+"""Run the copz command line as ``python -m copz``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -146,7 +146,11 @@ class Grid:
                 raise DomainError(f"X={X!r} below the symmetric-lattice image")
             X = max(X, 1.0)
             # q^s = X - sqrt(X^2-1); evaluate through the large root for stability
-            return -math.log(X + math.sqrt(X * X - 1.0)) / math.log(q)
+            s = -math.log(X + math.sqrt(X * X - 1.0)) / math.log(q)
+            # x magnifies an ulp of s about s |ln q| times, so keep whichever
+            # neighbour of the rounded s lands closest to X
+            steps = (s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf))
+            return min(steps, key=lambda t: abs(self.x_raw(t) - X))
         return math.asinh(X) / (2.0 * self.theta)
 
     def dx_ds(self, s: float) -> float:

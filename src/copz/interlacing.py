@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import WeightMismatchError
-from .families import FamilySpec, ZeroProblem, make_family
+from .errors import DomainError, WeightMismatchError
+from .families import MAX_FINITE_SUPPORT, FamilySpec, ZeroProblem, make_family
 from .weights import weight_ratio, weight_table
 from .zeros import find_zeros
 
@@ -47,6 +47,11 @@ def _pair(kind: str, params: dict, N: int) -> tuple[FamilySpec, FamilySpec]:
     key_params = dict(params)
     key_params.pop("N", None)
     spec_n = make_family(kind, {**key_params, "N": N})
+    if N + 1 > MAX_FINITE_SUPPORT:
+        raise DomainError(
+            f"{spec_n.kind}: interlacing compares N with N+1, so N must satisfy "
+            f"N+1 <= {MAX_FINITE_SUPPORT} (got {N!r})"
+        )
     spec_n1 = make_family(kind, {**key_params, "N": N + 1})
     return spec_n, spec_n1
 

@@ -14,6 +14,7 @@ import contextlib
 import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import DomainError, UndefinedSeriesError
 
@@ -72,26 +73,46 @@ class Neumaier:
         return self.total + self.comp
 
 
-def _hyper_sum_exact(num, den, z: float, n: int) -> float:
-    numf = [Fraction(a) for a in num]
-    denf = [Fraction(b) for b in den]
-    term = Fraction(1)
-    total = Fraction(1)
-    zf = Fraction(z)
+def _unreduced_sum(ratios) -> float:
+    """1 + r_0 (1 + r_1 (1 + ...)) for term ratios r_k = p/d, rounded once.
+
+    The pairs are never reduced; the sum stops at the first vanishing ratio.
+    int/int true division is correctly rounded, as Fraction.__float__ is.
+    """
+    sn = sd = 1
+    live = next((k for k, (p, _) in enumerate(ratios) if not p), len(ratios))
+    for p, d in reversed(ratios[:live]):
+        sd *= d
+        sn = sd + p * sn
+    if sd < 0:
+        sn, sd = -sn, -sd
+    return sn / sd
+
+
+def _vanishing(bn: int, bd: int, k: int) -> UndefinedSeriesError:
+    return UndefinedSeriesError(
+        f"denominator parameter {Fraction(bn, bd)!r} vanishes at k={k + 1}"
+    )
+
+
+def _hyper_sum_exact(num, den, z, n: int) -> float:
+    # atoms a = an/ad enter as (an + k ad)/ad; the ad, bd and z move into constants
+    nums = [a.as_integer_ratio() for a in num]
+    dens = [b.as_integer_ratio() for b in den]
+    zn, zd = z.as_integer_ratio()
+    cn, cd = zn * prod(bd for _, bd in dens), zd * prod(ad for _, ad in nums)
+    ratios = []
     for k in range(n):
-        ratio = zf / (k + 1)
-        for a in numf:
-            ratio *= a + k
-        for b in denf:
-            d = b + k
-            if d == 0:
-                raise UndefinedSeriesError(
-                    f"denominator parameter {b!r} vanishes at k={k + 1}"
-                )
-            ratio /= d
-        term *= ratio
-        total += term
-    return float(total)
+        p, d = cn, cd * (k + 1)
+        for an, ad in nums:
+            p *= an + k * ad
+        for bn, bd in dens:
+            f = bn + k * bd
+            if not f:
+                raise _vanishing(bn, bd, k)
+            d *= f
+        ratios.append((p, d))
+    return _unreduced_sum(ratios)
 
 
 def hyper_sum(num, den, z: float, n: int) -> float:
@@ -121,32 +142,35 @@ def _qhyper_sum_exact(num, den, q, z, n: int) -> float:
     # integer bounds: comparing an exact base with float bounds converts them
     if not 0 < q < 1:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
-    numf = [Fraction(a) for a in num]
-    denf = [Fraction(b) for b in den]
-    qf = Fraction(q)
+    nums = [a.as_integer_ratio() for a in num]
+    dens = [b.as_integer_ratio() for b in den]
+    qn, qd = q.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
     excess = 1 + len(den) - len(num)
-    term = Fraction(1)
-    total = Fraction(1)
-    zf = Fraction(z)
-    qk = Fraction(1)
+    # with q^k = Qn/Qd and c = c_n/c_d each factor 1 - c q^k is
+    # (c_d Qd - c_n Qn)/(c_d Qd); the powers of Qd cancel across the ratio,
+    # (-q^k)^excess included, leaving (-Qn)^excess, on the denominator side
+    # when excess < 0
+    cn, cd = zn * qd * prod(bd for _, bd in dens), zd * prod(ad for _, ad in nums)
+    Qn = Qd = 1
+    ratios = []
     for k in range(n):
-        ratio = zf
-        for a in numf:
-            ratio *= 1 - a * qk
-        for b in denf:
-            d = 1 - b * qk
-            if d == 0:
-                raise UndefinedSeriesError(
-                    f"denominator parameter {b!r} vanishes at k={k + 1}"
-                )
-            ratio /= d
-        ratio /= 1 - qf * qk
-        if excess:
-            ratio *= (-qk) ** excess
-        term *= ratio
-        total += term
-        qk *= qf
-    return float(total)
+        p, d = cn, cd
+        for an, ad in nums:
+            p *= ad * Qd - an * Qn
+        for bn, bd in dens:
+            f = bd * Qd - bn * Qn
+            if not f:
+                raise _vanishing(bn, bd, k)
+            d *= f
+        if excess > 0:
+            p *= (-Qn) ** excess
+        elif excess < 0:
+            d *= (-Qn) ** -excess
+        Qn *= qn
+        Qd *= qd
+        ratios.append((p, d * (Qd - Qn)))  # 1 - q^(k+1), from (q; q)_k
+    return _unreduced_sum(ratios)
 
 
 def qhyper_sum(num, den, q: float, z: float, n: int) -> float:

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import copz
 from copz.cli import main
 
 
@@ -209,6 +214,38 @@ def test_interlace_rejects_non_integer_support_size(N):
     assert code == 2
     assert out == ""
     assert err == f"error: hahn: N must satisfy integer 2..60 (got {N})\n"
+
+
+def test_interlace_rejects_support_size_without_room_for_n_plus_one():
+    code, out, err = run_cli(
+        ["interlace", "--family", "hahn", "--n", "2",
+         "--set", "alpha=0", "--set", "beta=0.5", "--set", "N=60"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: hahn: interlacing compares N with N+1, so N must satisfy "
+        "N+1 <= 60 (got 60)\n"
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(copz.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    done = subprocess.run(
+        [sys.executable, "-m", "copz", "families", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_cli(["families", "--format", "json"])[1]
+    bad = subprocess.run(
+        [sys.executable, "-m", "copz", "zeros", "--family", "nope", "--n", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error: ")
 
 
 def _count_zero_solves(monkeypatch, *modules):

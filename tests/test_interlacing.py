@@ -3,6 +3,7 @@ import random
 import pytest
 
 from copz import (
+    DomainError,
     WeightMismatchError,
     ZeroProblem,
     connection_residual,
@@ -32,6 +33,15 @@ def test_interlace_example_uniform_weight():
     assert rep.zones_ok
     # Y_4 = x(b): the extra zero appears above the old top zero
     assert rep.zeros_n1[-1] > rep.zeros_n[-1]
+
+
+def test_interlace_needs_room_for_n_plus_one():
+    # N=60 is a valid instance, but its N+1 partner is not
+    with pytest.raises(DomainError, match=r"N\+1 <= 60 \(got 60\)"):
+        interlace_check("hahn", {"alpha": 0.0, "beta": 0.0}, 3, 60)
+    with pytest.raises(DomainError, match=r"N\+1 <= 60 \(got 60\)"):
+        connection_residual("hahn", {"alpha": 0.0, "beta": 0.0}, 3, 60)
+    assert interlace_check("hahn", {"alpha": 0.0, "beta": 0.0}, 2, 59).zones_ok
 
 
 def test_interlace_not_applicable_families():

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import copz.qseries
 from copz import (
     DomainError,
     SeriesSpec,
@@ -12,8 +14,10 @@ from copz import (
     pochhammer,
     q_pochhammer,
 )
+from copz.families import catalog_kinds, eval_exact_at_support, make_family, sample_params
 from copz.qseries import (
     chu_vandermonde,
+    exact_summation,
     hyper_sum,
     q_chu_vandermonde,
     q_pfaff_saalschutz,
@@ -251,3 +255,170 @@ def test_compensated_alternating_sum():
     assert hyper_sum((-n, b), (c,), 1.0, n) == pytest.approx(
         chu_vandermonde(n, b, c), rel=1e-5
     )
+
+
+# ---------------------------------------------------------------------------
+# exact summation against the reduced-Fraction loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_hyper_sum_exact(num, den, z, n):
+    numf = [Fraction(a) for a in num]
+    denf = [Fraction(b) for b in den]
+    term = Fraction(1)
+    total = Fraction(1)
+    zf = Fraction(z)
+    for k in range(n):
+        ratio = zf / (k + 1)
+        for a in numf:
+            ratio *= a + k
+        for b in denf:
+            d = b + k
+            if d == 0:
+                raise UndefinedSeriesError(
+                    f"denominator parameter {b!r} vanishes at k={k + 1}"
+                )
+            ratio /= d
+        term *= ratio
+        total += term
+    return float(total)
+
+
+def _reference_qhyper_sum_exact(num, den, q, z, n):
+    if not 0 < q < 1:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
+    numf = [Fraction(a) for a in num]
+    denf = [Fraction(b) for b in den]
+    qf = Fraction(q)
+    excess = 1 + len(den) - len(num)
+    term = Fraction(1)
+    total = Fraction(1)
+    zf = Fraction(z)
+    qk = Fraction(1)
+    for k in range(n):
+        ratio = zf
+        for a in numf:
+            ratio *= 1 - a * qk
+        for b in denf:
+            d = 1 - b * qk
+            if d == 0:
+                raise UndefinedSeriesError(
+                    f"denominator parameter {b!r} vanishes at k={k + 1}"
+                )
+            ratio /= d
+        ratio /= 1 - qf * qk
+        if excess:
+            ratio *= (-qk) ** excess
+        term *= ratio
+        total += term
+        qk *= qf
+    return float(total)
+
+
+def _outcome(fn, *args):
+    """The value's bits (the sign of zero included), or the exception raised."""
+    try:
+        return fn(*args).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _exact(fn, *args):
+    with exact_summation():
+        return fn(*args)
+
+
+_atoms = st.one_of(
+    st.integers(-6, 6),
+    st.floats(-40.0, 40.0),
+    st.fractions(-40, 40, max_denominator=10**6),
+)
+_bases = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.fractions(0, 1, max_denominator=10**6).filter(lambda q: 0 < q < 1),
+)
+
+
+@given(
+    st.lists(_atoms, max_size=3),
+    st.lists(_atoms, max_size=2),
+    _atoms,
+    st.integers(0, 9),
+)
+@example((-3, 1.5), (-2.0,), -1.0, 3)  # vanishing denominator
+@example((1e300, 1e300), (), 1e300, 2)  # overflowing sum
+@example((-2, 0.0), (1.5,), 0.25, 4)  # terms vanish before n
+@example((-1, 1), (-0.5,), -0.5, 1)  # exact zero over a negative denominator
+def test_exact_sum_matches_fraction_reference(num, den, z, n):
+    assert _outcome(_exact, hyper_sum, num, den, z, n) == _outcome(
+        _reference_hyper_sum_exact, num, den, z, n
+    )
+
+
+@given(
+    st.lists(_atoms, max_size=3),
+    st.lists(_atoms, max_size=2),
+    _bases,
+    _atoms,
+    st.integers(0, 9),
+)
+@example((0.25, 3.0, -1.0), (), 0.5, -2.0, 5)  # excess -2
+@example((0.25, 3.0), (), Fraction(1, 3), Fraction(-7, 2), 5)  # excess -1
+@example((8.0, 0.5), (1.5,), 0.5, -1.0, 4)  # excess 0
+@example((8.0,), (0.0, 2.5), 0.5, -3.0, 4)  # excess 2
+@example((8.0, 0.3), (4.0,), 0.5, 1.0, 3)  # 1 - 4 q^2 vanishes at k=3
+@example((-1e300,), (), 0.5, 1e300, 3)  # overflowing sum
+def test_exact_qsum_matches_fraction_reference(num, den, q, z, n):
+    assert _outcome(_exact, qhyper_sum, num, den, q, z, n) == _outcome(
+        _reference_qhyper_sum_exact, num, den, q, z, n
+    )
+
+
+def test_exact_sums_raise_as_the_reference():
+    cases = [
+        (hyper_sum, _reference_hyper_sum_exact, ((-3, 1.0), (-2.0,), 1.0, 3)),
+        (qhyper_sum, _reference_qhyper_sum_exact, ((8.0, 0.3), (4.0,), 0.5, 1.0, 3)),
+        (
+            qhyper_sum,
+            _reference_qhyper_sum_exact,
+            ((Fraction(1, 8), 0.3), (Fraction(9, 1),), Fraction(1, 3), 1.0, 3),
+        ),
+    ]
+    for new, ref, args in cases:
+        with pytest.raises(UndefinedSeriesError) as got:
+            _exact(new, *args)
+        with pytest.raises(UndefinedSeriesError) as want:
+            ref(*args)
+        assert str(got.value) == str(want.value)
+        assert "Fraction(" in str(got.value)
+    for new, ref, args in [
+        (hyper_sum, _reference_hyper_sum_exact, ((1e300, 1e300), (), 1e300, 2)),
+        (qhyper_sum, _reference_qhyper_sum_exact, ((-1e300,), (), 0.5, 1e300, 3)),
+    ]:
+        with pytest.raises(OverflowError):
+            _exact(new, *args)
+        with pytest.raises(OverflowError):
+            ref(*args)
+    with pytest.raises(DomainError, match="base q must lie in"):
+        _exact(qhyper_sum, (0.5,), (), Fraction(1), 1.0, 2)
+
+
+def _catalog_instance(kind):
+    spec = make_family(kind, sample_params(kind, random.Random(kind)))
+    npts = int(round(spec.support_end - spec.support_start)) if spec.is_finite else 16
+    return spec, npts
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_catalog_exact_values_match_fraction_reference(kind, monkeypatch):
+    spec, npts = _catalog_instance(kind)
+    points = [(n, k) for n in range(min(4, spec.degree_max) + 1) for k in range(npts)]
+
+    def values():
+        return [_outcome(eval_exact_at_support, spec, n, k) for n, k in points]
+
+    got = values()
+    monkeypatch.setattr(copz.qseries, "_hyper_sum_exact", _reference_hyper_sum_exact)
+    monkeypatch.setattr(copz.qseries, "_qhyper_sum_exact", _reference_qhyper_sum_exact)
+    want = values()
+    assert got == want
