@@ -9,6 +9,7 @@ q-quadratic lattices.
 from .errors import (
     CopzError,
     DomainError,
+    EvaluationOverflowError,
     IllConditionedSystemError,
     SingularityError,
     SweepDiscontinuityError,
@@ -68,6 +69,7 @@ __all__ = [
     "Claim",
     "CopzError",
     "DomainError",
+    "EvaluationOverflowError",
     "FINITE_FAMILIES",
     "FamilySpec",
     "Grid",

@@ -26,6 +26,10 @@ class WeightPositivityError(CopzError, ArithmeticError):
         self.ratio = ratio
 
 
+class EvaluationOverflowError(CopzError, OverflowError):
+    """A polynomial value at a lattice point overflows the float range."""
+
+
 class TruncationError(CopzError, ArithmeticError):
     """Infinite-support weight table failed to reach its tail bound."""
 

@@ -33,12 +33,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import DomainError, SingularityError
+import numpy as np
+
+from .errors import DomainError, EvaluationOverflowError, SingularityError
 from .grid import Q_EXP_NEG, Q_SYMMETRIC, Grid
-from .qseries import binom2, exact_summation, hyper_sum, q_pochhammer, qhyper_sum
+from .qseries import _EXACT, binom2, exact_summation, hyper_sum, q_pochhammer, qhyper_sum
 
 INFINITE_DEGREE_CAP = 30
 MAX_FINITE_SUPPORT = 60
+
+# samples per array pass of the float series in eval_at_s_many
+_CHUNK = 512
 
 #: the eighteen families carrying catalogued monotonicity statements
 #: (q-Charlier is an alias of q-Meixner but has a statement of its own)
@@ -116,7 +121,11 @@ class FamilySpec:
         return self.base if self.base is not None else self
 
     def eval_poly(self, n: int, X: float) -> float:
-        """Value of the degree-n polynomial at the point X."""
+        """Value of the degree-n polynomial at the point X.
+
+        On the float path X may be a numpy array of points; the result is
+        then the array of values.
+        """
         if not 0 <= n <= self.degree_max:
             raise DomainError(
                 f"{self.kind}: degree n={n} outside 0..{self.degree_max}"
@@ -130,7 +139,39 @@ class FamilySpec:
 
     def eval_at_s(self, n: int, s: float) -> float:
         """Value at the lattice point x(s); s may sit off the monotone branch."""
-        return self.eval_poly(n, self.zero_scale * self.grid.x_raw(s))
+        try:
+            return self.eval_poly(n, self.zero_scale * self.grid.x_raw(s))
+        except OverflowError as exc:
+            raise self._overflow(n, s) from exc
+
+    def eval_at_s_many(self, n: int, ss) -> list[float]:
+        """eval_at_s at every s, as array passes of the float series.
+
+        Each value is eval_at_s's bit for bit, and the error raised is the one
+        the per-sample loop meets first: the first sample goes through
+        eval_at_s, so an overflow of x(s) there comes first, then the degree,
+        prefactor and series errors, which no later sample escapes; then the
+        first overflow of x(s) at a later sample.
+        """
+        if _EXACT.get():  # the exact sums take one rational point at a time
+            return [self.eval_at_s(n, s) for s in ss]
+        out = [self.eval_at_s(n, s) for s in ss[:1]]
+        for i in range(1, len(ss), _CHUNK):
+            xs = []
+            for s in ss[i : i + _CHUNK]:
+                try:
+                    xs.append(self.zero_scale * self.grid.x_raw(s))
+                except OverflowError as exc:
+                    raise self._overflow(n, s) from exc
+            X = np.array(xs)
+            with np.errstate(all="ignore"):
+                out += np.broadcast_to(self.eval_poly(n, X), X.shape).tolist()
+        return out
+
+    def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
+        return EvaluationOverflowError(
+            f"{self.kind}: the degree-{n} value at s={s!r} overflows the float range"
+        )
 
     def coeffs_AB(self, s: float) -> tuple[float, float]:
         """The three-point coefficients (A, B) at s in the canonical scaling."""
@@ -220,18 +261,25 @@ _ALPHA_BELOW_1_Q = ("alpha", "0 < alpha < 1/q", lambda p: 0.0 < p["alpha"] < 1.0
 _BETA_BELOW_1_Q = ("beta", "0 < beta < 1/q", lambda p: 0.0 < p["beta"] < 1.0 / p["q"])
 
 
-def _quadratic_s(X: float) -> float:
-    return 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * X)))
+def _sqrt_pos(v):
+    """sqrt(max(0, v)) of a float or, elementwise, of an array (NaN gives 0)."""
+    if isinstance(v, np.ndarray):
+        return np.sqrt(np.where(v > 0.0, v, 0.0))
+    return math.sqrt(max(0.0, v))
 
 
-def _qsym_atoms(p: dict, X: float) -> tuple[float, float]:
+def _quadratic_s(X):
+    return 0.5 * (-1.0 + _sqrt_pos(1.0 + 4.0 * X))
+
+
+def _qsym_atoms(p: dict, X):
     """The float pair (q^(a-s), q^(a+s)) at X = (q^s + q^-s)/2 >= 1.
 
     q^-s is the large root; q^s goes through its reciprocal, since the direct
     difference X - sqrt(X^2-1) cancels catastrophically for large X.
     """
     qa = p["q"] ** p["a"]
-    v = X + math.sqrt(max(0.0, X * X - 1.0))
+    v = X + _sqrt_pos(X * X - 1.0)
     return qa * v, qa * (1.0 / v)
 
 

@@ -6,6 +6,10 @@ The basic series uses the convention
 
 so the correction factor is trivial whenever i = j + 1.  A series is summed
 over k = 0..n only; the caller supplies the termination degree n.
+
+On the float path the numerator parameters and the argument may be numpy
+arrays, one entry per sample, and each sample's sum is the one a scalar call
+gives, bit for bit; the denominator parameters stay scalar.
 """
 
 from __future__ import annotations
@@ -119,23 +123,28 @@ def hyper_sum(num, den, z: float, n: int) -> float:
     """Terminating ordinary series iFj(num; den; z), summed over k = 0..n."""
     if _EXACT.get():
         return _hyper_sum_exact(num, den, z, n)
-    acc = Neumaier()
+    # no in-place operators: z and the atoms may be arrays the caller holds.
+    # TwoSum yields the exact error of each addition, as Neumaier.add does,
+    # without its branch, so the compensated sum is the same on arrays
+    total, comp = 1.0, 0.0
     term = 1.0
-    acc.add(term)
     for k in range(n):
         ratio = z / (k + 1.0)
         for a in num:
-            ratio *= a + k
+            ratio = ratio * (a + k)
         for b in den:
             d = b + k
             if d == 0.0:
                 raise UndefinedSeriesError(
                     f"denominator parameter {b!r} vanishes at k={k + 1}"
                 )
-            ratio /= d
-        term *= ratio
-        acc.add(term)
-    return acc.value
+            ratio = ratio / d
+        term = term * ratio
+        t = total + term
+        v = t - total
+        comp = comp + ((total - (t - v)) + (term - v))
+        total = t
+    return total + comp
 
 
 def _qhyper_sum_exact(num, den, q, z, n: int) -> float:
@@ -180,29 +189,32 @@ def qhyper_sum(num, den, q: float, z: float, n: int) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
     excess = 1 + len(den) - len(num)
-    acc = Neumaier()
+    # compensated by TwoSum without in-place operators, as in hyper_sum
+    total, comp = 1.0, 0.0
     term = 1.0
-    acc.add(term)
     qk = 1.0  # q^k
     for k in range(n):
         ratio = z
         for a in num:
-            ratio *= 1.0 - a * qk
+            ratio = ratio * (1.0 - a * qk)
         for b in den:
             d = 1.0 - b * qk
             if d == 0.0:
                 raise UndefinedSeriesError(
                     f"denominator parameter {b!r} vanishes at k={k + 1}"
                 )
-            ratio /= d
-        ratio /= 1.0 - q * qk
+            ratio = ratio / d
+        ratio = ratio / (1.0 - q * qk)
         if excess:
             # ratio of consecutive ((-1)^k q^C(k,2))^excess factors
-            ratio *= (-qk) ** excess
-        term *= ratio
-        acc.add(term)
+            ratio = ratio * (-qk) ** excess
+        term = term * ratio
+        t = total + term
+        v = t - total
+        comp = comp + ((total - (t - v)) + (term - v))
+        total = t
         qk *= q
-    return acc.value
+    return total + comp
 
 
 @dataclass(frozen=True)

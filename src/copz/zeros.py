@@ -3,8 +3,9 @@
 Consecutive zeros of these polynomials sit more than one lattice unit apart in
 s wherever the coefficient ratio is positive on the zero set, so sampling at
 step 1/2 brackets every zero; the scan still refines to steps 1/4 and 1/8
-before declaring a count failure.  Bisection runs in the s variable and maps
-to X at the end.
+before declaring a count failure.  Each scan evaluates all its samples in one
+array pass of the float series; bisection runs in the s variable one value at
+a time and maps to X at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SingularityError, ZeroCountError
-from .families import ZeroProblem
+from .families import FamilySpec, ZeroProblem
 from .qseries import exact_summation
 
 _STEPS = (0.5, 0.25, 0.125)
@@ -50,16 +51,18 @@ class ZeroSet:
         return min(b - a for a, b in zip(self.zeros_s, self.zeros_s[1:]))
 
 
-def _scan(g, lo: float, hi: float, step: float):
-    """Sample g on [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples.
+def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
+    """Sample the degree-n polynomial on [lo, hi] in s and return zero brackets
+    as (sl, sr, gl, gr) tuples.
 
+    The samples are evaluated together, in array passes of the float series.
     A sample within the node tolerance of zero (relative to its neighbors)
     counts as a width-zero bracket; its gl and gr carry the neighbors'
     magnitude, the local scale its residual is measured against.
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    vs = [g(s) for s in ss]
+    vs = spec.eval_at_s_many(n, ss)
     brackets = []
     prev_i = None  # last sample with a definite sign
     for i, v in enumerate(vs):
@@ -123,13 +126,13 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     diagnostics: dict = {"kind": fam.kind, "degree": n}
     if base.is_finite:
         hi = base.support_end - 1.0
-        brackets = _scan(g, a, hi, _STEPS[0])
+        brackets = _scan(base, n, a, hi, _STEPS[0])
         diagnostics[f"count_at_step_{_STEPS[0]}"] = len(brackets)
         for step in _STEPS[1:]:
             # finer sampling can only reveal missed pairs, never remove changes
             if len(brackets) >= n:
                 break
-            brackets = _scan(g, a, hi, step)
+            brackets = _scan(base, n, a, hi, step)
             diagnostics[f"count_at_step_{step}"] = len(brackets)
         if len(brackets) != n:
             raise ZeroCountError(
@@ -140,7 +143,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         width = max(6.0, 2.0 * n + 4.0)
         while True:
             hi = a + width
-            brackets = _scan(g, a, hi, _STEPS[0])
+            brackets = _scan(base, n, a, hi, _STEPS[0])
             if len(brackets) > n:
                 diagnostics["count"] = len(brackets)
                 raise ZeroCountError(
@@ -152,7 +155,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
             width *= 2.0
             if width > _MAX_WINDOW:
                 for step in _STEPS[1:]:
-                    brackets = _scan(g, a, hi, step)
+                    brackets = _scan(base, n, a, hi, step)
                     if len(brackets) == n:
                         break
                 if len(brackets) == n:

@@ -288,3 +288,29 @@ def test_interlace_solves_each_instance_once(monkeypatch):
     assert code == 0
     # degree n at N and N+1, degree n-1 at N for the connection formula
     assert sorted((c.family.params["N"], c.degree) for c in calls) == [(6, 1), (6, 2), (7, 2)]
+
+
+@pytest.mark.parametrize(
+    "sets, n, message",
+    [
+        # the prefactor q^(-C(n,2)) overflows before the first sample's series
+        (["alpha=0.5", "q=0.1"], 30,
+         "al_salam_carlitz_2: the degree-30 value at s=0.0 overflows the float range"),
+        # the lattice power q^(-s) overflows as the window grows
+        (["alpha=0.5", "beta=0.5", "q=0.05"], 30,
+         "q_meixner: the degree-30 value at s=237.0 overflows the float range"),
+        # alpha^n in the prefactor
+        (["alpha=1e300", "q=0.5", "N=10"], 5,
+         "quantum_q_krawtchouk: the degree-5 value at s=0.0 overflows the float range"),
+    ],
+    ids=["al_salam_carlitz_2-prefactor", "q_meixner-lattice", "quantum_q_krawtchouk-prefactor"],
+)
+def test_zeros_overflow_is_invalid_input(sets, n, message):
+    kind = message.partition(":")[0]
+    argv = ["zeros", "--family", kind, "--n", str(n)]
+    for item in sets:
+        argv += ["--set", item]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

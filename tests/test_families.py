@@ -15,7 +15,7 @@ from copz import (
     sample_params,
 )
 from copz.families import eval_exact_at_support
-from copz.qseries import hyper_sum
+from copz.qseries import exact_summation, hyper_sum
 
 
 def test_make_family_valid_and_support():
@@ -353,3 +353,65 @@ def test_out_of_domain_value_names_its_parameter(kind, param, params):
         make_family(kind, params)
     assert family_info(kind)["domains"][param] in str(err.value)
 
+
+
+def _outcomes(fn, *args):
+    """The values' bits, or the type and text of the exception raised."""
+    try:
+        return [v.hex() for v in fn(*args)]
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def _per_sample(spec, n, ss):
+    return [spec.eval_at_s(n, s) for s in ss]
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_eval_at_s_many_matches_eval_at_s_bit_for_bit(kind):
+    # aliases evaluate through their base, q_racah and dual_q_hahn through the
+    # q-symmetric atoms; 700 samples span two array passes
+    spec = make_family(kind, sample_params(kind, random.Random(f"many/{kind}")))
+    lo = spec.support_start
+    hi = spec.support_end - 1.0 if spec.is_finite else lo + 60.0
+    ss = [lo + (hi - lo) * i / 699 for i in range(700)] + [lo - 0.75, lo - 0.5, hi + 0.25]
+    for n in sorted({1, 2, 3, 7, min(spec.degree_max, 30)}):
+        if n <= spec.degree_max:
+            assert _outcomes(spec.eval_at_s_many, n, ss) == _outcomes(_per_sample, spec, n, ss)
+
+
+def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
+    spec = make_family("q_hahn", alpha=0.5, beta=0.6, q=0.7, N=8)
+    ss = [0.5 * i for i in range(15)]
+    with exact_summation():
+        exact = _outcomes(spec.eval_at_s_many, 5, ss)
+        assert exact == _outcomes(_per_sample, spec, 5, ss)
+    assert exact != _outcomes(spec.eval_at_s_many, 5, ss)  # the float sums round apart
+
+
+@pytest.mark.parametrize(
+    "kind, params, n, ss, error",
+    [
+        # x(s0) overflows before the degree is checked
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, [300.0, 0.0],
+         "EvaluationOverflowError"),
+        # the degree, then a later sample's overflow
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, [0.0, 300.0], "DomainError"),
+        # the prefactor, then a later sample's overflow
+        ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30, [0.0, 400.0],
+         "EvaluationOverflowError"),
+        # a later sample's overflow, beyond the first array pass
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 3,
+         [0.2 * i for i in range(1000)] + [300.0, 400.0], "EvaluationOverflowError"),
+        # an alias with a prefactor of its own over its base's lattice
+        ("big_q_jacobi_special", {"alpha": 0.5, "beta": 0.5, "q": 0.5}, 2,
+         [-1500.0, 0.0], "EvaluationOverflowError"),
+    ],
+    ids=["x-first", "degree-before-later-x", "prefactor-before-later-x", "later-x",
+         "alias-x-first"],
+)
+def test_eval_at_s_many_raises_the_first_per_sample_error(kind, params, n, ss, error):
+    spec = make_family(kind, params)
+    got = _outcomes(spec.eval_at_s_many, n, ss)
+    assert got == _outcomes(_per_sample, spec, n, ss)
+    assert got[0].__name__ == error

@@ -57,6 +57,34 @@ DATA = Path(__file__).parent / "data"
              "--from", "-0.5", "--to", "2", "--steps", "9", "--set", "beta=1", "--set", "N=8"],
             "sweep_hahn.csv",
         ),
+        (["zeros", "--family", "krawtchouk", "--n", "19", "--set", "alpha=0.3", "--set", "N=20"],
+         "zeros_krawtchouk.txt"),
+        (
+            ["zeros", "--family", "krawtchouk", "--n", "19", "--set", "alpha=0.3", "--set", "N=20",
+             "--format", "json"],
+            "zeros_krawtchouk.json",
+        ),
+        (
+            ["zeros", "--family", "q_racah", "--n", "6", "--set", "a=1", "--set", "alpha=0.5",
+             "--set", "beta=0.5", "--set", "q=0.7", "--set", "N=10"],
+            "zeros_q_racah.txt",
+        ),
+        (
+            ["zeros", "--family", "q_racah", "--n", "6", "--set", "a=1", "--set", "alpha=0.5",
+             "--set", "beta=0.5", "--set", "q=0.7", "--set", "N=10", "--format", "json"],
+            "zeros_q_racah.json",
+        ),
+        # the search window doubles once, from 24 to 48 lattice units
+        (
+            ["zeros", "--family", "little_q_jacobi", "--n", "10",
+             "--set", "alpha=1", "--set", "beta=0.5", "--set", "q=0.8"],
+            "zeros_little_q_jacobi.txt",
+        ),
+        (
+            ["zeros", "--family", "little_q_jacobi", "--n", "10",
+             "--set", "alpha=1", "--set", "beta=0.5", "--set", "q=0.8", "--format", "json"],
+            "zeros_little_q_jacobi.json",
+        ),
     ],
     ids=[
         "verify-all-seed42",
@@ -69,6 +97,12 @@ DATA = Path(__file__).parent / "data"
         "interlace-not-applicable",
         "interlace-force",
         "sweep-csv",
+        "zeros-linear-text",
+        "zeros-linear-json",
+        "zeros-q-symmetric-text",
+        "zeros-q-symmetric-json",
+        "zeros-window-growth-text",
+        "zeros-window-growth-json",
     ],
 )
 def test_cli_output_matches_reference(argv, reference):

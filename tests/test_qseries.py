@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -16,6 +18,7 @@ from copz import (
 )
 from copz.families import catalog_kinds, eval_exact_at_support, make_family, sample_params
 from copz.qseries import (
+    Neumaier,
     chu_vandermonde,
     exact_summation,
     hyper_sum,
@@ -422,3 +425,125 @@ def test_catalog_exact_values_match_fraction_reference(kind, monkeypatch):
     monkeypatch.setattr(copz.qseries, "_qhyper_sum_exact", _reference_qhyper_sum_exact)
     want = values()
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# float summation against the Neumaier loops it replaced, scalar and array
+# ---------------------------------------------------------------------------
+
+
+def _reference_hyper_sum_float(num, den, z, n):
+    acc = Neumaier()
+    term = 1.0
+    acc.add(term)
+    for k in range(n):
+        ratio = z / (k + 1.0)
+        for a in num:
+            ratio *= a + k
+        for b in den:
+            d = b + k
+            if d == 0.0:
+                raise UndefinedSeriesError(
+                    f"denominator parameter {b!r} vanishes at k={k + 1}"
+                )
+            ratio /= d
+        term *= ratio
+        acc.add(term)
+    return acc.value
+
+
+def _reference_qhyper_sum_float(num, den, q, z, n):
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
+    excess = 1 + len(den) - len(num)
+    acc = Neumaier()
+    term = 1.0
+    acc.add(term)
+    qk = 1.0
+    for k in range(n):
+        ratio = z
+        for a in num:
+            ratio *= 1.0 - a * qk
+        for b in den:
+            d = 1.0 - b * qk
+            if d == 0.0:
+                raise UndefinedSeriesError(
+                    f"denominator parameter {b!r} vanishes at k={k + 1}"
+                )
+            ratio /= d
+        ratio /= 1.0 - q * qk
+        if excess:
+            ratio *= (-qk) ** excess
+        term *= ratio
+        acc.add(term)
+        qk *= q
+    return acc.value
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+            math.inf, -math.inf, math.nan)
+_floats = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(-40.0, 40.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_float_bases = st.one_of(
+    st.sampled_from((5e-324, 1e-300, 0.5, 0.9999999999999999)),
+    st.floats(0.0, 1.0),  # the ends check the q-range error
+)
+
+
+def _samples(natoms):
+    """1 to 4 samples, each a row of natoms numerator atoms and an argument."""
+    return st.lists(st.tuples(st.lists(_floats, min_size=natoms, max_size=natoms), _floats),
+                    min_size=1, max_size=4)
+
+
+def _columns(rows):
+    """The samples as one array per numerator atom and one for the argument."""
+    num = tuple(np.array(col) for col in zip(*(r[0] for r in rows)))
+    return num, np.array([r[1] for r in rows])
+
+
+def _check_against_reference(new, ref, rows):
+    """new(num, z) per sample and on all samples as arrays, against ref per sample."""
+    want = [_outcome(ref, tuple(num), z) for num, z in rows]
+    assert [_outcome(new, tuple(num), z) for num, z in rows] == want
+    num, zs = _columns(rows)
+    try:
+        with np.errstate(all="ignore"):
+            got = new(num, zs)
+    except (ArithmeticError, ValueError) as exc:
+        assert want == [(type(exc), str(exc))] * len(rows)
+    else:
+        assert [v.hex() for v in np.broadcast_to(got, zs.shape).tolist()] == want
+
+
+@given(st.integers(0, 3).flatmap(_samples), st.lists(_floats, max_size=2), st.integers(0, 9))
+@example([([-3.0, 1.5], -1.0)], [-2.0], 3)  # vanishing denominator
+@example([([1e300, 1e300], 1e300), ([-0.0, 2.0], 0.5)], [], 2)  # overflow beside a finite sum
+@example([([-5e-324], 5e-324), ([math.nan], 1.0), ([math.inf], -0.0)], [0.5], 3)
+def test_float_sum_matches_neumaier_reference(rows, den, n):
+    _check_against_reference(
+        lambda num, z: hyper_sum(num, den, z, n),
+        lambda num, z: _reference_hyper_sum_float(num, den, z, n),
+        rows,
+    )
+
+
+@given(
+    st.integers(0, 3).flatmap(_samples),
+    st.lists(_floats, max_size=2),
+    _float_bases,
+    st.integers(0, 9),
+)
+@example([([8.0, 0.3], 1.0)], [4.0], 0.5, 3)  # 1 - 4 q^2 vanishes at k=3
+@example([([0.25, 3.0], 0.5)], [], 5e-324, 3)  # q^k underflows under excess -1
+@example([([-1e300], 1e300), ([0.5], -0.0)], [], 0.5, 3)  # overflow beside a finite sum
+@example([([2.0], math.nan), ([math.inf], 0.5)], [0.0, 2.5], 0.5, 4)  # excess 2
+def test_float_qsum_matches_neumaier_reference(rows, den, q, n):
+    _check_against_reference(
+        lambda num, z: qhyper_sum(num, den, q, z, n),
+        lambda num, z: _reference_qhyper_sum_float(num, den, q, z, n),
+        rows,
+    )

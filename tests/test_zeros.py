@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import copz.zeros
 from copz import (
     ZeroProblem,
     catalog_kinds,
@@ -174,3 +175,87 @@ def test_node_zero_residual_is_relative_to_neighbours():
     assert zs.zeros_s == pytest.approx((1.0, 3.0, 5.0), abs=1e-12)
     assert zs.bracket_widths[1] == 0.0
     assert max(zs.residuals) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# find_zeros against the per-sample scan the array passes replaced
+# ---------------------------------------------------------------------------
+
+
+def _per_sample_scan(spec, n, lo, hi, step):
+    """zeros._scan with one eval_at_s call per sample."""
+    count = max(2, int(round((hi - lo) / step)) + 1)
+    ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    vs = [spec.eval_at_s(n, s) for s in ss]
+    brackets = []
+    prev_i = None
+    for i, v in enumerate(vs):
+        nbr = max(
+            abs(vs[i - 1]) if i > 0 else 0.0,
+            abs(vs[i + 1]) if i + 1 < count else 0.0,
+        )
+        if v == 0.0 or abs(v) < copz.zeros._NODE_TOL * nbr:
+            brackets.append((ss[i], ss[i], nbr, nbr))
+            continue
+        if prev_i is not None:
+            if vs[prev_i] * v < 0.0 and not any(
+                b[0] == b[1] and ss[prev_i] < b[0] < ss[i] for b in brackets
+            ):
+                brackets.append((ss[prev_i], ss[i], vs[prev_i], v))
+        prev_i = i
+    return brackets
+
+
+def _zero_outcome(problem):
+    """Every field of the ZeroSet by its bits, or the exception and its diagnostics."""
+    try:
+        zs = find_zeros(problem)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc), getattr(exc, "diagnostics", None)
+    fields = (zs.zeros_s, zs.zeros_X, zs.residuals, zs.bracket_widths)
+    return zs.problem, [[v.hex() for v in f] for f in fields]
+
+
+#: the high-degree cases of the ROADMAP Baseline, the window-growth golden
+#: case, and the overflow cases of the CLI tests
+_ORACLE_CASES = [
+    ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 60}, 30),
+    ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 60}, 59),
+    ("krawtchouk", {"alpha": 0.4, "N": 60}, 30),
+    ("krawtchouk", {"alpha": 0.4, "N": 60}, 59),
+    ("racah", {"a": 0.5, "alpha": 0.4, "beta": 1.1, "N": 60}, 30),
+    ("racah", {"a": 0.5, "alpha": 0.4, "beta": 1.1, "N": 60}, 59),
+    ("dual_hahn", {"a": 0.5, "alpha": 0.7, "N": 60}, 30),
+    ("dual_hahn", {"a": 0.5, "alpha": 0.7, "N": 60}, 59),
+    ("meixner", {"alpha": 0.5, "beta": 1.5}, 30),
+    ("q_hahn", {"alpha": 0.5, "beta": 0.6, "q": 0.99, "N": 60}, 30),
+    ("q_racah", {"a": 0.8, "alpha": 0.3, "beta": 0.9, "q": 0.6, "N": 60}, 59),
+    ("dual_q_hahn", {"a": 0.8, "alpha": 0.5, "q": 0.6, "N": 60}, 59),
+    ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30),
+    ("little_q_jacobi", {"alpha": 1.0, "beta": 0.5, "q": 0.8}, 10),
+    ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 30),
+    ("quantum_q_krawtchouk", {"alpha": 1e300, "q": 0.5, "N": 10}, 5),
+]
+
+
+def _oracle_problems():
+    rng = random.Random(2024)
+    fixed = [ZeroProblem(make_family(k, p), n) for k, p, n in _ORACLE_CASES]
+    drawn = []
+    for kind in catalog_kinds():
+        spec = make_family(kind, sample_params(kind, rng))
+        drawn.append(ZeroProblem(spec, rng.randint(1, min(7, spec.degree_max))))
+    return fixed + drawn
+
+
+def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
+    problems = _oracle_problems()
+    got = [_zero_outcome(p) for p in problems]
+    monkeypatch.setattr(copz.zeros, "_scan", _per_sample_scan)
+    want = [_zero_outcome(p) for p in problems]
+    for problem, g, w in zip(problems, got, want):
+        assert g == w, (problem.family.kind, problem.degree)
+    # the cases cover zero sets, count failures and each overflow source
+    raised = {g[0] for g in got if isinstance(g[0], type)}
+    assert {copz.ZeroCountError, copz.EvaluationOverflowError} <= raised
+    assert sum(isinstance(g[0], ZeroProblem) for g in got) >= 25
