@@ -221,12 +221,9 @@ def build_stieltjes_system(zs: ZeroSet, param: str) -> StieltjesSystem:
     for j in range(n):
         xm = g.x_raw(ys[j] - 1.0)
         xp = g.x_raw(ys[j] + 1.0)
-        dm = g.dx_ds(ys[j] - 1.0)
-        dp = g.dx_ds(ys[j] + 1.0)
         for k in range(n):
-            dk = g.dx_ds(ys[k])
-            b[j, k] = (dm - dk) / (xm - Xs[k]) - (dp - dk) / (xp - Xs[k])
-            c[j, k] = (1.0 / (xp - Xs[k]) - 1.0 / (xm - Xs[k])) * dk
+            b[j, k] = b_entry(g, ys[j], ys[k])
+            c[j, k] = (1.0 / (xp - Xs[k]) - 1.0 / (xm - Xs[k])) * g.dx_ds(ys[k])
 
     A = np.empty((n, n))
     for j in range(n):
