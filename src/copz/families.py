@@ -45,6 +45,9 @@ MAX_FINITE_SUPPORT = 60
 # samples per array pass of the float series in eval_at_s_many
 _CHUNK = 512
 
+# imaginary step of f_partials; h*f1 stays a normal float down to |f1| ~ 2e-288
+_STEP = 1e-20
+
 #: the eighteen families carrying catalogued monotonicity statements
 #: (q-Charlier is an alias of q-Meixner but has a statement of its own)
 CORE_FAMILIES = (
@@ -186,22 +189,26 @@ class FamilySpec:
         return B / A
 
     def f_partials(self, s: float, param: str) -> tuple[float, float]:
-        """(df/ds, df/dparam) at s; closed forms where tabulated, else central differences."""
-        if param not in self.params:
-            raise DomainError(f"{self.kind} has no parameter {param!r}")
-        h1 = 1e-6 * max(1.0, abs(s))
-        f1 = (self.monotonicity_f(s + h1) - self.monotonicity_f(s - h1)) / (2.0 * h1)
-        base = self.resolve_base()
-        closed = _CATALOG[base.kind].f2_closed
-        if self.base is None and param in closed:
-            f2 = closed[param](base.params, s)
-        else:
-            t = float(self.params[param])
-            h2 = 1e-6 * max(1.0, abs(t))
-            up = self.with_param(param, t + h2).monotonicity_f(s)
-            dn = self.with_param(param, t - h2).monotonicity_f(s)
-            f2 = (up - dn) / (2.0 * h2)
-        return f1, f2
+        """(df/ds, df/dparam) at s, as Im f / h with s, then param, moved by ih.
+
+        This complex step differentiates the family's one A, B table with an
+        O(h^2) error, far below rounding.  The real f(s) comes first, so a pole
+        raises SingularityError rather than giving a huge complex quotient.
+        """
+        if param not in self.params or param == "N":
+            raise DomainError(f"{self.kind} has no continuous parameter {param!r}")
+        self.monotonicity_f(s)
+        moved = {**self.params, param: self.params[param] + _STEP * 1j}
+        f1 = self._complex_f(self.params, s + _STEP * 1j)
+        return f1.imag / _STEP, self._complex_f(moved, s).imag / _STEP
+
+    def _complex_f(self, params: Mapping[str, complex], s: complex) -> complex:
+        """B/A at complex arguments; an alias maps its parameters first."""
+        kind, entry = self.kind, _CATALOG[self.kind]
+        if entry.alias_map is not None:
+            kind, params = entry.alias_map(params)
+        A, B = _CATALOG[kind].ab(params, s)
+        return B / A
 
     def k_interval(self) -> tuple[float, float]:
         """Certified sign interval for the hypotheses; contains the zero set."""
@@ -232,7 +239,6 @@ class _Entry:
     k_interval: Callable[[dict], tuple[float, float]] | None
     claims: Callable[[dict], tuple[Claim, ...]]
     sample: Callable[[random.Random], dict]
-    f2_closed: Mapping[str, Callable[[dict, float], float]] = field(default_factory=dict)
     alias_map: Callable[[dict], tuple[str, dict]] | None = None
     zero_scale: Callable[[dict], float] = lambda p: 1.0
     prefactor: Callable[[dict, int], float] = lambda p, n: 1.0
@@ -316,16 +322,6 @@ def _hahn_ab(p, s):
     return s * (-s + al + N), (s + be + 1.0) * (-s + N - 1.0)
 
 
-def _hahn_f2_alpha(p, s):
-    al, be, N = p["alpha"], p["beta"], p["N"]
-    return (s + be + 1.0) * (s - N + 1.0) / (s * (-s + al + N) ** 2)
-
-
-def _hahn_f2_beta(p, s):
-    al, N = p["alpha"], p["N"]
-    return (-s + N - 1.0) / (s * (-s + al + N))
-
-
 _HAHN_WINDOW = _central(-1.0, 3.0)  # representative finite window for (-1, inf)
 
 
@@ -383,24 +379,6 @@ def _racah_ab(p, s):
         raise SingularityError(f"racah: coefficient pole at s={s!r}")
     B = (s + a + 1.0) * (s - a - N + 1.0) * (s + a + al + N + 1.0) * (s - a + be + 1.0) / db
     return A, B
-
-
-def _racah_f2_alpha(p, s):
-    a, al, be, N = p["a"], p["alpha"], p["beta"], p["N"]
-    num = s * (2.0 * s + 1.0) * (s + a + 1.0) * (s - a - N + 1.0) * (s - a + be + 1.0)
-    den = (s + 1.0) * (s - a) * (s + a + N) * (s - a - al - N) ** 2 * (s + a - be)
-    if den == 0.0:
-        raise SingularityError(f"racah: df/dalpha pole at s={s!r}")
-    return num / den
-
-
-def _racah_f2_beta(p, s):
-    a, al, be, N = p["a"], p["alpha"], p["beta"], p["N"]
-    num = s * (2.0 * s + 1.0) * (s + a + 1.0) * (s - a - N + 1.0) * (s + a + al + N + 1.0)
-    den = (s + 1.0) * (s - a) * (s + a + N) * (s - a - al - N) * (s + a - be) ** 2
-    if den == 0.0:
-        raise SingularityError(f"racah: df/dbeta pole at s={s!r}")
-    return num / den
 
 
 def _racah_k(p):
@@ -470,18 +448,6 @@ def _q_meixner_ab(p, s):
     al, be, q = p["alpha"], p["beta"], p["q"]
     u = q**s
     return (1.0 - u) * (1.0 + al * be * u), al * u * (1.0 - be * q * u)
-
-
-def _q_meixner_f2_alpha(p, s):
-    al, be, q = p["alpha"], p["beta"], p["q"]
-    u = q**s
-    return u * (1.0 - be * q * u) / ((1.0 - u) * (1.0 + al * be * u) ** 2)
-
-
-def _q_meixner_f2_beta(p, s):
-    al, be, q = p["alpha"], p["beta"], p["q"]
-    u = q**s
-    return -al * u * u * (al + q) / ((1.0 - u) * (1.0 + al * be * u) ** 2)
 
 
 def _q_meixner_claims(p):
@@ -701,57 +667,6 @@ def _q_racah_ab(p, s):
     return A, B
 
 
-def _q_racah_f2_alpha(p, s):
-    # d f / d alpha, re-derived from the displayed ratio f = B/A
-    a, al, be, q, N = p["a"], p["alpha"], p["beta"], p["q"], p["N"]
-    u = q**s
-    u2 = u * u
-    num = (
-        math.log(q)
-        * (u2 - 1.0)
-        * (u2 / q - 1.0)
-        * (u * q**a - 1.0)
-        * (u * q ** (1 - a - N) - 1.0)
-        * (u * q ** (be + 1 - a) - 1.0)
-    )
-    den = (
-        q ** (al + be + 1)
-        * (u2 * q - 1.0)
-        * (u * q ** (-a) - 1.0)
-        * (u * q ** (a + N - 1) - 1.0)
-        * (u * q ** (-a - al - N) - 1.0) ** 2
-        * (u * q ** (a - be - 1) - 1.0)
-    )
-    if den == 0.0:
-        raise SingularityError(f"q_racah: df/dalpha pole at s={s!r}")
-    return num / den
-
-
-def _q_racah_f2_beta(p, s):
-    a, al, be, q, N = p["a"], p["alpha"], p["beta"], p["q"], p["N"]
-    u = q**s
-    u2 = u * u
-    num = (
-        math.log(q)
-        * (u2 - 1.0)
-        * (u2 / q - 1.0)
-        * (u * q**a - 1.0)
-        * (u * q ** (1 - a - N) - 1.0)
-        * (u * q ** (a + al + N) - 1.0)
-    )
-    den = (
-        q ** (al + be + 1)
-        * (u2 * q - 1.0)
-        * (u * q ** (-a) - 1.0)
-        * (u * q ** (a + N - 1) - 1.0)
-        * (u * q ** (-a - al - N) - 1.0)
-        * (u * q ** (a - be - 1) - 1.0) ** 2
-    )
-    if den == 0.0:
-        raise SingularityError(f"q_racah: df/dbeta pole at s={s!r}")
-    return num / den
-
-
 def _q_racah_k(p):
     a, be, N = p["a"], p["beta"], p["N"]
     return (max(a, be - a + 1.0), a + N - 1.0)
@@ -946,7 +861,6 @@ _register(
         ab=_hahn_ab,
         k_interval=lambda p: (0.0, p["N"] - 1.0),
         claims=_hahn_claims,
-        f2_closed={"alpha": _hahn_f2_alpha, "beta": _hahn_f2_beta},
         sample=_sample_hahn,
     ),
 )
@@ -1011,7 +925,6 @@ _register(
         ab=_racah_ab,
         k_interval=_racah_k,
         claims=_racah_claims,
-        f2_closed={"alpha": _racah_f2_alpha, "beta": _racah_f2_beta},
         sample=_sample_racah,
     ),
 )
@@ -1048,7 +961,6 @@ _register(
         ab=_q_meixner_ab,
         k_interval=lambda p: (0.0, math.inf),
         claims=_q_meixner_claims,
-        f2_closed={"alpha": _q_meixner_f2_alpha, "beta": _q_meixner_f2_beta},
         sample=lambda rng: _with_q(
             rng,
             lambda q: {"alpha": rng.uniform(0.3, 3.0), "beta": rng.uniform(0.05, 0.9) / q},
@@ -1210,7 +1122,6 @@ _register(
         ab=_q_racah_ab,
         k_interval=_q_racah_k,
         claims=_q_racah_claims,
-        f2_closed={"alpha": _q_racah_f2_alpha, "beta": _q_racah_f2_beta},
         sample=_sample_q_racah,
     ),
 )
@@ -1292,6 +1203,8 @@ _register(
     ),
 )
 
+# values are in the little q-Laguerre normalisation; the q-Laguerre prefactor
+# q^(-alpha n) (q^(alpha+1);q)_n/(q;q)_n, which the zeros ignore, is not applied
 _register(
     "q_laguerre",
     _Entry(

@@ -7,6 +7,7 @@ import pytest
 from copz import (
     ALIAS_FAMILIES,
     DomainError,
+    SingularityError,
     ZeroProblem,
     catalog_kinds,
     family_info,
@@ -111,8 +112,6 @@ def test_ratio_spot_values():
 
 
 def test_ratio_singularity():
-    from copz import SingularityError
-
     racah = make_family("racah", a=0.5, alpha=0.2, beta=0.3, N=6)
     with pytest.raises(SingularityError):
         racah.coeffs_AB(0.0)
@@ -130,34 +129,83 @@ def test_partials_spot_values():
     charlier = make_family("charlier", alpha=1.7)
     for s in (0.8, 2.3):
         f1, f2 = charlier.f_partials(s, "alpha")
-        assert f1 == pytest.approx(-1.7 / s**2, rel=1e-7)
+        assert f1 == pytest.approx(-1.7 / s**2, rel=1e-14)
         assert f2 == pytest.approx(1.0 / s, rel=1e-9)
+    al, be, q = 1.2, 0.4, 0.5
+    qm = make_family("q_meixner", alpha=al, beta=be, q=q)
+    for s in (0.7, 3.1):
+        u = q**s
+        den = (1.0 - u) * (1.0 + al * be * u) ** 2
+        _, f2a = qm.f_partials(s, "alpha")
+        _, f2b = qm.f_partials(s, "beta")
+        assert f2a == pytest.approx(u * (1.0 - be * q * u) / den, rel=1e-14)
+        assert f2b == pytest.approx(-al * u * u * (al + q) / den, rel=1e-14)
 
 
-@pytest.mark.parametrize("kind,param", [
-    ("hahn", "alpha"),
-    ("hahn", "beta"),
-    ("racah", "alpha"),
-    ("racah", "beta"),
-    ("q_meixner", "alpha"),
-    ("q_meixner", "beta"),
-    ("q_racah", "alpha"),
-    ("q_racah", "beta"),
-])
+def _claimed_params():
+    """Every (kind, parameter) pair with a catalogued claim, aliases included."""
+    return [
+        (kind, claim.param)
+        for kind in catalog_kinds()
+        for claim in make_family(kind, sample_params(kind, random.Random(0))).claims()
+    ]
+
+
+@pytest.mark.parametrize("kind,param", _claimed_params())
 def test_closed_partials_match_numeric(kind, param):
+    """The complex-step partials against central differences of f.
+
+    The complex step needs every A, B table to stay analytic: a math.* call
+    or a < comparison on a complex value raises TypeError here, and abs()
+    drops the imaginary part, which the differences then expose.
+    """
     rng = random.Random(f"{kind}/{param}")
     for _ in range(8):
         spec = make_family(kind, sample_params(kind, rng))
         lo, hi = spec.k_interval()
         hi = hi if math.isfinite(hi) else lo + 6.0
         s = rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))
-        _, closed = spec.f_partials(s, param)
+        f1, f2 = spec.f_partials(s, param)
+        h1 = 1e-6 * max(1.0, abs(s))
+        fd1 = (spec.monotonicity_f(s + h1) - spec.monotonicity_f(s - h1)) / (2.0 * h1)
         t = float(spec.params[param])
         h = 1e-6 * max(1.0, abs(t))
         up = spec.with_param(param, t + h).monotonicity_f(s)
         dn = spec.with_param(param, t - h).monotonicity_f(s)
-        numeric = (up - dn) / (2.0 * h)
-        assert closed == pytest.approx(numeric, rel=1e-5, abs=1e-9)
+        fd2 = (up - dn) / (2.0 * h)
+        assert f1 == pytest.approx(fd1, rel=1e-5, abs=1e-9)
+        assert f2 == pytest.approx(fd2, rel=1e-5, abs=1e-9)
+
+
+def test_partials_raise_at_poles():
+    with pytest.raises(SingularityError):
+        make_family("charlier", alpha=1.0).f_partials(0.0, "alpha")
+    racah = make_family("racah", a=0.5, alpha=0.2, beta=0.3, N=6)
+    for param in ("alpha", "beta"):
+        with pytest.raises(SingularityError):
+            racah.f_partials(0.0, param)
+
+
+def test_partials_reject_integer_and_unknown_parameters():
+    hahn = make_family("hahn", alpha=0.5, beta=1.0, N=10)
+    with pytest.raises(DomainError, match="'N'"):
+        hahn.f_partials(2.5, "N")
+    with pytest.raises(DomainError, match="'gamma'"):
+        hahn.f_partials(2.5, "gamma")
+
+
+def test_partials_far_out_on_an_infinite_support():
+    # f and f1 shrink like q^s, to about 1e-287 here; h*f1 must stay a
+    # normal float, or the imaginary part loses its digits or flushes to 0
+    qm = make_family("q_meixner", alpha=0.5, beta=0.5, q=0.05)
+    s = 220.3
+    f1, _ = qm.f_partials(s, "alpha")
+    h = 1e-5
+    fd1 = (qm.monotonicity_f(s + h) - qm.monotonicity_f(s - h)) / (2.0 * h)
+    assert f1 < 0.0
+    assert f1 == pytest.approx(fd1, rel=1e-6, abs=0.0)
+    # f = alpha u (1 + O(u)) with u = q^s, so f1 = alpha u log(q) to rounding
+    assert f1 == pytest.approx(0.5 * 0.05**s * math.log(0.05), rel=1e-12, abs=0.0)
 
 
 def test_sign_claims_on_certified_interval():
