@@ -266,7 +266,7 @@ def _verify_one(spec, n: int, quick: bool, lines: list[str]) -> bool:
     problem = ZeroProblem(spec, n)
     zs = find_zeros(problem)
     sep = separation_check(zs)
-    eq1 = eq1_consistency(problem, zs)
+    eq1 = eq1_consistency(zs)
     if eq1.flagged:
         worst = max(eq1.residuals)
         lines.append(

@@ -1,8 +1,14 @@
 """Catalog of discrete orthogonal polynomial families on the canonical lattices.
 
-Each entry binds a lattice, a domain table, one (q-)hypergeometric series, the
-three-point difference-equation coefficients A and B, the certified sign
-interval K, and the catalogued zero-monotonicity claims.
+An entry states what sets its family apart: a domain table, the lattice tag,
+one (q-)hypergeometric series, the three-point difference-equation
+coefficients A and B, the catalogued zero-monotonicity claims, and the sign
+interval K where it is not the default.  The rest follows from the parameters
+a, N and q, which every family reads the same way: the grid is the tagged
+lattice with base q, the support is [a, a+N) or [a, inf) with a = 0 where the
+family has no a, the degree cap is N-1 or INFINITE_DEGREE_CAP, K defaults to
+the support less its top point, and a claim on a bounded interval sweeps its
+central 80%.
 
 The domain table holds one record per parameter: the inequality as
 ``copz families`` prints it, beside the predicate that enforces it.  The series
@@ -22,21 +28,22 @@ the diagnostics can flag them.
 
 Alias families (q-Charlier, the first Al-Salam-Carlitz family, the special
 big q-Jacobi case, q-Laguerre) are parameter/argument substitutions into a base
-family and own no coefficient code of their own.
+family.  They state their own domain, claims, prefactor and zero scale, and
+take the base's lattice, support, degree cap, series, A, B and K.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError, SingularityError
-from .grid import Q_EXP_NEG, Q_SYMMETRIC, Grid
+from .grid import LINEAR, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC, QUADRATIC, Grid
 from .qseries import _EXACT, binom2, exact_summation, hyper_sum, q_pochhammer, qhyper_sum
 
 INFINITE_DEGREE_CAP = 30
@@ -71,20 +78,11 @@ CORE_FAMILIES = (
     "dual_q_hahn",
 )
 
-ALIAS_FAMILIES = ("q_charlier", "al_salam_carlitz_1", "big_q_jacobi_special", "q_laguerre")
 
-FINITE_FAMILIES = (
-    "hahn",
-    "krawtchouk",
-    "racah",
-    "dual_hahn",
-    "q_hahn",
-    "q_krawtchouk",
-    "affine_q_krawtchouk",
-    "quantum_q_krawtchouk",
-    "q_racah",
-    "dual_q_hahn",
-)
+def _central(lo: float, hi: float) -> tuple[float, float]:
+    """Central 80% of a bounded interval."""
+    pad = 0.1 * (hi - lo)
+    return (lo + pad, hi - pad)
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,13 @@ class Claim:
     param: str
     direction: str  # "increasing" | "decreasing", in the polynomial variable X
     interval: tuple[float, float]  # stated validity interval (may be unbounded)
-    window: tuple[float, float]  # finite sweep window inside the interval
+    # finite sweep window inside the interval; an unbounded interval states
+    # its own, a bounded one defaults to its central 80%
+    window: tuple[float, float] | None = None
 
-
-def _central(lo: float, hi: float) -> tuple[float, float]:
-    """Central 80% of a bounded interval."""
-    pad = 0.1 * (hi - lo)
-    return (lo + pad, hi - pad)
+    def __post_init__(self):
+        if self.window is None:
+            object.__setattr__(self, "window", _central(*self.interval))
 
 
 @dataclass(frozen=True)
@@ -211,9 +209,15 @@ class FamilySpec:
         return B / A
 
     def k_interval(self) -> tuple[float, float]:
-        """Certified sign interval for the hypotheses; contains the zero set."""
+        """Certified sign interval for the hypotheses; contains the zero set.
+
+        Unless the family states its own, K is the support less its top point.
+        """
         base = self.resolve_base()
-        return _CATALOG[base.kind].k_interval(base.params)
+        stated = _CATALOG[base.kind].k_interval
+        if stated is None:
+            return (self.support_start, self.support_end - 1.0)
+        return stated(base.params)
 
     def claims(self) -> tuple[Claim, ...]:
         return _CATALOG[self.kind].claims(self.params)
@@ -231,16 +235,22 @@ _CHECK_FIRST = {"q": 0, "N": 1}
 
 @dataclass(frozen=True)
 class _Entry:
+    """What one family states; make_family derives the rest from a, N and q.
+
+    A base family states its lattice tag, series and A, B table, and K only
+    where K is not the support less its top point.  An alias states the map
+    onto its base's kind and parameters instead, and none of those.
+    """
+
     domain: tuple[_Bound, ...]  # in parameter order
-    make_grid: Callable[[dict], Grid]
-    support: Callable[[dict], tuple[float, float]]
-    series: Callable[[dict, int, object], float] | None  # (atoms, n, lattice atom)
-    ab: Callable[[dict, float], tuple[float, float]] | None
-    k_interval: Callable[[dict], tuple[float, float]] | None
     claims: Callable[[dict], tuple[Claim, ...]]
     sample: Callable[[random.Random], dict]
+    lattice: str | None = None  # a grid tag
+    series: Callable[[dict, int, object], float] | None = None  # (atoms, n, lattice atom)
+    ab: Callable[[dict, float], tuple[float, float]] | None = None
+    k_interval: Callable[[dict], tuple[float, float]] | None = None
     alias_map: Callable[[dict], tuple[str, dict]] | None = None
-    zero_scale: Callable[[dict], float] = lambda p: 1.0
+    zero_scale: Callable[[dict], float] = lambda p: 1.0  # alias zeros over base zeros
     prefactor: Callable[[dict, int], float] = lambda p, n: 1.0
     param_order: tuple[str, ...] = field(init=False)
     checks: tuple[_Bound, ...] = field(init=False)  # domain in validation order
@@ -394,7 +404,7 @@ def _racah_claims(p):
     blo = -1.0 if a >= 0.0 else a
     return (
         Claim("alpha", "decreasing", (-1.0, math.inf), _RACAH_ALPHA_WINDOW),
-        Claim("beta", "increasing", (blo, 2.0 * a + 1.0), _central(blo, 2.0 * a + 1.0)),
+        Claim("beta", "increasing", (blo, 2.0 * a + 1.0)),
     )
 
 
@@ -429,9 +439,7 @@ def _dual_hahn_k(p):
 def _dual_hahn_claims(p):
     a = p["a"]
     lo = -1.0 if a >= 0.0 else a
-    return (
-        Claim("alpha", "increasing", (lo, 2.0 * a + 1.0), _central(lo, 2.0 * a + 1.0)),
-    )
+    return (Claim("alpha", "increasing", (lo, 2.0 * a + 1.0)),)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +462,7 @@ def _q_meixner_claims(p):
     q = p["q"]
     return (
         Claim("alpha", "increasing", (0.0, math.inf), _POSITIVE_WINDOW),
-        Claim("beta", "decreasing", (0.0, 1.0 / q), _central(0.0, 1.0 / q)),
+        Claim("beta", "decreasing", (0.0, 1.0 / q)),
     )
 
 
@@ -483,7 +491,7 @@ def _asc2_k(p):
 
 def _asc2_claims(p):
     q = p["q"]
-    return (Claim("alpha", "increasing", (0.0, 1.0 / q), _central(0.0, 1.0 / q)),)
+    return (Claim("alpha", "increasing", (0.0, 1.0 / q)),)
 
 
 def _q_hahn_series(p, n, X):
@@ -503,10 +511,9 @@ def _q_hahn_ab(p, s):
 
 def _q_hahn_claims(p):
     q = p["q"]
-    win = _central(0.0, 1.0 / q)
     return (
-        Claim("alpha", "decreasing", (0.0, 1.0 / q), win),
-        Claim("beta", "increasing", (0.0, 1.0 / q), win),
+        Claim("alpha", "decreasing", (0.0, 1.0 / q)),
+        Claim("beta", "increasing", (0.0, 1.0 / q)),
     )
 
 
@@ -600,7 +607,7 @@ def _little_qj_ab(p, s):
 def _little_qj_claims(p):
     q = p["q"]
     return (
-        Claim("alpha", "decreasing", (0.0, 1.0 / q), _central(0.0, 1.0 / q)),
+        Claim("alpha", "decreasing", (0.0, 1.0 / q)),
         Claim("beta", "increasing", (-math.inf, 1.0 / q), _central(-2.0, 1.0 / q)),
     )
 
@@ -618,7 +625,7 @@ def _little_ql_ab(p, s):
 
 def _little_ql_claims(p):
     q = p["q"]
-    return (Claim("alpha", "decreasing", (0.0, 1.0 / q), _central(0.0, 1.0 / q)),)
+    return (Claim("alpha", "decreasing", (0.0, 1.0 / q)),)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +687,7 @@ def _q_racah_claims(p):
     blo = -1.0 if a >= 0.5 else a - 0.5
     return (
         Claim("alpha", "decreasing", (-1.0, math.inf), _Q_RACAH_ALPHA_WINDOW),
-        Claim("beta", "increasing", (blo, 2.0 * a), _central(blo, 2.0 * a)),
+        Claim("beta", "increasing", (blo, 2.0 * a)),
     )
 
 
@@ -729,7 +736,7 @@ def _dual_q_hahn_k(p):
 def _dual_q_hahn_claims(p):
     a = p["a"]
     lo = -1.0 if a >= 0.5 else a - 0.5
-    return (Claim("alpha", "increasing", (lo, 2.0 * a), _central(lo, 2.0 * a)),)
+    return (Claim("alpha", "increasing", (lo, 2.0 * a)),)
 
 
 # ---------------------------------------------------------------------------
@@ -750,10 +757,9 @@ def _big_qj_prefactor(p, n):
 
 def _big_qj_claims(p):
     q = p["q"]
-    win = _central(0.0, 1.0 / q)
     return (
-        Claim("alpha", "increasing", (0.0, 1.0 / q), win),
-        Claim("beta", "decreasing", (0.0, 1.0 / q), win),
+        Claim("alpha", "increasing", (0.0, 1.0 / q)),
+        Claim("beta", "decreasing", (0.0, 1.0 / q)),
     )
 
 
@@ -855,11 +861,9 @@ _register(
     "hahn",
     _Entry(
         domain=(_ALPHA_GT_MINUS_1, ("beta", "beta > -1", lambda p: p["beta"] > -1.0), _N),
-        make_grid=lambda p: Grid.linear(),
-        support=lambda p: (0.0, float(p["N"])),
+        lattice=LINEAR,
         series=_hahn_series,
         ab=_hahn_ab,
-        k_interval=lambda p: (0.0, p["N"] - 1.0),
         claims=_hahn_claims,
         sample=_sample_hahn,
     ),
@@ -869,11 +873,9 @@ _register(
     "charlier",
     _Entry(
         domain=(_ALPHA_POSITIVE,),
-        make_grid=lambda p: Grid.linear(),
-        support=lambda p: (0.0, math.inf),
+        lattice=LINEAR,
         series=_charlier_series,
         ab=lambda p, s: (s, p["alpha"]),
-        k_interval=lambda p: (0.0, math.inf),
         claims=lambda p: (Claim("alpha", "increasing", (0.0, math.inf), _POSITIVE_WINDOW),),
         sample=lambda rng: {"alpha": rng.uniform(0.3, 3.5)},
     ),
@@ -883,12 +885,10 @@ _register(
     "krawtchouk",
     _Entry(
         domain=(_ALPHA_UNIT, _N),
-        make_grid=lambda p: Grid.linear(),
-        support=lambda p: (0.0, float(p["N"])),
+        lattice=LINEAR,
         series=_krawtchouk_series,
         ab=lambda p, s: ((1.0 - p["alpha"]) * s, p["alpha"] * (-s + p["N"] - 1.0)),
-        k_interval=lambda p: (0.0, p["N"] - 1.0),
-        claims=lambda p: (Claim("alpha", "increasing", (0.0, 1.0), _central(0.0, 1.0)),),
+        claims=lambda p: (Claim("alpha", "increasing", (0.0, 1.0)),),
         sample=lambda rng: {"alpha": rng.uniform(0.08, 0.92), "N": rng.randint(5, 12)},
     ),
 )
@@ -897,13 +897,11 @@ _register(
     "meixner",
     _Entry(
         domain=(_ALPHA_UNIT, ("beta", "beta > 0", lambda p: p["beta"] > 0.0)),
-        make_grid=lambda p: Grid.linear(),
-        support=lambda p: (0.0, math.inf),
+        lattice=LINEAR,
         series=_meixner_series,
         ab=lambda p, s: (s, p["alpha"] * (s + p["beta"])),
-        k_interval=lambda p: (0.0, math.inf),
         claims=lambda p: (
-            Claim("alpha", "increasing", (0.0, 1.0), _central(0.0, 1.0)),
+            Claim("alpha", "increasing", (0.0, 1.0)),
             Claim("beta", "increasing", (0.0, math.inf), _POSITIVE_WINDOW),
         ),
         sample=lambda rng: {"alpha": rng.uniform(0.1, 0.85), "beta": rng.uniform(0.2, 3.5)},
@@ -919,8 +917,7 @@ _register(
             ("beta", "-1 < beta < 2a+1", lambda p: -1.0 < p["beta"] < 2.0 * p["a"] + 1.0),
             _N,
         ),
-        make_grid=lambda p: Grid.quadratic(),
-        support=lambda p: (p["a"], p["a"] + p["N"]),
+        lattice=QUADRATIC,
         series=_racah_series,
         ab=_racah_ab,
         k_interval=_racah_k,
@@ -937,8 +934,7 @@ _register(
             ("alpha", "-1 < alpha < 2a+1", lambda p: -1.0 < p["alpha"] < 2.0 * p["a"] + 1.0),
             _N,
         ),
-        make_grid=lambda p: Grid.quadratic(),
-        support=lambda p: (p["a"], p["a"] + p["N"]),
+        lattice=QUADRATIC,
         series=_dual_hahn_series,
         ab=_dual_hahn_ab,
         k_interval=_dual_hahn_k,
@@ -955,11 +951,9 @@ _register(
             ("beta", "0 <= beta < 1/q", lambda p: 0.0 <= p["beta"] < 1.0 / p["q"]),
             _Q,
         ),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, math.inf),
+        lattice=Q_EXP_NEG,
         series=_q_meixner_series,
         ab=_q_meixner_ab,
-        k_interval=lambda p: (0.0, math.inf),
         claims=_q_meixner_claims,
         sample=lambda rng: _with_q(
             rng,
@@ -972,8 +966,7 @@ _register(
     "al_salam_carlitz_2",
     _Entry(
         domain=(_ALPHA_BELOW_1_Q, _Q),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, math.inf),
+        lattice=Q_EXP_NEG,
         series=_asc2_series,
         ab=_asc2_ab,
         k_interval=_asc2_k,
@@ -987,11 +980,9 @@ _register(
     "q_hahn",
     _Entry(
         domain=(_ALPHA_BELOW_1_Q, _BETA_BELOW_1_Q, _Q, _N),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, float(p["N"])),
+        lattice=Q_EXP_NEG,
         series=_q_hahn_series,
         ab=_q_hahn_ab,
-        k_interval=lambda p: (0.0, p["N"] - 1.0),
         claims=_q_hahn_claims,
         sample=lambda rng: _with_q(
             rng,
@@ -1008,11 +999,9 @@ _register(
     "q_krawtchouk",
     _Entry(
         domain=(_ALPHA_POSITIVE, _Q, _N),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, float(p["N"])),
+        lattice=Q_EXP_NEG,
         series=_q_krawtchouk_series,
         ab=_q_krawtchouk_ab,
-        k_interval=lambda p: (0.0, p["N"] - 1.0),
         claims=lambda p: (Claim("alpha", "decreasing", (0.0, math.inf), _POSITIVE_WINDOW),),
         sample=lambda rng: _with_q(
             rng, lambda q: {"alpha": rng.uniform(0.2, 3.0), "N": rng.randint(5, 10)}
@@ -1024,14 +1013,10 @@ _register(
     "affine_q_krawtchouk",
     _Entry(
         domain=(_ALPHA_BELOW_1_Q, _Q, _N),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, float(p["N"])),
+        lattice=Q_EXP_NEG,
         series=_affine_qk_series,
         ab=_affine_qk_ab,
-        k_interval=lambda p: (0.0, p["N"] - 1.0),
-        claims=lambda p: (
-            Claim("alpha", "decreasing", (0.0, 1.0 / p["q"]), _central(0.0, 1.0 / p["q"])),
-        ),
+        claims=lambda p: (Claim("alpha", "decreasing", (0.0, 1.0 / p["q"])),),
         sample=lambda rng: _with_q(
             rng,
             lambda q: {"alpha": rng.uniform(0.1, 0.9) / q, "N": rng.randint(5, 10)},
@@ -1047,8 +1032,7 @@ _register(
             _Q,
             _N,
         ),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, float(p["N"])),
+        lattice=Q_EXP_NEG,
         series=_quantum_qk_series,
         ab=_quantum_qk_ab,
         k_interval=_quantum_qk_k,
@@ -1062,11 +1046,9 @@ _register(
     "q_bessel",
     _Entry(
         domain=(_ALPHA_POSITIVE, _Q),
-        make_grid=lambda p: Grid.q_exp(p["q"]),
-        support=lambda p: (0.0, math.inf),
+        lattice=Q_EXP,
         series=_q_bessel_series,
         ab=_q_bessel_ab,
-        k_interval=lambda p: (0.0, math.inf),
         claims=lambda p: (Claim("alpha", "decreasing", (0.0, math.inf), _POSITIVE_WINDOW),),
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(0.2, 3.0)}),
     ),
@@ -1076,11 +1058,9 @@ _register(
     "little_q_jacobi",
     _Entry(
         domain=(_ALPHA_BELOW_1_Q, ("beta", "beta < 1/q", lambda p: p["beta"] < 1.0 / p["q"]), _Q),
-        make_grid=lambda p: Grid.q_exp(p["q"]),
-        support=lambda p: (0.0, math.inf),
+        lattice=Q_EXP,
         series=_little_qj_series,
         ab=_little_qj_ab,
-        k_interval=lambda p: (0.0, math.inf),
         claims=_little_qj_claims,
         sample=lambda rng: _with_q(
             rng,
@@ -1096,11 +1076,9 @@ _register(
     "little_q_laguerre",
     _Entry(
         domain=(_ALPHA_BELOW_1_Q, _Q),
-        make_grid=lambda p: Grid.q_exp(p["q"]),
-        support=lambda p: (0.0, math.inf),
+        lattice=Q_EXP,
         series=_little_ql_series,
         ab=_little_ql_ab,
-        k_interval=lambda p: (0.0, math.inf),
         claims=_little_ql_claims,
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(0.1, 0.9) / q}),
     ),
@@ -1116,8 +1094,7 @@ _register(
             _Q,
             _N,
         ),
-        make_grid=lambda p: Grid.q_symmetric(p["q"]),
-        support=lambda p: (p["a"], p["a"] + p["N"]),
+        lattice=Q_SYMMETRIC,
         series=_q_racah_series,
         ab=_q_racah_ab,
         k_interval=_q_racah_k,
@@ -1135,8 +1112,7 @@ _register(
             _Q,
             _N,
         ),
-        make_grid=lambda p: Grid.q_symmetric(p["q"]),
-        support=lambda p: (p["a"], p["a"] + p["N"]),
+        lattice=Q_SYMMETRIC,
         series=_dual_q_hahn_series,
         ab=_dual_q_hahn_ab,
         k_interval=_dual_q_hahn_k,
@@ -1151,11 +1127,6 @@ _register(
     "q_charlier",
     _Entry(
         domain=(_ALPHA_POSITIVE, _Q),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, math.inf),
-        series=None,
-        ab=None,
-        k_interval=None,
         claims=lambda p: (Claim("alpha", "increasing", (0.0, math.inf), _POSITIVE_WINDOW),),
         alias_map=lambda p: ("q_meixner", {"alpha": p["alpha"], "beta": 0.0, "q": p["q"]}),
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(0.3, 3.0)}),
@@ -1166,11 +1137,6 @@ _register(
     "al_salam_carlitz_1",
     _Entry(
         domain=(_ALPHA_BELOW_1_Q, _Q),
-        make_grid=lambda p: Grid.q_exp_neg(p["q"]),
-        support=lambda p: (0.0, math.inf),
-        series=None,
-        ab=None,
-        k_interval=None,
         claims=_asc2_claims,
         alias_map=lambda p: ("al_salam_carlitz_2", dict(p)),
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(0.1, 0.9) / q}),
@@ -1181,11 +1147,6 @@ _register(
     "big_q_jacobi_special",
     _Entry(
         domain=(_ALPHA_BELOW_1_Q, _BETA_BELOW_1_Q, _Q),
-        make_grid=lambda p: Grid.q_exp(p["q"]),
-        support=lambda p: (0.0, math.inf),
-        series=None,
-        ab=None,
-        k_interval=None,
         claims=_big_qj_claims,
         alias_map=lambda p: (
             "little_q_jacobi",
@@ -1209,11 +1170,6 @@ _register(
     "q_laguerre",
     _Entry(
         domain=(_ALPHA_GT_MINUS_1, _Q),
-        make_grid=lambda p: Grid.q_exp(p["q"]),
-        support=lambda p: (0.0, math.inf),
-        series=None,
-        ab=None,
-        k_interval=None,
         claims=_q_laguerre_claims,
         alias_map=lambda p: (
             "little_q_laguerre",
@@ -1222,6 +1178,10 @@ _register(
         sample=lambda rng: _with_q(rng, lambda q: {"alpha": rng.uniform(-0.8, 1.5)}),
     ),
 )
+
+#: the kinds on a finite support [a, a+N), and the aliases of a base family
+FINITE_FAMILIES = tuple(k for k, e in _CATALOG.items() if "N" in e.param_order)
+ALIAS_FAMILIES = tuple(k for k, e in _CATALOG.items() if e.alias_map is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -1265,27 +1225,15 @@ def make_family(kind: str, params: Mapping[str, float] | None = None, **kw) -> F
     for name, text, holds in entry.checks:
         if not holds(p):
             raise DomainError(f"{key}: {name} must satisfy {text} (got {p[name]!r})")
-    if "N" in p:
-        p["N"] = int(p["N"])
-    a, b = entry.support(p)
-    degree_max = int(p["N"]) - 1 if "N" in p else INFINITE_DEGREE_CAP
-    base = None
-    zero_scale = 1.0
     if entry.alias_map is not None:
-        base_kind, base_params = entry.alias_map(p)
-        base = make_family(base_kind, base_params)
-        zero_scale = entry.zero_scale(p)
-        degree_max = base.degree_max
-    return FamilySpec(
-        kind=key,
-        params=p,
-        grid=entry.make_grid(p),
-        support_start=a,
-        support_end=b,
-        degree_max=degree_max,
-        base=base,
-        zero_scale=zero_scale,
-    )
+        base = make_family(*entry.alias_map(p))
+        return replace(base, kind=key, params=p, base=base, zero_scale=entry.zero_scale(p))
+    grid = Grid(entry.lattice, p.get("q"))
+    a = p.get("a", 0.0)
+    if "N" not in p:
+        return FamilySpec(key, p, grid, a, math.inf, INFINITE_DEGREE_CAP)
+    p["N"] = int(p["N"])
+    return FamilySpec(key, p, grid, a, a + p["N"], p["N"] - 1)
 
 
 def sample_params(kind: str, rng: random.Random) -> dict:
@@ -1301,14 +1249,17 @@ def eval_exact_at_support(family: FamilySpec, n: int, k: int) -> float:
     coordinate rounding otherwise dominates at degrees whose upper zeros crowd
     the top of the support.
     """
+    if not 0 <= n <= family.degree_max:
+        raise DomainError(f"{family.kind}: degree n={n} outside 0..{family.degree_max}")
     base = family.resolve_base()
-    if not 0 <= n <= base.degree_max:
-        raise DomainError(f"{base.kind}: degree n={n} outside 0..{base.degree_max}")
     entry = _CATALOG[base.kind]
-    pref = entry.prefactor(base.params, n)
-    p, x = _exact_atoms(base, k)
-    with exact_summation():
-        return pref * entry.series(p, n, x)
+    try:
+        pref = entry.prefactor(base.params, n)
+        p, x = _exact_atoms(base, k)
+        with exact_summation():
+            return pref * entry.series(p, n, x)
+    except OverflowError as exc:
+        raise family._overflow(n, family.support_start + k) from exc
 
 
 def _exact_atoms(base: FamilySpec, k: int):
@@ -1351,7 +1302,7 @@ def family_info(kind: str) -> dict:
         "domains": {name: text for name, text, _ in entry.domain},
         "grid": spec.grid.tag,
         "finite_support": spec.is_finite,
-        "alias_of": entry.alias_map(p)[0] if entry.alias_map else None,
+        "alias_of": spec.base.kind if spec.base is not None else None,
         "claims": [
             {"param": c.param, "direction": c.direction}
             for c in spec.claims()

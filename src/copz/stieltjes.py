@@ -85,7 +85,6 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
     """Evaluate the sign hypotheses on the certified interval and the zero set."""
     problem = zs.problem
     fam = problem.family
-    base = fam.resolve_base()
     lo, hi = fam.k_interval()
     hi_eff = hi if math.isfinite(hi) else max(zs.zeros_s) + 2.0
     pts = list(np.linspace(lo, hi_eff, samples + 2)[1:-1])
@@ -96,7 +95,7 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
     f2_signs = set()
     counterexamples: list[float] = []
     grid4_vals_ok = True
-    is_grid4 = base.grid.tag == Q_ANTISYMMETRIC
+    is_grid4 = fam.grid.tag == Q_ANTISYMMETRIC
     for s in pts:
         try:
             fv = fam.monotonicity_f(s)
@@ -138,7 +137,7 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
         zero_set_inside_k=inside,
         sample_count=len(pts),
         counterexamples=tuple(counterexamples),
-        fgrid_increasing=base.grid.increasing,
+        fgrid_increasing=fam.grid.increasing,
     )
 
 
@@ -191,7 +190,7 @@ class StieltjesSystem:
     @property
     def solution_X(self) -> np.ndarray:
         """Zero derivatives mapped to the polynomial variable, dX/dt = x'(y) y'."""
-        g = self.zeros.problem.family.resolve_base().grid
+        g = self.zeros.problem.family.grid
         return self.solution * np.array([g.dx_ds(y) for y in self.zeros.zeros_s])
 
 
@@ -208,12 +207,11 @@ def build_stieltjes_system(zs: ZeroSet, param: str) -> StieltjesSystem:
             f"parameter {param!r} moves the lattice or support; the system assumes them fixed"
         )
     fam = problem.family
-    base = fam.resolve_base()
-    g = base.grid
+    g = fam.grid
     n = problem.degree
     ys = zs.zeros_s
     Xs = [g.x_raw(y) for y in ys]
-    f_vals = [base.monotonicity_f(y) for y in ys]
+    f_vals = [fam.monotonicity_f(y) for y in ys]
     partials = [fam.f_partials(y, param) for y in ys]
 
     b = np.empty((n, n))

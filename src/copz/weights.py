@@ -49,14 +49,17 @@ class WeightTable:
         return self.log_values[k] + math.log(abs(self.family.grid.delta_x_half(s)))
 
 
+def _ratio_terms(family: FamilySpec, s: float) -> tuple[float, float]:
+    """B(s) dx(s-1/2) and A(s+1) dx(s+1/2), whose quotient is w(s+1)/w(s)."""
+    g = family.grid
+    _, B = family.coeffs_AB(s)
+    A1, _ = family.coeffs_AB(s + 1.0)
+    return B * g.delta_x_half(s), A1 * g.delta_x_half(s + 1.0)
+
+
 def weight_ratio(family: FamilySpec, s: float) -> float:
     """The one-step ratio w(s+1)/w(s) read off the coefficient tables."""
-    base = family.resolve_base()
-    g = base.grid
-    _, B = base.coeffs_AB(s)
-    A1, _ = base.coeffs_AB(s + 1.0)
-    num = B * g.delta_x_half(s)
-    den = A1 * g.delta_x_half(s + 1.0)
+    num, den = _ratio_terms(family, s)
     if den == 0.0:
         raise WeightPositivityError(s, math.inf)
     return num / den
@@ -68,17 +71,15 @@ def weight_table(
     """Tabulate the weight over the support.
 
     ``degree_hint`` widens the truncation margin of infinite tables so that
-    orthogonality sums of polynomials up to that degree are covered.  Alias
-    families delegate to their base family.
+    orthogonality sums of polynomials up to that degree are covered.
     """
-    base = family.resolve_base()
-    g = base.grid
-    a = base.support_start
+    g = family.grid
+    a = family.support_start
     logs = [0.0]
     flipped_at: list[float] = []
 
     def push(s: float) -> None:
-        r = weight_ratio(base, s)
+        r = weight_ratio(family, s)
         if r <= 0.0 or math.isinf(r):
             if not allow_sign_flip or r == 0.0 or math.isinf(r):
                 raise WeightPositivityError(s, r)
@@ -87,14 +88,14 @@ def weight_table(
         logs.append(logs[-1] + math.log(r))
         if logs[-1] > 600.0:
             raise TruncationError(
-                f"{base.kind}: weight magnitude overflow (log w = {logs[-1]:.1f} at s={s + 1})"
+                f"{family.kind}: weight magnitude overflow (log w = {logs[-1]:.1f} at s={s + 1})"
             )
 
-    if base.is_finite:
-        npts = int(round(base.support_end - a))
+    if family.is_finite:
+        npts = int(round(family.support_end - a))
         for k in range(npts - 1):
             push(a + k)
-        return WeightTable(base, a, tuple(logs), 0.0, bool(flipped_at), tuple(flipped_at))
+        return WeightTable(family, a, tuple(logs), 0.0, bool(flipped_at), tuple(flipped_at))
 
     # infinite support: extend until both the mass tail and the tail weighted
     # by max(1, |X|)^(2*degree_hint) drop below the relative bound
@@ -118,14 +119,14 @@ def weight_table(
     while True:
         if k + 1 >= _MAX_POINTS:
             raise TruncationError(
-                f"{base.kind}: weight table exceeded {_MAX_POINTS} points without meeting its tail bound"
+                f"{family.kind}: weight table exceeded {_MAX_POINTS} points without meeting its tail bound"
             )
         push(a + k)
         k += 1
         logmu = logs[k] + math.log(abs(g.delta_x_half(a + k)))
         if logmu > 600.0:
             raise TruncationError(
-                f"{base.kind}: weight measure diverges (log mass {logmu:.1f} at s={a + k})"
+                f"{family.kind}: weight measure diverges (log mass {logmu:.1f} at s={a + k})"
             )
         mass_partial.add(math.exp(logmu))
         h = heavy(k)
@@ -138,7 +139,7 @@ def weight_table(
                 mass_tail = math.exp(logmu + math.log(rh) - math.log1p(-rh)) if rh < 1.0 else math.inf
                 bound = mass_tail / mass_partial.value
                 return WeightTable(
-                    base, a, tuple(logs), bound, bool(flipped_at), tuple(flipped_at)
+                    family, a, tuple(logs), bound, bool(flipped_at), tuple(flipped_at)
                 )
             continue
         if rh < 0.999:
@@ -149,14 +150,14 @@ def weight_table(
                     pad_left = padding
 
 
-def _poly_values(base: FamilySpec, table: WeightTable, degree: int) -> list[float]:
+def _poly_values(family: FamilySpec, table: WeightTable, degree: int) -> list[float]:
     """Polynomial values over the table, summed in exact rational arithmetic.
 
     Direct float summation loses all digits near the top lattice points at
     higher degrees (the terminating series cancels by many orders there), so
     orthogonality sums evaluate through the exact lattice path.
     """
-    return [eval_exact_at_support(base, degree, k) for k in range(len(table))]
+    return [eval_exact_at_support(family, degree, k) for k in range(len(table))]
 
 
 def _pair_sum_values(
@@ -171,32 +172,27 @@ def _pair_sum_values(
     return acc.value
 
 
-def _pair_sum(base: FamilySpec, table: WeightTable, m: int, n: int) -> float:
-    vm = _poly_values(base, table, m)
-    vn = vm if n == m else _poly_values(base, table, n)
-    return _pair_sum_values(table, vm, vn)
-
-
 def norm_sq(family: FamilySpec, n: int, table: WeightTable | None = None) -> float:
     """Squared norm of the degree-n polynomial under the positive measure."""
-    base = family.resolve_base()
     if table is None:
-        table = weight_table(base, degree_hint=max(n, 1))
-    return _pair_sum(base, table, n, n)
+        table = weight_table(family, degree_hint=max(n, 1))
+    v = _poly_values(family, table, n)
+    return _pair_sum_values(table, v, v)
 
 
 def orthogonality_residual(
     family: FamilySpec, m: int, n: int, table: WeightTable | None = None
 ) -> float:
     """Normalized pairing of degrees m and n; the m = n case returns the norm squared."""
-    base = family.resolve_base()
     if table is None:
-        table = weight_table(base, degree_hint=max(m, n, 1))
+        table = weight_table(family, degree_hint=max(m, n, 1))
+    vm = _poly_values(family, table, m)
     if m == n:
-        return _pair_sum(base, table, m, m)
-    smn = _pair_sum(base, table, m, n)
+        return _pair_sum_values(table, vm, vm)
+    vn = _poly_values(family, table, n)
+    smn = _pair_sum_values(table, vm, vn)
     return abs(smn) / math.sqrt(
-        _pair_sum(base, table, m, m) * _pair_sum(base, table, n, n)
+        _pair_sum_values(table, vm, vm) * _pair_sum_values(table, vn, vn)
     )
 
 
@@ -204,10 +200,9 @@ def gram_offdiag_max(
     family: FamilySpec, kmax: int, table: WeightTable | None = None
 ) -> float:
     """Largest normalized off-diagonal entry of the Gram matrix of degrees 0..kmax."""
-    base = family.resolve_base()
     if table is None:
-        table = weight_table(base, degree_hint=max(kmax, 1))
-    values = [_poly_values(base, table, d) for d in range(kmax + 1)]
+        table = weight_table(family, degree_hint=max(kmax, 1))
+    values = [_poly_values(family, table, d) for d in range(kmax + 1)]
     norms = [_pair_sum_values(table, v, v) for v in values]
     worst = 0.0
     for m in range(kmax + 1):
@@ -221,17 +216,11 @@ def gram_offdiag_max(
 
 def pearson_residual_max(family: FamilySpec, table: WeightTable | None = None) -> float:
     """Largest pointwise residual of the ratio recurrence over the table."""
-    base = family.resolve_base()
     if table is None:
-        table = weight_table(base)
-    g = base.grid
+        table = weight_table(family)
     worst = 0.0
     for k in range(len(table) - 1):
-        s = table.s_at(k)
-        _, B = base.coeffs_AB(s)
-        A1, _ = base.coeffs_AB(s + 1.0)
-        t2 = B * g.delta_x_half(s)
-        t1 = A1 * g.delta_x_half(s + 1.0)
+        t2, t1 = _ratio_terms(family, table.s_at(k))
         # w(s+1) t1 - w(s) t2 = 0, evaluated through the log table
         lhs = math.exp(table.log_values[k + 1] - table.log_values[k]) * t1
         scale = max(abs(lhs), abs(t2))
@@ -247,13 +236,13 @@ class BoundaryReport:
     end_residuals: tuple[float, ...]
 
 
-def _a_lower(base: FamilySpec, s: float) -> float:
+def _a_lower(family: FamilySpec, s: float) -> float:
     """The lower-coefficient product A(s) * dx(s-1) * dx(s-1/2), limit-safe in A."""
-    g = base.grid
+    g = family.grid
     try:
-        A, _ = base.coeffs_AB(s)
+        A, _ = family.coeffs_AB(s)
     except SingularityError:
-        A, _ = base.coeffs_AB(s + 1e-7)
+        A, _ = family.coeffs_AB(s + 1e-7)
     return A * g.delta_x(s - 1.0) * g.delta_x_half(s)
 
 
@@ -264,19 +253,18 @@ def boundary_check(family: FamilySpec, k_max: int = 3) -> BoundaryReport:
     Infinite support: the tabulated tail term must have decayed relative to the
     table maximum, for each moment order k = 0..k_max.
     """
-    base = family.resolve_base()
-    table = weight_table(base, degree_hint=max(k_max, 2), allow_sign_flip=True)
-    g = base.grid
-    a = base.support_start
+    table = weight_table(family, degree_hint=max(k_max, 2), allow_sign_flip=True)
+    g = family.grid
+    a = family.support_start
     scale = max(math.exp(lv) for lv in table.log_values)
     start = []
     end = []
-    if base.is_finite:
-        b = base.support_end
-        aa = _a_lower(base, a)
-        r = weight_ratio(base, b - 1.0)
+    if family.is_finite:
+        b = family.support_end
+        aa = _a_lower(family, a)
+        r = weight_ratio(family, b - 1.0)
         w_b = math.exp(table.log_values[-1]) * abs(r)
-        ab = _a_lower(base, b)
+        ab = _a_lower(family, b)
         for k in range(k_max + 1):
             xa = g.x_raw(a - 0.5) ** k
             xb = g.x_raw(b - 0.5) ** k
@@ -285,10 +273,10 @@ def boundary_check(family: FamilySpec, k_max: int = 3) -> BoundaryReport:
         tol = 1e-10 * max(1.0, abs(g.x_raw(b - 0.5))) ** k_max
         ok = all(r <= tol for r in start + end)
         return BoundaryReport(ok, tuple(start), tuple(end))
-    aa = _a_lower(base, a)
+    aa = _a_lower(family, a)
     last = len(table) - 1
     s_last = table.s_at(last)
-    a_last = _a_lower(base, s_last)
+    a_last = _a_lower(family, s_last)
     log_max = max(table.log_values)
     for k in range(k_max + 1):
         xa = g.x_raw(a - 0.5) ** k

@@ -122,10 +122,10 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     def g(s: float) -> float:
         return base.eval_at_s(n, s)
 
-    a = base.support_start
+    a = fam.support_start
     diagnostics: dict = {"kind": fam.kind, "degree": n}
-    if base.is_finite:
-        hi = base.support_end - 1.0
+    if fam.is_finite:
+        hi = fam.support_end - 1.0
         brackets = _scan(base, n, a, hi, _STEPS[0])
         diagnostics[f"count_at_step_{_STEPS[0]}"] = len(brackets)
         for step in _STEPS[1:]:
@@ -180,7 +180,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     zs = [zs[i] for i in order]
     widths = [widths[i] for i in order]
     residuals = [residuals[i] for i in order]
-    xs = [fam.zero_scale * base.grid.x_raw(z) for z in zs]
+    xs = [fam.zero_scale * fam.grid.x_raw(z) for z in zs]
     return ZeroSet(problem, tuple(zs), tuple(xs), tuple(residuals), tuple(widths))
 
 
@@ -220,10 +220,10 @@ class Eq1Report:
     tolerance: float = 1e-6
 
 
-def eq1_consistency(problem: ZeroProblem, zs: ZeroSet) -> Eq1Report:
-    fam = problem.family
+def eq1_consistency(zs: ZeroSet) -> Eq1Report:
+    fam = zs.problem.family
     base = fam.resolve_base()
-    n = problem.degree
+    n = zs.problem.degree
     residuals = []
     f_values = []
     rhs_values = []
@@ -237,7 +237,7 @@ def eq1_consistency(problem: ZeroProblem, zs: ZeroSet) -> Eq1Report:
                 p_plus = base.eval_at_s(n, y + 1.0)
             if p_plus == 0.0:
                 raise ZeroDivisionError
-            fv = base.monotonicity_f(y)
+            fv = fam.monotonicity_f(y)
         except (ZeroDivisionError, SingularityError):
             # a shifted point on another zero, or a zero pressed onto a
             # coefficient pole at the support edge

@@ -385,7 +385,7 @@ def test_criterion_09_three_point_consistency():
                 if n > spec.degree_max:
                     continue
                 pr = ZeroProblem(spec, n)
-                rep = eq1_consistency(pr, find_zeros(pr))
+                rep = eq1_consistency(find_zeros(pr))
                 worst = max(worst, max(rep.residuals))
     consistent_ok = worst < 1e-6
 
@@ -393,7 +393,7 @@ def test_criterion_09_three_point_consistency():
     q, alpha = 0.5, 1.1
     lql = make_family("little_q_laguerre", alpha=alpha, q=q)
     pr = ZeroProblem(lql, 1)
-    rep = eq1_consistency(pr, find_zeros(pr))
+    rep = eq1_consistency(find_zeros(pr))
     flag_ok = (
         rep.flagged
         and rep.f_values[0] == pytest.approx(-1.0 / (q * (1 - alpha * q)), rel=1e-8)
@@ -401,7 +401,7 @@ def test_criterion_09_three_point_consistency():
     )
     qb = make_family("q_bessel", alpha=1.4, q=0.6)
     pr = ZeroProblem(qb, 1)
-    repb = eq1_consistency(pr, find_zeros(pr))
+    repb = eq1_consistency(find_zeros(pr))
     flag_ok &= repb.flagged and repb.rhs_values[0] == pytest.approx(1.0 / 0.6, rel=1e-8)
     ok = consistent_ok and flag_ok
     _report(

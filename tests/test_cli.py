@@ -314,3 +314,16 @@ def test_zeros_overflow_is_invalid_input(sets, n, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_exact_path_overflow_is_invalid_input():
+    # the Gram check sums alpha^n of the prefactor on the exact path
+    code, out, err = run_cli(
+        ["verify", "--family", "quantum_q_krawtchouk", "--n", "1",
+         "--set", "alpha=1e300", "--set", "q=0.5", "--set", "N=10"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: quantum_q_krawtchouk: the degree-2 value at s=0.0 overflows the float range\n"
+    )

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from copz import (
     ALIAS_FAMILIES,
     DomainError,
+    EvaluationOverflowError,
     SingularityError,
     ZeroProblem,
     catalog_kinds,
@@ -85,6 +87,11 @@ def test_eval_degree_cap():
     inf = make_family("charlier", alpha=1.0)
     with pytest.raises(DomainError):
         inf.eval_poly(31, 1.0)
+    # an alias has its base's cap, and both paths name the alias
+    alias = make_family("q_charlier", alpha=1.0, q=0.5)
+    for evaluate in (alias.eval_at_s, lambda n, k: eval_exact_at_support(alias, n, k)):
+        with pytest.raises(DomainError, match=r"^q_charlier: degree n=31 outside 0\.\.30$"):
+            evaluate(31, 0)
 
 
 def test_coefficients_spot_values():
@@ -325,6 +332,20 @@ def test_exact_and_float_series_agree_at_support_points(kind):
                 assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (n, k)
 
 
+@pytest.mark.parametrize(
+    "kind, params, n, k, s",
+    [
+        ("quantum_q_krawtchouk", {"alpha": 1e300, "q": 0.5, "N": 10}, 2, 3, 3.0),
+        ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30, 0, 0.0),
+    ],
+    ids=["alpha-power", "q-power"],
+)
+def test_exact_path_prefactor_overflow_is_typed(kind, params, n, k, s):
+    with pytest.raises(EvaluationOverflowError) as err:
+        eval_exact_at_support(make_family(kind, params), n, k)
+    assert str(err.value) == f"{kind}: the degree-{n} value at s={s!r} overflows the float range"
+
+
 _Q_AT_BOUND = 2.0 ** -5  # q^(1-N) at q=1/2, N=6
 
 #: a valid parameter set per kind, then one out-of-domain value per stated constraint
@@ -463,3 +484,44 @@ def test_eval_at_s_many_raises_the_first_per_sample_error(kind, params, n, ss, e
     got = _outcomes(spec.eval_at_s_many, n, ss)
     assert got == _outcomes(_per_sample, spec, n, ss)
     assert got[0].__name__ == error
+
+
+FACTS = Path(__file__).parent / "data" / "family_facts.json"
+
+
+def _hex(v):
+    return v.hex() if isinstance(v, float) else v
+
+
+def family_facts(kind):
+    """Lattice, support, degree cap, K, zero scale, base and claims of three
+    seeded draws of one kind, floats as hex."""
+    rng = random.Random(f"facts/{kind}")
+    out = []
+    for _ in range(3):
+        spec = make_family(kind, sample_params(kind, rng))
+        out.append({
+            "params": {k: _hex(v) for k, v in spec.params.items()},
+            "grid": [spec.grid.tag, _hex(spec.grid.q)],
+            "support": [_hex(spec.support_start), _hex(spec.support_end)],
+            "degree_max": spec.degree_max,
+            "k_interval": [_hex(v) for v in spec.k_interval()],
+            "zero_scale": _hex(spec.zero_scale),
+            "base": spec.base.kind if spec.base is not None else None,
+            "claims": [
+                [c.param, c.direction, [_hex(v) for v in c.interval], [_hex(v) for v in c.window]]
+                for c in spec.claims()
+            ],
+        })
+    return out
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_derived_facts_match_reference(kind):
+    assert family_facts(kind) == json.loads(FACTS.read_text())[kind]
+    rng = random.Random(f"facts/{kind}")
+    for _ in range(3):
+        for claim in make_family(kind, sample_params(kind, rng)).claims():
+            (lo, hi), (wlo, whi) = claim.interval, claim.window
+            assert math.isfinite(wlo) and math.isfinite(whi), claim
+            assert lo <= wlo < whi <= hi, claim

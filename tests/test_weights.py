@@ -15,6 +15,8 @@ from copz import (
     sample_params,
     weight_table,
 )
+from copz.families import eval_exact_at_support
+from copz import weights
 from copz.weights import weight_ratio
 
 CONSISTENT_KINDS = (
@@ -96,6 +98,32 @@ def test_orthogonality_examples():
     assert orthogonality_residual(spec, 1, 1) > 0.0
     charlier = make_family("charlier", alpha=1.1)
     assert orthogonality_residual(charlier, 2, 5) < 1e-10
+
+
+def test_orthogonality_residual_evaluates_each_degree_once(monkeypatch):
+    spec = make_family("hahn", alpha=0.5, beta=1.5, N=9)
+    table = weight_table(spec)
+    calls = []
+
+    def counted(family, n, k):
+        calls.append((n, k))
+        return eval_exact_at_support(family, n, k)
+
+    expected = orthogonality_residual(spec, 2, 4, table)
+    monkeypatch.setattr(weights, "eval_exact_at_support", counted)
+    assert orthogonality_residual(spec, 2, 4, table) == expected
+    assert sorted(calls) == sorted((n, k) for n in (2, 4) for k in range(len(table)))
+    calls.clear()
+    assert norm_sq(spec, 3, table) == orthogonality_residual(spec, 3, 3, table)
+    assert len(calls) == 2 * len(table)
+
+
+def test_alias_weight_table_is_its_bases():
+    alias = make_family("q_charlier", alpha=1.5, q=0.5)
+    table = weight_table(alias)
+    assert table.family is alias
+    assert table.log_values == weight_table(alias.base).log_values
+    assert gram_offdiag_max(alias, 4, table) == gram_offdiag_max(alias.base, 4)
 
 
 def test_norm_examples():

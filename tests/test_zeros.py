@@ -109,7 +109,7 @@ def test_eq1_degree_one_charlier():
     spec = make_family("charlier", alpha=1.7)
     pr = ZeroProblem(spec, 1)
     zs = find_zeros(pr)
-    rep = eq1_consistency(pr, zs)
+    rep = eq1_consistency(zs)
     assert rep.f_values[0] == pytest.approx(1.0, rel=1e-10)
     assert rep.residuals[0] < 1e-10
     assert not rep.flagged
@@ -119,7 +119,7 @@ def test_eq1_hahn_degree_two():
     spec = make_family("hahn", alpha=0.0, beta=0.0, N=5)
     pr = ZeroProblem(spec, 2)
     zs = find_zeros(pr)
-    rep = eq1_consistency(pr, zs)
+    rep = eq1_consistency(zs)
     assert max(rep.residuals) < 1e-10
 
 
@@ -130,7 +130,7 @@ def test_eq1_flags_inconsistent_tables():
     zs = find_zeros(pr)
     # degree-1 zero at 1 - alpha q
     assert zs.zeros_X[0] == pytest.approx(1.0 - alpha * q, rel=1e-10)
-    rep = eq1_consistency(pr, zs)
+    rep = eq1_consistency(zs)
     assert rep.flagged
     # tabulated ratio evaluates to -1/(q(1-alpha q)); the three-point value is 1/q
     assert rep.f_values[0] == pytest.approx(-1.0 / (q * (1 - alpha * q)), rel=1e-9)
@@ -140,7 +140,7 @@ def test_eq1_flags_inconsistent_tables():
     pr = ZeroProblem(qb, 1)
     zs = find_zeros(pr)
     assert zs.zeros_X[0] == pytest.approx(1.0 / (1 + 1.3 * 0.5), rel=1e-10)
-    rep = eq1_consistency(pr, zs)
+    rep = eq1_consistency(zs)
     assert rep.flagged
     assert rep.rhs_values[0] == pytest.approx(1.0 / 0.5, rel=1e-9)
 
@@ -152,7 +152,7 @@ def test_eq1_consistent_across_catalog():
             continue
         spec = make_family(kind, sample_params(kind, rng))
         pr = ZeroProblem(spec, min(3, spec.degree_max))
-        rep = eq1_consistency(pr, find_zeros(pr))
+        rep = eq1_consistency(find_zeros(pr))
         assert not rep.flagged, (kind, rep.residuals)
 
 
