@@ -49,9 +49,6 @@ from .qseries import _EXACT, binom2, exact_summation, hyper_sum, q_pochhammer, q
 INFINITE_DEGREE_CAP = 30
 MAX_FINITE_SUPPORT = 60
 
-# samples per array pass of the float series in eval_at_s_many
-_CHUNK = 512
-
 # imaginary step of f_partials; h*f1 stays a normal float down to |f1| ~ 2e-288
 _STEP = 1e-20
 
@@ -146,7 +143,7 @@ class FamilySpec:
             raise self._overflow(n, s) from exc
 
     def eval_at_s_many(self, n: int, ss) -> list[float]:
-        """eval_at_s at every s, as array passes of the float series.
+        """eval_at_s at every s, in one array pass of the float series.
 
         Each value is eval_at_s's bit for bit, and the error raised is the one
         the per-sample loop meets first: the first sample goes through
@@ -154,20 +151,19 @@ class FamilySpec:
         prefactor and series errors, which no later sample escapes; then the
         first overflow of x(s) at a later sample.
         """
-        if _EXACT.get():  # the exact sums take one rational point at a time
+        # the exact sums take one rational point at a time; one sample needs no array
+        if _EXACT.get() or len(ss) < 2:
             return [self.eval_at_s(n, s) for s in ss]
-        out = [self.eval_at_s(n, s) for s in ss[:1]]
-        for i in range(1, len(ss), _CHUNK):
-            xs = []
-            for s in ss[i : i + _CHUNK]:
-                try:
-                    xs.append(self.zero_scale * self.grid.x_raw(s))
-                except OverflowError as exc:
-                    raise self._overflow(n, s) from exc
-            X = np.array(xs)
-            with np.errstate(all="ignore"):
-                out += np.broadcast_to(self.eval_poly(n, X), X.shape).tolist()
-        return out
+        out = [self.eval_at_s(n, ss[0])]
+        xs = []
+        for s in ss[1:]:
+            try:
+                xs.append(self.zero_scale * self.grid.x_raw(s))
+            except OverflowError as exc:
+                raise self._overflow(n, s) from exc
+        X = np.array(xs)
+        with np.errstate(all="ignore"):
+            return out + np.broadcast_to(self.eval_poly(n, X), X.shape).tolist()
 
     def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(

@@ -48,36 +48,6 @@ class Grid:
         else:
             raise DomainError(f"unknown lattice tag {self.tag!r}")
 
-    @classmethod
-    def linear(cls) -> "Grid":
-        """X = s."""
-        return cls(LINEAR)
-
-    @classmethod
-    def quadratic(cls) -> "Grid":
-        """X = s(s+1), strictly increasing on s > -1/2."""
-        return cls(QUADRATIC)
-
-    @classmethod
-    def q_exp_neg(cls, q: float) -> "Grid":
-        """X = q^-s, strictly increasing."""
-        return cls(Q_EXP_NEG, q)
-
-    @classmethod
-    def q_exp(cls, q: float) -> "Grid":
-        """X = q^s, strictly decreasing."""
-        return cls(Q_EXP, q)
-
-    @classmethod
-    def q_symmetric(cls, q: float) -> "Grid":
-        """X = (q^s + q^-s)/2, strictly increasing on s >= 0."""
-        return cls(Q_SYMMETRIC, q)
-
-    @classmethod
-    def q_antisymmetric(cls, q: float) -> "Grid":
-        """X = (q^-s - q^s)/2, strictly increasing."""
-        return cls(Q_ANTISYMMETRIC, q)
-
     @property
     def increasing(self) -> bool:
         return self.tag != Q_EXP

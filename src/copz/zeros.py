@@ -1,11 +1,11 @@
 """Zero computation by sign-change bracketing in s, plus zero-set diagnostics.
 
 Consecutive zeros of these polynomials sit more than one lattice unit apart in
-s wherever the coefficient ratio is positive on the zero set, so sampling at
-step 1/2 brackets every zero; the scan still refines to steps 1/4 and 1/8
-before declaring a count failure.  Each scan evaluates all its samples in one
-array pass of the float series; bisection runs in the s variable one value at
-a time and maps to X at the end.
+s wherever the coefficient ratio is positive on the zero set, on finite and
+infinite supports alike, so sampling at step 1/2 brackets every zero; the
+scan still refines to steps 1/4 and 1/8 before declaring a count failure.
+Each scan evaluates all its samples in one array pass of the float series;
+bisection runs in the s variable one value at a time and maps to X at the end.
 """
 
 from __future__ import annotations
@@ -53,18 +53,19 @@ class ZeroSet:
 
 def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
     """Sample the degree-n polynomial on [lo, hi] in s and return zero brackets
-    as (sl, sr, gl, gr) tuples.
+    as (sl, sr, gl, gr) tuples, in increasing s.
 
-    The samples are evaluated together, in array passes of the float series.
+    The samples are evaluated together, in one array pass of the float series.
     A sample within the node tolerance of zero (relative to its neighbors)
     counts as a width-zero bracket; its gl and gr carry the neighbors'
-    magnitude, the local scale its residual is measured against.
+    magnitude, the local scale its residual is measured against.  No sign
+    change is paired across it.
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     vs = spec.eval_at_s_many(n, ss)
     brackets = []
-    prev_i = None  # last sample with a definite sign
+    prev_i = None  # last sample with a definite sign since the last node zero
     for i, v in enumerate(vs):
         nbr = max(
             abs(vs[i - 1]) if i > 0 else 0.0,
@@ -72,13 +73,10 @@ def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
         )
         if v == 0.0 or abs(v) < _NODE_TOL * nbr:
             brackets.append((ss[i], ss[i], nbr, nbr))
+            prev_i = None
             continue
-        if prev_i is not None:
-            # skip pairs separated by a node zero; that zero is already counted
-            if vs[prev_i] * v < 0.0 and not any(
-                b[0] == b[1] and ss[prev_i] < b[0] < ss[i] for b in brackets
-            ):
-                brackets.append((ss[prev_i], ss[i], vs[prev_i], v))
+        if prev_i is not None and vs[prev_i] * v < 0.0:
+            brackets.append((ss[prev_i], ss[i], vs[prev_i], v))
         prev_i = i
     return brackets
 
@@ -110,10 +108,14 @@ def _bisect(g, lo: float, hi: float, glo: float, ghi: float) -> tuple[float, flo
 def find_zeros(problem: ZeroProblem) -> ZeroSet:
     """Locate all ``problem.degree`` zeros of the polynomial.
 
-    Finite supports are scanned over (a, b-1); infinite supports use a window
-    grown geometrically until all sign changes are found and the window end
-    clears the last one by at least five separation units.  Raises
-    ZeroCountError with scan diagnostics when the count cannot be made exact.
+    The scan window starts at the support start a.  On a finite support it is
+    (a, b-1), the support less its top point, and is scanned once.  On an
+    infinite support it starts as a + max(6, 2n+4) and doubles, up to a width
+    of _MAX_WINDOW, while the step-1/2 scan finds fewer than n sign changes or
+    n of them without five separation units of clearance past the last.  The
+    final window is rescanned at steps 1/4 and 1/8 while fewer than n are
+    found.  Raises ZeroCountError with the window width and the count at each
+    step scanned when the count is not n.
     """
     fam = problem.family
     base = fam.resolve_base()
@@ -123,49 +125,28 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         return base.eval_at_s(n, s)
 
     a = fam.support_start
-    diagnostics: dict = {"kind": fam.kind, "degree": n}
-    if fam.is_finite:
-        hi = fam.support_end - 1.0
-        brackets = _scan(base, n, a, hi, _STEPS[0])
-        diagnostics[f"count_at_step_{_STEPS[0]}"] = len(brackets)
-        for step in _STEPS[1:]:
-            # finer sampling can only reveal missed pairs, never remove changes
-            if len(brackets) >= n:
-                break
-            brackets = _scan(base, n, a, hi, step)
-            diagnostics[f"count_at_step_{step}"] = len(brackets)
-        if len(brackets) != n:
-            raise ZeroCountError(
-                f"{fam.kind}: found {len(brackets)} sign changes, expected {n}",
-                diagnostics,
-            )
+    if fam.is_finite:  # doubling would leave the support at once
+        hi = top = fam.support_end - 1.0
     else:
-        width = max(6.0, 2.0 * n + 4.0)
-        while True:
-            hi = a + width
-            brackets = _scan(base, n, a, hi, _STEPS[0])
-            if len(brackets) > n:
-                diagnostics["count"] = len(brackets)
-                raise ZeroCountError(
-                    f"{fam.kind}: found {len(brackets)} sign changes, expected {n}",
-                    diagnostics,
-                )
-            if len(brackets) == n and hi > brackets[-1][1] + 5.0:
-                break
-            width *= 2.0
-            if width > _MAX_WINDOW:
-                for step in _STEPS[1:]:
-                    brackets = _scan(base, n, a, hi, step)
-                    if len(brackets) == n:
-                        break
-                if len(brackets) == n:
-                    break
-                diagnostics["count"] = len(brackets)
-                diagnostics["window"] = width
-                raise ZeroCountError(
-                    f"{fam.kind}: window grew to {width} with {len(brackets)} sign changes, expected {n}",
-                    diagnostics,
-                )
+        hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
+    while True:
+        brackets = _scan(base, n, a, hi, _STEPS[0])
+        found, wider = len(brackets), a + 2.0 * (hi - a)
+        if wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
+            break
+        hi = wider
+    diagnostics = {"kind": fam.kind, "degree": n, "window": hi - a}
+    diagnostics[f"count_at_step_{_STEPS[0]}"] = len(brackets)
+    for step in _STEPS[1:]:
+        # finer sampling can only reveal missed pairs, never remove changes
+        if len(brackets) >= n:
+            break
+        brackets = _scan(base, n, a, hi, step)
+        diagnostics[f"count_at_step_{step}"] = len(brackets)
+    if len(brackets) != n:
+        raise ZeroCountError(
+            f"{fam.kind}: found {len(brackets)} sign changes, expected {n}", diagnostics
+        )
 
     zs: list[float] = []
     widths: list[float] = []
@@ -176,10 +157,6 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         widths.append(w)
         local = max(abs(gl), abs(gr), 1e-300)
         residuals.append(abs(g(z)) / local)
-    order = sorted(range(n), key=lambda i: zs[i])
-    zs = [zs[i] for i in order]
-    widths = [widths[i] for i in order]
-    residuals = [residuals[i] for i in order]
     xs = [fam.zero_scale * fam.grid.x_raw(z) for z in zs]
     return ZeroSet(problem, tuple(zs), tuple(xs), tuple(residuals), tuple(widths))
 

@@ -34,7 +34,7 @@ from copz import (
     zero_derivatives_fd,
 )
 from copz.cli import main as cli_main
-from copz.grid import Grid
+from copz.grid import QUADRATIC, Q_ANTISYMMETRIC, Q_SYMMETRIC, Grid
 from copz.qseries import (
     chu_vandermonde,
     hyper_sum,
@@ -177,20 +177,20 @@ def test_criterion_04_lattice_curvature_closed_forms():
     in_interval = True
     for _ in range(50):
         yj, yk = rng.uniform(0.2, 9.0), rng.uniform(0.2, 9.0)
-        gq = Grid.quadratic()
+        gq = Grid(QUADRATIC)
         worst_q = max(
             worst_q,
             abs(b_entry(gq, yj, yk) - b_quadratic_closed(yj, yk))
             / abs(b_quadratic_closed(yj, yk)),
         )
         q = rng.uniform(0.35, 0.95)
-        gs = Grid.q_symmetric(q)
+        gs = Grid(Q_SYMMETRIC, q)
         yj2, yk2 = rng.uniform(0.7, 8.0), rng.uniform(0.7, 8.0)
         closed = b_symmetric_closed(gs.theta, yj2, yk2)
         worst_s = max(worst_s, abs(b_entry(gs, yj2, yk2) - closed) / abs(closed))
         # the containment needs a moderate rate: |b| <= 4*theta*tanh(theta)
         qa = rng.uniform(0.45, 0.95)
-        ga = Grid.q_antisymmetric(qa)
+        ga = Grid(Q_ANTISYMMETRIC, qa)
         yj3, yk3 = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
         val = b_entry(ga, yj3, yk3)
         closed_a = b_antisymmetric_closed(ga.theta, yj3, yk3)

@@ -439,7 +439,7 @@ def _per_sample(spec, n, ss):
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_eval_at_s_many_matches_eval_at_s_bit_for_bit(kind):
     # aliases evaluate through their base, q_racah and dual_q_hahn through the
-    # q-symmetric atoms; 700 samples span two array passes
+    # q-symmetric atoms; 700 samples, past the ends of the support too
     spec = make_family(kind, sample_params(kind, random.Random(f"many/{kind}")))
     lo = spec.support_start
     hi = spec.support_end - 1.0 if spec.is_finite else lo + 60.0
@@ -469,7 +469,7 @@ def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
         # the prefactor, then a later sample's overflow
         ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30, [0.0, 400.0],
          "EvaluationOverflowError"),
-        # a later sample's overflow, beyond the first array pass
+        # a later sample's overflow, after a thousand finite samples
         ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 3,
          [0.2 * i for i in range(1000)] + [300.0, 400.0], "EvaluationOverflowError"),
         # an alias with a prefactor of its own over its base's lattice

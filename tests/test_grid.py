@@ -5,59 +5,60 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from copz import DomainError, Grid
+from copz.grid import LINEAR, QUADRATIC, Q_ANTISYMMETRIC, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC
 
 ALL_GRIDS = [
-    Grid.linear(),
-    Grid.quadratic(),
-    Grid.q_exp_neg(0.5),
-    Grid.q_exp(0.5),
-    Grid.q_symmetric(0.5),
-    Grid.q_antisymmetric(0.5),
+    Grid(LINEAR),
+    Grid(QUADRATIC),
+    Grid(Q_EXP_NEG, 0.5),
+    Grid(Q_EXP, 0.5),
+    Grid(Q_SYMMETRIC, 0.5),
+    Grid(Q_ANTISYMMETRIC, 0.5),
 ]
 
 
 def test_pointwise_values():
-    assert Grid.quadratic().x(2.0) == 6.0
-    assert Grid.q_symmetric(0.37).x(0.0) == 1.0
-    assert Grid.linear().x(3.5) == 3.5
+    assert Grid(QUADRATIC).x(2.0) == 6.0
+    assert Grid(Q_SYMMETRIC, 0.37).x(0.0) == 1.0
+    assert Grid(LINEAR).x(3.5) == 3.5
 
 
 def test_inverse_values():
-    assert Grid.quadratic().x_inverse(6.0) == pytest.approx(2.0, rel=1e-14)
-    assert Grid.q_exp_neg(0.5).x_inverse(4.0) == pytest.approx(2.0, rel=1e-14)
-    assert Grid.q_symmetric(0.5).x_inverse(1.0) == 0.0
+    assert Grid(QUADRATIC).x_inverse(6.0) == pytest.approx(2.0, rel=1e-14)
+    assert Grid(Q_EXP_NEG, 0.5).x_inverse(4.0) == pytest.approx(2.0, rel=1e-14)
+    assert Grid(Q_SYMMETRIC, 0.5).x_inverse(1.0) == 0.0
 
 
 def test_derivative_values():
-    assert Grid.quadratic().dx_ds(1.0) == 3.0
-    assert Grid.linear().dx_ds(123.4) == 1.0
-    assert Grid.q_symmetric(0.5).dx_ds(0.0) == 0.0
+    assert Grid(QUADRATIC).dx_ds(1.0) == 3.0
+    assert Grid(LINEAR).dx_ds(123.4) == 1.0
+    assert Grid(Q_SYMMETRIC, 0.5).dx_ds(0.0) == 0.0
 
 
 def test_forward_difference_values():
-    assert Grid.linear().delta_x(7.0) == 1.0
-    assert Grid.quadratic().delta_x(2.0) == 6.0
-    assert Grid.q_exp_neg(0.5).delta_x(0.0) == pytest.approx(1.0, rel=1e-15)
+    assert Grid(LINEAR).delta_x(7.0) == 1.0
+    assert Grid(QUADRATIC).delta_x(2.0) == 6.0
+    assert Grid(Q_EXP_NEG, 0.5).delta_x(0.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_half_step_difference():
-    g = Grid.quadratic()
+    g = Grid(QUADRATIC)
     assert g.delta_x_half(2.0) == pytest.approx(g.x_raw(2.5) - g.x_raw(1.5), rel=1e-15)
 
 
 def test_domain_violations():
     with pytest.raises(DomainError):
-        Grid.quadratic().x(-0.75)
+        Grid(QUADRATIC).x(-0.75)
     with pytest.raises(DomainError):
-        Grid.q_symmetric(0.5).x(-0.5)
+        Grid(Q_SYMMETRIC, 0.5).x(-0.5)
     with pytest.raises(DomainError):
-        Grid.q_exp_neg(1.5)
+        Grid(Q_EXP_NEG, 1.5)
     with pytest.raises(DomainError):
-        Grid.quadratic().x_inverse(-1.0)
+        Grid(QUADRATIC).x_inverse(-1.0)
     with pytest.raises(DomainError):
-        Grid.q_exp(0.5).x_inverse(-0.1)
+        Grid(Q_EXP, 0.5).x_inverse(-0.1)
     with pytest.raises(DomainError):
-        Grid.q_symmetric(0.5).x_inverse(0.5)
+        Grid(Q_SYMMETRIC, 0.5).x_inverse(0.5)
 
 
 def _domain_points(grid):
@@ -101,9 +102,9 @@ def test_derivative_matches_finite_difference(grid):
 @example(s=1.1567377555104551e-07, q=0.875)
 @example(s=19.53125, q=0.1)  # one ulp of s is 68 ulps of X here
 def test_quadratic_and_symmetric_round_trip_property(s, q):
-    gq = Grid.quadratic()
+    gq = Grid(QUADRATIC)
     assert gq.x_inverse(gq.x(s)) == pytest.approx(s, rel=1e-12, abs=1e-9)
-    gs = Grid.q_symmetric(q)
+    gs = Grid(Q_SYMMETRIC, q)
     sp = abs(s)
     X = gs.x(sp)
     back = gs.x_inverse(X)
@@ -115,10 +116,10 @@ def test_quadratic_and_symmetric_round_trip_property(s, q):
 
 
 def test_theta_relation():
-    g = Grid.q_symmetric(0.4)
+    g = Grid(Q_SYMMETRIC, 0.4)
     assert math.exp(-2.0 * g.theta) == pytest.approx(0.4, rel=1e-15)
     # cosh profile in s with rate 2*theta
     s = 1.7
     assert g.x(s) == pytest.approx(math.cosh(2.0 * g.theta * s), rel=1e-14)
-    ga = Grid.q_antisymmetric(0.4)
+    ga = Grid(Q_ANTISYMMETRIC, 0.4)
     assert ga.x(s) == pytest.approx(math.sinh(2.0 * ga.theta * s), rel=1e-14)

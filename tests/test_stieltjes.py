@@ -15,6 +15,7 @@ from copz import (
     sample_params,
     zero_derivatives_fd,
 )
+from copz.grid import LINEAR, QUADRATIC, Q_ANTISYMMETRIC, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC
 from copz.stieltjes import (
     b_antisymmetric_closed,
     b_entry,
@@ -84,7 +85,7 @@ def test_single_zero_system_charlier():
 
 
 def test_b_entries_quadratic_closed_form():
-    g = Grid.quadratic()
+    g = Grid(QUADRATIC)
     rng = random.Random(3)
     for _ in range(60):
         yj = rng.uniform(0.2, 9.0)
@@ -98,7 +99,7 @@ def test_b_entries_symmetric_closed_form():
     rng = random.Random(4)
     for _ in range(60):
         q = rng.uniform(0.3, 0.95)
-        g = Grid.q_symmetric(q)
+        g = Grid(Q_SYMMETRIC, q)
         yj = rng.uniform(0.7, 9.0)
         yk = rng.uniform(0.7, 9.0)
         assert b_entry(g, yj, yk) == pytest.approx(
@@ -111,7 +112,7 @@ def test_b_entries_antisymmetric_in_unit_interval():
     rng = random.Random(6)
     for _ in range(60):
         q = rng.uniform(0.45, 0.95)
-        g = Grid.q_antisymmetric(q)
+        g = Grid(Q_ANTISYMMETRIC, q)
         yj = rng.uniform(-6.0, 6.0)
         yk = rng.uniform(-6.0, 6.0)
         val = b_entry(g, yj, yk)
@@ -121,7 +122,7 @@ def test_b_entries_antisymmetric_in_unit_interval():
 
 
 def test_b_entries_vanish_on_exponential_lattices():
-    for g in (Grid.linear(), Grid.q_exp_neg(0.5), Grid.q_exp(0.5)):
+    for g in (Grid(LINEAR), Grid(Q_EXP_NEG, 0.5), Grid(Q_EXP, 0.5)):
         assert b_entry(g, 2.3, 4.9) == pytest.approx(0.0, abs=1e-12)
 
 

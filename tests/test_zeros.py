@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,41 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
     raised = {g[0] for g in got if isinstance(g[0], type)}
     assert {copz.ZeroCountError, copz.EvaluationOverflowError} <= raised
     assert sum(isinstance(g[0], ZeroProblem) for g in got) >= 25
+
+
+# ---------------------------------------------------------------------------
+# find_zeros against outcomes recorded before the two support branches merged
+# ---------------------------------------------------------------------------
+
+#: the oracle problems above, the zeros_high_degree seed-1 benchmark cases that
+#: reach the largest window or steps 1/4 and 1/8, and the meixner draw of
+#: `verify-all --seed 20`, which needs its window doubled twice
+ZERO_OUTCOMES = json.loads((Path(__file__).parent / "data" / "zero_outcomes.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", ZERO_OUTCOMES, ids=[f"{c['kind']}-{c['n']}-{i}" for i, c in enumerate(ZERO_OUTCOMES)]
+)
+def test_find_zeros_matches_recorded_outcomes(case):
+    params = {k: float.fromhex(v) if isinstance(v, str) else v for k, v in case["params"].items()}
+    problem = ZeroProblem(make_family(case["kind"], params), case["n"])
+    fields = ("zeros_s", "zeros_X", "residuals", "bracket_widths")
+    try:
+        zs = find_zeros(problem)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        assert type(exc).__name__ == case.get("raises"), exc
+        return
+    assert "raises" not in case
+    assert {f: [v.hex() for v in getattr(zs, f)] for f in fields} == {f: case[f] for f in fields}
+
+
+def test_failed_window_growth_reports_the_scans_it_ran():
+    # the flagged q-Bessel table keeps 27 sign changes at every window up to
+    # the largest; the count failure quotes the step-1/4 scan of that window
+    with pytest.raises(copz.ZeroCountError, match="^q_bessel: found 39 sign changes, expected 30$") as err:
+        find_zeros(ZeroProblem(make_family("q_bessel", alpha=1.0, q=0.95), 30))
+    diag = err.value.diagnostics
+    assert diag["window"] == 4096.0
+    assert diag["count_at_step_0.5"] == 27
+    assert diag["count_at_step_0.25"] == 39
+    assert "count_at_step_0.125" not in diag
