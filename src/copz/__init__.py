@@ -54,7 +54,6 @@ from .weights import (
     WeightTable,
     boundary_check,
     gram_offdiag_max,
-    norm_sq,
     orthogonality_residual,
     pearson_residual_max,
     weight_table,
@@ -104,7 +103,6 @@ __all__ = [
     "interlace_check",
     "make_family",
     "monotonicity_verdict",
-    "norm_sq",
     "orthogonality_residual",
     "pearson_residual_max",
     "pochhammer",

@@ -276,13 +276,16 @@ def _verify_one(spec, n: int, quick: bool, lines: list[str]) -> bool:
     else:
         lines.append(f"[{label}] eq1: PASS (max residual {_fmt(max(eq1.residuals))})")
 
+    # the table covers every Gram degree checked; verify-all (kmax 3) keeps its degree-4 margin
+    kmax = min(3 if quick else 5, spec.degree_max)
+    hint = max(kmax, 4)
     try:
-        table = weight_table(spec, degree_hint=4)
+        table = weight_table(spec, degree_hint=hint)
         weights_ok = True
     except WeightPositivityError as exc:
         weights_ok = False
         try:
-            weight_table(spec, degree_hint=4, allow_sign_flip=True)
+            weight_table(spec, degree_hint=hint, allow_sign_flip=True)
             note = "flagged; |ratio| fallback table built"
         except (TruncationError, WeightPositivityError):
             note = "flagged; |ratio| fallback diverges"
@@ -290,8 +293,6 @@ def _verify_one(spec, n: int, quick: bool, lines: list[str]) -> bool:
             f"[{label}] weights: INCONSISTENT sign at s={_fmt(exc.s)} ({note})"
         )
     if weights_ok:
-        kmax = 3 if quick else 5
-        kmax = min(kmax, spec.degree_max)
         gram = gram_offdiag_max(spec, kmax, table)
         pearson = pearson_residual_max(spec, table)
         good = gram < 1e-8 and pearson < 1e-12

@@ -170,10 +170,18 @@ class FamilySpec:
             f"{self.kind}: the degree-{n} value at s={s!r} overflows the float range"
         )
 
+    def _ab_overflow(self, s: float) -> EvaluationOverflowError:
+        return EvaluationOverflowError(
+            f"{self.kind}: the coefficients A, B at s={s!r} overflow the float range"
+        )
+
     def coeffs_AB(self, s: float) -> tuple[float, float]:
         """The three-point coefficients (A, B) at s in the canonical scaling."""
         base = self.resolve_base()
-        return _CATALOG[base.kind].ab(base.params, s)
+        try:
+            return _CATALOG[base.kind].ab(base.params, s)
+        except OverflowError as exc:
+            raise self._ab_overflow(s) from exc
 
     def monotonicity_f(self, s: float) -> float:
         """The coefficient ratio f = B/A whose signs steer the zero motion."""
@@ -201,7 +209,10 @@ class FamilySpec:
         kind, entry = self.kind, _CATALOG[self.kind]
         if entry.alias_map is not None:
             kind, params = entry.alias_map(params)
-        A, B = _CATALOG[kind].ab(params, s)
+        try:
+            A, B = _CATALOG[kind].ab(params, s)
+        except OverflowError as exc:
+            raise self._ab_overflow(s.real) from exc
         return B / A
 
     def k_interval(self) -> tuple[float, float]:
@@ -1221,6 +1232,9 @@ def make_family(kind: str, params: Mapping[str, float] | None = None, **kw) -> F
     for name, text, holds in entry.checks:
         if not holds(p):
             raise DomainError(f"{key}: {name} must satisfy {text} (got {p[name]!r})")
+    for name, v in p.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{key}: {name} must be finite (got {v!r})")
     if entry.alias_map is not None:
         base = make_family(*entry.alias_map(p))
         return replace(base, kind=key, params=p, base=base, zero_scale=entry.zero_scale(p))
@@ -1250,10 +1264,12 @@ def eval_exact_at_support(family: FamilySpec, n: int, k: int) -> float:
     base = family.resolve_base()
     entry = _CATALOG[base.kind]
     try:
+        # an alias scales its base's value by its own prefactor, as in eval_poly
+        outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, n)
         pref = entry.prefactor(base.params, n)
         p, x = _exact_atoms(base, k)
         with exact_summation():
-            return pref * entry.series(p, n, x)
+            return outer * (pref * entry.series(p, n, x))
     except OverflowError as exc:
         raise family._overflow(n, family.support_start + k) from exc
 

@@ -31,6 +31,7 @@ class WeightTable:
     family: FamilySpec
     start: float
     log_values: tuple[float, ...]
+    log_measures: tuple[float, ...]  # log w(s) + log|dx(s-1/2)|, the measure sums use
     truncation_bound: float
     sign_flipped: bool
     flipped_at: tuple[float, ...]
@@ -43,10 +44,6 @@ class WeightTable:
 
     def weight(self, k: int) -> float:
         return math.exp(self.log_values[k])
-
-    def log_measure(self, k: int) -> float:
-        s = self.s_at(k)
-        return self.log_values[k] + math.log(abs(self.family.grid.delta_x_half(s)))
 
 
 def _ratio_terms(family: FamilySpec, s: float) -> tuple[float, float]:
@@ -65,89 +62,74 @@ def weight_ratio(family: FamilySpec, s: float) -> float:
     return num / den
 
 
+def _mass_tail(log_mu: float, r: float) -> float:
+    """The geometric tail mu r / (1 - r) past a point of measure mu = exp(log_mu)."""
+    return math.exp(log_mu + math.log(r) - math.log1p(-r)) if r < 1.0 else math.inf
+
+
 def weight_table(
     family: FamilySpec, degree_hint: int = 8, allow_sign_flip: bool = False
 ) -> WeightTable:
-    """Tabulate the weight over the support.
+    """Tabulate the weight and its measure over the support in one walk.
 
-    ``degree_hint`` widens the truncation margin of infinite tables so that
-    orthogonality sums of polynomials up to that degree are covered.
+    A finite table covers the N support points.  An infinite table stops
+    2*max(1, degree_hint) points past the first point where both the mass
+    tail and the tail weighted by max(1, |X|)^(2*degree_hint) drop below the
+    relative bound.  That margin covers pairing sums up to degree
+    ``degree_hint``: on decreasing lattices the polynomials tend to 1 in the
+    tail while high-degree norms are tiny.
     """
     g = family.grid
     a = family.support_start
-    logs = [0.0]
-    flipped_at: list[float] = []
-
-    def push(s: float) -> None:
-        r = weight_ratio(family, s)
-        if r <= 0.0 or math.isinf(r):
-            if not allow_sign_flip or r == 0.0 or math.isinf(r):
-                raise WeightPositivityError(s, r)
-            flipped_at.append(s)
-            r = -r
-        logs.append(logs[-1] + math.log(r))
-        if logs[-1] > 600.0:
-            raise TruncationError(
-                f"{family.kind}: weight magnitude overflow (log w = {logs[-1]:.1f} at s={s + 1})"
-            )
-
-    if family.is_finite:
-        npts = int(round(family.support_end - a))
-        for k in range(npts - 1):
-            push(a + k)
-        return WeightTable(family, a, tuple(logs), 0.0, bool(flipped_at), tuple(flipped_at))
-
-    # infinite support: extend until both the mass tail and the tail weighted
-    # by max(1, |X|)^(2*degree_hint) drop below the relative bound
-    power = 2.0 * max(1, degree_hint)
-
-    def heavy(k: int) -> float:
-        s = a + k
-        logmu = logs[k] + math.log(abs(g.delta_x_half(s)))
-        return logmu + power * math.log(max(1.0, abs(g.x_raw(s))))
-
+    margin = 2 * max(1, degree_hint)
+    stop = int(round(family.support_end - a)) - 1 if family.is_finite else None
+    logs, log_measures, flipped_at = [], [], []
     mass_partial = Neumaier()
-    mass_partial.add(math.exp(logs[0] + math.log(abs(g.delta_x_half(a)))))
-    heavy_max = heavy(0)
-    prev_heavy = heavy_max
-    k = 0
-    # extra geometric-decay margin past the bound: on decreasing lattices the
-    # polynomials tend to 1 in the tail while high-degree norms are tiny, so
-    # pairing sums need the tail pushed well below the plain mass criterion
-    padding = 2 * max(1, degree_hint)
-    pad_left = None
-    while True:
-        if k + 1 >= _MAX_POINTS:
-            raise TruncationError(
-                f"{family.kind}: weight table exceeded {_MAX_POINTS} points without meeting its tail bound"
-            )
-        push(a + k)
-        k += 1
-        logmu = logs[k] + math.log(abs(g.delta_x_half(a + k)))
-        if logmu > 600.0:
-            raise TruncationError(
-                f"{family.kind}: weight measure diverges (log mass {logmu:.1f} at s={a + k})"
-            )
-        mass_partial.add(math.exp(logmu))
-        h = heavy(k)
-        heavy_max = max(heavy_max, h)
-        rh = math.exp(min(h - prev_heavy, 0.0)) if h < prev_heavy else 1.0
-        prev_heavy = h
-        if pad_left is not None:
-            pad_left -= 1
-            if pad_left <= 0:
-                mass_tail = math.exp(logmu + math.log(rh) - math.log1p(-rh)) if rh < 1.0 else math.inf
-                bound = mass_tail / mass_partial.value
-                return WeightTable(
-                    family, a, tuple(logs), bound, bool(flipped_at), tuple(flipped_at)
+    heavy_max = prev_heavy = -math.inf
+    log_w = 0.0
+    for k in range(_MAX_POINTS):
+        if k:
+            s = a + (k - 1)
+            r = weight_ratio(family, s)
+            if r <= 0.0 or math.isinf(r):
+                if not allow_sign_flip or r == 0.0 or math.isinf(r):
+                    raise WeightPositivityError(s, r)
+                flipped_at.append(s)
+                r = -r
+            log_w += math.log(r)
+            if log_w > 600.0:
+                raise TruncationError(
+                    f"{family.kind}: weight magnitude overflow (log w = {log_w:.1f} at s={s + 1})"
                 )
-            continue
-        if rh < 0.999:
-            tail_log = h + math.log(rh) - math.log1p(-rh)
-            if tail_log <= heavy_max + math.log(_TAIL_REL):
-                mass_tail = math.exp(logmu + math.log(rh) - math.log1p(-rh))
-                if mass_tail / mass_partial.value <= _TAIL_REL:
-                    pad_left = padding
+        s = a + k
+        # a zero step at s = a is a coefficient pole, which the next ratio reports
+        dx = abs(g.delta_x_half(s))
+        logmu = log_w + (math.log(dx) if dx else -math.inf)
+        logs.append(log_w)
+        log_measures.append(logmu)
+        if not family.is_finite:
+            if logmu > 600.0:
+                raise TruncationError(
+                    f"{family.kind}: weight measure diverges (log mass {logmu:.1f} at s={s})"
+                )
+            mass_partial.add(math.exp(logmu))
+            h = logmu + margin * math.log(max(1.0, abs(g.x_raw(s))))
+            heavy_max = max(heavy_max, h)
+            rh = math.exp(h - prev_heavy) if h < prev_heavy else 1.0
+            prev_heavy = h
+            if stop is None and rh < 0.999:
+                if h + math.log(rh) - math.log1p(-rh) <= heavy_max + math.log(_TAIL_REL):
+                    if _mass_tail(logmu, rh) / mass_partial.value <= _TAIL_REL:
+                        stop = k + margin
+        if k == stop:
+            bound = 0.0 if family.is_finite else _mass_tail(logmu, rh) / mass_partial.value
+            flips = tuple(flipped_at)
+            return WeightTable(
+                family, a, tuple(logs), tuple(log_measures), bound, bool(flips), flips
+            )
+    raise TruncationError(
+        f"{family.kind}: weight table exceeded {_MAX_POINTS} points without meeting its tail bound"
+    )
 
 
 def _poly_values(family: FamilySpec, table: WeightTable, degree: int) -> list[float]:
@@ -155,9 +137,11 @@ def _poly_values(family: FamilySpec, table: WeightTable, degree: int) -> list[fl
 
     Direct float summation loses all digits near the top lattice points at
     higher degrees (the terminating series cancels by many orders there), so
-    orthogonality sums evaluate through the exact lattice path.
+    orthogonality sums evaluate through the exact lattice path.  An alias
+    pairs its base's values: its prefactor only rescales each degree.
     """
-    return [eval_exact_at_support(family, degree, k) for k in range(len(table))]
+    base = family.resolve_base()
+    return [eval_exact_at_support(base, degree, k) for k in range(len(table))]
 
 
 def _pair_sum_values(
@@ -168,24 +152,17 @@ def _pair_sum_values(
         prod = vm[k] * vn[k]
         if prod == 0.0:
             continue
-        acc.add(math.copysign(math.exp(math.log(abs(prod)) + table.log_measure(k)), prod))
+        acc.add(math.copysign(math.exp(math.log(abs(prod)) + table.log_measures[k]), prod))
     return acc.value
 
 
-def norm_sq(family: FamilySpec, n: int, table: WeightTable | None = None) -> float:
-    """Squared norm of the degree-n polynomial under the positive measure."""
-    if table is None:
-        table = weight_table(family, degree_hint=max(n, 1))
-    v = _poly_values(family, table, n)
-    return _pair_sum_values(table, v, v)
-
-
 def orthogonality_residual(
-    family: FamilySpec, m: int, n: int, table: WeightTable | None = None
+    family: FamilySpec, m: int, n: int, table: WeightTable
 ) -> float:
-    """Normalized pairing of degrees m and n; the m = n case returns the norm squared."""
-    if table is None:
-        table = weight_table(family, degree_hint=max(m, n, 1))
+    """Normalized pairing of degrees m and n; the m = n case returns the norm squared.
+
+    An alias's norm is its base's, in the base family's normalisation.
+    """
     vm = _poly_values(family, table, m)
     if m == n:
         return _pair_sum_values(table, vm, vm)
@@ -196,12 +173,8 @@ def orthogonality_residual(
     )
 
 
-def gram_offdiag_max(
-    family: FamilySpec, kmax: int, table: WeightTable | None = None
-) -> float:
+def gram_offdiag_max(family: FamilySpec, kmax: int, table: WeightTable) -> float:
     """Largest normalized off-diagonal entry of the Gram matrix of degrees 0..kmax."""
-    if table is None:
-        table = weight_table(family, degree_hint=max(kmax, 1))
     values = [_poly_values(family, table, d) for d in range(kmax + 1)]
     norms = [_pair_sum_values(table, v, v) for v in values]
     worst = 0.0
@@ -214,10 +187,8 @@ def gram_offdiag_max(
     return worst
 
 
-def pearson_residual_max(family: FamilySpec, table: WeightTable | None = None) -> float:
+def pearson_residual_max(family: FamilySpec, table: WeightTable) -> float:
     """Largest pointwise residual of the ratio recurrence over the table."""
-    if table is None:
-        table = weight_table(family)
     worst = 0.0
     for k in range(len(table) - 1):
         t2, t1 = _ratio_terms(family, table.s_at(k))

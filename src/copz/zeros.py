@@ -125,14 +125,16 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         return base.eval_at_s(n, s)
 
     a = fam.support_start
-    if fam.is_finite:  # doubling would leave the support at once
-        hi = top = fam.support_end - 1.0
+    # a finite window never grows: doubling would leave the support, and a
+    # window that collapses in float (a + N - 1 == a) would double to itself
+    if fam.is_finite:
+        hi = fam.support_end - 1.0
     else:
         hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
     while True:
         brackets = _scan(base, n, a, hi, _STEPS[0])
         found, wider = len(brackets), a + 2.0 * (hi - a)
-        if wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
+        if fam.is_finite or wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
             break
         hi = wider
     diagnostics = {"kind": fam.kind, "degree": n, "window": hi - a}

@@ -327,3 +327,39 @@ def test_verify_exact_path_overflow_is_invalid_input():
     assert err == (
         "error: quantum_q_krawtchouk: the degree-2 value at s=0.0 overflows the float range\n"
     )
+
+
+def test_verify_coefficient_overflow_is_invalid_input():
+    # q ** (-a - alpha - N) in the q-Racah A, B table leaves the float range
+    code, out, err = run_cli(
+        ["verify", "--family", "q_racah", "--n", "2", "--set", "a=0.9",
+         "--set", "alpha=1e16", "--set", "beta=0.5", "--set", "q=0.6", "--set", "N=7"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: q_racah: the coefficients A, B at s=")
+    assert err.endswith(" overflow the float range\n")
+    assert err.count("\n") == 1
+
+
+def test_verify_sizes_the_weight_table_for_its_gram_degrees(monkeypatch):
+    import copz.cli
+
+    hints, degrees = [], []
+
+    def table(spec, degree_hint, **kw):
+        hints.append(degree_hint)
+        return copz.weight_table(spec, degree_hint=degree_hint, **kw)
+
+    def gram(spec, kmax, t):
+        degrees.append(kmax)
+        return copz.gram_offdiag_max(spec, kmax, t)
+
+    monkeypatch.setattr(copz.cli, "weight_table", table)
+    monkeypatch.setattr(copz.cli, "gram_offdiag_max", gram)
+    code, _, _ = run_cli(
+        ["verify", "--family", "meixner", "--n", "2", "--set", "alpha=0.5", "--set", "beta=1.5"]
+    )
+    assert code == 0
+    assert degrees == [5]
+    assert hints == [5]

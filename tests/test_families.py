@@ -320,16 +320,41 @@ def test_zero_problem_validation():
 
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_exact_and_float_series_agree_at_support_points(kind):
-    # one series feeds both paths: float atoms from X, exact atoms from k
+    # one series feeds both paths: float atoms from X, exact atoms from k;
+    # an alias applies its own prefactor on both
     rng = random.Random(sum(map(ord, kind)))
     for _ in range(5):
-        base = make_family(kind, sample_params(kind, rng)).resolve_base()
-        points = 6 if not base.is_finite else min(6, int(base.support_end - base.support_start))
-        for n in range(min(3, base.degree_max) + 1):
-            for k in range(points):
-                exact = eval_exact_at_support(base, n, k)
-                value = base.eval_at_s(n, base.support_start + k)
-                assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (n, k)
+        spec = make_family(kind, sample_params(kind, rng))
+        points = 6 if not spec.is_finite else min(6, int(spec.support_end - spec.support_start))
+        for fam in (spec,) if spec.base is None else (spec, spec.base):
+            for n in range(min(3, fam.degree_max) + 1):
+                for k in range(points):
+                    exact = eval_exact_at_support(fam, n, k)
+                    value = fam.eval_at_s(n, fam.support_start + k)
+                    assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (fam.kind, n, k)
+
+
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("racah", {"a": math.inf, "alpha": 0.5, "beta": 0.5, "N": 9}, "a"),
+        ("dual_hahn", {"a": math.inf, "alpha": 0.5, "N": 9}, "a"),
+        ("q_racah", {"a": math.inf, "alpha": 0.5, "beta": 0.5, "q": 0.6, "N": 7}, "a"),
+        ("q_racah", {"a": 0.9, "alpha": math.inf, "beta": 0.5, "q": 0.6, "N": 7}, "alpha"),
+        ("dual_q_hahn", {"a": math.inf, "alpha": 0.5, "q": 0.6, "N": 7}, "a"),
+    ],
+)
+def test_infinite_parameters_are_out_of_domain(kind, params, name):
+    with pytest.raises(DomainError, match=f"^{kind}: {name} must be finite \\(got inf\\)$"):
+        make_family(kind, params)
+
+
+def test_coefficient_overflow_is_typed():
+    spec = make_family("q_racah", a=0.9, alpha=1e16, beta=0.5, q=0.6, N=7)
+    with pytest.raises(EvaluationOverflowError, match="^q_racah: the coefficients A, B at s=2.0 "):
+        spec.coeffs_AB(2.0)
+    with pytest.raises(EvaluationOverflowError, match="^q_racah: the coefficients A, B at s=2.0 "):
+        spec.f_partials(2.0, "alpha")
 
 
 @pytest.mark.parametrize(

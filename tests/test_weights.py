@@ -4,12 +4,12 @@ import random
 import pytest
 
 from copz import (
+    SingularityError,
     TruncationError,
     WeightPositivityError,
     boundary_check,
     gram_offdiag_max,
     make_family,
-    norm_sq,
     orthogonality_residual,
     pearson_residual_max,
     sample_params,
@@ -81,7 +81,7 @@ def test_pearson_residual_pointwise():
     rng = random.Random(23)
     for kind in CONSISTENT_KINDS:
         spec = make_family(kind, sample_params(kind, rng))
-        assert pearson_residual_max(spec) < 1e-12
+        assert pearson_residual_max(spec, weight_table(spec)) < 1e-12
 
 
 def test_gram_matrix_diagonal():
@@ -89,15 +89,17 @@ def test_gram_matrix_diagonal():
     for kind in ("hahn", "meixner", "q_hahn", "q_racah", "little_q_jacobi"):
         spec = make_family(kind, sample_params(kind, rng))
         kmax = min(8, spec.degree_max)
-        assert gram_offdiag_max(spec, kmax) < 1e-8
+        table = weight_table(spec, degree_hint=kmax)
+        assert gram_offdiag_max(spec, kmax, table) < 1e-8
 
 
 def test_orthogonality_examples():
     spec = make_family("hahn", alpha=0.0, beta=0.0, N=5)
-    assert orthogonality_residual(spec, 0, 1) < 1e-12
-    assert orthogonality_residual(spec, 1, 1) > 0.0
+    table = weight_table(spec, degree_hint=1)
+    assert orthogonality_residual(spec, 0, 1, table) < 1e-12
+    assert orthogonality_residual(spec, 1, 1, table) > 0.0
     charlier = make_family("charlier", alpha=1.1)
-    assert orthogonality_residual(charlier, 2, 5) < 1e-10
+    assert orthogonality_residual(charlier, 2, 5, weight_table(charlier, degree_hint=5)) < 1e-10
 
 
 def test_orthogonality_residual_evaluates_each_degree_once(monkeypatch):
@@ -114,8 +116,8 @@ def test_orthogonality_residual_evaluates_each_degree_once(monkeypatch):
     assert orthogonality_residual(spec, 2, 4, table) == expected
     assert sorted(calls) == sorted((n, k) for n in (2, 4) for k in range(len(table)))
     calls.clear()
-    assert norm_sq(spec, 3, table) == orthogonality_residual(spec, 3, 3, table)
-    assert len(calls) == 2 * len(table)
+    orthogonality_residual(spec, 3, 3, table)
+    assert sorted(calls) == [(3, k) for k in range(len(table))]
 
 
 def test_alias_weight_table_is_its_bases():
@@ -123,21 +125,27 @@ def test_alias_weight_table_is_its_bases():
     table = weight_table(alias)
     assert table.family is alias
     assert table.log_values == weight_table(alias.base).log_values
-    assert gram_offdiag_max(alias, 4, table) == gram_offdiag_max(alias.base, 4)
+    assert table.log_measures == weight_table(alias.base).log_measures
+    base_table = weight_table(alias.base, degree_hint=4)
+    assert gram_offdiag_max(alias, 4, table) == gram_offdiag_max(alias.base, 4, base_table)
+
+
+def _norm_sq(spec, n):
+    return orthogonality_residual(spec, n, n, weight_table(spec, degree_hint=max(n, 1)))
 
 
 def test_norm_examples():
     alpha = 1.3
     charlier = make_family("charlier", alpha=alpha)
-    assert norm_sq(charlier, 0) == pytest.approx(math.exp(alpha), rel=1e-12)
+    assert _norm_sq(charlier, 0) == pytest.approx(math.exp(alpha), rel=1e-12)
     N = 9
     hahn = make_family("hahn", alpha=0.0, beta=0.0, N=N)
-    assert norm_sq(hahn, 0) == pytest.approx(float(N), rel=1e-14)
+    assert _norm_sq(hahn, 0) == pytest.approx(float(N), rel=1e-14)
     rng = random.Random(31)
     for kind in ("racah", "q_meixner", "dual_q_hahn"):
         spec = make_family(kind, sample_params(kind, rng))
         for n in (0, 1, 3):
-            assert norm_sq(spec, n) > 0.0
+            assert _norm_sq(spec, n) > 0.0
 
 
 def test_boundary_conditions():
@@ -182,3 +190,23 @@ def test_infinite_truncation_error_cap():
     lql = make_family("little_q_laguerre", alpha=1.9, q=0.52)
     with pytest.raises((TruncationError, WeightPositivityError)):
         weight_table(lql, allow_sign_flip=True)
+
+
+def test_log_measures_are_weight_times_step():
+    rng = random.Random(37)
+    for kind in ("hahn", "racah", "meixner", "q_hahn", "little_q_jacobi", "q_racah", "q_charlier"):
+        spec = make_family(kind, sample_params(kind, rng))
+        table = weight_table(spec, degree_hint=3)
+        assert len(table.log_measures) == len(table)
+        for k, lm in enumerate(table.log_measures):
+            step = abs(spec.grid.delta_x_half(table.s_at(k)))
+            assert lm == table.log_values[k] + math.log(step), (kind, k)
+
+
+def test_zero_first_step_is_reported_as_the_coefficient_pole():
+    # a tiny positive a rounds s = a -+ 1/2 to -+1/2, where the even q-symmetric
+    # lattice has dx(a - 1/2) = 0: the first ratio meets the pole of A, B there
+    spec = make_family("q_racah", a=1e-300, alpha=0.2, beta=1e-301, q=0.6, N=6)
+    assert spec.grid.delta_x_half(spec.support_start) == 0.0
+    with pytest.raises(SingularityError, match="coefficient pole at s=1e-300"):
+        weight_table(spec)

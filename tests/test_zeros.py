@@ -299,3 +299,28 @@ def test_failed_window_growth_reports_the_scans_it_ran():
     assert diag["count_at_step_0.5"] == 27
     assert diag["count_at_step_0.25"] == 39
     assert "count_at_step_0.125" not in diag
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("racah", {"a": 1e18, "alpha": 0.5, "beta": 0.5, "N": 9}),
+        ("dual_hahn", {"a": 1e18, "alpha": 0.5, "N": 9}),
+    ],
+)
+def test_collapsed_finite_window_is_scanned_once(monkeypatch, kind, params):
+    # a + N - 1 == a in float: the window (a, b-1) has width 0 and cannot grow
+    spec = make_family(kind, params)
+    assert spec.support_end - 1.0 == spec.support_start
+    scan, calls = copz.zeros._scan, []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 50:
+            raise RuntimeError("the window search does not stop")
+        return scan(*args)
+
+    monkeypatch.setattr(copz.zeros, "_scan", counted)
+    with pytest.raises(copz.ZeroCountError, match=f"^{kind}: found 0 sign changes, expected 2$"):
+        find_zeros(ZeroProblem(spec, 2))
+    assert len(calls) == len(copz.zeros._STEPS)
