@@ -5,7 +5,8 @@ s wherever the coefficient ratio is positive on the zero set, on finite and
 infinite supports alike, so sampling at step 1/2 brackets every zero; the
 scan still refines to steps 1/4 and 1/8 before declaring a count failure.
 Each scan evaluates all its samples in one array pass of the float series;
-bisection runs in the s variable one value at a time and maps to X at the end.
+each bracket is then refined by ITP in the s variable, one value at a time,
+and mapped to X at the end.
 """
 
 from __future__ import annotations
@@ -81,28 +82,50 @@ def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
     return brackets
 
 
-def _bisect(g, lo: float, hi: float, glo: float, ghi: float) -> tuple[float, float]:
+def _itp(g, lo: float, hi: float, glo: float, ghi: float) -> tuple[float, float]:
+    """Refine the bracket [lo, hi], where g changes sign, by ITP; return the
+    zero and the final bracket width.
+
+    ITP (Oliveira & Takahashi, ACM TOMS 2020) steps from the regula falsi
+    point towards the midpoint by kappa1 * width**kappa2, at least eps, and
+    projects the step into a ball about the midpoint that shrinks so that the
+    bracket narrows to 2 eps = _WIDTH_REL * max(1, |s|) within
+    ceil(log2(width / (2 eps))) + n0 calls of g, bisection's count plus n0.
+    kappa1 = 0.2 / width, kappa2 = 2 and n0 = 1.  A point where g is exactly
+    0.0 is returned with width 0.0, as a scan node zero is.
+    """
     if lo == hi:
         return lo, 0.0
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _WIDTH_REL * max(1.0, abs(mid)):
+    eps = 0.5 * _WIDTH_REL * max(1.0, abs(0.5 * (lo + hi)))
+    kappa1 = 0.2 / (hi - lo)
+    n_max = math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1
+    for j in range(n_max):
+        width = hi - lo
+        if width <= 2.0 * eps:
             break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid, hi - lo
-        if (glo < 0.0) == (gm < 0.0):
-            lo, glo = mid, gm
+        mid = 0.5 * (lo + hi)
+        xf = lo + width * (glo / (glo - ghi))
+        sigma = math.copysign(1.0, mid - xf)
+        # kappa1 * width**2 drops below an ulp of s as the bracket closes; a
+        # step of eps keeps xt off xf, which may already be a bracket end
+        delta = max(kappa1 * width * width, eps)
+        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+        r = math.ldexp(eps, n_max - j) - 0.5 * width
+        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        gx = g(x)
+        if gx == 0.0:
+            return x, 0.0
+        if (glo < 0.0) == (gx < 0.0):
+            lo, glo = x, gx
         else:
-            hi, ghi = mid, gm
+            hi, ghi = x, gx
     # inside the final bracket the polynomial is linear to machine precision;
     # one secant step takes the zero well below the bracket width
     if ghi != glo:
         z = hi - ghi * (hi - lo) / (ghi - glo)
         if lo <= z <= hi:
             return z, hi - lo
-    return mid, hi - lo
+    return 0.5 * (lo + hi), hi - lo
 
 
 def find_zeros(problem: ZeroProblem) -> ZeroSet:
@@ -154,7 +177,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     widths: list[float] = []
     residuals: list[float] = []
     for sl, sr, gl, gr in brackets:
-        z, w = _bisect(g, sl, sr, gl, gr)
+        z, w = _itp(g, sl, sr, gl, gr)
         zs.append(z)
         widths.append(w)
         local = max(abs(gl), abs(gr), 1e-300)

@@ -273,12 +273,16 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
 ZERO_OUTCOMES = json.loads((Path(__file__).parent / "data" / "zero_outcomes.json").read_text())
 
 
+def _recorded_problem(case):
+    params = {k: float.fromhex(v) if isinstance(v, str) else v for k, v in case["params"].items()}
+    return ZeroProblem(make_family(case["kind"], params), case["n"])
+
+
 @pytest.mark.parametrize(
     "case", ZERO_OUTCOMES, ids=[f"{c['kind']}-{c['n']}-{i}" for i, c in enumerate(ZERO_OUTCOMES)]
 )
 def test_find_zeros_matches_recorded_outcomes(case):
-    params = {k: float.fromhex(v) if isinstance(v, str) else v for k, v in case["params"].items()}
-    problem = ZeroProblem(make_family(case["kind"], params), case["n"])
+    problem = _recorded_problem(case)
     fields = ("zeros_s", "zeros_X", "residuals", "bracket_widths")
     try:
         zs = find_zeros(problem)
@@ -324,3 +328,91 @@ def test_collapsed_finite_window_is_scanned_once(monkeypatch, kind, params):
     with pytest.raises(copz.ZeroCountError, match=f"^{kind}: found 0 sign changes, expected 2$"):
         find_zeros(ZeroProblem(spec, 2))
     assert len(calls) == len(copz.zeros._STEPS)
+
+
+# ---------------------------------------------------------------------------
+# bracket refinement by ITP
+# ---------------------------------------------------------------------------
+
+
+def _counted(g):
+    calls = []
+
+    def wrapped(s):
+        calls.append(s)
+        return g(s)
+
+    return wrapped, calls
+
+
+def _bisection_calls(lo, hi):
+    """Series calls of plain bisection from width hi - lo down to the stopping width."""
+    tol = copz.zeros._WIDTH_REL * max(1.0, abs(0.5 * (lo + hi)))
+    return math.ceil(math.log2((hi - lo) / tol)), tol
+
+
+@pytest.mark.parametrize("upper", [1.0, 1e9, 1e-9])
+def test_refinement_keeps_the_bisection_bound_on_a_sign_only_function(upper):
+    # a step at an irrational point: the values carry no slope, and when the
+    # two sides differ in size regula falsi creeps along one end
+    root = math.sqrt(2.0)
+    g, calls = _counted(lambda s: -1.0 if s < root else upper)
+    lo, hi = 1.0, 1.5
+    z, width = copz.zeros._itp(g, lo, hi, -1.0, upper)
+    bisection, tol = _bisection_calls(lo, hi)
+    assert len(calls) <= bisection + 1
+    assert 0.0 < width <= tol
+    assert abs(z - root) <= tol
+
+
+def test_refinement_returns_an_exact_hit_with_width_zero():
+    g, calls = _counted(lambda s: s - 0.25)
+    assert copz.zeros._itp(g, 0.0, 0.5, -0.25, 0.25) == (0.25, 0.0)
+    assert calls == [0.25]
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("krawtchouk", {"alpha": 0.3, "N": 20}),
+        ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 15}),
+        ("q_hahn", {"alpha": 0.5, "beta": 0.6, "q": 0.9, "N": 20}),
+    ],
+)
+def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, params):
+    base = make_family(kind, params).resolve_base()
+    n = 10
+    brackets = copz.zeros._scan(base, n, base.support_start, base.support_end - 1.0, 0.5)
+    assert len(brackets) == n
+    for sl, sr, gl, gr in brackets:
+        if sl == sr:
+            continue
+        g, calls = _counted(lambda s: base.eval_at_s(n, s))
+        copz.zeros._itp(g, sl, sr, gl, gr)
+        assert len(calls) <= _bisection_calls(sl, sr)[0] / 2, (sl, sr)
+
+
+#: series calls per zero over the recorded outcomes: 31.5 when each bracket was
+#: bisected, 13.2 by ITP; the noise-dominated N=60 cases still take about 37
+SERIES_CALLS_PER_ZERO = 16.0
+
+
+def test_series_calls_per_zero_over_the_recorded_outcomes(monkeypatch):
+    # scan samples go through the array pass; eval_at_s counts its first
+    # sample, each refinement step and each residual
+    calls = []
+    eval_at_s = copz.families.FamilySpec.eval_at_s
+
+    def counted(self, n, s):
+        calls.append(s)
+        return eval_at_s(self, n, s)
+
+    monkeypatch.setattr(copz.families.FamilySpec, "eval_at_s", counted)
+    zeros = 0
+    for case in ZERO_OUTCOMES:
+        try:
+            zeros += len(find_zeros(_recorded_problem(case)))
+        except copz.CopzError:
+            pass
+    assert zeros == sum(len(case.get("zeros_s", ())) for case in ZERO_OUTCOMES)
+    assert len(calls) / zeros <= SERIES_CALLS_PER_ZERO
