@@ -38,13 +38,21 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError, SingularityError
 from .grid import LINEAR, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC, QUADRATIC, Grid
-from .qseries import _EXACT, binom2, exact_summation, hyper_sum, q_pochhammer, qhyper_sum
+from .qseries import (
+    _EXACT,
+    _PointOverflow,
+    binom2,
+    exact_summation,
+    hyper_sum,
+    q_pochhammer,
+    qhyper_sum,
+)
 
 INFINITE_DEGREE_CAP = 30
 MAX_FINITE_SUPPORT = 60
@@ -151,7 +159,8 @@ class FamilySpec:
         prefactor and series errors, which no later sample escapes; then the
         first overflow of x(s) at a later sample.
         """
-        # the exact sums take one rational point at a time; one sample needs no array
+        # exact sums give lists, which eval_poly does not scale by its prefactor;
+        # one sample needs no array
         if _EXACT.get() or len(ss) < 2:
             return [self.eval_at_s(n, s) for s in ss]
         out = [self.eval_at_s(n, ss[0])]
@@ -1251,30 +1260,53 @@ def sample_params(kind: str, rng: random.Random) -> dict:
     return _CATALOG[normalize_kind(kind)].sample(rng)
 
 
-def eval_exact_at_support(family: FamilySpec, n: int, k: int) -> float:
+def eval_exact_at_support(
+    family: FamilySpec, n: int | Sequence[int], k: int | range
+) -> float | list:
     """Value at the k-th support point, summed in exact rational arithmetic.
 
     q-lattice coordinates are taken as exact rational powers of the base, so
     the terminating series cancels exactly at the lattice points; the float
     coordinate rounding otherwise dominates at degrees whose upper zeros crowd
     the top of the support.
+
+    n may be a sequence of degrees, and k a range of support indices: the
+    atoms of the points are then built once, each degree is one pass of the
+    exact series over them, and the result holds the values per degree, and
+    within one per point.  Each value is the one-point call's bit for bit,
+    and the error raised is the first one the loop over the degrees, then
+    the points, would meet.
     """
-    if not 0 <= n <= family.degree_max:
-        raise DomainError(f"{family.kind}: degree n={n} outside 0..{family.degree_max}")
+    one_degree, many = isinstance(n, int), isinstance(k, range)
+    if many and not k:  # no point to evaluate, so none to fail
+        return [] if one_degree else [[] for _ in n]
     base = family.resolve_base()
     entry = _CATALOG[base.kind]
-    try:
-        # an alias scales its base's value by its own prefactor, as in eval_poly
-        outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, n)
-        pref = entry.prefactor(base.params, n)
-        p, x = _exact_atoms(base, k)
-        with exact_summation():
-            return outer * (pref * entry.series(p, n, x))
-    except OverflowError as exc:
-        raise family._overflow(n, family.support_start + k) from exc
+    p, x = _exact_atoms(base, k)
+    rows = []
+    for d in (n,) if one_degree else n:
+        if not 0 <= d <= family.degree_max:
+            raise DomainError(f"{family.kind}: degree n={d} outside 0..{family.degree_max}")
+        try:
+            # an alias scales its base's value by its own prefactor, as in eval_poly
+            outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, d)
+            pref = entry.prefactor(base.params, d)
+            with exact_summation():
+                values = entry.series(p, d, x)
+        except OverflowError as exc:
+            # a per-point sum names its point; the factors common to all fail at the first
+            i = exc.index if isinstance(exc, _PointOverflow) else 0
+            raise family._overflow(d, family.support_start + (k[i] if many else k)) from exc
+        rows.append([outer * (pref * v) for v in values] if many else outer * (pref * values))
+    return rows[0] if one_degree else rows
 
 
-def _exact_atoms(base: FamilySpec, k: int):
+def _at_points(k, atom):
+    """atom(k), or the array of atom(j) over the indices j of a range k."""
+    return np.array([atom(j) for j in k]) if isinstance(k, range) else atom(k)
+
+
+def _exact_atoms(base: FamilySpec, k: int | range):
     """Parameter and lattice atoms at the k-th support point, for exact summation.
 
     Near the top of the support the terminating series cancels to values far
@@ -1285,11 +1317,12 @@ def _exact_atoms(base: FamilySpec, k: int):
     and the lattice value built from exact powers of the base, so each family
     is an exact polynomial model whose orthogonality identities hold to within
     the float weight table alone.  Other lattices keep their float atoms; the
-    sum over them is still exact.
+    sum over them is still exact.  Over a range of indices k the lattice atoms
+    are arrays, one entry per point.
     """
     g, p = base.grid, base.params
     if g.q is None:
-        return p, g.x_raw(base.support_start + k)
+        return p, _at_points(k, lambda j: g.x_raw(base.support_start + j))
     q = Fraction(g.q)
     power = g.tag == Q_SYMMETRIC
     atoms = {
@@ -1297,8 +1330,9 @@ def _exact_atoms(base: FamilySpec, k: int):
         for name, v in p.items()
     }
     if power:
-        return atoms, (q**-k, atoms["a"] ** 2 * q**k)  # s = a+k
-    return atoms, q**-k if g.tag == Q_EXP_NEG else q**k
+        a2 = atoms["a"] ** 2  # q^(a-s) = q^-j and q^(a+s) = q^(2a) q^j at s = a+j
+        return atoms, (_at_points(k, lambda j: q**-j), _at_points(k, lambda j: a2 * q**j))
+    return atoms, _at_points(k, lambda j: q**-j if g.tag == Q_EXP_NEG else q**j)
 
 
 def family_info(kind: str) -> dict:

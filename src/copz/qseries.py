@@ -9,7 +9,11 @@ over k = 0..n only; the caller supplies the termination degree n.
 
 On the float path the numerator parameters and the argument may be numpy
 arrays, one entry per sample, and each sample's sum is the one a scalar call
-gives, bit for bit; the denominator parameters stay scalar.
+gives, bit for bit; the denominator parameters stay scalar.  The exact path
+takes per-point sequences of exact atoms in the same places and returns the
+list of the points' sums, each the one-point call's bit for bit: the factors
+of the scalar atoms are built once per term, and only the per-point atoms'
+factors and the summation run at each point.
 """
 
 from __future__ import annotations
@@ -77,15 +81,29 @@ class Neumaier:
         return self.total + self.comp
 
 
-def _unreduced_sum(ratios) -> float:
-    """1 + r_0 (1 + r_1 (1 + ...)) for term ratios r_k = p/d, rounded once.
+def _point_sum(ratios, steps, z, atoms) -> float:
+    """1 + r_0 (1 + r_1 (1 + ...)) at one point, rounded once.
 
-    The pairs are never reduced; the sum stops at the first vanishing ratio.
-    int/int true division is correctly rounded, as Fraction.__float__ is.
+    ratios[k] = (p, d) is the k-th term ratio over the scalar atoms, and
+    steps[k] = (u, v) turns an atom an/ad of the point into the factor
+    (an u + ad v)/ad of r_k; z is the point's argument, or 1 when z is
+    scalar.  The pairs are never reduced; the sum stops at the first
+    vanishing ratio.  int/int true division is correctly rounded, as
+    Fraction.__float__ is.
     """
+    cn, cd = z.as_integer_ratio()
+    atoms = [a.as_integer_ratio() for a in atoms]
+    cd *= prod(ad for _, ad in atoms)
+    own = []
+    for (p, d), (u, v) in zip(ratios, steps):
+        p *= cn
+        for an, ad in atoms:
+            p *= an * u + ad * v
+        if not p:
+            break
+        own.append((p, d * cd))
     sn = sd = 1
-    live = next((k for k, (p, _) in enumerate(ratios) if not p), len(ratios))
-    for p, d in reversed(ratios[:live]):
+    for p, d in reversed(own):
         sd *= d
         sn = sd + p * sn
     if sd < 0:
@@ -99,13 +117,43 @@ def _vanishing(bn: int, bd: int, k: int) -> UndefinedSeriesError:
     )
 
 
-def _hyper_sum_exact(num, den, z, n: int) -> float:
-    # atoms a = an/ad enter as (an + k ad)/ad; the ad, bd and z move into constants
-    nums = [a.as_integer_ratio() for a in num]
+class _PointOverflow(OverflowError):
+    """The sum at the point of this index lies beyond the float range."""
+
+    def __init__(self, index: int):
+        super().__init__(f"the sum at point {index} overflows the float range")
+        self.index = index
+
+
+def _scalar(atom) -> bool:
+    """True for an exact number; a per-point atom is a sequence of them."""
+    return hasattr(atom, "as_integer_ratio")
+
+
+def _sum_points(ratios, steps, num, z):
+    """The sum at each point of the per-point atoms in num and z, or the one sum."""
+    lattice = [a for a in num if not _scalar(a)]
+    if _scalar(z):
+        if not lattice:
+            return _point_sum(ratios, steps, 1, ())
+        z = [1] * len(lattice[0])
+    out = []
+    for j, zj in enumerate(z):
+        try:
+            out.append(_point_sum(ratios, steps, zj, [a[j] for a in lattice]))
+        except OverflowError as exc:
+            raise _PointOverflow(j) from exc
+    return out
+
+
+def _hyper_sum_exact(num, den, z, n: int):
+    # atoms a = an/ad enter as (an + k ad)/ad; the ad, bd and z move into
+    # constants; per-point atoms enter point by point
+    nums = [a.as_integer_ratio() for a in num if _scalar(a)]
     dens = [b.as_integer_ratio() for b in den]
-    zn, zd = z.as_integer_ratio()
+    zn, zd = z.as_integer_ratio() if _scalar(z) else (1, 1)
     cn, cd = zn * prod(bd for _, bd in dens), zd * prod(ad for _, ad in nums)
-    ratios = []
+    ratios, steps = [], []
     for k in range(n):
         p, d = cn, cd * (k + 1)
         for an, ad in nums:
@@ -116,7 +164,8 @@ def _hyper_sum_exact(num, den, z, n: int) -> float:
                 raise _vanishing(bn, bd, k)
             d *= f
         ratios.append((p, d))
-    return _unreduced_sum(ratios)
+        steps.append((1, k))
+    return _sum_points(ratios, steps, num, z)
 
 
 def hyper_sum(num, den, z: float, n: int) -> float:
@@ -147,14 +196,14 @@ def hyper_sum(num, den, z: float, n: int) -> float:
     return total + comp
 
 
-def _qhyper_sum_exact(num, den, q, z, n: int) -> float:
+def _qhyper_sum_exact(num, den, q, z, n: int):
     # integer bounds: comparing an exact base with float bounds converts them
     if not 0 < q < 1:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
-    nums = [a.as_integer_ratio() for a in num]
+    nums = [a.as_integer_ratio() for a in num if _scalar(a)]
     dens = [b.as_integer_ratio() for b in den]
     qn, qd = q.as_integer_ratio()
-    zn, zd = z.as_integer_ratio()
+    zn, zd = z.as_integer_ratio() if _scalar(z) else (1, 1)
     excess = 1 + len(den) - len(num)
     # with q^k = Qn/Qd and c = c_n/c_d each factor 1 - c q^k is
     # (c_d Qd - c_n Qn)/(c_d Qd); the powers of Qd cancel across the ratio,
@@ -162,7 +211,7 @@ def _qhyper_sum_exact(num, den, q, z, n: int) -> float:
     # when excess < 0
     cn, cd = zn * qd * prod(bd for _, bd in dens), zd * prod(ad for _, ad in nums)
     Qn = Qd = 1
-    ratios = []
+    ratios, steps = [], []
     for k in range(n):
         p, d = cn, cd
         for an, ad in nums:
@@ -176,10 +225,11 @@ def _qhyper_sum_exact(num, den, q, z, n: int) -> float:
             p *= (-Qn) ** excess
         elif excess < 0:
             d *= (-Qn) ** -excess
+        steps.append((-Qn, Qd))
         Qn *= qn
         Qd *= qd
         ratios.append((p, d * (Qd - Qn)))  # 1 - q^(k+1), from (q; q)_k
-    return _unreduced_sum(ratios)
+    return _sum_points(ratios, steps, num, z)
 
 
 def qhyper_sum(num, den, q: float, z: float, n: int) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import SingularityError, TruncationError, WeightPositivityError
 from .families import FamilySpec, eval_exact_at_support
@@ -132,16 +133,17 @@ def weight_table(
     )
 
 
-def _poly_values(family: FamilySpec, table: WeightTable, degree: int) -> list[float]:
-    """Polynomial values over the table, summed in exact rational arithmetic.
+def _poly_values(
+    family: FamilySpec, table: WeightTable, degrees: Sequence[int]
+) -> list[list[float]]:
+    """Values of each degree over the table, summed in exact rational arithmetic.
 
     Direct float summation loses all digits near the top lattice points at
     higher degrees (the terminating series cancels by many orders there), so
-    orthogonality sums evaluate through the exact lattice path.  An alias
-    pairs its base's values: its prefactor only rescales each degree.
+    orthogonality sums evaluate through the exact lattice path: one batched
+    call, which builds each point's atoms once for all the degrees.
     """
-    base = family.resolve_base()
-    return [eval_exact_at_support(base, degree, k) for k in range(len(table))]
+    return eval_exact_at_support(family, degrees, range(len(table)))
 
 
 def _pair_sum_values(
@@ -161,12 +163,14 @@ def orthogonality_residual(
 ) -> float:
     """Normalized pairing of degrees m and n; the m = n case returns the norm squared.
 
-    An alias's norm is its base's, in the base family's normalisation.
+    The norm is the family's own, an alias's prefactor included.  The m != n
+    pairing reads an alias's base values, as the Gram matrix does: the
+    normalization cancels the prefactor.
     """
-    vm = _poly_values(family, table, m)
     if m == n:
-        return _pair_sum_values(table, vm, vm)
-    vn = _poly_values(family, table, n)
+        (v,) = _poly_values(family, table, (n,))
+        return _pair_sum_values(table, v, v)
+    vm, vn = _poly_values(family.resolve_base(), table, (m, n))
     smn = _pair_sum_values(table, vm, vn)
     return abs(smn) / math.sqrt(
         _pair_sum_values(table, vm, vm) * _pair_sum_values(table, vn, vn)
@@ -174,8 +178,11 @@ def orthogonality_residual(
 
 
 def gram_offdiag_max(family: FamilySpec, kmax: int, table: WeightTable) -> float:
-    """Largest normalized off-diagonal entry of the Gram matrix of degrees 0..kmax."""
-    values = [_poly_values(family, table, d) for d in range(kmax + 1)]
+    """Largest normalized off-diagonal entry of the Gram matrix of degrees 0..kmax.
+
+    An alias pairs its base's values: its prefactor only rescales each degree.
+    """
+    values = _poly_values(family.resolve_base(), table, range(kmax + 1))
     norms = [_pair_sum_values(table, v, v) for v in values]
     worst = 0.0
     for m in range(kmax + 1):

@@ -7,6 +7,7 @@ import pytest
 
 from copz import (
     ALIAS_FAMILIES,
+    CopzError,
     DomainError,
     EvaluationOverflowError,
     SingularityError,
@@ -16,6 +17,7 @@ from copz import (
     find_zeros,
     make_family,
     sample_params,
+    weight_table,
 )
 from copz.families import eval_exact_at_support
 from copz.qseries import exact_summation, hyper_sum
@@ -369,6 +371,69 @@ def test_exact_path_prefactor_overflow_is_typed(kind, params, n, k, s):
     with pytest.raises(EvaluationOverflowError) as err:
         eval_exact_at_support(make_family(kind, params), n, k)
     assert str(err.value) == f"{kind}: the degree-{n} value at s={s!r} overflows the float range"
+
+
+def _exact_table_points(spec, degree):
+    """The full weight table's points, or 40 where no table can be built."""
+    try:
+        return range(len(weight_table(spec, degree_hint=degree, allow_sign_flip=True)))
+    except CopzError:
+        return range(40)
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_batched_exact_values_are_the_one_point_values(kind):
+    spec = make_family(kind, sample_params(kind, random.Random(f"batched {kind}")))
+    degrees = range(min(6, spec.degree_max) + 1)
+    points = _exact_table_points(spec, degrees[-1])
+    rows = eval_exact_at_support(spec, degrees, points)
+    assert [[v.hex() for v in row] for row in rows] == [
+        [eval_exact_at_support(spec, n, k).hex() for k in points] for n in degrees
+    ]
+    for n in degrees:
+        assert eval_exact_at_support(spec, n, points) == rows[n]
+
+
+def _first_error_of_the_point_loop(spec, degrees, points):
+    for n in degrees:
+        for k in points:
+            try:
+                eval_exact_at_support(spec, n, k)
+            except CopzError as exc:
+                return exc
+    raise AssertionError("no point raises")
+
+
+@pytest.mark.parametrize(
+    "kind, params, degrees, points, message",
+    [
+        # z = -1/alpha: the sum first leaves the float range at the third point
+        ("charlier", {"alpha": 1e-300}, (0, 30), range(5), "degree-30 value at s=2.0"),
+        ("q_meixner", {"alpha": 1.0, "beta": 0.5, "q": 0.1}, (29, 30), range(30, 40),
+         "degree-29 value at s=36.0"),
+        # the prefactor overflows at every point, so at the first one
+        ("quantum_q_krawtchouk", {"alpha": 1e300, "q": 0.5, "N": 10}, range(3), range(3, 8),
+         "degree-2 value at s=3.0"),
+    ],
+)
+def test_batched_exact_overflow_names_the_first_failing_point(kind, params, degrees, points, message):
+    spec = make_family(kind, params)
+    with pytest.raises(EvaluationOverflowError) as err:
+        eval_exact_at_support(spec, degrees, points)
+    assert str(err.value) == f"{kind}: the {message} overflows the float range"
+    assert str(err.value) == str(_first_error_of_the_point_loop(spec, degrees, points))
+    # over no points the loop evaluates nothing, so nothing fails
+    assert eval_exact_at_support(spec, degrees, range(0)) == [[] for _ in degrees]
+
+
+def test_batched_exact_degree_is_checked_in_order():
+    alias = make_family("q_charlier", alpha=1.0, q=0.5)
+    with pytest.raises(DomainError, match=r"^q_charlier: degree n=31 outside 0\.\.30$"):
+        eval_exact_at_support(alias, (0, 31), range(5))
+    # a lower degree's overflow comes before a later degree's domain error
+    spec = make_family("charlier", alpha=1e-300)
+    with pytest.raises(EvaluationOverflowError, match="degree-30 value at s=2.0"):
+        eval_exact_at_support(spec, (30, 31), range(5))
 
 
 _Q_AT_BOUND = 2.0 ** -5  # q^(1-N) at q=1/2, N=6

@@ -377,6 +377,78 @@ def test_exact_qsum_matches_fraction_reference(num, den, q, z, n):
     )
 
 
+def _column(points):
+    """An array of per-point atoms, one per point."""
+    return st.lists(_atoms, min_size=points, max_size=points).map(
+        lambda v: np.array(v, dtype=object)
+    )
+
+
+def _per_point(atom) -> bool:
+    return isinstance(atom, np.ndarray)
+
+
+# (point count, numerator atoms, argument), with at least one per-point atom
+_point_atoms = st.integers(1, 3).flatmap(
+    lambda points: st.tuples(
+        st.just(points),
+        st.lists(st.one_of(_atoms, _column(points)), max_size=3),
+        st.one_of(_atoms, _column(points)),
+    )
+).filter(lambda c: any(map(_per_point, c[1] + [c[2]])))
+
+
+def _pointwise_outcome(batched, reference, points, num, z):
+    """The batched call against the reference at each point's scalar atoms.
+
+    Every value must match bit for bit; where a point's reference raises, the
+    batched call raises the first such error, and a sum overflowing the float
+    range names its point.
+    """
+    at = [[a[j] if _per_point(a) else a for a in num + [z]] for j in range(points)]
+    want = [_outcome(reference, atoms[:-1], atoms[-1]) for atoms in at]
+    failed = next((j for j, w in enumerate(want) if isinstance(w, tuple)), None)
+    try:
+        got = _exact(batched, num, z)
+    except (ArithmeticError, ValueError) as exc:
+        assert failed is not None, exc
+        if want[failed][0] is OverflowError:
+            assert isinstance(exc, OverflowError) and exc.index == failed
+        else:
+            assert (type(exc), str(exc)) == want[failed]
+    else:
+        assert failed is None and [v.hex() for v in got] == want
+
+
+_OVERFLOW_AT_POINT_1 = np.array([1.0, 1e300], dtype=object)
+
+
+@given(_point_atoms, st.lists(_atoms, max_size=2), st.integers(0, 9))
+@example((2, [_OVERFLOW_AT_POINT_1] * 2, _OVERFLOW_AT_POINT_1), (), 2)
+@example((2, [np.array([-1, 1], dtype=object)], 3.0), (1.5,), 4)  # point 0 stops at k=1
+@example((2, [np.array([1.0, 2.0], dtype=object)], 1.0), (-2.0,), 3)  # vanishing denominator
+def test_exact_sum_over_point_arrays_matches_fraction_reference(case, den, n):
+    points, num, z = case
+    _pointwise_outcome(
+        lambda num, z: hyper_sum(num, den, z, n),
+        lambda num, z: _reference_hyper_sum_exact(num, den, z, n),
+        points, num, z,
+    )
+
+
+@given(_point_atoms, st.lists(_atoms, max_size=2), _bases, st.integers(0, 9))
+@example((2, [np.array([0.5, -1e300], dtype=object)], _OVERFLOW_AT_POINT_1), (), 0.5, 3)
+@example((3, [np.array([1, 4, Fraction(1, 3)], dtype=object)], 0.5), (0.0,), 0.5, 4)
+@example((1, [8.0, np.array([0.3], dtype=object)], 1.0), (4.0,), 0.5, 3)  # 1 - 4 q^2 = 0
+def test_exact_qsum_over_point_arrays_matches_fraction_reference(case, den, q, n):
+    points, num, z = case
+    _pointwise_outcome(
+        lambda num, z: qhyper_sum(num, den, q, z, n),
+        lambda num, z: _reference_qhyper_sum_exact(num, den, q, z, n),
+        points, num, z,
+    )
+
+
 def test_exact_sums_raise_as_the_reference():
     cases = [
         (hyper_sum, _reference_hyper_sum_exact, ((-3, 1.0), (-2.0,), 1.0, 3)),

@@ -103,21 +103,46 @@ def test_orthogonality_examples():
 
 
 def test_orthogonality_residual_evaluates_each_degree_once(monkeypatch):
+    # one batched call per sum, each degree once over every table index; the
+    # one-point values in its place give the same residuals
     spec = make_family("hahn", alpha=0.5, beta=1.5, N=9)
     table = weight_table(spec)
+    points = range(len(table))
+    expected = {
+        (m, n): orthogonality_residual(spec, m, n, table) for m, n in ((2, 4), (3, 3))
+    }
+    expected_gram = gram_offdiag_max(spec, 5, table)
     calls = []
 
-    def counted(family, n, k):
-        calls.append((n, k))
-        return eval_exact_at_support(family, n, k)
+    def one_point_values(family, degrees, ks):
+        calls.append((tuple(degrees), ks))
+        return [[eval_exact_at_support(family, n, k) for k in ks] for n in degrees]
 
-    expected = orthogonality_residual(spec, 2, 4, table)
-    monkeypatch.setattr(weights, "eval_exact_at_support", counted)
-    assert orthogonality_residual(spec, 2, 4, table) == expected
-    assert sorted(calls) == sorted((n, k) for n in (2, 4) for k in range(len(table)))
+    monkeypatch.setattr(weights, "eval_exact_at_support", one_point_values)
+    assert orthogonality_residual(spec, 2, 4, table) == expected[2, 4]
+    assert calls == [((2, 4), points)]
     calls.clear()
-    orthogonality_residual(spec, 3, 3, table)
-    assert sorted(calls) == [(3, k) for k in range(len(table))]
+    assert orthogonality_residual(spec, 3, 3, table) == expected[3, 3]
+    assert calls == [((3,), points)]
+    calls.clear()
+    assert gram_offdiag_max(spec, 5, table) == expected_gram
+    assert calls == [(tuple(range(6)), points)]
+
+
+def test_alias_norm_is_its_own():
+    alias = make_family("big_q_jacobi_special", alpha=0.5, beta=0.7, q=0.6)
+    table = weight_table(alias, degree_hint=1)
+    own = [eval_exact_at_support(alias, 1, k) for k in range(len(table))]
+    summed = math.fsum(v * v * math.exp(lm) for v, lm in zip(own, table.log_measures))
+    norm = orthogonality_residual(alias, 1, 1, table)
+    assert norm == pytest.approx(summed, rel=1e-13)
+    assert norm == pytest.approx(0.017287, rel=1e-4)
+    # the base's norm, which the alias reported before, is another number
+    assert orthogonality_residual(alias.base, 1, 1, table) == pytest.approx(0.27978, rel=1e-4)
+    # off the diagonal the alias still pairs its base's values
+    for m, n in ((0, 1), (1, 2)):
+        t = weight_table(alias, degree_hint=n)
+        assert orthogonality_residual(alias, m, n, t) == orthogonality_residual(alias.base, m, n, t)
 
 
 def test_alias_weight_table_is_its_bases():
