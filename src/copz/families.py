@@ -118,6 +118,12 @@ class FamilySpec:
     degree_max: int
     base: "FamilySpec | None" = None
     zero_scale: float = 1.0
+    # on an alias's base, the alias: its errors name the family the caller asked for
+    alias_kind: str | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def _label(self) -> str:
+        return self.alias_kind or self.kind
 
     @property
     def is_finite(self) -> bool:
@@ -134,7 +140,7 @@ class FamilySpec:
         """
         if not 0 <= n <= self.degree_max:
             raise DomainError(
-                f"{self.kind}: degree n={n} outside 0..{self.degree_max}"
+                f"{self._label}: degree n={n} outside 0..{self.degree_max}"
             )
         entry = _CATALOG[self.kind]
         pref = entry.prefactor(self.params, n)
@@ -176,12 +182,12 @@ class FamilySpec:
 
     def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(
-            f"{self.kind}: the degree-{n} value at s={s!r} overflows the float range"
+            f"{self._label}: the degree-{n} value at s={s!r} overflows the float range"
         )
 
     def _ab_overflow(self, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(
-            f"{self.kind}: the coefficients A, B at s={s!r} overflow the float range"
+            f"{self._label}: the coefficients A, B at s={s!r} overflow the float range"
         )
 
     def coeffs_AB(self, s: float) -> tuple[float, float]:
@@ -1246,7 +1252,10 @@ def make_family(kind: str, params: Mapping[str, float] | None = None, **kw) -> F
             raise DomainError(f"{key}: {name} must be finite (got {v!r})")
     if entry.alias_map is not None:
         base = make_family(*entry.alias_map(p))
-        return replace(base, kind=key, params=p, base=base, zero_scale=entry.zero_scale(p))
+        return replace(
+            base, kind=key, params=p, base=replace(base, alias_kind=key),
+            zero_scale=entry.zero_scale(p),
+        )
     grid = Grid(entry.lattice, p.get("q"))
     a = p.get("a", 0.0)
     if "N" not in p:
@@ -1286,7 +1295,7 @@ def eval_exact_at_support(
     rows = []
     for d in (n,) if one_degree else n:
         if not 0 <= d <= family.degree_max:
-            raise DomainError(f"{family.kind}: degree n={d} outside 0..{family.degree_max}")
+            raise DomainError(f"{family._label}: degree n={d} outside 0..{family.degree_max}")
         try:
             # an alias scales its base's value by its own prefactor, as in eval_poly
             outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, d)

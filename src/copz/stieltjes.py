@@ -28,7 +28,7 @@ from .errors import (
 )
 from .families import ZeroProblem
 from .grid import Grid, Q_ANTISYMMETRIC
-from .zeros import ZeroSet, find_zeros
+from .zeros import ZeroSet, find_zeros, track_zeros
 
 #: parameters that move the lattice or the support; the zero-derivative system
 #: assumes both are held fixed while t varies
@@ -302,9 +302,13 @@ def monotonicity_verdict(
 ) -> MonotonicityVerdict:
     """Sweep t over t_range, track zero trajectories by sorted order in s.
 
-    The sweep is refined (samples doubled, at most three times) when adjacent
-    zero sets move by more than half the smallest zero gap, which keeps the
-    sorted-order pairing trustworthy.
+    The first two sweep points are solved by find_zeros.  Each later point is
+    solved by continuation: track_zeros brackets every zero around the secant
+    guess 2 y(t_k) - y(t_(k-1)), within the step |y(t_k) - y(t_(k-1))|, and
+    certifies the whole zero set by its sign changes; where it cannot, that
+    point falls back to find_zeros.  The sweep is refined (samples doubled,
+    at most three times) when adjacent zero sets move by more than half the
+    smallest zero gap, which keeps the sorted-order pairing trustworthy.
     """
     fam = problem.family
     lo, hi = t_range
@@ -313,7 +317,16 @@ def monotonicity_verdict(
     count = max(3, samples)
     for _ in range(4):
         ts = list(np.linspace(lo, hi, count))
-        sets = [find_zeros(_problem_at(problem, param, t)) for t in ts]
+        sets = [find_zeros(_problem_at(problem, param, t)) for t in ts[:2]]
+        for t in ts[2:]:
+            at = _problem_at(problem, param, t)
+            before, last = sets[-2].zeros_s, sets[-1].zeros_s
+            zs = track_zeros(
+                at,
+                [2.0 * y - x for x, y in zip(before, last)],
+                [abs(y - x) for x, y in zip(before, last)],
+            )
+            sets.append(zs if zs is not None else find_zeros(at))
         jump = max(
             max(abs(u - v) for u, v in zip(s1.zeros_s, s2.zeros_s))
             for s1, s2 in zip(sets, sets[1:])

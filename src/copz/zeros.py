@@ -7,6 +7,12 @@ scan still refines to steps 1/4 and 1/8 before declaring a count failure.
 Each scan evaluates all its samples in one array pass of the float series;
 each bracket is then refined by ITP in the s variable, one value at a time,
 and mapped to X at the end.
+
+track_zeros skips the scan where the zeros are nearly known, as along a
+parameter sweep: it brackets each zero inside the cell of its guess and
+hands the brackets to the same ITP refinement.  n disjoint brackets with a
+sign change each hold all n zeros, the count argument the scan relies on;
+where it cannot certify the set, it returns None.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SingularityError, ZeroCountError
+from .errors import EvaluationOverflowError, SingularityError, ZeroCountError
 from .families import FamilySpec, ZeroProblem
 from .qseries import exact_summation
 
@@ -173,6 +179,64 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
             f"{fam.kind}: found {len(brackets)} sign changes, expected {n}", diagnostics
         )
 
+    return _refined(problem, g, brackets)
+
+
+def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
+    """Locate the zeros near strictly increasing guesses, or return None.
+
+    Zero j is bracketed inside its cell, which runs between the midpoints to
+    the neighbouring guesses and is clipped to find_zeros' scan range: (a, b-1)
+    on a finite support, a + _MAX_WINDOW on an infinite one.  The bracket
+    starts at guesses[j] +/- radii[j], at least the refinement's stopping
+    width, and grows 4x while its ends have no strict sign change; a guess
+    outside its cell starts from the cell's nearer end.  n disjoint
+    brackets with a sign change each hold all n zeros of the polynomial, so
+    the result is the whole zero set.  When the guesses are not strictly
+    increasing, or a cell holds no sign change, the zeros are not certified
+    and None is returned: the caller falls back to find_zeros.
+    """
+    fam = problem.family
+    base = fam.resolve_base()
+    n = problem.degree
+
+    def g(s: float) -> float:
+        return base.eval_at_s(n, s)
+
+    if len(guesses) != n or any(v <= u for u, v in zip(guesses, guesses[1:])):
+        return None
+    a = fam.support_start
+    top = fam.support_end - 1.0 if fam.is_finite else a + _MAX_WINDOW
+    mids = [0.5 * (u + v) for u, v in zip(guesses, guesses[1:])]
+    brackets = []
+    for cl, cr, p, r in zip([a, *mids], [*mids, top], guesses, radii):
+        cl, cr = max(cl, a), min(cr, top)
+        if not cl < cr:
+            return None
+        p = min(max(p, cl), cr)
+        r = max(r, _WIDTH_REL * max(1.0, abs(p)))
+        while True:
+            sl, sr = max(p - r, cl), min(p + r, cr)
+            try:
+                gl, gr = g(sl), g(sr)
+            except EvaluationOverflowError:
+                return None
+            if gl * gr < 0.0:
+                break
+            if sl == cl and sr == cr:
+                return None
+            r *= 4.0
+        brackets.append((sl, sr, gl, gr))
+    return _refined(problem, g, brackets)
+
+
+def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
+    """Refine each (sl, sr, gl, gr) bracket of g by ITP and map its zero to X.
+
+    A zero's residual is |g| there relative to the larger end value of its
+    bracket, the local scale of the polynomial.
+    """
+    fam = problem.family
     zs: list[float] = []
     widths: list[float] = []
     residuals: list[float] = []

@@ -329,6 +329,19 @@ def test_verify_exact_path_overflow_is_invalid_input():
     )
 
 
+@pytest.mark.parametrize("command", ["zeros", "verify"])
+def test_alias_overflow_names_the_alias(command):
+    # q_charlier is searched through its base, q_meixner, whose lattice power
+    # q^(-s) overflows as the window grows; the error names the family asked for
+    code, out, err = run_cli(
+        [command, "--family", "q_charlier", "--n", "2",
+         "--set", "alpha=1e-300", "--set", "q=0.5"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: q_charlier: the degree-2 value at s=1024.0 overflows the float range\n"
+
+
 def test_verify_coefficient_overflow_is_invalid_input():
     # q ** (-a - alpha - N) in the q-Racah A, B table leaves the float range
     code, out, err = run_cli(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from copz import (
@@ -8,6 +9,7 @@ from copz import (
     Grid,
     ZeroProblem,
     build_stieltjes_system,
+    catalog_kinds,
     find_zeros,
     hypothesis_report,
     make_family,
@@ -23,6 +25,7 @@ from copz.stieltjes import (
     b_symmetric_closed,
     direction_from_signs,
 )
+from copz.zeros import track_zeros
 
 SPANNING = [
     ("hahn", None),
@@ -231,3 +234,137 @@ def test_zero_set_analyses_solve_nothing(monkeypatch):
     assert rep.hypotheses_hold
     assert system.zeros is zs
     assert system.diag_dominant and system.inverse_positive
+
+
+def _full_search_sweep(problem, param, window, samples=15):
+    """The sweep with find_zeros at every point, under the same refinement
+    guard: (ts, trajectories, directions, reversals, claimed, agrees)."""
+    count = max(3, samples)
+    for _ in range(4):
+        ts = tuple(np.linspace(*window, count))
+        sets = [
+            find_zeros(ZeroProblem(problem.family.with_param(param, float(t)), problem.degree))
+            for t in ts
+        ]
+        jump = max(
+            max(abs(u - v) for u, v in zip(s1.zeros_s, s2.zeros_s))
+            for s1, s2 in zip(sets, sets[1:])
+        )
+        if problem.degree == 1 or jump <= 0.5 * min(zs.min_gap_s for zs in sets):
+            break
+        count *= 2
+    rows = [[zs.zeros_X[j] for zs in sets] for j in range(problem.degree)]
+    directions, reversals = [], 0
+    for row in rows:
+        diffs = [b - a for a, b in zip(row, row[1:])]
+        if all(d > 0.0 for d in diffs):
+            directions.append("increasing")
+        elif all(d < 0.0 for d in diffs):
+            directions.append("decreasing")
+        else:
+            directions.append("non-monotone")
+            lead = 1.0 if diffs[0] > 0 else -1.0
+            reversals += sum(1 for d in diffs if d * lead <= 0.0)
+    claimed = next((c.direction for c in problem.family.claims() if c.param == param), None)
+    agrees = None if claimed is None else all(d == claimed for d in directions)
+    return ts, rows, tuple(directions), reversals, claimed, agrees
+
+
+def _assert_matches_full_search(problem, param, window, samples=15):
+    v = monotonicity_verdict(problem, param, window, samples=samples)
+    ts, rows, directions, reversals, claimed, agrees = _full_search_sweep(
+        problem, param, window, samples
+    )
+    label = (problem.family.kind, problem.degree, param)
+    assert v.ts == ts, label
+    assert (v.directions, v.reversals, v.claimed, v.agrees) == (
+        directions, reversals, claimed, agrees
+    ), label
+    for got, want in zip(v.trajectories, rows):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), label
+
+
+def test_tracked_sweeps_match_full_search_across_catalog():
+    # continuation solves every point after the second from its neighbours;
+    # each verdict must be the one that searching every point in full gives
+    rng = random.Random(34)
+    for kind in catalog_kinds():
+        spec = make_family(kind, sample_params(kind, rng))
+        for n in sorted({min(d, spec.degree_max) for d in (1, 2, 3)}):
+            for claim in spec.claims():
+                _assert_matches_full_search(ZeroProblem(spec, n), claim.param, claim.window)
+
+
+def test_sweep_searches_only_its_first_two_points(monkeypatch):
+    import copz.stieltjes
+    import copz.zeros
+
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return copz.zeros.find_zeros(problem)
+
+    monkeypatch.setattr(copz.stieltjes, "find_zeros", counted)
+    spec = make_family("hahn", alpha=0.5, beta=1.0, N=8)
+    v = monotonicity_verdict(ZeroProblem(spec, 3), "alpha", (-0.9, 3.0), samples=15)
+    assert len(v.ts) == 15  # no jump refinement
+    assert [c.family.params["alpha"] for c in calls] == list(v.ts[:2])
+
+
+def test_track_zeros_certifies_or_returns_nothing():
+    problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.5, N=12), 4)
+    zs = find_zeros(problem).zeros_s
+    gap = min(b - a for a, b in zip(zs, zs[1:]))
+    # each zero inside its guess's cell: the bracket grows to its sign change
+    tracked = track_zeros(problem, [z + 0.4 * gap for z in zs], [0.0] * 4)
+    assert tracked.zeros_s == pytest.approx(zs, rel=1e-12)
+    # every guess moved up by more than half the top gap leaves no zero in
+    # the top cell, so the set is not certified
+    shift = 0.6 * (zs[-1] - zs[-2])
+    assert track_zeros(problem, [z + shift for z in zs], [0.0] * 4) is None
+    # guesses out of order, or two alike, have no cells
+    assert track_zeros(problem, [zs[1], zs[0], zs[2], zs[3]], [0.1] * 4) is None
+    assert track_zeros(problem, [zs[0], zs[0], zs[2], zs[3]], [0.1] * 4) is None
+    # on an infinite q lattice an empty top cell grows its bracket until x(s)
+    # overflows: that is no result either, not an error
+    problem = ZeroProblem(make_family("q_meixner", alpha=0.5, beta=0.5, q=0.5), 2)
+    zs = find_zeros(problem).zeros_s
+    assert track_zeros(problem, [zs[0], 4.0 * zs[1] - 3.0 * zs[0]], [0.0, 0.0]) is None
+    # charlier alpha=2 has exact zeros at s=1 and s=4; a cell that ends on a
+    # zero has no strict sign change, and must not lend that zero to both cells
+    problem = ZeroProblem(make_family("charlier", alpha=2.0), 2)
+    assert find_zeros(problem).zeros_s == (1.0, 4.0)
+    assert track_zeros(problem, [0.5, 1.5], [0.0, 0.0]) is None
+    # a guess below the support starts at its start: on x(s) = s(s+1) the
+    # point s = -1 - y mirrors zero y, and a bracket from the guess itself
+    # would pair signs across that mirror image
+    problem = ZeroProblem(make_family("dual_hahn", a=0.3, alpha=0.5, N=12), 2)
+    zs = find_zeros(problem).zeros_s
+    tracked = track_zeros(problem, [-1.3 - zs[0], 10.0], [0.0, 0.0])
+    assert tracked.zeros_s == pytest.approx(zs, rel=1e-12)
+    # with both guesses below the support the first cell is empty
+    assert track_zeros(problem, [-5.0, -4.5], [0.0, 0.0]) is None
+
+
+def test_sweep_falls_back_where_zeros_jump_past_their_cells(monkeypatch):
+    # at samples=3 the secant guesses at alpha=0.9 miss: meixner's zero 2
+    # (s=16.7) lies past its cell, which ends at s=8.5, and krawtchouk's top
+    # guess (s=9.4) leaves the support, so each point is searched in full
+    import copz.stieltjes
+
+    results = []
+
+    def spied(problem, guesses, radii):
+        results.append(track_zeros(problem, guesses, radii))
+        return results[-1]
+
+    monkeypatch.setattr(copz.stieltjes, "track_zeros", spied)
+    for kind, params in (
+        ("meixner", {"alpha": 0.5, "beta": 0.5}),
+        ("krawtchouk", {"alpha": 0.5, "N": 9}),
+    ):
+        results.clear()
+        problem = ZeroProblem(make_family(kind, params), 3)
+        _assert_matches_full_search(problem, "alpha", (0.1, 0.9), samples=3)
+        assert results[0] is None, kind

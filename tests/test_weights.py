@@ -4,6 +4,8 @@ import random
 import pytest
 
 from copz import (
+    DomainError,
+    EvaluationOverflowError,
     SingularityError,
     TruncationError,
     WeightPositivityError,
@@ -153,6 +155,20 @@ def test_alias_weight_table_is_its_bases():
     assert table.log_measures == weight_table(alias.base).log_measures
     base_table = weight_table(alias.base, degree_hint=4)
     assert gram_offdiag_max(alias, 4, table) == gram_offdiag_max(alias.base, 4, base_table)
+
+
+def test_alias_pairing_errors_name_the_alias():
+    # the Gram matrix and the m != n pairing sum the base's values exactly
+    alias = make_family("q_charlier", alpha=1e-300, q=0.5)
+    table = weight_table(alias, degree_hint=2)
+    message = r"^q_charlier: the degree-2 value at s=2\.0 overflows the float range$"
+    with pytest.raises(EvaluationOverflowError, match=message):
+        gram_offdiag_max(alias, 2, table)
+    with pytest.raises(EvaluationOverflowError, match=message):
+        orthogonality_residual(alias, 1, 2, table)
+    alias = make_family("q_charlier", alpha=1.0, q=0.5)
+    with pytest.raises(DomainError, match=r"^q_charlier: degree n=31 outside 0\.\.30$"):
+        gram_offdiag_max(alias, 31, weight_table(alias))
 
 
 def _norm_sq(spec, n):
