@@ -294,10 +294,9 @@ def _reference_qhyper_sum_exact(num, den, q, z, n):
     denf = [Fraction(b) for b in den]
     qf = Fraction(q)
     excess = 1 + len(den) - len(num)
-    term = Fraction(1)
-    total = Fraction(1)
     zf = Fraction(z)
     qk = Fraction(1)
+    ratios = []
     for k in range(n):
         ratio = zf
         for a in numf:
@@ -312,9 +311,14 @@ def _reference_qhyper_sum_exact(num, den, q, z, n):
         ratio /= 1 - qf * qk
         if excess:
             ratio *= (-qk) ** excess
-        term *= ratio
-        total += term
+        ratios.append(ratio)
         qk *= qf
+    # Summed inside out, 1 + r_0 (1 + r_1 (...)): the same rational as the
+    # term-by-term sum, but no step adds two large-denominator fractions, so
+    # a tiny float q (q**k has a denominator near 2**(1000 k)) stays fast.
+    total = Fraction(1)
+    for ratio in reversed(ratios):
+        total = 1 + ratio * total
     return float(total)
 
 
