@@ -138,6 +138,11 @@ class FamilySpec:
         On the float path X may be a numpy array of points; the result is
         then the array of values.
         """
+        return self._poly(n)(X)
+
+    def _poly(self, n: int) -> Callable[[float], float]:
+        """eval_poly(n, .) as a function of X: the degree is checked and the
+        prefactor, series and lattice atoms are looked up here, once."""
         if not 0 <= n <= self.degree_max:
             raise DomainError(
                 f"{self._label}: degree n={n} outside 0..{self.degree_max}"
@@ -145,9 +150,12 @@ class FamilySpec:
         entry = _CATALOG[self.kind]
         pref = entry.prefactor(self.params, n)
         if self.base is not None:
-            return pref * self.base.eval_poly(n, X / self.zero_scale)
-        x = _qsym_atoms(self.params, X) if self.grid.tag == Q_SYMMETRIC else X
-        return pref * entry.series(self.params, n, x)
+            inner, scale = self.base._poly(n), self.zero_scale
+            return lambda X: pref * inner(X / scale)
+        series, p = entry.series, self.params
+        if self.grid.tag == Q_SYMMETRIC:
+            return lambda X: pref * series(p, n, _qsym_atoms(p, X))
+        return lambda X: pref * series(p, n, X)
 
     def eval_at_s(self, n: int, s: float) -> float:
         """Value at the lattice point x(s); s may sit off the monotone branch."""
@@ -156,27 +164,51 @@ class FamilySpec:
         except OverflowError as exc:
             raise self._overflow(n, s) from exc
 
+    def _at_s(self, n: int) -> Callable[[float], float]:
+        """eval_at_s(n, .) as a function of s, for the many calls of a zero
+        search: the degree check, prefactor, series and lattice map are
+        looked up once.  Where that lookup raises, the function is eval_at_s
+        itself, which raises it at each s, after an overflow of x(s)."""
+        try:
+            poly = self._poly(n)
+        except (DomainError, ArithmeticError):
+            return lambda s: self.eval_at_s(n, s)
+        x_raw, scale, overflow = self.grid.x_raw, self.zero_scale, self._overflow
+
+        def at_s(s: float) -> float:
+            try:
+                return poly(scale * x_raw(s))
+            except OverflowError as exc:
+                raise overflow(n, s) from exc
+
+        return at_s
+
     def eval_at_s_many(self, n: int, ss) -> list[float]:
         """eval_at_s at every s, in one array pass of the float series.
 
-        Each value is eval_at_s's bit for bit, and the error raised is the one
-        the per-sample loop meets first: the first sample goes through
-        eval_at_s, so an overflow of x(s) there comes first, then the degree,
-        prefactor and series errors, which no later sample escapes; then the
-        first overflow of x(s) at a later sample.
+        Zero scans pass all their samples.  The refinement of 16 or more
+        zero brackets passes the trial points of all the open ones, one pass
+        per ITP round, since a pass costs about as much as 14-20 one-point
+        calls.  Each value is eval_at_s's bit for bit, and the error raised
+        is the one the per-sample loop meets first: the first sample goes
+        through eval_at_s, so an overflow of x(s) there comes first, then the
+        degree, prefactor and series errors, which no later sample escapes;
+        then the first overflow of x(s) at a later sample.
         """
         # exact sums give lists, which eval_poly does not scale by its prefactor;
         # one sample needs no array
         if _EXACT.get() or len(ss) < 2:
             return [self.eval_at_s(n, s) for s in ss]
         out = [self.eval_at_s(n, ss[0])]
-        xs = []
-        for s in ss[1:]:
-            try:
-                xs.append(self.zero_scale * self.grid.x_raw(s))
-            except OverflowError as exc:
-                raise self._overflow(n, s) from exc
-        X = np.array(xs)
+        x_raw, scale = self.grid.x_raw, self.zero_scale
+        try:
+            X = np.array([scale * x_raw(s) for s in ss[1:]])
+        except OverflowError:
+            for s in ss[1:]:  # name the first s whose x(s) overflows
+                try:
+                    x_raw(s)
+                except OverflowError as exc:
+                    raise self._overflow(n, s) from exc
         with np.errstate(all="ignore"):
             return out + np.broadcast_to(self.eval_poly(n, X), X.shape).tolist()
 

@@ -4,9 +4,13 @@ Consecutive zeros of these polynomials sit more than one lattice unit apart in
 s wherever the coefficient ratio is positive on the zero set, on finite and
 infinite supports alike, so sampling at step 1/2 brackets every zero; the
 scan still refines to steps 1/4 and 1/8 before declaring a count failure.
-Each scan evaluates all its samples in one array pass of the float series;
-each bracket is then refined by ITP in the s variable, one value at a time,
-and mapped to X at the end.
+Each scan evaluates all its samples in one array pass of the float series.
+The brackets are then refined by ITP in the s variable and mapped to X at
+the end.  A set of _LOCKSTEP (16) or more brackets refines in lockstep: each
+round moves every open bracket one ITP step and evaluates all their trial
+points in one array pass, since one pass costs about as much as 14-20
+one-point calls.  Fewer brackets, and those a lockstep set leaves open once
+fewer than 16 remain, refine one value at a time.
 
 track_zeros skips the scan where the zeros are nearly known, as along a
 parameter sweep: it brackets each zero inside the cell of its guess and
@@ -28,6 +32,9 @@ _STEPS = (0.5, 0.25, 0.125)
 _NODE_TOL = 1e-13
 _WIDTH_REL = 1e-12
 _MAX_WINDOW = 4096.0
+# open brackets from which one array pass of the float series, which costs
+# about as much as 14-20 one-point calls, refines them in lockstep
+_LOCKSTEP = 16
 
 
 @dataclass(frozen=True)
@@ -71,32 +78,33 @@ def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     vs = spec.eval_at_s_many(n, ss)
+    mags = list(map(abs, vs))
+    nbrs = map(max, [0.0, *mags[:-1]], [*mags[1:], 0.0])
     brackets = []
-    prev_i = None  # last sample with a definite sign since the last node zero
-    for i, v in enumerate(vs):
-        nbr = max(
-            abs(vs[i - 1]) if i > 0 else 0.0,
-            abs(vs[i + 1]) if i + 1 < count else 0.0,
-        )
+    # the last sample with a definite sign since the last node zero; pv = 0.0
+    # when there is none, so that pv * v < 0.0 fails
+    ps = pv = 0.0
+    for s, v, nbr in zip(ss, vs, nbrs):
         if v == 0.0 or abs(v) < _NODE_TOL * nbr:
-            brackets.append((ss[i], ss[i], nbr, nbr))
-            prev_i = None
+            brackets.append((s, s, nbr, nbr))
+            pv = 0.0
             continue
-        if prev_i is not None and vs[prev_i] * v < 0.0:
-            brackets.append((ss[prev_i], ss[i], vs[prev_i], v))
-        prev_i = i
+        if pv * v < 0.0:
+            brackets.append((ps, s, pv, v))
+        ps, pv = s, v
     return brackets
 
 
-def _itp(g, lo: float, hi: float, glo: float, ghi: float) -> tuple[float, float]:
-    """Refine the bracket [lo, hi], where g changes sign, by ITP; return the
-    zero and the final bracket width.
+def _itp(lo: float, hi: float, glo: float, ghi: float):
+    """Refine the bracket [lo, hi], where g changes sign, by ITP, as a
+    stepper: the generator yields each trial point, is sent g there, and
+    returns the zero and the final bracket width.
 
     ITP (Oliveira & Takahashi, ACM TOMS 2020) steps from the regula falsi
     point towards the midpoint by kappa1 * width**kappa2, at least eps, and
     projects the step into a ball about the midpoint that shrinks so that the
     bracket narrows to 2 eps = _WIDTH_REL * max(1, |s|) within
-    ceil(log2(width / (2 eps))) + n0 calls of g, bisection's count plus n0.
+    ceil(log2(width / (2 eps))) + n0 trial points, bisection's count plus n0.
     kappa1 = 0.2 / width, kappa2 = 2 and n0 = 1.  A point where g is exactly
     0.0 is returned with width 0.0, as a scan node zero is.
     """
@@ -118,7 +126,7 @@ def _itp(g, lo: float, hi: float, glo: float, ghi: float) -> tuple[float, float]
         xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
         r = math.ldexp(eps, n_max - j) - 0.5 * width
         x = xt if abs(xt - mid) <= r else mid - sigma * r
-        gx = g(x)
+        gx = yield x
         if gx == 0.0:
             return x, 0.0
         if (glo < 0.0) == (gx < 0.0):
@@ -132,6 +140,16 @@ def _itp(g, lo: float, hi: float, glo: float, ghi: float) -> tuple[float, float]
         if lo <= z <= hi:
             return z, hi - lo
     return 0.5 * (lo + hi), hi - lo
+
+
+def _drive(steps, g, gx=None) -> tuple[float, float]:
+    """Run an ITP stepper to its end, one call of g per trial point; gx is g
+    at the trial point it last yielded, None if it has not started."""
+    try:
+        while True:
+            gx = g(steps.send(gx))
+    except StopIteration as stop:
+        return stop.value
 
 
 def find_zeros(problem: ZeroProblem) -> ZeroSet:
@@ -149,10 +167,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     fam = problem.family
     base = fam.resolve_base()
     n = problem.degree
-
-    def g(s: float) -> float:
-        return base.eval_at_s(n, s)
-
+    g = base._at_s(n)
     a = fam.support_start
     # a finite window never grows: doubling would leave the support, and a
     # window that collapses in float (a + N - 1 == a) would double to itself
@@ -197,18 +212,13 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
     and None is returned: the caller falls back to find_zeros.
     """
     fam = problem.family
-    base = fam.resolve_base()
-    n = problem.degree
-
-    def g(s: float) -> float:
-        return base.eval_at_s(n, s)
-
-    if len(guesses) != n or any(v <= u for u, v in zip(guesses, guesses[1:])):
+    if len(guesses) != problem.degree or any(v <= u for u, v in zip(guesses, guesses[1:])):
         return None
     a = fam.support_start
     top = fam.support_end - 1.0 if fam.is_finite else a + _MAX_WINDOW
     mids = [0.5 * (u + v) for u, v in zip(guesses, guesses[1:])]
     brackets = []
+    g = fam.resolve_base()._at_s(problem.degree)
     for cl, cr, p, r in zip([a, *mids], [*mids, top], guesses, radii):
         cl, cr = max(cl, a), min(cr, top)
         if not cl < cr:
@@ -233,21 +243,44 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
 def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
     """Refine each (sl, sr, gl, gr) bracket of g by ITP and map its zero to X.
 
-    A zero's residual is |g| there relative to the larger end value of its
-    bracket, the local scale of the polynomial.
+    While _LOCKSTEP or more brackets are open, they refine in lockstep: each
+    round evaluates the trial points of all of them in one array pass of the
+    float series, and each takes its next ITP step.  The brackets left open
+    then refine one at a time, one call of g per trial point; so do sets of
+    fewer than _LOCKSTEP brackets from the start.  The residuals of a set of
+    _LOCKSTEP or more come from one array pass too, and every value is the
+    one-at-a-time value bit for bit.  A zero's residual is |g| there relative
+    to the larger end value of its bracket, the local scale of the polynomial.
     """
     fam = problem.family
-    zs: list[float] = []
-    widths: list[float] = []
-    residuals: list[float] = []
-    for sl, sr, gl, gr in brackets:
-        z, w = _itp(g, sl, sr, gl, gr)
-        zs.append(z)
-        widths.append(w)
-        local = max(abs(gl), abs(gr), 1e-300)
-        residuals.append(abs(g(z)) / local)
+    if len(brackets) < _LOCKSTEP:
+        found = [_drive(_itp(*b), g) for b in brackets]
+        gz = [g(z) for z, _ in found]
+    else:
+        base, n = fam.resolve_base(), problem.degree
+        found = [None] * len(brackets)
+        # (trial point, bracket index, stepper) of each open bracket, and g at
+        # each trial point; None starts a stepper
+        trials = [(None, i, _itp(*b)) for i, b in enumerate(brackets)]
+        values = [None] * len(trials)
+        while True:
+            stepped = []
+            for (_, i, steps), gx in zip(trials, values):
+                try:
+                    stepped.append((steps.send(gx), i, steps))
+                except StopIteration as stop:
+                    found[i] = stop.value
+            trials = stepped
+            if len(trials) < _LOCKSTEP:
+                break
+            values = base.eval_at_s_many(n, [x for x, _, _ in trials])
+        for x, i, steps in trials:
+            found[i] = _drive(steps, g, g(x))
+        gz = base.eval_at_s_many(n, [z for z, _ in found])
+    zs, widths = zip(*found)
+    residuals = [abs(v) / max(abs(gl), abs(gr), 1e-300) for v, (_, _, gl, gr) in zip(gz, brackets)]
     xs = [fam.zero_scale * fam.grid.x_raw(z) for z in zs]
-    return ZeroSet(problem, tuple(zs), tuple(xs), tuple(residuals), tuple(widths))
+    return ZeroSet(problem, zs, tuple(xs), tuple(residuals), widths)
 
 
 @dataclass(frozen=True)

@@ -576,6 +576,48 @@ def test_eval_at_s_many_raises_the_first_per_sample_error(kind, params, n, ss, e
     assert got[0].__name__ == error
 
 
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_per_degree_evaluator_matches_eval_at_s_bit_for_bit(kind):
+    # the function of s a zero search calls: aliases keep their prefactor and
+    # zero scale, and the samples run past the ends of the support
+    spec = make_family(kind, sample_params(kind, random.Random(f"at_s/{kind}")))
+    lo = spec.support_start
+    hi = spec.support_end - 1.0 if spec.is_finite else lo + 60.0
+    ss = [lo + (hi - lo) * i / 99 for i in range(100)] + [lo - 0.75, lo - 0.5, hi + 0.25]
+    for n in sorted({0, 1, 2, 3, 7, min(spec.degree_max, 30)}):
+        at_s = spec._at_s(n)
+        assert _outcomes(lambda: [at_s(s) for s in ss]) == _outcomes(_per_sample, spec, n, ss)
+
+
+@pytest.mark.parametrize(
+    "kind, params, n, s, error",
+    [
+        # the prefactor overflows: every s is named
+        ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30, 0.0, "EvaluationOverflowError"),
+        ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30, 7.5, "EvaluationOverflowError"),
+        ("quantum_q_krawtchouk", {"alpha": 1e300, "q": 0.5, "N": 10}, 5, 0.0,
+         "EvaluationOverflowError"),
+        # a degree out of range, and before it an overflow of x(s)
+        ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 10}, 10, 0.0, "DomainError"),
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, 0.0, "DomainError"),
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, 300.0,
+         "EvaluationOverflowError"),
+        # an x(s) overflow of an alias
+        ("big_q_jacobi_special", {"alpha": 0.5, "beta": 0.5, "q": 0.5}, 2, -1500.0,
+         "EvaluationOverflowError"),
+    ],
+    ids=["prefactor-s0", "prefactor-s7.5", "quantum-prefactor", "degree", "degree-infinite",
+         "x-before-degree", "alias-x"],
+)
+def test_per_degree_evaluator_raises_as_eval_at_s(kind, params, n, s, error):
+    spec = make_family(kind, params)
+    at_s = spec._at_s(n)  # building it raises nothing
+    got = _outcomes(lambda: [at_s(s)])
+    assert got == _outcomes(_per_sample, spec, n, [s])
+    assert got[0].__name__ == error
+    assert f"s={s!r}" in got[1] or error == "DomainError"
+
+
 FACTS = Path(__file__).parent / "data" / "family_facts.json"
 
 

@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import copz.zeros
@@ -358,7 +359,7 @@ def test_refinement_keeps_the_bisection_bound_on_a_sign_only_function(upper):
     root = math.sqrt(2.0)
     g, calls = _counted(lambda s: -1.0 if s < root else upper)
     lo, hi = 1.0, 1.5
-    z, width = copz.zeros._itp(g, lo, hi, -1.0, upper)
+    z, width = copz.zeros._drive(copz.zeros._itp(lo, hi, -1.0, upper), g)
     bisection, tol = _bisection_calls(lo, hi)
     assert len(calls) <= bisection + 1
     assert 0.0 < width <= tol
@@ -367,7 +368,7 @@ def test_refinement_keeps_the_bisection_bound_on_a_sign_only_function(upper):
 
 def test_refinement_returns_an_exact_hit_with_width_zero():
     g, calls = _counted(lambda s: s - 0.25)
-    assert copz.zeros._itp(g, 0.0, 0.5, -0.25, 0.25) == (0.25, 0.0)
+    assert copz.zeros._drive(copz.zeros._itp(0.0, 0.5, -0.25, 0.25), g) == (0.25, 0.0)
     assert calls == [0.25]
 
 
@@ -388,26 +389,54 @@ def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, para
         if sl == sr:
             continue
         g, calls = _counted(lambda s: base.eval_at_s(n, s))
-        copz.zeros._itp(g, sl, sr, gl, gr)
+        copz.zeros._drive(copz.zeros._itp(sl, sr, gl, gr), g)
         assert len(calls) <= _bisection_calls(sl, sr)[0] / 2, (sl, sr)
 
 
-#: series calls per zero over the recorded outcomes: 31.5 when each bracket was
-#: bisected, 13.2 by ITP; the noise-dominated N=60 cases still take about 37
+def _refinement_points(monkeypatch):
+    """Record what _refined evaluates: the points of each float-series call,
+    one for a scalar call and one per sample of an array pass, and the size
+    of each array pass.  Scan samples are not recorded."""
+    points, passes, refining = [], [], []
+
+    def series_points(series):
+        def counted(*args):
+            out = series(*args)
+            if refining:
+                points.append(np.size(out))
+            return out
+
+        return counted
+
+    def pass_size(self, n, ss):
+        if refining:
+            passes.append(len(ss))
+        return many(self, n, ss)
+
+    def refined(*args):
+        refining.append(True)
+        try:
+            return refine(*args)
+        finally:
+            refining.clear()
+
+    many, refine = copz.families.FamilySpec.eval_at_s_many, copz.zeros._refined
+    for name in ("hyper_sum", "qhyper_sum"):
+        monkeypatch.setattr(copz.families, name, series_points(getattr(copz.families, name)))
+    monkeypatch.setattr(copz.families.FamilySpec, "eval_at_s_many", pass_size)
+    monkeypatch.setattr(copz.zeros, "_refined", refined)
+    return points, passes
+
+
+#: points the refinement evaluates per zero over the recorded outcomes: 31.5
+#: when each bracket was bisected, 12.9 by ITP; the noise-dominated N=60 cases
+#: still take about 37
 SERIES_CALLS_PER_ZERO = 16.0
 
 
 def test_series_calls_per_zero_over_the_recorded_outcomes(monkeypatch):
-    # scan samples go through the array pass; eval_at_s counts its first
-    # sample, each refinement step and each residual
-    calls = []
-    eval_at_s = copz.families.FamilySpec.eval_at_s
-
-    def counted(self, n, s):
-        calls.append(s)
-        return eval_at_s(self, n, s)
-
-    monkeypatch.setattr(copz.families.FamilySpec, "eval_at_s", counted)
+    # each refinement step and each residual, one at a time or in lockstep
+    points, _ = _refinement_points(monkeypatch)
     zeros = 0
     for case in ZERO_OUTCOMES:
         try:
@@ -415,4 +444,44 @@ def test_series_calls_per_zero_over_the_recorded_outcomes(monkeypatch):
         except copz.CopzError:
             pass
     assert zeros == sum(len(case.get("zeros_s", ())) for case in ZERO_OUTCOMES)
-    assert len(calls) / zeros <= SERIES_CALLS_PER_ZERO
+    assert sum(points) / zeros <= SERIES_CALLS_PER_ZERO
+
+
+@pytest.mark.parametrize(
+    "params, n, lockstep",
+    [
+        ({"alpha": 0.5, "beta": 1.0, "N": 60}, 59, True),
+        ({"alpha": 0.5, "beta": 1.0, "N": 30}, 15, False),
+        ({"alpha": 0.5, "beta": 1.0, "N": 30}, 16, True),
+    ],
+    ids=["59-brackets", "15-brackets", "16-brackets"],
+)
+def test_wide_sets_refine_in_lockstep(monkeypatch, params, n, lockstep):
+    problem = ZeroProblem(make_family("hahn", params), n)
+    base = problem.family.resolve_base()
+    for step in copz.zeros._STEPS:  # as find_zeros scans a finite support
+        brackets = copz.zeros._scan(base, n, 0.0, params["N"] - 1.0, step)
+        if len(brackets) >= n:
+            break
+    assert len(brackets) == n
+    # the reference refines one bracket at a time through eval_at_s
+    ref = {"zeros_s": [], "bracket_widths": [], "residuals": []}
+    for sl, sr, gl, gr in brackets:
+        z, w = copz.zeros._drive(copz.zeros._itp(sl, sr, gl, gr), lambda s: base.eval_at_s(n, s))
+        ref["zeros_s"].append(z.hex())
+        ref["bracket_widths"].append(w.hex())
+        ref["residuals"].append((abs(base.eval_at_s(n, z)) / max(abs(gl), abs(gr), 1e-300)).hex())
+    _, passes = _refinement_points(monkeypatch)
+    zs = find_zeros(problem)
+    assert {f: [v.hex() for v in getattr(zs, f)] for f in ref} == ref
+    # one array pass per round of ITP steps, and one for the residuals
+    steps = max(_bisection_calls(sl, sr)[0] + 1 for sl, sr, _, _ in brackets if sl < sr)
+    assert len(passes) <= steps + 2
+    assert bool(passes) == lockstep
+    if lockstep:
+        # the first round holds every bracket of positive width, the last
+        # pass the n residuals
+        assert passes[0] == sum(sl < sr for sl, sr, _, _ in brackets) >= copz.zeros._LOCKSTEP
+        assert passes[-1] == n
+        # a round runs only while enough brackets are open to fill a pass
+        assert min(passes) >= copz.zeros._LOCKSTEP
