@@ -47,8 +47,11 @@ def _fmt(v: float) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"--out {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -143,10 +143,7 @@ class FamilySpec:
     def _poly(self, n: int) -> Callable[[float], float]:
         """eval_poly(n, .) as a function of X: the degree is checked and the
         prefactor, series and lattice atoms are looked up here, once."""
-        if not 0 <= n <= self.degree_max:
-            raise DomainError(
-                f"{self._label}: degree n={n} outside 0..{self.degree_max}"
-            )
+        self._check_degree(n)
         entry = _CATALOG[self.kind]
         pref = entry.prefactor(self.params, n)
         if self.base is not None:
@@ -157,22 +154,27 @@ class FamilySpec:
             return lambda X: pref * series(p, n, _qsym_atoms(p, X))
         return lambda X: pref * series(p, n, X)
 
+    def _check_degree(self, n: int) -> None:
+        if not 0 <= n <= self.degree_max:
+            raise DomainError(f"{self._label}: degree n={n} outside 0..{self.degree_max}")
+
     def eval_at_s(self, n: int, s: float) -> float:
-        """Value at the lattice point x(s); s may sit off the monotone branch."""
-        try:
-            return self.eval_poly(n, self.zero_scale * self.grid.x_raw(s))
-        except OverflowError as exc:
-            raise self._overflow(n, s) from exc
+        """Value at the lattice point x(s); s may sit off the monotone branch.
+
+        This is _at_s(n) at s, the one map from s to the value, which names an
+        OverflowError of x(s) or of the value as EvaluationOverflowError.
+        """
+        return self._at_s(n)(s)
 
     def _at_s(self, n: int) -> Callable[[float], float]:
         """eval_at_s(n, .) as a function of s, for the many calls of a zero
         search: the degree check, prefactor, series and lattice map are
-        looked up once.  Where that lookup raises, the function is eval_at_s
-        itself, which raises it at each s, after an overflow of x(s)."""
+        looked up once.  Where that lookup raises, the function repeats it
+        at each s, so the error comes after an overflow of x(s)."""
         try:
             poly = self._poly(n)
         except (DomainError, ArithmeticError):
-            return lambda s: self.eval_at_s(n, s)
+            poly = lambda X: self._poly(n)(X)
         x_raw, scale, overflow = self.grid.x_raw, self.zero_scale, self._overflow
 
         def at_s(s: float) -> float:
@@ -839,32 +841,25 @@ def _with_q(rng, build):
     return out
 
 
-def _rand_branch_value(rng, lo, hi):
-    wlo, whi = _central(lo, hi)
-    return rng.uniform(wlo, whi)
-
-
 def _sample_hahn(rng):
     return {"alpha": rng.uniform(-0.8, 2.5), "beta": rng.uniform(-0.8, 2.5), "N": rng.randint(5, 12)}
 
 
 def _sample_racah(rng):
     a = rng.uniform(-0.45, -0.05) if rng.random() < 0.3 else rng.uniform(0.0, 1.8)
-    blo = a if a < 0.0 else -1.0
     return {
         "a": a,
         "alpha": rng.uniform(-0.8, 2.0),
-        "beta": _rand_branch_value(rng, blo, 2.0 * a + 1.0),
+        "beta": rng.uniform(*_racah_claims({"a": a})[1].window),
         "N": rng.randint(5, 10),
     }
 
 
 def _sample_dual_hahn(rng):
     a = rng.uniform(-0.45, -0.05) if rng.random() < 0.3 else rng.uniform(0.0, 1.8)
-    lo = a if a < 0.0 else -1.0
     return {
         "a": a,
-        "alpha": _rand_branch_value(rng, lo, 2.0 * a + 1.0),
+        "alpha": rng.uniform(*_dual_hahn_claims({"a": a})[0].window),
         "N": rng.randint(5, 10),
     }
 
@@ -872,11 +867,10 @@ def _sample_dual_hahn(rng):
 def _sample_q_racah(rng):
     q = rng.uniform(0.45, 0.8)
     a = rng.uniform(0.12, 0.45) if rng.random() < 0.3 else rng.uniform(0.5, 1.6)
-    blo = a - 0.5 if a < 0.5 else -1.0
     return {
         "a": a,
         "alpha": rng.uniform(-0.8, 1.5),
-        "beta": _rand_branch_value(rng, blo, 2.0 * a),
+        "beta": rng.uniform(*_q_racah_claims({"a": a})[1].window),
         "q": q,
         "N": rng.randint(5, 9),
     }
@@ -885,10 +879,9 @@ def _sample_q_racah(rng):
 def _sample_dual_q_hahn(rng):
     q = rng.uniform(0.45, 0.8)
     a = rng.uniform(0.12, 0.45) if rng.random() < 0.3 else rng.uniform(0.5, 1.6)
-    lo = a - 0.5 if a < 0.5 else -1.0
     return {
         "a": a,
-        "alpha": _rand_branch_value(rng, lo, 2.0 * a),
+        "alpha": rng.uniform(*_dual_q_hahn_claims({"a": a})[0].window),
         "q": q,
         "N": rng.randint(5, 9),
     }
@@ -1326,8 +1319,7 @@ def eval_exact_at_support(
     p, x = _exact_atoms(base, k)
     rows = []
     for d in (n,) if one_degree else n:
-        if not 0 <= d <= family.degree_max:
-            raise DomainError(f"{family._label}: degree n={d} outside 0..{family.degree_max}")
+        family._check_degree(d)
         try:
             # an alias scales its base's value by its own prefactor, as in eval_poly
             outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, d)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, WeightMismatchError
+from .errors import DomainError, EvaluationOverflowError, WeightMismatchError
 from .families import MAX_FINITE_SUPPORT, FamilySpec, ZeroProblem, make_family
 from .weights import weight_ratio, weight_table
 from .zeros import find_zeros
@@ -108,19 +108,20 @@ def interlace_check(
     xb = g.x(spec_n.support_end)
     p = _monic(zn)
     p_at_xb = p(xb)
-    scale = max(abs(xb - y) for y in zn) ** n
+    try:
+        scale = max(abs(xb - y) for y in zn) ** n
+    except OverflowError as exc:
+        raise EvaluationOverflowError(
+            f"{spec_n.kind}: max|x(b) - y_j|^{n} over the degree-{n} zeros overflows "
+            f"the float range (x(b)={xb!r})"
+        ) from exc
     case = classify_case(zn, xb, p_at_xb, scale)
-    if case == "identical":
-        bounds: list[float] = []
-    elif case == "split-at-xb":
-        bounds = sorted(list(zn) + [xb])
-    else:
-        # all catalogued finite lattices increase, so x(b) sits above the zeros
-        bounds = list(zn) + [xb]
     if case == "identical":
         zone_counts: tuple[int, ...] = ()
         ok = max(abs(u - v) for u, v in zip(zn, zn1)) <= 1e-8 * max(1.0, abs(xb))
     else:
+        # x(b) splits the zeros or, on the increasing finite lattices, sits above them
+        bounds = sorted([*zn, xb])
         counts = []
         for lo, hi in zip(bounds, bounds[1:]):
             counts.append(sum(1 for z in zn1 if lo < z < hi))

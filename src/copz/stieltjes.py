@@ -220,8 +220,14 @@ def build_stieltjes_system(zs: ZeroSet, param: str) -> StieltjesSystem:
         xm = g.x_raw(ys[j] - 1.0)
         xp = g.x_raw(ys[j] + 1.0)
         for k in range(n):
-            b[j, k] = b_entry(g, ys[j], ys[k])
-            c[j, k] = (1.0 / (xp - Xs[k]) - 1.0 / (xm - Xs[k])) * g.dx_ds(ys[k])
+            try:
+                b[j, k] = b_entry(g, ys[j], ys[k])
+                c[j, k] = (1.0 / (xp - Xs[k]) - 1.0 / (xm - Xs[k])) * g.dx_ds(ys[k])
+            except ZeroDivisionError as exc:
+                raise IllConditionedSystemError(
+                    f"{fam.kind}: the zeros y_j={ys[j]!r} and y_k={ys[k]!r} sit one "
+                    "lattice step apart, so x(y_j +/- 1) = x(y_k) and the system divides by zero"
+                ) from exc
 
     A = np.empty((n, n))
     for j in range(n):

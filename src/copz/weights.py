@@ -9,13 +9,17 @@ oriented measure w(s) |dx(s-1/2)| so that norms stay positive on decreasing
 lattices.  A non-positive ratio signals an inconsistent coefficient table; by
 default it raises, and with ``allow_sign_flip`` the table is built from the
 absolute ratios and prominently flagged.
+
+Orthogonality sums take the polynomial values from the exact lattice path,
+``eval_exact_at_support``, in one batched call over the table's points: float
+summation loses every digit near the top support points at higher degrees,
+where the terminating series cancels by many orders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import SingularityError, TruncationError, WeightPositivityError
 from .families import FamilySpec, eval_exact_at_support
@@ -133,19 +137,6 @@ def weight_table(
     )
 
 
-def _poly_values(
-    family: FamilySpec, table: WeightTable, degrees: Sequence[int]
-) -> list[list[float]]:
-    """Values of each degree over the table, summed in exact rational arithmetic.
-
-    Direct float summation loses all digits near the top lattice points at
-    higher degrees (the terminating series cancels by many orders there), so
-    orthogonality sums evaluate through the exact lattice path: one batched
-    call, which builds each point's atoms once for all the degrees.
-    """
-    return eval_exact_at_support(family, degrees, range(len(table)))
-
-
 def _pair_sum_values(
     table: WeightTable, vm: list[float], vn: list[float]
 ) -> float:
@@ -168,9 +159,9 @@ def orthogonality_residual(
     normalization cancels the prefactor.
     """
     if m == n:
-        (v,) = _poly_values(family, table, (n,))
+        (v,) = eval_exact_at_support(family, (n,), range(len(table)))
         return _pair_sum_values(table, v, v)
-    vm, vn = _poly_values(family.resolve_base(), table, (m, n))
+    vm, vn = eval_exact_at_support(family.resolve_base(), (m, n), range(len(table)))
     smn = _pair_sum_values(table, vm, vn)
     return abs(smn) / math.sqrt(
         _pair_sum_values(table, vm, vm) * _pair_sum_values(table, vn, vn)
@@ -182,7 +173,7 @@ def gram_offdiag_max(family: FamilySpec, kmax: int, table: WeightTable) -> float
 
     An alias pairs its base's values: its prefactor only rescales each degree.
     """
-    values = _poly_values(family.resolve_base(), table, range(kmax + 1))
+    values = eval_exact_at_support(family.resolve_base(), range(kmax + 1), range(len(table)))
     norms = [_pair_sum_values(table, v, v) for v in values]
     worst = 0.0
     for m in range(kmax + 1):
@@ -235,30 +226,25 @@ def boundary_check(family: FamilySpec, k_max: int = 3) -> BoundaryReport:
     g = family.grid
     a = family.support_start
     scale = max(math.exp(lv) for lv in table.log_values)
-    start = []
+    aa = _a_lower(family, a)
+    start = [abs(aa * g.x_raw(a - 0.5) ** k) / scale for k in range(k_max + 1)]
     end = []
     if family.is_finite:
         b = family.support_end
-        aa = _a_lower(family, a)
         r = weight_ratio(family, b - 1.0)
         w_b = math.exp(table.log_values[-1]) * abs(r)
         ab = _a_lower(family, b)
         for k in range(k_max + 1):
-            xa = g.x_raw(a - 0.5) ** k
             xb = g.x_raw(b - 0.5) ** k
-            start.append(abs(1.0 * aa * xa) / scale)
             end.append(abs(w_b * ab * xb) / scale)
         tol = 1e-10 * max(1.0, abs(g.x_raw(b - 0.5))) ** k_max
         ok = all(r <= tol for r in start + end)
         return BoundaryReport(ok, tuple(start), tuple(end))
-    aa = _a_lower(family, a)
     last = len(table) - 1
     s_last = table.s_at(last)
     a_last = _a_lower(family, s_last)
     log_max = max(table.log_values)
     for k in range(k_max + 1):
-        xa = g.x_raw(a - 0.5) ** k
-        start.append(abs(aa * xa) / scale)
         tail = table.log_values[last] + math.log(max(abs(a_last), 1e-300))
         tail += k * math.log(max(1.0, abs(g.x_raw(s_last - 0.5))))
         end.append(math.exp(tail - log_max) / max(scale, 1.0))

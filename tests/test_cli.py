@@ -376,3 +376,43 @@ def test_verify_sizes_the_weight_table_for_its_gram_degrees(monkeypatch):
     assert code == 0
     assert degrees == [5]
     assert hints == [5]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the zeros sit on s = 0, 1, 2, ..., so x(y_j + 1) == x(y_k) in b_jk and c_jk
+        (["stieltjes", "--family", "affine_q_krawtchouk", "--n", "6",
+          "--set", "alpha=1.1942934361487703e-12", "--set", "N=8",
+          "--set", "q=0.6768888891935936", "--param", "alpha"],
+         "affine_q_krawtchouk: the zeros y_j=3.0 and y_k=4.0 sit one lattice step apart, "
+         "so x(y_j +/- 1) = x(y_k) and the system divides by zero"),
+        # x(b) ~ 1.8e85, so max|x(b) - y_j|^6 leaves the float range
+        (["interlace", "--family", "affine_q_krawtchouk", "--n", "6",
+          "--set", "alpha=0.658656734955852", "--set", "N=7",
+          "--set", "q=6.630651803359479e-13"],
+         "affine_q_krawtchouk: max|x(b) - y_j|^6 over the degree-6 zeros overflows the "
+         "float range (x(b)=1.7746243804690033e+85)"),
+    ],
+    ids=["stieltjes-zeros-one-step-apart", "interlace-scale-overflow"],
+)
+def test_degenerate_zero_sets_are_invalid_input(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/x.txt", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_out_to_an_unwritable_path_is_invalid_input(tmp_path, target, reason):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(
+        ["zeros", "--family", "charlier", "--set", "alpha=1", "--n", "2", "--out", path]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out {path!r}: {reason}\n"
