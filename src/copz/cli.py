@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -444,9 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first main() call and reused: in-process callers run main()
+# many times, and the tree takes thousands of add_argument calls to build
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CopzError as exc:

@@ -225,7 +225,14 @@ class FamilySpec:
         )
 
     def coeffs_AB(self, s: float) -> tuple[float, float]:
-        """The three-point coefficients (A, B) at s in the canonical scaling."""
+        """The three-point coefficients (A, B) at s in the canonical scaling.
+
+        s may be a numpy array of points, real or complex: the table is then
+        one elementwise pass, where a pole or an overflow of q**s gives a
+        non-finite value (and numpy's warning) instead of an error.  numpy's
+        power is not Python's to the last bit, so array values decide signs
+        only; a scalar s gives the scalar table's values.
+        """
         base = self.resolve_base()
         try:
             return _CATALOG[base.kind].ab(base.params, s)
@@ -233,8 +240,16 @@ class FamilySpec:
             raise self._ab_overflow(s) from exc
 
     def monotonicity_f(self, s: float) -> float:
-        """The coefficient ratio f = B/A whose signs steer the zero motion."""
+        """The coefficient ratio f = B/A whose signs steer the zero motion.
+
+        On an array of s, f comes from one pass of the table and is NaN at
+        every sample where A or B is not finite or A = 0: the samples where a
+        scalar call may raise or give a non-finite f.  Elsewhere its sign is
+        the scalar f's.
+        """
         A, B = self.coeffs_AB(s)
+        if isinstance(s, np.ndarray):
+            return np.where(np.isfinite(A) & np.isfinite(B) & (A != 0.0), B / A, np.nan)
         if A == 0.0:
             raise SingularityError(f"{self.kind}: A(s)=0 at s={s!r}")
         return B / A
@@ -245,10 +260,15 @@ class FamilySpec:
         This complex step differentiates the family's one A, B table with an
         O(h^2) error, far below rounding.  The real f(s) comes first, so a pole
         raises SingularityError rather than giving a huge complex quotient.
+        On an array of s, the two partials are one complex pass of the table
+        each, whose signs are the scalar calls' signs; the real f is not
+        taken, so the samples a scalar call raises at are the ones where
+        monotonicity_f over the same array is NaN.
         """
         if param not in self.params or param == "N":
             raise DomainError(f"{self.kind} has no continuous parameter {param!r}")
-        self.monotonicity_f(s)
+        if not isinstance(s, np.ndarray):
+            self.monotonicity_f(s)
         moved = {**self.params, param: self.params[param] + _STEP * 1j}
         f1 = self._complex_f(self.params, s + _STEP * 1j)
         return f1.imag / _STEP, self._complex_f(moved, s).imag / _STEP
@@ -433,15 +453,14 @@ def _racah_ab(p, s):
     a, al, be, N = p["a"], p["alpha"], p["beta"], p["N"]
     da = 2.0 * s * (2.0 * s + 1.0)
     db = 2.0 * (s + 1.0) * (2.0 * s + 1.0)
-    if da == 0.0:
-        if s == 0.0 and a == 0.0:
-            # removable 0/0: the (s-a)/(2s) pair cancels at the support start
-            A = (s + N) * (s - al - N) * (s - be) / (2.0 * (2.0 * s + 1.0))
-        else:
-            raise SingularityError(f"racah: coefficient pole at s={s!r}")
-    else:
+    # an array s is divided through: its poles, and the removable 0/0, come
+    # out non-finite
+    if isinstance(s, np.ndarray) or da != 0.0 and db != 0.0:
         A = (s - a) * (s + a + N) * (s - a - al - N) * (s + a - be) / da
-    if db == 0.0:
+    elif da == 0.0 and s == 0.0 and a == 0.0:
+        # removable 0/0: the (s-a)/(2s) pair cancels at the support start
+        A = (s + N) * (s - al - N) * (s - be) / (2.0 * (2.0 * s + 1.0))
+    else:
         raise SingularityError(f"racah: coefficient pole at s={s!r}")
     B = (s + a + 1.0) * (s - a - N + 1.0) * (s + a + al + N + 1.0) * (s - a + be + 1.0) / db
     return A, B
@@ -474,14 +493,11 @@ def _dual_hahn_ab(p, s):
     a, al, N = p["a"], p["alpha"], p["N"]
     da = 2.0 * s * (2.0 * s + 1.0)
     db = 2.0 * (s + 1.0) * (2.0 * s + 1.0)
-    if da == 0.0:
-        if s == 0.0 and a == 0.0:
-            A = (s + N) * (s - al) / (2.0 * (2.0 * s + 1.0))
-        else:
-            raise SingularityError(f"dual_hahn: coefficient pole at s={s!r}")
-    else:
+    if isinstance(s, np.ndarray) or da != 0.0 and db != 0.0:
         A = (s - a) * (s + a + N) * (s + a - al) / da
-    if db == 0.0:
+    elif da == 0.0 and s == 0.0 and a == 0.0:
+        A = (s + N) * (s - al) / (2.0 * (2.0 * s + 1.0))
+    else:
         raise SingularityError(f"dual_hahn: coefficient pole at s={s!r}")
     B = (s + a + 1.0) * (-s + a + N - 1.0) * (s - a + al + 1.0) / db
     return A, B
@@ -707,7 +723,7 @@ def _q_racah_ab(p, s):
     u2 = u * u  # q^(2s)
     da = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 / q - 1.0)
     db = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 * q - 1.0)
-    if da == 0.0 or db == 0.0:
+    if not isinstance(s, np.ndarray) and (da == 0.0 or db == 0.0):
         raise SingularityError(f"q_racah: coefficient pole at s={s!r}")
     A = (
         -4.0
@@ -762,7 +778,7 @@ def _dual_q_hahn_ab(p, s):
     u2 = u * u
     da = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 / q - 1.0)
     db = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 * q - 1.0)
-    if da == 0.0 or db == 0.0:
+    if not isinstance(s, np.ndarray) and (da == 0.0 or db == 0.0):
         raise SingularityError(f"dual_q_hahn: coefficient pole at s={s!r}")
     A = (
         -4.0

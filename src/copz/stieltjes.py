@@ -82,7 +82,16 @@ def direction_from_signs(f2_sign: str, grid_increasing: bool) -> str:
 
 
 def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> HypothesisReport:
-    """Evaluate the sign hypotheses on the certified interval and the zero set."""
+    """Evaluate the sign hypotheses on the certified interval and the zero set.
+
+    The samples are evaluated in array passes: f, f1 and f2 at all of them
+    come from one pass of the A, B table each (FamilySpec.f_partials over an
+    array), and the array values decide signs only.  A sample the passes
+    leave undecided (a pole, A = 0, an overflow or any other non-finite
+    value) is evaluated by the scalar monotonicity_f and f_partials, one at a
+    time; where that raises a CopzError the sample is a counterexample and f
+    is not positive.
+    """
     problem = zs.problem
     fam = problem.family
     lo, hi = fam.k_interval()
@@ -90,38 +99,35 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
     pts = list(np.linspace(lo, hi_eff, samples + 2)[1:-1])
     pts.extend(zs.zeros_s)
 
-    f_pos = True
-    f1_neg = True
-    f2_signs = set()
-    counterexamples: list[float] = []
-    grid4_vals_ok = True
-    is_grid4 = fam.grid.tag == Q_ANTISYMMETRIC
-    for s in pts:
+    try:
+        with np.errstate(all="ignore"):
+            ss = np.array(pts)
+            fv = fam.monotonicity_f(ss)
+            f1, f2 = fam.f_partials(ss, param)
+    except CopzError:  # raised for every sample, as by a term in the parameters alone
+        fv, f1, f2 = np.full((3, len(pts)), np.nan)
+    raised = np.zeros(len(pts), dtype=bool)
+    for i in np.flatnonzero(~(np.isfinite(fv) & np.isfinite(f1) & np.isfinite(f2))):
         try:
-            fv = fam.monotonicity_f(s)
-            f1, f2 = fam.f_partials(s, param)
+            fv[i] = fam.monotonicity_f(pts[i])
+            f1[i], f2[i] = fam.f_partials(pts[i], param)
         except CopzError:
-            counterexamples.append(s)
-            f_pos = False
-            continue
-        ok = True
-        if fv <= 0.0:
-            f_pos = False
-            ok = False
-        if f1 >= 0.0:
-            f1_neg = False
-            ok = False
-        f2_signs.add("+" if f2 > 0.0 else "-" if f2 < 0.0 else "0")
-        if is_grid4 and problem.degree * fv + f1 > 0.0:
-            grid4_vals_ok = False
-        if not ok and len(counterexamples) < 8:
-            counterexamples.append(s)
-    if f2_signs <= {"+"}:
+            raised[i] = True
+            fv[i] = f1[i] = f2[i] = np.nan
+    fails = (fv <= 0.0) | (f1 >= 0.0)
+    counterexamples: list[float] = []
+    for i in np.flatnonzero(raised | fails):
+        if raised[i] or len(counterexamples) < 8:
+            counterexamples.append(pts[i])
+    kept = ~raised
+    if np.all(f2[kept] > 0.0):
         f2_sign = "+"
-    elif f2_signs <= {"-"}:
+    elif np.all(f2[kept] < 0.0):
         f2_sign = "-"
     else:
         f2_sign = "mixed"
+    is_grid4 = fam.grid.tag == Q_ANTISYMMETRIC
+    grid4_vals_ok = not np.any(problem.degree * fv + f1 > 0.0)
     grid4 = "not-applicable" if not is_grid4 else ("pass" if grid4_vals_ok else "fail")
     inside = all(lo < y < hi for y in zs.zeros_s)
     return HypothesisReport(
@@ -130,8 +136,8 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
         param=param,
         t=float(fam.params[param]),
         k_interval=(lo, hi),
-        f_positive=f_pos,
-        f1_negative=f1_neg,
+        f_positive=not np.any(raised | (fv <= 0.0)),
+        f1_negative=not np.any(f1 >= 0.0),
         f2_sign=f2_sign,
         grid4_condition=grid4,
         zero_set_inside_k=inside,

@@ -67,7 +67,10 @@ class ZeroSet:
 
 def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
     """Sample the degree-n polynomial on [lo, hi] in s and return zero brackets
-    as (sl, sr, gl, gr) tuples, in increasing s.
+    as (sl, sr, gl, gr) tuples, in increasing s, and the samples where the
+    float series is NaN or inf when a scan at the finest step finds fewer
+    than n brackets; that count is final, and no sign change pairs across
+    such a sample.  Any other scan gives no samples.
 
     The samples are evaluated together, in one array pass of the float series.
     A sample within the node tolerance of zero (relative to its neighbors)
@@ -92,7 +95,10 @@ def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
         if pv * v < 0.0:
             brackets.append((ps, s, pv, v))
         ps, pv = s, v
-    return brackets
+    lost = []
+    if step == _STEPS[-1] and len(brackets) < n:
+        lost = [s for s, v in zip(ss, vs) if not math.isfinite(v)]
+    return brackets, lost
 
 
 def _itp(lo: float, hi: float, glo: float, ghi: float):
@@ -162,7 +168,9 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     n of them without five separation units of clearance past the last.  The
     final window is rescanned at steps 1/4 and 1/8 while fewer than n are
     found.  Raises ZeroCountError with the window width and the count at each
-    step scanned when the count is not n.
+    step scanned when the count is not n; when it is short and the last scan
+    met NaN or inf values of the float series, the error also gives how many
+    and the first such s.
     """
     fam = problem.family
     base = fam.resolve_base()
@@ -176,7 +184,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     else:
         hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
     while True:
-        brackets = _scan(base, n, a, hi, _STEPS[0])
+        brackets, lost = _scan(base, n, a, hi, _STEPS[0])
         found, wider = len(brackets), a + 2.0 * (hi - a)
         if fam.is_finite or wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
             break
@@ -187,12 +195,18 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         # finer sampling can only reveal missed pairs, never remove changes
         if len(brackets) >= n:
             break
-        brackets = _scan(base, n, a, hi, step)
+        brackets, lost = _scan(base, n, a, hi, step)
         diagnostics[f"count_at_step_{step}"] = len(brackets)
     if len(brackets) != n:
-        raise ZeroCountError(
-            f"{fam.kind}: found {len(brackets)} sign changes, expected {n}", diagnostics
-        )
+        message = f"{fam.kind}: found {len(brackets)} sign changes, expected {n}"
+        if lost:
+            diagnostics["nonfinite_samples"] = len(lost)
+            diagnostics["first_nonfinite_s"] = lost[0]
+            message += (
+                f"; the float series is not finite at {len(lost)} samples of the"
+                f" step-{_STEPS[-1]} scan, the first at s={lost[0]!r}"
+            )
+        raise ZeroCountError(message, diagnostics)
 
     return _refined(problem, g, brackets)
 

@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from copz import (
@@ -193,6 +194,37 @@ def test_partials_raise_at_poles():
     for param in ("alpha", "beta"):
         with pytest.raises(SingularityError):
             racah.f_partials(0.0, param)
+
+
+@pytest.mark.parametrize("kind,param", _claimed_params())
+def test_partials_on_an_array_give_each_scalar_calls_signs(kind, param):
+    """f, f1 and f2 over an array, one table pass each, against one scalar
+    call per point: a finite array value has the scalar value's sign on K
+    and one unit past its ends, and f is NaN at each point where the scalar
+    call raises (a pole, A = 0, an overflow of q**s far below the support).
+    Far below the support f1 on the q-lattices is rounding noise, whose sign
+    neither call decides, so signs are not compared there.
+    """
+    rng = random.Random(f"array/{kind}/{param}")
+    for _ in range(3):
+        spec = make_family(kind, sample_params(kind, rng))
+        lo, hi = spec.k_interval()
+        hi = hi if math.isfinite(hi) else lo + 8.0
+        ss = [*np.linspace(lo - 1.0, hi + 1.0, 57).tolist(), -1.0, -0.5, 0.0, 0.5, -2000.0]
+        with np.errstate(all="ignore"):
+            f = spec.monotonicity_f(np.array(ss))
+            f1, f2 = spec.f_partials(np.array(ss), param)
+        decided = 0
+        for s, got in zip(ss, zip(f, f1, f2)):
+            try:
+                want = (spec.monotonicity_f(s), *spec.f_partials(s, param))
+            except CopzError:
+                assert math.isnan(got[0]), (s, got)
+                continue
+            if s > -2000.0 and all(map(math.isfinite, got)):
+                assert np.array_equal(np.sign(got), np.sign(want)), (s, got, want)
+                decided += 1
+        assert decided >= 40
 
 
 def test_partials_reject_integer_and_unknown_parameters():

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+import copz
 from copz import (
     DomainError,
     Grid,
@@ -19,6 +21,7 @@ from copz import (
 )
 from copz.grid import LINEAR, QUADRATIC, Q_ANTISYMMETRIC, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC
 from copz.stieltjes import (
+    HypothesisReport,
     b_antisymmetric_closed,
     b_entry,
     b_quadratic_closed,
@@ -211,13 +214,127 @@ def test_trajectory_matrix_shape():
 def test_hypothesis_report_lets_programming_errors_through(monkeypatch):
     from copz.families import FamilySpec
 
-    def broken(self, s):
+    def broken(self, s, param):
         raise TypeError("broken coefficient ratio")
 
     zs = find_zeros(ZeroProblem(make_family("charlier", alpha=1.5), 2))
-    monkeypatch.setattr(FamilySpec, "monotonicity_f", broken)
+    monkeypatch.setattr(FamilySpec, "f_partials", broken)
     with pytest.raises(TypeError, match="broken coefficient ratio"):
         hypothesis_report(zs, "alpha")
+
+
+def _reference_report(zs, param, samples):
+    """hypothesis_report as one scalar monotonicity_f and f_partials call per sample."""
+    fam = zs.problem.family
+    lo, hi = fam.k_interval()
+    hi_eff = hi if math.isfinite(hi) else max(zs.zeros_s) + 2.0
+    pts = list(np.linspace(lo, hi_eff, samples + 2)[1:-1]) + list(zs.zeros_s)
+    f_pos = f1_neg = grid4_ok = True
+    f2_signs, counterexamples = set(), []
+    is_grid4 = fam.grid.tag == Q_ANTISYMMETRIC
+    for s in pts:
+        try:
+            fv = fam.monotonicity_f(s)
+            f1, f2 = fam.f_partials(s, param)
+        except copz.CopzError:
+            counterexamples.append(s)
+            f_pos = False
+            continue
+        ok = not (fv <= 0.0 or f1 >= 0.0)  # a NaN fails neither comparison
+        f_pos = f_pos and not fv <= 0.0
+        f1_neg = f1_neg and not f1 >= 0.0
+        f2_signs.add("+" if f2 > 0.0 else "-" if f2 < 0.0 else "0")
+        if is_grid4 and zs.problem.degree * fv + f1 > 0.0:
+            grid4_ok = False
+        if not ok and len(counterexamples) < 8:
+            counterexamples.append(s)
+    f2_sign = "+" if f2_signs <= {"+"} else "-" if f2_signs <= {"-"} else "mixed"
+    return HypothesisReport(
+        kind=fam.kind,
+        degree=zs.problem.degree,
+        param=param,
+        t=float(fam.params[param]),
+        k_interval=(lo, hi),
+        f_positive=f_pos,
+        f1_negative=f1_neg,
+        f2_sign=f2_sign,
+        grid4_condition="not-applicable" if not is_grid4 else "pass" if grid4_ok else "fail",
+        zero_set_inside_k=all(lo < y < hi for y in zs.zeros_s),
+        sample_count=len(pts),
+        counterexamples=tuple(counterexamples),
+        fgrid_increasing=fam.grid.increasing,
+    )
+
+
+def _assert_same_report(zs, param, samples):
+    got, want = hypothesis_report(zs, param, samples), _reference_report(zs, param, samples)
+    assert got == want
+    assert [type(s) for s in got.counterexamples] == [type(s) for s in want.counterexamples]
+    return got
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_array_report_matches_the_per_sample_reference(kind):
+    rng = random.Random(f"report/{kind}")
+    reports = 0
+    for _ in range(3):
+        spec = make_family(kind, sample_params(kind, rng))
+        zs = find_zeros(ZeroProblem(spec, rng.randint(1, 3)))
+        for claim in spec.claims():
+            for samples in (200, 60):
+                _assert_same_report(zs, claim.param, samples)
+                reports += 1
+    assert reports >= 6
+
+
+@pytest.mark.parametrize(
+    "kind, params, zeros_s",
+    [
+        # A(0) = 0, a zero of f's denominator at the zero set
+        ("al_salam_carlitz_2", {"alpha": 1e-300, "q": 0.5}, None),
+        ("quantum_q_krawtchouk", {"alpha": 1e300, "q": 0.5, "N": 10}, None),
+        # A(0) = 0 after more than eight failing samples: the flagged q-Bessel
+        # table has f < 0 on K, and a raising sample is kept past that cap
+        ("q_bessel", {"alpha": 1.0, "q": 0.5}, (0.0,)),
+        # coefficient poles of the tables at s = 0 and s = -1/2, as zero sets
+        ("racah", {"a": 0.3, "alpha": 0.5, "beta": 0.4, "N": 6}, (-0.5, 0.0, 2.0)),
+        ("dual_hahn", {"a": 0.3, "alpha": 0.5, "N": 6}, (-0.5, 0.0, 2.0)),
+        ("q_racah", {"a": 0.8, "alpha": 0.3, "beta": 0.9, "q": 0.6, "N": 7}, (0.0, 2.0)),
+        ("dual_q_hahn", {"a": 0.8, "alpha": 0.5, "q": 0.6, "N": 7}, (0.0, 2.0)),
+    ],
+    ids=[
+        "asc2-A-zero",
+        "quantum-qk-A-zero",
+        "q-bessel-A-zero",
+        "racah-poles",
+        "dual-hahn-poles",
+        "q-racah-pole",
+        "dual-q-hahn-pole",
+    ],
+)
+def test_array_report_keeps_the_samples_a_scalar_call_raises_at(kind, params, zeros_s):
+    spec = make_family(kind, params)
+    zs = find_zeros(ZeroProblem(spec, 1 if zeros_s is None else len(zeros_s)))
+    if zeros_s is not None:
+        zs = dataclasses.replace(zs, zeros_s=zeros_s)
+    for s in zs.zeros_s[:1]:
+        with pytest.raises(copz.SingularityError):
+            spec.monotonicity_f(s)
+    for samples in (200, 60):
+        rep = _assert_same_report(zs, spec.claims()[0].param, samples)
+        assert not rep.f_positive and zs.zeros_s[0] in rep.counterexamples
+
+
+def test_array_report_takes_the_removable_racah_value_at_the_support_start():
+    # at s = a = 0 the racah A is 0/0 in one array pass; the scalar call cancels it
+    spec = make_family("racah", a=0.0, alpha=0.5, beta=0.4, N=6)
+    zs = find_zeros(ZeroProblem(spec, 2))
+    zs = dataclasses.replace(zs, zeros_s=(0.0, *zs.zeros_s[1:]))
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(spec.monotonicity_f(np.array([0.0, 1.0]))[0])
+    assert math.isfinite(spec.monotonicity_f(0.0))
+    for samples in (200, 60):
+        _assert_same_report(zs, "alpha", samples)
 
 
 def test_zero_set_analyses_solve_nothing(monkeypatch):

@@ -206,7 +206,10 @@ def _per_sample_scan(spec, n, lo, hi, step):
             ):
                 brackets.append((ss[prev_i], ss[i], vs[prev_i], v))
         prev_i = i
-    return brackets
+    lost = []
+    if step == copz.zeros._STEPS[-1] and len(brackets) < n:
+        lost = [s for s, v in zip(ss, vs) if not math.isfinite(v)]
+    return brackets, lost
 
 
 def _zero_outcome(problem):
@@ -306,6 +309,22 @@ def test_failed_window_growth_reports_the_scans_it_ran():
     assert "count_at_step_0.125" not in diag
 
 
+def test_short_count_names_the_non_finite_samples():
+    # the base's (little q-Jacobi) float series is NaN at s <= 4.5 here, and
+    # no sign change pairs across a NaN sample
+    problem = ZeroProblem(make_family("big_q_jacobi_special", alpha=5.0, beta=5.0, q=0.1), 30)
+    with pytest.raises(copz.ZeroCountError) as err:
+        find_zeros(problem)
+    diag = err.value.diagnostics
+    assert diag["count_at_step_0.125"] == 25
+    assert diag["first_nonfinite_s"] == 0.0
+    assert diag["nonfinite_samples"] == 38
+    assert str(err.value) == (
+        "big_q_jacobi_special: found 25 sign changes, expected 30; the float series is not"
+        " finite at 38 samples of the step-0.125 scan, the first at s=0.0"
+    )
+
+
 @pytest.mark.parametrize(
     "kind, params",
     [
@@ -383,7 +402,7 @@ def test_refinement_returns_an_exact_hit_with_width_zero():
 def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, params):
     base = make_family(kind, params).resolve_base()
     n = 10
-    brackets = copz.zeros._scan(base, n, base.support_start, base.support_end - 1.0, 0.5)
+    brackets, _ = copz.zeros._scan(base, n, base.support_start, base.support_end - 1.0, 0.5)
     assert len(brackets) == n
     for sl, sr, gl, gr in brackets:
         if sl == sr:
@@ -460,7 +479,7 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, params, n, lockstep):
     problem = ZeroProblem(make_family("hahn", params), n)
     base = problem.family.resolve_base()
     for step in copz.zeros._STEPS:  # as find_zeros scans a finite support
-        brackets = copz.zeros._scan(base, n, 0.0, params["N"] - 1.0, step)
+        brackets, _ = copz.zeros._scan(base, n, 0.0, params["N"] - 1.0, step)
         if len(brackets) >= n:
             break
     assert len(brackets) == n
