@@ -410,7 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--param", required=True)
     sp.add_argument("--from", dest="lo", type=float, required=True)
     sp.add_argument("--to", dest="hi", type=float, required=True)
-    sp.add_argument("--steps", type=int, default=15)
+    sp.add_argument(
+        "--steps",
+        type=int,
+        default=15,
+        help="initial point count; where zeros jump, midpoints are added, so t may be non-uniform",
+    )
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_sweep)

@@ -219,9 +219,12 @@ class FamilySpec:
             f"{self._label}: the degree-{n} value at s={s!r} overflows the float range"
         )
 
-    def _ab_overflow(self, s: float) -> EvaluationOverflowError:
+    def _ab_overflow(self, s: float, exc: OverflowError) -> EvaluationOverflowError:
+        # a table that knows the cause raises it typed; Python's own
+        # OverflowError text names no cause worth printing
+        why = f": {exc}" if isinstance(exc, EvaluationOverflowError) else ""
         return EvaluationOverflowError(
-            f"{self._label}: the coefficients A, B at s={s!r} overflow the float range"
+            f"{self._label}: the coefficients A, B at s={s!r} overflow the float range{why}"
         )
 
     def coeffs_AB(self, s: float) -> tuple[float, float]:
@@ -237,7 +240,7 @@ class FamilySpec:
         try:
             return _CATALOG[base.kind].ab(base.params, s)
         except OverflowError as exc:
-            raise self._ab_overflow(s) from exc
+            raise self._ab_overflow(s, exc) from exc
 
     def monotonicity_f(self, s: float) -> float:
         """The coefficient ratio f = B/A whose signs steer the zero motion.
@@ -281,7 +284,7 @@ class FamilySpec:
         try:
             A, B = _CATALOG[kind].ab(params, s)
         except OverflowError as exc:
-            raise self._ab_overflow(s.real) from exc
+            raise self._ab_overflow(s.real, exc) from exc
         return B / A
 
     def k_interval(self) -> tuple[float, float]:
@@ -670,9 +673,21 @@ def _little_qj_series(p, n, X):
     return qhyper_sum((q ** (-n), al * be * q ** (n + 1)), (al * q,), q, q * X, n)
 
 
+def _q_power_divisor(q, s):
+    """u = q**s for an A, B table that divides by it.
+
+    A scalar u that underflows to 0 puts 1/u, and so the table, past the
+    float range; an array keeps numpy's inf there.
+    """
+    u = q**s
+    if not isinstance(u, np.ndarray) and u == 0.0:
+        raise EvaluationOverflowError("they divide by q**s, which underflows to 0")
+    return u
+
+
 def _little_qj_ab(p, s):
     al, be, q = p["alpha"], p["beta"], p["q"]
-    u = q**s
+    u = _q_power_divisor(q, s)
     return (u - 1.0) / u, al * (be * q * u - 1.0) / u
 
 
@@ -691,7 +706,7 @@ def _little_ql_series(p, n, X):
 
 def _little_ql_ab(p, s):
     al, q = p["alpha"], p["q"]
-    u = q**s
+    u = _q_power_divisor(q, s)
     return u - 1.0, al / u
 
 

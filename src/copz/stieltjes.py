@@ -306,6 +306,11 @@ class MonotonicityVerdict:
         return all(d in ("increasing", "decreasing") for d in self.directions)
 
 
+def _solved_near(problem: ZeroProblem, guesses, radii) -> ZeroSet:
+    zs = track_zeros(problem, guesses, radii)
+    return zs if zs is not None else find_zeros(problem)
+
+
 def monotonicity_verdict(
     problem: ZeroProblem,
     param: str,
@@ -314,39 +319,55 @@ def monotonicity_verdict(
 ) -> MonotonicityVerdict:
     """Sweep t over t_range, track zero trajectories by sorted order in s.
 
-    The first two sweep points are solved by find_zeros.  Each later point is
-    solved by continuation: track_zeros brackets every zero around the secant
-    guess 2 y(t_k) - y(t_(k-1)), within the step |y(t_k) - y(t_(k-1))|, and
+    The sweep starts on max(3, samples) evenly spaced points.  The first two
+    are solved by find_zeros.  Each later point is solved by continuation:
+    track_zeros brackets every zero around the secant guess
+    2 y(t_k) - y(t_(k-1)), within the step |y(t_k) - y(t_(k-1))|, and
     certifies the whole zero set by its sign changes; where it cannot, that
-    point falls back to find_zeros.  The sweep is refined (samples doubled,
-    at most three times) when adjacent zero sets move by more than half the
-    smallest zero gap, which keeps the sorted-order pairing trustworthy.
+    point falls back to find_zeros.
+
+    The sorted-order pairing is trusted where adjacent zero sets move by at
+    most half the smallest zero gap of the sweep.  Each interval where they
+    move further gets its midpoint, solved by track_zeros around the mean of
+    its ends' zeros (interpolation, so the guesses increase), within half
+    their move, or by find_zeros where that fails.  Every solved point is
+    kept, and at most three rounds subdivide, so a refined sweep's ts are not
+    evenly spaced.
     """
     fam = problem.family
     lo, hi = t_range
     if not lo < hi:
         raise DomainError(f"empty sweep range {t_range!r}")
-    count = max(3, samples)
-    for _ in range(4):
-        ts = list(np.linspace(lo, hi, count))
-        sets = [find_zeros(_problem_at(problem, param, t)) for t in ts[:2]]
-        for t in ts[2:]:
-            at = _problem_at(problem, param, t)
-            before, last = sets[-2].zeros_s, sets[-1].zeros_s
-            zs = track_zeros(
-                at,
+    ts = list(np.linspace(lo, hi, max(3, samples)))
+    sets = [find_zeros(_problem_at(problem, param, t)) for t in ts[:2]]
+    for t in ts[2:]:
+        before, last = sets[-2].zeros_s, sets[-1].zeros_s
+        sets.append(
+            _solved_near(
+                _problem_at(problem, param, t),
                 [2.0 * y - x for x, y in zip(before, last)],
                 [abs(y - x) for x, y in zip(before, last)],
             )
-            sets.append(zs if zs is not None else find_zeros(at))
-        jump = max(
-            max(abs(u - v) for u, v in zip(s1.zeros_s, s2.zeros_s))
-            for s1, s2 in zip(sets, sets[1:])
         )
-        min_gap = min(s.min_gap_s for s in sets)
-        if problem.degree == 1 or jump <= 0.5 * min_gap:
+    for _ in range(3):
+        half_gap = 0.5 * min(s.min_gap_s for s in sets)  # inf at degree 1
+        new_ts, new_sets = ts[:1], sets[:1]
+        for t0, t1, s0, s1 in zip(ts, ts[1:], sets, sets[1:]):
+            if max(abs(u - v) for u, v in zip(s0.zeros_s, s1.zeros_s)) > half_gap:
+                mid = 0.5 * (t0 + t1)
+                new_ts.append(mid)
+                new_sets.append(
+                    _solved_near(
+                        _problem_at(problem, param, mid),
+                        [0.5 * (x + y) for x, y in zip(s0.zeros_s, s1.zeros_s)],
+                        [0.5 * abs(y - x) for x, y in zip(s0.zeros_s, s1.zeros_s)],
+                    )
+                )
+            new_ts.append(t1)
+            new_sets.append(s1)
+        if len(new_ts) == len(ts):
             break
-        count *= 2
+        ts, sets = new_ts, new_sets
     n = problem.degree
     traj = tuple(tuple(zset.zeros_X[j] for zset in sets) for j in range(n))
     directions = []

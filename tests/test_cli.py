@@ -355,6 +355,20 @@ def test_verify_coefficient_overflow_is_invalid_input():
     assert err.count("\n") == 1
 
 
+def test_verify_q_power_underflow_is_invalid_input():
+    # little q-Jacobi's A, B divide by q**s, which underflows to 0 at s=2
+    code, out, err = run_cli(
+        ["verify", "--family", "little_q_jacobi", "--n", "1", "--set", "alpha=0.5",
+         "--set", "beta=0.5", "--set", "q=1e-300"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: little_q_jacobi: the coefficients A, B at s=2.0 overflow the float range: "
+        "they divide by q**s, which underflows to 0\n"
+    )
+
+
 def test_verify_sizes_the_weight_table_for_its_gram_degrees(monkeypatch):
     import copz.cli
 

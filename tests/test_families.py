@@ -16,6 +16,7 @@ from copz import (
     catalog_kinds,
     family_info,
     find_zeros,
+    hypothesis_report,
     make_family,
     sample_params,
     weight_table,
@@ -389,6 +390,43 @@ def test_coefficient_overflow_is_typed():
         spec.coeffs_AB(2.0)
     with pytest.raises(EvaluationOverflowError, match="^q_racah: the coefficients A, B at s=2.0 "):
         spec.f_partials(2.0, "alpha")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("little_q_jacobi", {"alpha": 0.5, "beta": 0.5, "q": 1e-300}),
+        ("little_q_laguerre", {"alpha": 0.5, "q": 1e-300}),
+        ("big_q_jacobi_special", {"alpha": 0.5, "beta": 0.5, "q": 1e-300}),
+    ],
+)
+def test_q_power_underflow_in_the_coefficients_is_typed(kind, params):
+    # these tables divide by u = q**s, which is 0 at s=2 for q=1e-300
+    spec = make_family(kind, params)
+    q = params["q"]
+    with pytest.raises(
+        EvaluationOverflowError,
+        match=rf"^{kind}: the coefficients A, B at s=2.0 .*q\*\*s, which underflows to 0$",
+    ):
+        spec.coeffs_AB(2.0)
+    with pytest.raises(EvaluationOverflowError, match="underflows to 0$"):
+        spec.f_partials(2.0, "alpha")
+    # where u > 0 the table is the closed form, bit for bit
+    A, B = spec.coeffs_AB(1.0)
+    base = spec.resolve_base().params
+    if "beta" in base:
+        assert (A, B) == ((q - 1.0) / q, base["alpha"] * (base["beta"] * q * q - 1.0) / q)
+    else:
+        assert (A, B) == (q - 1.0, base["alpha"] / q)
+    # an array pass gives a non-finite value there, and the sign report
+    # counts the samples that raise as counterexamples
+    with np.errstate(all="ignore"):
+        A, B = spec.coeffs_AB(np.array([1.0, 2.0]))
+    assert not np.isfinite(A[1]) or not np.isfinite(B[1])
+    zs = find_zeros(ZeroProblem(spec, 1))
+    rep = hypothesis_report(zs, "alpha", samples=20)
+    assert not rep.f_positive
+    assert rep.counterexamples
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,13 @@ DATA = Path(__file__).parent / "data"
              "--from", "-0.5", "--to", "2", "--steps", "9", "--set", "beta=1", "--set", "N=8"],
             "sweep_hahn.csv",
         ),
+        # three rounds of midpoints where the zeros jump: 40 points, not 15
+        (
+            ["sweep", "--family", "meixner", "--n", "2", "--param", "alpha",
+             "--from", "0.1", "--to", "0.9", "--steps", "15",
+             "--set", "beta=0.41307764947001563"],
+            "sweep_meixner_refined.csv",
+        ),
         (["zeros", "--family", "krawtchouk", "--n", "19", "--set", "alpha=0.3", "--set", "N=20"],
          "zeros_krawtchouk.txt"),
         (
@@ -97,6 +104,7 @@ DATA = Path(__file__).parent / "data"
         "interlace-not-applicable",
         "interlace-force",
         "sweep-csv",
+        "sweep-csv-refined",
         "zeros-linear-text",
         "zeros-linear-json",
         "zeros-q-symmetric-text",

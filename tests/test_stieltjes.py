@@ -353,24 +353,8 @@ def test_zero_set_analyses_solve_nothing(monkeypatch):
     assert system.diag_dominant and system.inverse_positive
 
 
-def _full_search_sweep(problem, param, window, samples=15):
-    """The sweep with find_zeros at every point, under the same refinement
-    guard: (ts, trajectories, directions, reversals, claimed, agrees)."""
-    count = max(3, samples)
-    for _ in range(4):
-        ts = tuple(np.linspace(*window, count))
-        sets = [
-            find_zeros(ZeroProblem(problem.family.with_param(param, float(t)), problem.degree))
-            for t in ts
-        ]
-        jump = max(
-            max(abs(u - v) for u, v in zip(s1.zeros_s, s2.zeros_s))
-            for s1, s2 in zip(sets, sets[1:])
-        )
-        if problem.degree == 1 or jump <= 0.5 * min(zs.min_gap_s for zs in sets):
-            break
-        count *= 2
-    rows = [[zs.zeros_X[j] for zs in sets] for j in range(problem.degree)]
+def _verdict_fields(problem, param, rows):
+    """(directions, reversals, claimed, agrees) of trajectory rows."""
     directions, reversals = [], 0
     for row in rows:
         diffs = [b - a for a, b in zip(row, row[1:])]
@@ -384,7 +368,59 @@ def _full_search_sweep(problem, param, window, samples=15):
             reversals += sum(1 for d in diffs if d * lead <= 0.0)
     claimed = next((c.direction for c in problem.family.claims() if c.param == param), None)
     agrees = None if claimed is None else all(d == claimed for d in directions)
-    return ts, rows, tuple(directions), reversals, claimed, agrees
+    return tuple(directions), reversals, claimed, agrees
+
+
+def _search(problem, param, t):
+    return find_zeros(ZeroProblem(problem.family.with_param(param, float(t)), problem.degree))
+
+
+def _jumps_past_half_gap(sets):
+    """Per interval: do its zero sets move by more than half the sweep's
+    smallest zero gap?"""
+    half_gap = 0.5 * min(zs.min_gap_s for zs in sets)
+    return [
+        max(abs(u - v) for u, v in zip(s1.zeros_s, s2.zeros_s)) > half_gap
+        for s1, s2 in zip(sets, sets[1:])
+    ]
+
+
+def _full_search_sweep(problem, param, window, samples=15):
+    """The sweep with find_zeros at every point, on the same grid: the same
+    first points, and up to three rounds of midpoints in the intervals that
+    fail the jump test: (ts, trajectories, directions, reversals, claimed,
+    agrees)."""
+    ts = list(np.linspace(*window, max(3, samples)))
+    sets = [_search(problem, param, t) for t in ts]
+    for _ in range(3):
+        failing = [] if problem.degree == 1 else _jumps_past_half_gap(sets)
+        if not any(failing):
+            break
+        new_ts, new_sets = ts[:1], sets[:1]
+        for k, fails in enumerate(failing):
+            if fails:
+                mid = 0.5 * (ts[k] + ts[k + 1])
+                new_ts.append(mid)
+                new_sets.append(_search(problem, param, mid))
+            new_ts.append(ts[k + 1])
+            new_sets.append(sets[k + 1])
+        ts, sets = new_ts, new_sets
+    rows = [[zs.zeros_X[j] for zs in sets] for j in range(problem.degree)]
+    return (tuple(ts), rows, *_verdict_fields(problem, param, rows))
+
+
+def _doubling_search_sweep(problem, param, window, samples=15):
+    """The verdict of a sweep searched in full on evenly spaced grids, the
+    point count doubled (at most three times) while any interval fails the
+    jump test: (directions, reversals, claimed, agrees)."""
+    count = max(3, samples)
+    for _ in range(4):
+        sets = [_search(problem, param, t) for t in np.linspace(*window, count)]
+        if problem.degree == 1 or not any(_jumps_past_half_gap(sets)):
+            break
+        count *= 2
+    rows = [[zs.zeros_X[j] for zs in sets] for j in range(problem.degree)]
+    return _verdict_fields(problem, param, rows)
 
 
 def _assert_matches_full_search(problem, param, window, samples=15):
@@ -399,6 +435,7 @@ def _assert_matches_full_search(problem, param, window, samples=15):
     ), label
     for got, want in zip(v.trajectories, rows):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), label
+    return v
 
 
 def test_tracked_sweeps_match_full_search_across_catalog():
@@ -409,7 +446,17 @@ def test_tracked_sweeps_match_full_search_across_catalog():
         spec = make_family(kind, sample_params(kind, rng))
         for n in sorted({min(d, spec.degree_max) for d in (1, 2, 3)}):
             for claim in spec.claims():
-                _assert_matches_full_search(ZeroProblem(spec, n), claim.param, claim.window)
+                problem = ZeroProblem(spec, n)
+                v = _assert_matches_full_search(problem, claim.param, claim.window)
+                # subdividing only where zeros jump gives the verdict that
+                # refining every interval gives
+                assert (v.directions, v.reversals, v.claimed, v.agrees) == _doubling_search_sweep(
+                    problem, claim.param, claim.window
+                ), (kind, n, claim.param)
+
+
+#: meixner's zeros move fast near alpha = 0.9: three rounds of midpoints
+_REFINING = ZeroProblem(make_family("meixner", alpha=0.5, beta=0.41307764947001563), 2)
 
 
 def test_sweep_searches_only_its_first_two_points(monkeypatch):
@@ -427,6 +474,61 @@ def test_sweep_searches_only_its_first_two_points(monkeypatch):
     v = monotonicity_verdict(ZeroProblem(spec, 3), "alpha", (-0.9, 3.0), samples=15)
     assert len(v.ts) == 15  # no jump refinement
     assert [c.family.params["alpha"] for c in calls] == list(v.ts[:2])
+    # the midpoints of a refining sweep are tracked from their neighbours too
+    calls.clear()
+    v = monotonicity_verdict(_REFINING, "alpha", (0.1, 0.9), samples=15)
+    assert len(v.ts) > 15
+    assert [c.family.params["alpha"] for c in calls] == list(v.ts[:2])
+
+
+def _recorded_sweep(monkeypatch):
+    """The refining sweep, and each zero set it solved as (alpha, set), in
+    the order solved."""
+    import copz.stieltjes
+
+    solved = []
+
+    def spy(solve):
+        def recorded(problem, *args):
+            zs = solve(problem, *args)
+            if zs is not None:
+                solved.append((problem.family.params["alpha"], zs))
+            return zs
+
+        return recorded
+
+    monkeypatch.setattr(copz.stieltjes, "track_zeros", spy(track_zeros))
+    monkeypatch.setattr(copz.stieltjes, "find_zeros", spy(find_zeros))
+    return monotonicity_verdict(_REFINING, "alpha", (0.1, 0.9), samples=15), solved
+
+
+def test_refining_sweep_keeps_every_solved_point(monkeypatch):
+    v, solved = _recorded_sweep(monkeypatch)
+    coarse = list(np.linspace(0.1, 0.9, 15))
+    assert len(v.ts) > len(coarse)
+    assert all(t0 < t1 for t0, t1 in zip(v.ts, v.ts[1:]))
+    # each point is solved once, the first grid first, and none is dropped
+    assert sorted(t for t, _ in solved) == list(v.ts)
+    assert [t for t, _ in solved[: len(coarse)]] == coarse
+    # so the first grid is a subsequence, with the zero sets solved for it
+    column = {t: i for i, t in enumerate(v.ts)}
+    for t, zs in solved[: len(coarse)]:
+        assert tuple(row[column[t]] for row in v.trajectories) == zs.zeros_X
+
+
+def test_refining_sweep_adds_midpoints_only_where_zeros_jump(monkeypatch):
+    v, solved = _recorded_sweep(monkeypatch)
+    zero_sets = dict(solved)
+    ts = list(np.linspace(0.1, 0.9, 15))
+    rounds = 0
+    while len(ts) < len(v.ts):
+        failing = _jumps_past_half_gap([zero_sets[t] for t in ts])
+        assert any(failing) and not all(failing), rounds
+        ts = sorted(ts + [0.5 * (t0 + t1) for t0, t1, f in zip(ts, ts[1:], failing) if f])
+        rounds += 1
+        assert rounds <= 3
+    assert ts == list(v.ts)
+    assert rounds == 3
 
 
 def test_track_zeros_certifies_or_returns_nothing():
