@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 import random
 import sys
 
@@ -277,6 +278,9 @@ def _verify_one(spec, n: int, quick: bool, lines: list[str]) -> bool:
             f"[{label}] eq1: INCONSISTENT coefficient table (max residual {_fmt(worst)}); "
             "sign-based checks skipped"
         )
+    elif not any(map(math.isfinite, eq1.residuals)):
+        anomalous = f"{len(eq1.anomalies)} of {n} zeros anomalous"
+        lines.append(f"[{label}] eq1: NOT CHECKED (no finite residual; {anomalous})")
     else:
         lines.append(f"[{label}] eq1: PASS (max residual {_fmt(max(eq1.residuals))})")
 

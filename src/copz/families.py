@@ -12,10 +12,10 @@ central 80%.
 
 The domain table holds one record per parameter: the inequality as
 ``copz families`` prints it, beside the predicate that enforces it.  The series
-is written once over lattice atoms: the base q, the lattice value X (on the
-q-quadratic lattice the pair q^(a-s), q^(a+s)), and there the rounded powers
-q^a, q^alpha, q^beta.  Float atoms come from X; exact rational atoms come
-from a support index, for the exact-summation path.
+is written once over the base q and lattice atoms taken from s, not from
+X = x(s) (see _lattice_atoms), so a float value overflows where an atom does;
+exact rational atoms come from a support index, or on the quadratic lattice
+from Fraction(s).  X serves output, the weights and the Stieltjes system.
 
 The three-point relation determines A and B only up to a common factor;
 everything downstream consumes the ratio f = B/A and its signs, except the
@@ -117,7 +117,7 @@ class FamilySpec:
     support_end: float  # math.inf for infinite support
     degree_max: int
     base: "FamilySpec | None" = None
-    zero_scale: float = 1.0
+    zero_scale: float = 1.0  # maps the base's X of a zero to the alias's, for output
     # on an alias's base, the alias: its errors name the family the caller asked for
     alias_kind: str | None = field(default=None, compare=False, repr=False)
 
@@ -132,58 +132,50 @@ class FamilySpec:
     def resolve_base(self) -> "FamilySpec":
         return self.base if self.base is not None else self
 
-    def eval_poly(self, n: int, X: float) -> float:
-        """Value of the degree-n polynomial at the point X.
-
-        On the float path X may be a numpy array of points; the result is
-        then the array of values.
-        """
-        return self._poly(n)(X)
-
-    def _poly(self, n: int) -> Callable[[float], float]:
-        """eval_poly(n, .) as a function of X: the degree is checked and the
-        prefactor, series and lattice atoms are looked up here, once."""
-        self._check_degree(n)
-        entry = _CATALOG[self.kind]
-        pref = entry.prefactor(self.params, n)
-        if self.base is not None:
-            inner, scale = self.base._poly(n), self.zero_scale
-            return lambda X: pref * inner(X / scale)
-        series, p = entry.series, self.params
-        if self.grid.tag == Q_SYMMETRIC:
-            return lambda X: pref * series(p, n, _qsym_atoms(p, X))
-        return lambda X: pref * series(p, n, X)
-
     def _check_degree(self, n: int) -> None:
         if not 0 <= n <= self.degree_max:
             raise DomainError(f"{self._label}: degree n={n} outside 0..{self.degree_max}")
 
     def eval_at_s(self, n: int, s: float) -> float:
-        """Value at the lattice point x(s); s may sit off the monotone branch.
+        """Value of the degree-n polynomial at the lattice point x(s), s on or
+        off the monotone branch; at a point X it is eval_at_s(n, grid.x_inverse(X)).
 
         This is _at_s(n) at s, the one map from s to the value, which names an
-        OverflowError of x(s) or of the value as EvaluationOverflowError.
+        OverflowError of the lattice atoms or of the value as EvaluationOverflowError.
         """
         return self._at_s(n)(s)
 
     def _at_s(self, n: int) -> Callable[[float], float]:
         """eval_at_s(n, .) as a function of s, for the many calls of a zero
-        search: the degree check, prefactor, series and lattice map are
-        looked up once.  Where that lookup raises, the function repeats it
-        at each s, so the error comes after an overflow of x(s)."""
+        search: the degree check, prefactor, series and lattice atoms (those
+        of the summation in force here) are looked up once.  Where that lookup
+        raises, the function repeats it at each s, after the atoms."""
         try:
-            poly = self._poly(n)
+            value = self._of_atoms(n)
         except (DomainError, ArithmeticError):
-            poly = lambda X: self._poly(n)(X)
-        x_raw, scale, overflow = self.grid.x_raw, self.zero_scale, self._overflow
+            value = lambda p, x: self._of_atoms(n)(p, x)
+        p, atoms = _lattice_atoms(self.resolve_base(), _EXACT.get())
 
         def at_s(s: float) -> float:
             try:
-                return poly(scale * x_raw(s))
+                return value(p, atoms(s))
             except OverflowError as exc:
-                raise overflow(n, s) from exc
+                raise self._overflow(n, s) from exc
 
         return at_s
+
+    def _of_atoms(self, n: int) -> Callable[[dict, object], float]:
+        """The degree-n value as a function of the series' parameters and
+        lattice atoms, the degree checked and prefactor and series looked up
+        once; an alias scales its base's value by its own prefactor."""
+        self._check_degree(n)
+        entry = _CATALOG[self.kind]
+        pref = entry.prefactor(self.params, n)
+        if self.base is not None:
+            inner = self.base._of_atoms(n)
+            return lambda p, x: pref * inner(p, x)
+        series = entry.series
+        return lambda p, x: pref * series(p, n, x)
 
     def eval_at_s_many(self, n: int, ss) -> list[float]:
         """eval_at_s at every s, in one array pass of the float series.
@@ -193,26 +185,27 @@ class FamilySpec:
         per ITP round, since a pass costs about as much as 14-20 one-point
         calls.  Each value is eval_at_s's bit for bit, and the error raised
         is the one the per-sample loop meets first: the first sample goes
-        through eval_at_s, so an overflow of x(s) there comes first, then the
-        degree, prefactor and series errors, which no later sample escapes;
-        then the first overflow of x(s) at a later sample.
+        through eval_at_s, so an overflow of its lattice atoms comes first,
+        then the degree, prefactor and series errors, which no later sample
+        escapes; then the first overflow of the atoms at a later sample.
         """
-        # exact sums give lists, which eval_poly does not scale by its prefactor;
+        # exact sums give lists, which _of_atoms does not scale by its prefactor;
         # one sample needs no array
         if _EXACT.get() or len(ss) < 2:
             return [self.eval_at_s(n, s) for s in ss]
         out = [self.eval_at_s(n, ss[0])]
-        x_raw, scale = self.grid.x_raw, self.zero_scale
+        p, atoms = _lattice_atoms(self.resolve_base(), False)
         try:
-            X = np.array([scale * x_raw(s) for s in ss[1:]])
+            rows = [atoms(s) for s in ss[1:]]
         except OverflowError:
-            for s in ss[1:]:  # name the first s whose x(s) overflows
+            for s in ss[1:]:  # name the first s whose atoms overflow
                 try:
-                    x_raw(s)
+                    atoms(s)
                 except OverflowError as exc:
                     raise self._overflow(n, s) from exc
         with np.errstate(all="ignore"):
-            return out + np.broadcast_to(self.eval_poly(n, X), X.shape).tolist()
+            values = self._of_atoms(n)(p, _columns(rows))
+        return out + np.broadcast_to(values, len(rows)).tolist()
 
     def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(
@@ -325,7 +318,7 @@ class _Entry:
     claims: Callable[[dict], tuple[Claim, ...]]
     sample: Callable[[random.Random], dict]
     lattice: str | None = None  # a grid tag
-    series: Callable[[dict, int, object], float] | None = None  # (atoms, n, lattice atom)
+    series: Callable[[dict, int, object], float] | None = None  # (params, n, lattice atoms)
     ab: Callable[[dict, float], tuple[float, float]] | None = None
     k_interval: Callable[[dict], tuple[float, float]] | None = None
     alias_map: Callable[[dict], tuple[str, dict]] | None = None
@@ -354,28 +347,6 @@ _ALPHA_POSITIVE = ("alpha", "alpha > 0", lambda p: p["alpha"] > 0.0)
 _ALPHA_UNIT = ("alpha", "0 < alpha < 1", lambda p: 0.0 < p["alpha"] < 1.0)
 _ALPHA_BELOW_1_Q = ("alpha", "0 < alpha < 1/q", lambda p: 0.0 < p["alpha"] < 1.0 / p["q"])
 _BETA_BELOW_1_Q = ("beta", "0 < beta < 1/q", lambda p: 0.0 < p["beta"] < 1.0 / p["q"])
-
-
-def _sqrt_pos(v):
-    """sqrt(max(0, v)) of a float or, elementwise, of an array (NaN gives 0)."""
-    if isinstance(v, np.ndarray):
-        return np.sqrt(np.where(v > 0.0, v, 0.0))
-    return math.sqrt(max(0.0, v))
-
-
-def _quadratic_s(X):
-    return 0.5 * (-1.0 + _sqrt_pos(1.0 + 4.0 * X))
-
-
-def _qsym_atoms(p: dict, X):
-    """The float pair (q^(a-s), q^(a+s)) at X = (q^s + q^-s)/2 >= 1.
-
-    q^-s is the large root; q^s goes through its reciprocal, since the direct
-    difference X - sqrt(X^2-1) cancels catastrophically for large X.
-    """
-    qa = p["q"] ** p["a"]
-    v = X + _sqrt_pos(X * X - 1.0)
-    return qa * v, qa * (1.0 / v)
 
 
 def _qp(q, e1, e2=0, e3=0, e4=0):
@@ -441,15 +412,11 @@ def _meixner_series(p, n, X):
 # ---------------------------------------------------------------------------
 
 
-def _racah_series(p, n, X):
+def _racah_series(p, n, x):
     a, al, be, N = p["a"], p["alpha"], p["beta"], p["N"]
-    s = _quadratic_s(X)
-    return hyper_sum(
-        (-n, al + be + n + 1.0, a - s, s + a + 1.0),
-        (2.0 * a + al + N + 1.0, be + 1.0, 1.0 - N),
-        1.0,
-        n,
-    )
+    w, u = x  # a - s, s + a + 1
+    # + 1 keeps rational parameters exact; 1.0 - N and 1.0 are exact floats
+    return hyper_sum((-n, al + be + n + 1, w, u), (2 * a + al + N + 1, be + 1, 1.0 - N), 1.0, n)
 
 
 def _racah_ab(p, s):
@@ -486,10 +453,10 @@ def _racah_claims(p):
     )
 
 
-def _dual_hahn_series(p, n, X):
-    a, al, N = p["a"], p["alpha"], p["N"]
-    s = _quadratic_s(X)
-    return hyper_sum((-n, a - s, s + a + 1.0), (al + 1.0, 1.0 - N), 1.0, n)
+def _dual_hahn_series(p, n, x):
+    al, N = p["alpha"], p["N"]
+    w, u = x  # a - s, s + a + 1
+    return hyper_sum((-n, w, u), (al + 1, 1.0 - N), 1.0, n)
 
 
 def _dual_hahn_ab(p, s):
@@ -1330,10 +1297,10 @@ def eval_exact_at_support(
 ) -> float | list:
     """Value at the k-th support point, summed in exact rational arithmetic.
 
-    q-lattice coordinates are taken as exact rational powers of the base, so
-    the terminating series cancels exactly at the lattice points; the float
-    coordinate rounding otherwise dominates at degrees whose upper zeros crowd
-    the top of the support.
+    The lattice atoms are exact rationals at the support points (on q
+    lattices exact powers of the base), so the terminating series cancels
+    exactly there; the rounding of float atoms otherwise dominates at degrees
+    whose upper zeros crowd the top of the support.
 
     n may be a sequence of degrees, and k a range of support indices: the
     atoms of the points are then built once, each degree is one pass of the
@@ -1347,12 +1314,13 @@ def eval_exact_at_support(
         return [] if one_degree else [[] for _ in n]
     base = family.resolve_base()
     entry = _CATALOG[base.kind]
-    p, x = _exact_atoms(base, k)
+    p, atom = _support_atoms(base)
+    x = _columns([atom(j) for j in k]) if many else atom(k)
     rows = []
     for d in (n,) if one_degree else n:
         family._check_degree(d)
         try:
-            # an alias scales its base's value by its own prefactor, as in eval_poly
+            # an alias scales its base's value by its own prefactor, as in _of_atoms
             outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, d)
             pref = entry.prefactor(base.params, d)
             with exact_summation():
@@ -1365,38 +1333,63 @@ def eval_exact_at_support(
     return rows[0] if one_degree else rows
 
 
-def _at_points(k, atom):
-    """atom(k), or the array of atom(j) over the indices j of a range k."""
-    return np.array([atom(j) for j in k]) if isinstance(k, range) else atom(k)
+def _lattice_atoms(base: FamilySpec, exact: bool):
+    """The series' parameters, and its lattice atoms as a function of s,
+    picked once per lattice: s, (a - s, s + a + 1) on the quadratic lattice,
+    q^-s or q^s on the q-linear ones, (q^a q^-s, q^a q^s) on the q-quadratic
+    one.  Exact, the quadratic atoms and parameters are rationals, the atoms
+    from Fraction(s); other lattices keep their float atoms, summed exactly."""
+    tag, p, q = base.grid.tag, base.params, base.grid.q
+    if tag == QUADRATIC:
+        p, num = (_rational_params(base), Fraction) if exact else (p, float)
+        a = p["a"]
+
+        def atoms(s):
+            s = num(s)
+            return a - s, s + a + 1
+
+        return p, atoms
+    if tag == Q_SYMMETRIC:
+        qa = q ** p["a"]
+        return p, lambda s: (qa * q**-s, qa * q**s)
+    return p, {LINEAR: lambda s: s, Q_EXP_NEG: lambda s: q**-s, Q_EXP: lambda s: q**s}[tag]
 
 
-def _exact_atoms(base: FamilySpec, k: int | range):
-    """Parameter and lattice atoms at the k-th support point, for exact summation.
+def _support_atoms(base: FamilySpec):
+    """The series' parameters, and its lattice atoms at the support point
+    s = a + j as exact rationals, as a function of j: j on the linear lattice
+    and q^-j or q^j on the q-linear ones (where a = 0), (-j, 2a + 1 + j) on
+    the quadratic one and (q^-j, (q^a)^2 q^j) on the q-quadratic one.  Near
+    the top of the support the series cancels far below its terms, which any
+    rounding of the atoms would swamp; off the linear lattice the parameters
+    are rationals too, so each family is an exact polynomial model."""
+    tag = base.grid.tag
+    p = base.params if tag == LINEAR else _rational_params(base)
+    q, a = p.get("q"), p.get("a")
+    return p, {
+        LINEAR: Fraction,
+        QUADRATIC: lambda j: (Fraction(-j), 2 * a + 1 + j),
+        Q_EXP_NEG: lambda j: q**-j,
+        Q_EXP: lambda j: q**j,
+        Q_SYMMETRIC: lambda j: (q**-j, a * a * q**j),
+    }[tag]
 
-    Near the top of the support the terminating series cancels to values far
-    below the size of its terms, and those values are hypersensitive to
-    rounding of the lattice coordinates and of the q-power parameters.  On q
-    lattices every atom is an exact rational: the base, the real parameters
-    (on the q-quadratic lattice their rounded powers q^a, q^alpha, q^beta),
-    and the lattice value built from exact powers of the base, so each family
-    is an exact polynomial model whose orthogonality identities hold to within
-    the float weight table alone.  Other lattices keep their float atoms; the
-    sum over them is still exact.  Over a range of indices k the lattice atoms
-    are arrays, one entry per point.
-    """
-    g, p = base.grid, base.params
-    if g.q is None:
-        return p, _at_points(k, lambda j: g.x_raw(base.support_start + j))
-    q = Fraction(g.q)
-    power = g.tag == Q_SYMMETRIC
-    atoms = {
-        name: v if name == "N" else q if name == "q" else Fraction(g.q**v if power else v)
-        for name, v in p.items()
+
+def _rational_params(base: FamilySpec) -> dict:
+    """The parameters as exact rationals, N as its int; on the q-quadratic
+    lattice a, alpha and beta as their rounded powers q^a, q^alpha, q^beta."""
+    q, power = base.grid.q, base.grid.tag == Q_SYMMETRIC
+    return {
+        name: v if name == "N" else Fraction(q**v if power and name != "q" else v)
+        for name, v in base.params.items()
     }
-    if power:
-        a2 = atoms["a"] ** 2  # q^(a-s) = q^-j and q^(a+s) = q^(2a) q^j at s = a+j
-        return atoms, (_at_points(k, lambda j: q**-j), _at_points(k, lambda j: a2 * q**j))
-    return atoms, _at_points(k, lambda j: q**-j if g.tag == Q_EXP_NEG else q**j)
+
+
+def _columns(rows):
+    """The points' atoms as arrays over the points, one per atom."""
+    if isinstance(rows[0], tuple):
+        return tuple(map(np.array, zip(*rows)))
+    return np.array(rows)
 
 
 def family_info(kind: str) -> dict:

@@ -89,14 +89,15 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
     array), and the array values decide signs only.  A sample the passes
     leave undecided (a pole, A = 0, an overflow or any other non-finite
     value) is evaluated by the scalar monotonicity_f and f_partials, one at a
-    time; where that raises a CopzError the sample is a counterexample and f
-    is not positive.
+    time, at a Python float; where that raises a CopzError or still gives a
+    non-finite f, f1 or f2, the sample is a counterexample and f is not
+    positive.
     """
     problem = zs.problem
     fam = problem.family
     lo, hi = fam.k_interval()
     hi_eff = hi if math.isfinite(hi) else max(zs.zeros_s) + 2.0
-    pts = list(np.linspace(lo, hi_eff, samples + 2)[1:-1])
+    pts = np.linspace(lo, hi_eff, samples + 2)[1:-1].tolist()
     pts.extend(zs.zeros_s)
 
     try:
@@ -109,11 +110,11 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
     raised = np.zeros(len(pts), dtype=bool)
     for i in np.flatnonzero(~(np.isfinite(fv) & np.isfinite(f1) & np.isfinite(f2))):
         try:
-            fv[i] = fam.monotonicity_f(pts[i])
-            f1[i], f2[i] = fam.f_partials(pts[i], param)
+            values = (fam.monotonicity_f(pts[i]), *fam.f_partials(pts[i], param))
         except CopzError:
-            raised[i] = True
-            fv[i] = f1[i] = f2[i] = np.nan
+            values = (math.nan,)
+        raised[i] = not all(map(math.isfinite, values))
+        fv[i], f1[i], f2[i] = (math.nan,) * 3 if raised[i] else values
     fails = (fv <= 0.0) | (f1 >= 0.0)
     counterexamples: list[float] = []
     for i in np.flatnonzero(raised | fails):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -103,6 +104,24 @@ def test_verify_racah_example():
     assert "eq1: PASS" in out
     assert "orthogonality: PASS" in out
     assert "verify racah: PASS" in out
+
+
+def test_verify_reports_an_eq1_check_without_finite_residual_as_not_checked():
+    # q = 1e-160: the values beside the one zero and the scalar A, B tables
+    # leave the float range; no residual is finite, and nothing may go to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            ["verify", "--family", "little_q_laguerre", "--set", "alpha=0.5",
+             "--set", "q=1e-160", "--n", "1"]
+        )
+    assert (caught, err) == ([], "")
+    line = "[little_q_laguerre] eq1: NOT CHECKED (no finite residual; 1 of 1 zeros anomalous)"
+    assert line in out.splitlines()
+    assert "eq1: PASS" not in out
+    # the report of the sign hypotheses counts the non-finite samples against f > 0
+    assert "hypotheses[alpha]: f>0 False" in out
+    assert (code, out.splitlines()[-1]) == (0, "verify little_q_laguerre: PASS")
 
 
 def test_families_listing_json():

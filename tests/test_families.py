@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from copz import (
     sample_params,
     weight_table,
 )
-from copz.families import eval_exact_at_support
+from copz.families import _CATALOG, eval_exact_at_support
 from copz.qseries import exact_summation, hyper_sum
 
 
@@ -61,36 +62,41 @@ def test_kind_normalization():
     assert make_family("Dual-Q-Hahn", a=1.0, alpha=0.5, q=0.5, N=6).kind == "dual_q_hahn"
 
 
+def _at_X(spec, n, X):
+    """The degree-n value at the point X of the family's own variable."""
+    return spec.eval_at_s(n, spec.grid.x_inverse(X / spec.zero_scale))
+
+
 def test_eval_normalization_points():
     hahn = make_family("hahn", alpha=0.3, beta=0.7, N=8)
     for n in range(5):
-        assert hahn.eval_poly(n, 0.0) == 1.0
+        assert _at_X(hahn, n, 0.0) == 1.0
     racah = make_family("racah", a=0.6, alpha=0.4, beta=0.9, N=7)
     a = racah.params["a"]
     for n in (1, 3, 5):
-        assert racah.eval_poly(n, a * (a + 1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert _at_X(racah, n, a * (a + 1.0)) == pytest.approx(1.0, abs=1e-12)
     qr = make_family("q_racah", a=0.8, alpha=0.3, beta=0.9, q=0.6, N=7)
     x_start = qr.grid.x(qr.params["a"])
     for n in (1, 2, 4):
-        assert qr.eval_poly(n, x_start) == pytest.approx(1.0, abs=1e-12)
+        assert _at_X(qr, n, x_start) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_degree_one_closed_forms():
     charlier = make_family("charlier", alpha=2.0)
     for X in (0.3, 1.7, 4.0):
-        assert charlier.eval_poly(1, X) == pytest.approx(1 - X / 2.0, rel=1e-14)
+        assert _at_X(charlier, 1, X) == pytest.approx(1 - X / 2.0, rel=1e-14)
     asc2 = make_family("al_salam_carlitz_2", alpha=0.8, q=0.5)
     for X in (1.1, 2.0, 3.5):
-        assert asc2.eval_poly(1, X) == pytest.approx(X - 1.8, rel=1e-13)
+        assert _at_X(asc2, 1, X) == pytest.approx(X - 1.8, rel=1e-13)
 
 
 def test_eval_degree_cap():
     spec = make_family("krawtchouk", alpha=0.4, N=5)
     with pytest.raises(DomainError):
-        spec.eval_poly(5, 1.0)
+        spec.eval_at_s(5, 1.0)
     inf = make_family("charlier", alpha=1.0)
     with pytest.raises(DomainError):
-        inf.eval_poly(31, 1.0)
+        inf.eval_at_s(31, 1.0)
     # an alias has its base's cap, and both paths name the alias
     alias = make_family("q_charlier", alpha=1.0, q=0.5)
     for evaluate in (alias.eval_at_s, lambda n, k: eval_exact_at_support(alias, n, k)):
@@ -281,19 +287,20 @@ def test_racah_k_interval_example():
 
 
 def test_quadratic_series_against_direct_sum():
-    # generic evaluation path against an explicit shifted-factorial sum
+    # generic evaluation path against an explicit shifted-factorial sum over
+    # the atoms a - s, s + a + 1, taken from s itself
     spec = make_family("racah", a=0.7, alpha=0.4, beta=0.8, N=7)
     a, al, be, N = 0.7, 0.4, 0.8, 7
     n = 2
     for s in (1.1, 2.4, 4.9):
-        X = s * (s + 1)
         direct = hyper_sum(
             (-n, al + be + n + 1, a - s, s + a + 1),
             (2 * a + al + N + 1, be + 1, 1 - N),
             1.0,
             n,
         )
-        assert spec.eval_poly(n, X) == pytest.approx(direct, rel=1e-13)
+        assert spec.eval_at_s(n, s) == direct
+        assert _at_X(spec, n, s * (s + 1)) == pytest.approx(direct, rel=1e-13)
 
 
 def test_alias_q_charlier_matches_base():
@@ -302,7 +309,7 @@ def test_alias_q_charlier_matches_base():
     qm = make_family("q_meixner", alpha=1.4, beta=0.0, q=q)
     for n in (1, 2, 3):
         for X in (1.2, 2.5, 6.0):
-            assert qc.eval_poly(n, X) == qm.eval_poly(n, X)
+            assert _at_X(qc, n, X) == _at_X(qm, n, X)
     z1 = find_zeros(ZeroProblem(qc, 3)).zeros_X
     z2 = find_zeros(ZeroProblem(qm, 3)).zeros_X
     assert z1 == pytest.approx(z2, rel=1e-12)
@@ -312,7 +319,7 @@ def test_alias_al_salam_carlitz_1():
     a1 = make_family("al_salam_carlitz_1", alpha=0.9, q=0.55)
     a2 = make_family("al_salam_carlitz_2", alpha=0.9, q=0.55)
     for X in (1.3, 2.9):
-        assert a1.eval_poly(2, X) == a2.eval_poly(2, X)
+        assert _at_X(a1, 2, X) == _at_X(a2, 2, X)
 
 
 def test_alias_big_q_jacobi_zero_map():
@@ -324,7 +331,7 @@ def test_alias_big_q_jacobi_zero_map():
     assert zb == pytest.approx(tuple(alpha * q * z for z in zl), rel=1e-10)
     # transformed evaluation agrees with the scaled base polynomial
     X = 0.21
-    pref = big.eval_poly(2, X) / little.eval_poly(2, X / (alpha * q))
+    pref = _at_X(big, 2, X) / _at_X(little, 2, X / (alpha * q))
     assert math.isfinite(pref) and pref != 0.0
 
 
@@ -335,7 +342,7 @@ def test_alias_q_laguerre_zero_map():
     z1 = find_zeros(ZeroProblem(ql, 2)).zeros_X_sorted
     z2 = find_zeros(ZeroProblem(base, 2)).zeros_X_sorted
     assert z1 == pytest.approx(z2, rel=1e-12)
-    assert ql.eval_poly(1, 1.0 - q ** (alpha + 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert _at_X(ql, 1, 1.0 - q ** (alpha + 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_catalog_serializes_to_json():
@@ -355,7 +362,7 @@ def test_zero_problem_validation():
 
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_exact_and_float_series_agree_at_support_points(kind):
-    # one series feeds both paths: float atoms from X, exact atoms from k;
+    # one series feeds both paths: float atoms from s, exact atoms from k;
     # an alias applies its own prefactor on both
     rng = random.Random(sum(map(ord, kind)))
     for _ in range(5):
@@ -367,6 +374,103 @@ def test_exact_and_float_series_agree_at_support_points(kind):
                     exact = eval_exact_at_support(fam, n, k)
                     value = fam.eval_at_s(n, fam.support_start + k)
                     assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (fam.kind, n, k)
+
+
+def _fraction_hyper(num, den, z, n):
+    """Terminating iFj(num; den; z) over k = 0..n, term by term in Fractions."""
+    total = term = Fraction(1)
+    for k in range(n):
+        term *= Fraction(z) / (k + 1)
+        for a in num:
+            term *= a + k
+        for b in den:
+            term /= b + k
+        total += term
+    return total
+
+
+def _fraction_qhyper(num, den, q, n):
+    """Terminating iφj(num; den; q, q) with i = j + 1, term by term in Fractions."""
+    total = term = Fraction(1)
+    for k in range(n):
+        term *= q / (1 - q ** (k + 1))
+        for a in num:
+            term *= 1 - a * q**k
+        for b in den:
+            term /= 1 - b * q**k
+        total += term
+    return total
+
+
+def _fraction_value(spec, n, t):
+    """The degree-n value at s = a + t, for a rational t, summed in Fractions
+    from the float parameters taken exactly; on the q-quadratic lattice t is
+    an integer, and a, alpha, beta enter as the rounded powers q^a, q^alpha,
+    q^beta, as the exact path takes them."""
+    p = {k: Fraction(v) for k, v in spec.params.items()}
+    N = spec.params["N"]
+    if spec.kind in ("racah", "dual_hahn"):
+        a = p["a"]
+        lattice = (-t, 2 * a + 1 + t)  # a - s, s + a + 1
+        if spec.kind == "racah":
+            al, be = p["alpha"], p["beta"]
+            num, den = (-n, al + be + n + 1, *lattice), (2 * a + al + N + 1, be + 1, 1 - N)
+            return _fraction_hyper(num, den, 1, n)
+        return _fraction_hyper((-n, *lattice), (p["alpha"] + 1, 1 - N), 1, n)
+    q = p["q"]
+    qf = spec.params["q"]
+    power = {k: Fraction(qf ** spec.params[k]) for k in ("a", "alpha", "beta") if k in p}
+    qa, qal = power["a"], power["alpha"]
+    lattice = (q**-t, qa * qa * q**t)  # q^(a-s), q^(a+s)
+    if spec.kind == "q_racah":
+        qbe = power["beta"]
+        num = (q**-n, qal * qbe * q ** (n + 1), *lattice)
+        return _fraction_qhyper(num, (qa * qa * qal * q**N, qbe * q, q ** (1 - N)), q, n)
+    return _fraction_qhyper((q**-n, *lattice), (qal * q, q ** (1 - N)), q, n)
+
+
+@pytest.mark.parametrize("kind", ["racah", "dual_hahn", "q_racah", "dual_q_hahn"])
+def test_quadratic_lattice_values_match_a_fraction_reference(kind):
+    # the exact path sums atoms built from s, never recovered from X; on the
+    # quadratic lattice s need not be a support point
+    rng = random.Random(f"fraction/{kind}")
+    for _ in range(3):
+        spec = make_family(kind, sample_params(kind, rng))
+        N = spec.params["N"]
+        for n in sorted({1, N // 2, N - 1}):
+            got = eval_exact_at_support(spec, n, range(N))
+            assert got == [float(_fraction_value(spec, n, j)) for j in range(N)], n
+            assert eval_exact_at_support(spec, n, N - 1) == got[-1]
+            if spec.grid.tag != "quadratic":
+                continue
+            a = spec.params["a"]
+            with exact_summation():
+                for s in (a - 0.375, a + 1.3, a + N - 1.6, a + N + 0.7):
+                    want = _fraction_value(spec, n, Fraction(s) - Fraction(a))
+                    assert spec.eval_at_s(n, s) == float(want), (n, s)
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        ({"a": "0x1.32771ee44a518p-1", "alpha": "-0x1.095e7aa6dd7b8p-1",
+          "beta": "0x1.68157314b359dp+0", "N": 60}, 45),
+        ({"a": "0x1.ec511cebc5215p-1", "alpha": "-0x1.7353d569b31ecp-1",
+          "beta": "0x1.8740de31f06ffp+0", "N": 50}, 49),
+        ({"a": "0x1.c3d27359e25ebp+0", "alpha": "-0x1.7a94f75d211a1p-1",
+          "beta": "-0x1.24e259bffebc2p-2", "N": 40}, 39),
+    ],
+    ids=["N60-n45", "N50-n49", "N40-n39"],
+)
+def test_exact_support_values_change_sign_n_times(params, n):
+    # racah cases of the high-degree zero benchmark (seed 1): near the top of
+    # the support |P| falls to 1e-19 of P(a), where atoms recovered from a
+    # float X by a square root gave 44, 46 and 36 sign changes
+    p = {k: float.fromhex(v) if isinstance(v, str) else v for k, v in params.items()}
+    spec = make_family("racah", p)
+    values = eval_exact_at_support(spec, n, range(params["N"]))
+    assert 0.0 not in values
+    assert sum((u < 0.0) != (v < 0.0) for u, v in zip(values, values[1:])) == n
 
 
 @pytest.mark.parametrize(
@@ -596,13 +700,33 @@ def _per_sample(spec, n, ss):
     return [spec.eval_at_s(n, s) for s in ss]
 
 
+#: each lattice's series atoms at s, written out apart from the library
+_ATOMS_AT_S = {
+    "linear": lambda p, q, s: s,
+    "quadratic": lambda p, q, s: (p["a"] - s, s + p["a"] + 1.0),
+    "q_exp_neg": lambda p, q, s: q ** (-s),
+    "q_exp": lambda p, q, s: q**s,
+    "q_symmetric": lambda p, q, s: (q ** p["a"] * q ** (-s), q ** p["a"] * q**s),
+}
+
+
 def _reference_at_s(spec, n, ss):
-    """eval_poly at each scaled lattice value x(s), an OverflowError named as
+    """The value at each s from the atoms above and the catalog's series and
+    prefactors (an alias's over its base's), an OverflowError named as
     EvaluationOverflowError: the value at s, written apart from FamilySpec's map."""
+    base = spec.resolve_base()
+    chain = [(spec.kind, spec.params)] + ([(base.kind, base.params)] if base is not spec else [])
     out = []
     for s in ss:
         try:
-            out.append(spec.eval_poly(n, spec.zero_scale * spec.grid.x_raw(s)))
+            x = _ATOMS_AT_S[base.grid.tag](base.params, base.grid.q, s)
+            if not 0 <= n <= spec.degree_max:
+                raise DomainError(f"{spec.kind}: degree n={n} outside 0..{spec.degree_max}")
+            prefs = [_CATALOG[kind].prefactor(p, n) for kind, p in chain]
+            value = _CATALOG[base.kind].series(base.params, n, x)
+            for pref in reversed(prefs):
+                value = pref * value
+            out.append(value)
         except OverflowError as exc:
             raise EvaluationOverflowError(
                 f"{spec.kind}: the degree-{n} value at s={s!r} overflows the float range"
@@ -635,7 +759,7 @@ def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
 @pytest.mark.parametrize(
     "kind, params, n, ss, error",
     [
-        # x(s0) overflows before the degree is checked
+        # the atom q^-s0 overflows before the degree is checked
         ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, [300.0, 0.0],
          "EvaluationOverflowError"),
         # the degree, then a later sample's overflow
@@ -649,9 +773,12 @@ def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
         # an alias with a prefactor of its own over its base's lattice
         ("big_q_jacobi_special", {"alpha": 0.5, "beta": 0.5, "q": 0.5}, 2,
          [-1500.0, 0.0], "EvaluationOverflowError"),
+        # a later sample's q-quadratic atom q^a q^-s
+        ("dual_q_hahn", {"a": 0.8, "alpha": 0.5, "q": 0.6, "N": 7}, 2, [0.0, 2000.0],
+         "EvaluationOverflowError"),
     ],
     ids=["x-first", "degree-before-later-x", "prefactor-before-later-x", "later-x",
-         "alias-x-first"],
+         "alias-x-first", "later-q-quadratic-atom"],
 )
 def test_eval_at_s_many_raises_the_first_per_sample_error(kind, params, n, ss, error):
     spec = make_family(kind, params)
@@ -662,8 +789,8 @@ def test_eval_at_s_many_raises_the_first_per_sample_error(kind, params, n, ss, e
 
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_per_degree_evaluator_matches_eval_at_s_bit_for_bit(kind):
-    # the function of s a zero search calls: aliases keep their prefactor and
-    # zero scale, and the samples run past the ends of the support
+    # the function of s a zero search calls: aliases keep their prefactor,
+    # and the samples run past the ends of the support
     spec = make_family(kind, sample_params(kind, random.Random(f"at_s/{kind}")))
     lo = spec.support_start
     hi = spec.support_end - 1.0 if spec.is_finite else lo + 60.0
@@ -681,17 +808,20 @@ def test_per_degree_evaluator_matches_eval_at_s_bit_for_bit(kind):
         ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30, 7.5, "EvaluationOverflowError"),
         ("quantum_q_krawtchouk", {"alpha": 1e300, "q": 0.5, "N": 10}, 5, 0.0,
          "EvaluationOverflowError"),
-        # a degree out of range, and before it an overflow of x(s)
+        # a degree out of range, and before it an overflow of the atom q^-s
         ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 10}, 10, 0.0, "DomainError"),
         ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, 0.0, "DomainError"),
         ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, 300.0,
          "EvaluationOverflowError"),
-        # an x(s) overflow of an alias
+        # an overflow of an alias's atom q^s
         ("big_q_jacobi_special", {"alpha": 0.5, "beta": 0.5, "q": 0.5}, 2, -1500.0,
+         "EvaluationOverflowError"),
+        # an overflow of the q-quadratic atom q^a q^-s
+        ("q_racah", {"a": 0.8, "alpha": 0.3, "beta": 0.9, "q": 0.6, "N": 7}, 2, 2000.0,
          "EvaluationOverflowError"),
     ],
     ids=["prefactor-s0", "prefactor-s7.5", "quantum-prefactor", "degree", "degree-infinite",
-         "x-before-degree", "alias-x"],
+         "x-before-degree", "alias-x", "q-quadratic-atom"],
 )
 def test_per_degree_evaluator_raises_as_eval_at_s(kind, params, n, s, error):
     spec = make_family(kind, params)

@@ -228,7 +228,7 @@ def _reference_report(zs, param, samples):
     fam = zs.problem.family
     lo, hi = fam.k_interval()
     hi_eff = hi if math.isfinite(hi) else max(zs.zeros_s) + 2.0
-    pts = list(np.linspace(lo, hi_eff, samples + 2)[1:-1]) + list(zs.zeros_s)
+    pts = np.linspace(lo, hi_eff, samples + 2)[1:-1].tolist() + list(zs.zeros_s)
     f_pos = f1_neg = grid4_ok = True
     f2_signs, counterexamples = set(), []
     is_grid4 = fam.grid.tag == Q_ANTISYMMETRIC
@@ -237,10 +237,13 @@ def _reference_report(zs, param, samples):
             fv = fam.monotonicity_f(s)
             f1, f2 = fam.f_partials(s, param)
         except copz.CopzError:
+            fv = f1 = f2 = math.nan
+        if not all(map(math.isfinite, (fv, f1, f2))):
+            # raising, or non-finite at a scalar call: a counterexample
             counterexamples.append(s)
             f_pos = False
             continue
-        ok = not (fv <= 0.0 or f1 >= 0.0)  # a NaN fails neither comparison
+        ok = not (fv <= 0.0 or f1 >= 0.0)
         f_pos = f_pos and not fv <= 0.0
         f1_neg = f1_neg and not f1 >= 0.0
         f2_signs.add("+" if f2 > 0.0 else "-" if f2 < 0.0 else "0")
@@ -545,8 +548,8 @@ def test_track_zeros_certifies_or_returns_nothing():
     # guesses out of order, or two alike, have no cells
     assert track_zeros(problem, [zs[1], zs[0], zs[2], zs[3]], [0.1] * 4) is None
     assert track_zeros(problem, [zs[0], zs[0], zs[2], zs[3]], [0.1] * 4) is None
-    # on an infinite q lattice an empty top cell grows its bracket until x(s)
-    # overflows: that is no result either, not an error
+    # on an infinite q lattice an empty top cell grows its bracket until the
+    # atom q^-s overflows: that is no result either, not an error
     problem = ZeroProblem(make_family("q_meixner", alpha=0.5, beta=0.5, q=0.5), 2)
     zs = find_zeros(problem).zeros_s
     assert track_zeros(problem, [zs[0], 4.0 * zs[1] - 3.0 * zs[0]], [0.0, 0.0]) is None
