@@ -149,7 +149,15 @@ class FamilySpec:
         """eval_at_s(n, .) as a function of s, for the many calls of a zero
         search: the degree check, prefactor, series and lattice atoms (those
         of the summation in force here) are looked up once.  Where that lookup
-        raises, the function repeats it at each s, after the atoms."""
+        raises, the function repeats it at each s, after the atoms.
+
+        Its attribute many(ss) is the array pass: the values at all of ss from
+        one pass of the float series, each the one-point call's bit for bit.
+        It raises the error the per-sample loop meets first: the first sample
+        is a one-point call, so an overflow of its lattice atoms comes first,
+        then the degree, prefactor and series errors, which no later sample
+        escapes; then the first overflow of the atoms at a later sample.
+        """
         try:
             value = self._of_atoms(n)
         except (DomainError, ArithmeticError):
@@ -162,6 +170,25 @@ class FamilySpec:
             except OverflowError as exc:
                 raise self._overflow(n, s) from exc
 
+        def many(ss) -> list[float]:
+            # exact sums give lists, which value does not scale by its
+            # prefactor; one sample needs no array
+            if _EXACT.get() or len(ss) < 2:
+                return [at_s(s) for s in ss]
+            out = [at_s(ss[0])]
+            try:
+                rows = [atoms(s) for s in ss[1:]]
+            except OverflowError:
+                for s in ss[1:]:  # name the first s whose atoms overflow
+                    try:
+                        atoms(s)
+                    except OverflowError as exc:
+                        raise self._overflow(n, s) from exc
+            with np.errstate(all="ignore"):
+                values = value(p, _columns(rows))
+            return out + np.broadcast_to(values, len(rows)).tolist()
+
+        at_s.many = many
         return at_s
 
     def _of_atoms(self, n: int) -> Callable[[dict, object], float]:
@@ -177,48 +204,33 @@ class FamilySpec:
         series = entry.series
         return lambda p, x: pref * series(p, n, x)
 
-    def eval_at_s_many(self, n: int, ss) -> list[float]:
-        """eval_at_s at every s, in one array pass of the float series.
-
-        Zero scans pass all their samples.  The refinement of 16 or more
-        zero brackets passes the trial points of all the open ones, one pass
-        per ITP round, since a pass costs about as much as 14-20 one-point
-        calls.  Each value is eval_at_s's bit for bit, and the error raised
-        is the one the per-sample loop meets first: the first sample goes
-        through eval_at_s, so an overflow of its lattice atoms comes first,
-        then the degree, prefactor and series errors, which no later sample
-        escapes; then the first overflow of the atoms at a later sample.
-        """
-        # exact sums give lists, which _of_atoms does not scale by its prefactor;
-        # one sample needs no array
-        if _EXACT.get() or len(ss) < 2:
-            return [self.eval_at_s(n, s) for s in ss]
-        out = [self.eval_at_s(n, ss[0])]
-        p, atoms = _lattice_atoms(self.resolve_base(), False)
-        try:
-            rows = [atoms(s) for s in ss[1:]]
-        except OverflowError:
-            for s in ss[1:]:  # name the first s whose atoms overflow
-                try:
-                    atoms(s)
-                except OverflowError as exc:
-                    raise self._overflow(n, s) from exc
-        with np.errstate(all="ignore"):
-            values = self._of_atoms(n)(p, _columns(rows))
-        return out + np.broadcast_to(values, len(rows)).tolist()
-
     def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(
             f"{self._label}: the degree-{n} value at s={s!r} overflows the float range"
         )
 
-    def _ab_overflow(self, s: float, exc: OverflowError) -> EvaluationOverflowError:
-        # a table that knows the cause raises it typed; Python's own
-        # OverflowError text names no cause worth printing
-        why = f": {exc}" if isinstance(exc, EvaluationOverflowError) else ""
-        return EvaluationOverflowError(
-            f"{self._label}: the coefficients A, B at s={s!r} overflow the float range{why}"
-        )
+    def _ab(self, params: Mapping[str, complex], s):
+        """The family's A, B table at real, complex or array s, an alias's
+        parameters mapped onto its base's first: the one reader of the table.
+
+        An OverflowError is named as EvaluationOverflowError, and a scalar
+        division by zero as the SingularityError of a coefficient pole.
+        """
+        kind, entry = self.kind, _CATALOG[self.kind]
+        if entry.alias_map is not None:
+            kind, params = entry.alias_map(params)
+        try:
+            return _CATALOG[kind].ab(params, s)
+        except OverflowError as exc:
+            # a table that knows the cause raises it typed; Python's own
+            # OverflowError text names no cause worth printing
+            why = f": {exc}" if isinstance(exc, EvaluationOverflowError) else ""
+            raise EvaluationOverflowError(
+                f"{self._label}: the coefficients A, B at s={s.real!r} overflow the float"
+                f" range{why}"
+            ) from exc
+        except ZeroDivisionError as exc:
+            raise SingularityError(f"{kind}: coefficient pole at s={s!r}") from exc
 
     def coeffs_AB(self, s: float) -> tuple[float, float]:
         """The three-point coefficients (A, B) at s in the canonical scaling.
@@ -229,17 +241,15 @@ class FamilySpec:
         power is not Python's to the last bit, so array values decide signs
         only; a scalar s gives the scalar table's values.
         """
-        base = self.resolve_base()
-        try:
-            return _CATALOG[base.kind].ab(base.params, s)
-        except OverflowError as exc:
-            raise self._ab_overflow(s, exc) from exc
+        base = self.resolve_base()  # an alias's base holds its parameters mapped
+        return base._ab(base.params, s)
 
     def monotonicity_f(self, s: float) -> float:
         """The coefficient ratio f = B/A whose signs steer the zero motion.
 
-        On an array of s, f comes from one pass of the table and is NaN at
-        every sample where A or B is not finite or A = 0: the samples where a
+        A pole of the table raises SingularityError, as does A = 0.  On an
+        array of s, f comes from one pass of the table and is NaN at every
+        sample where A or B is not finite or A = 0: the samples where a
         scalar call may raise or give a non-finite f.  Elsewhere its sign is
         the scalar f's.
         """
@@ -253,32 +263,23 @@ class FamilySpec:
     def f_partials(self, s: float, param: str) -> tuple[float, float]:
         """(df/ds, df/dparam) at s, as Im f / h with s, then param, moved by ih.
 
-        This complex step differentiates the family's one A, B table with an
-        O(h^2) error, far below rounding.  The real f(s) comes first, so a pole
-        raises SingularityError rather than giving a huge complex quotient.
-        On an array of s, the two partials are one complex pass of the table
-        each, whose signs are the scalar calls' signs; the real f is not
-        taken, so the samples a scalar call raises at are the ones where
-        monotonicity_f over the same array is NaN.
+        This complex step differentiates the family's one A, B table (_ab)
+        with an O(h^2) error, far below rounding.  A param the family cannot
+        take (N, or a name it does not have) raises DomainError.  The real
+        f(s) comes first, so a pole raises SingularityError rather than giving
+        a huge complex quotient.  On an array of s, the two partials are one
+        complex pass of the table each, whose signs are the scalar calls'
+        signs; the real f is not taken, so the samples a scalar call raises
+        at are among those where monotonicity_f over the same array is NaN.
         """
         if param not in self.params or param == "N":
             raise DomainError(f"{self.kind} has no continuous parameter {param!r}")
         if not isinstance(s, np.ndarray):
             self.monotonicity_f(s)
         moved = {**self.params, param: self.params[param] + _STEP * 1j}
-        f1 = self._complex_f(self.params, s + _STEP * 1j)
-        return f1.imag / _STEP, self._complex_f(moved, s).imag / _STEP
-
-    def _complex_f(self, params: Mapping[str, complex], s: complex) -> complex:
-        """B/A at complex arguments; an alias maps its parameters first."""
-        kind, entry = self.kind, _CATALOG[self.kind]
-        if entry.alias_map is not None:
-            kind, params = entry.alias_map(params)
-        try:
-            A, B = _CATALOG[kind].ab(params, s)
-        except OverflowError as exc:
-            raise self._ab_overflow(s.real, exc) from exc
-        return B / A
+        A1, B1 = self._ab(self.params, s + _STEP * 1j)
+        A2, B2 = self._ab(moved, s)
+        return (B1 / A1).imag / _STEP, (B2 / A2).imag / _STEP
 
     def k_interval(self) -> tuple[float, float]:
         """Certified sign interval for the hypotheses; contains the zero set.
@@ -374,7 +375,7 @@ def _qp(q, e1, e2=0, e3=0, e4=0):
 
 def _hahn_series(p, n, X):
     al, be, N = p["alpha"], p["beta"], p["N"]
-    return hyper_sum((-n, -X, al + be + n + 1.0), (be + 1.0, 1.0 - N), 1.0, n)
+    return hyper_sum((-float(n), -X, al + be + n + 1.0), (be + 1.0, 1.0 - N), 1.0, n)
 
 
 def _hahn_ab(p, s):
@@ -393,18 +394,18 @@ def _hahn_claims(p):
 
 
 def _charlier_series(p, n, X):
-    return hyper_sum((-n, -X), (), -1.0 / p["alpha"], n)
+    return hyper_sum((-float(n), -X), (), -1.0 / p["alpha"], n)
 
 
 _POSITIVE_WINDOW = _central(0.0, 4.0)  # representative finite window for (0, inf)
 
 
 def _krawtchouk_series(p, n, X):
-    return hyper_sum((-n, -X), (1.0 - p["N"],), 1.0 / p["alpha"], n)
+    return hyper_sum((-float(n), -X), (1.0 - p["N"],), 1.0 / p["alpha"], n)
 
 
 def _meixner_series(p, n, X):
-    return hyper_sum((-n, -X), (p["beta"],), 1.0 - 1.0 / p["alpha"], n)
+    return hyper_sum((-float(n), -X), (p["beta"],), 1.0 - 1.0 / p["alpha"], n)
 
 
 # ---------------------------------------------------------------------------
@@ -415,24 +416,24 @@ def _meixner_series(p, n, X):
 def _racah_series(p, n, x):
     a, al, be, N = p["a"], p["alpha"], p["beta"], p["N"]
     w, u = x  # a - s, s + a + 1
-    # + 1 keeps rational parameters exact; 1.0 - N and 1.0 are exact floats
-    return hyper_sum((-n, al + be + n + 1, w, u), (2 * a + al + N + 1, be + 1, 1.0 - N), 1.0, n)
+    # + 1 keeps rational parameters exact; -float(n), 1.0 - N and 1.0 are exact floats
+    return hyper_sum(
+        (-float(n), al + be + n + 1, w, u), (2 * a + al + N + 1, be + 1, 1.0 - N), 1.0, n
+    )
 
 
 def _racah_ab(p, s):
     a, al, be, N = p["a"], p["alpha"], p["beta"], p["N"]
-    da = 2.0 * s * (2.0 * s + 1.0)
-    db = 2.0 * (s + 1.0) * (2.0 * s + 1.0)
-    # an array s is divided through: its poles, and the removable 0/0, come
-    # out non-finite
-    if isinstance(s, np.ndarray) or da != 0.0 and db != 0.0:
-        A = (s - a) * (s + a + N) * (s - a - al - N) * (s + a - be) / da
-    elif da == 0.0 and s == 0.0 and a == 0.0:
+    # a pole divides by zero; an array s is divided through, so its poles and
+    # the removable 0/0 at s = a = 0 come out non-finite
+    if not isinstance(s, np.ndarray) and s == 0.0 and a == 0.0:
         # removable 0/0: the (s-a)/(2s) pair cancels at the support start
         A = (s + N) * (s - al - N) * (s - be) / (2.0 * (2.0 * s + 1.0))
     else:
-        raise SingularityError(f"racah: coefficient pole at s={s!r}")
-    B = (s + a + 1.0) * (s - a - N + 1.0) * (s + a + al + N + 1.0) * (s - a + be + 1.0) / db
+        A = (s - a) * (s + a + N) * (s - a - al - N) * (s + a - be) / (2.0 * s * (2.0 * s + 1.0))
+    B = (s + a + 1.0) * (s - a - N + 1.0) * (s + a + al + N + 1.0) * (s - a + be + 1.0) / (
+        2.0 * (s + 1.0) * (2.0 * s + 1.0)
+    )
     return A, B
 
 
@@ -456,20 +457,19 @@ def _racah_claims(p):
 def _dual_hahn_series(p, n, x):
     al, N = p["alpha"], p["N"]
     w, u = x  # a - s, s + a + 1
-    return hyper_sum((-n, w, u), (al + 1, 1.0 - N), 1.0, n)
+    return hyper_sum((-float(n), w, u), (al + 1, 1.0 - N), 1.0, n)
 
 
 def _dual_hahn_ab(p, s):
     a, al, N = p["a"], p["alpha"], p["N"]
-    da = 2.0 * s * (2.0 * s + 1.0)
-    db = 2.0 * (s + 1.0) * (2.0 * s + 1.0)
-    if isinstance(s, np.ndarray) or da != 0.0 and db != 0.0:
-        A = (s - a) * (s + a + N) * (s + a - al) / da
-    elif da == 0.0 and s == 0.0 and a == 0.0:
+    # poles and the removable 0/0 as in racah
+    if not isinstance(s, np.ndarray) and s == 0.0 and a == 0.0:
         A = (s + N) * (s - al) / (2.0 * (2.0 * s + 1.0))
     else:
-        raise SingularityError(f"dual_hahn: coefficient pole at s={s!r}")
-    B = (s + a + 1.0) * (-s + a + N - 1.0) * (s - a + al + 1.0) / db
+        A = (s - a) * (s + a + N) * (s + a - al) / (2.0 * s * (2.0 * s + 1.0))
+    B = (s + a + 1.0) * (-s + a + N - 1.0) * (s - a + al + 1.0) / (
+        2.0 * (s + 1.0) * (2.0 * s + 1.0)
+    )
     return A, B
 
 
@@ -705,8 +705,6 @@ def _q_racah_ab(p, s):
     u2 = u * u  # q^(2s)
     da = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 / q - 1.0)
     db = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 * q - 1.0)
-    if not isinstance(s, np.ndarray) and (da == 0.0 or db == 0.0):
-        raise SingularityError(f"q_racah: coefficient pole at s={s!r}")
     A = (
         -4.0
         * q ** (al + be + 2.5)
@@ -760,8 +758,6 @@ def _dual_q_hahn_ab(p, s):
     u2 = u * u
     da = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 / q - 1.0)
     db = (q - 1.0) ** 2 * (u2 - 1.0) * (u2 * q - 1.0)
-    if not isinstance(s, np.ndarray) and (da == 0.0 or db == 0.0):
-        raise SingularityError(f"dual_q_hahn: coefficient pole at s={s!r}")
     A = (
         -4.0
         * u

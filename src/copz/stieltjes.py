@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CopzError,
     DomainError,
+    EvaluationOverflowError,
     IllConditionedSystemError,
     SweepDiscontinuityError,
 )
@@ -85,13 +85,14 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
     """Evaluate the sign hypotheses on the certified interval and the zero set.
 
     The samples are evaluated in array passes: f, f1 and f2 at all of them
-    come from one pass of the A, B table each (FamilySpec.f_partials over an
-    array), and the array values decide signs only.  A sample the passes
-    leave undecided (a pole, A = 0, an overflow or any other non-finite
-    value) is evaluated by the scalar monotonicity_f and f_partials, one at a
-    time, at a Python float; where that raises a CopzError or still gives a
-    non-finite f, f1 or f2, the sample is a counterexample and f is not
-    positive.
+    come from one pass of the A, B table each (FamilySpec.monotonicity_f and
+    f_partials over an array), and the array values decide signs only.  A
+    sample where f, f1 or f2 is not finite (a pole, A = 0, an overflow, or
+    the removable 0/0 of the racah and dual Hahn tables at s = a = 0) is a
+    counterexample, and f is not positive; it is kept past the cap of eight
+    on the other counterexamples, and its signs count for nothing.  A param
+    the family cannot take raises DomainError; where a term in the parameters
+    alone overflows, every sample is such a counterexample.
     """
     problem = zs.problem
     fam = problem.family
@@ -105,28 +106,21 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
             ss = np.array(pts)
             fv = fam.monotonicity_f(ss)
             f1, f2 = fam.f_partials(ss, param)
-    except CopzError:  # raised for every sample, as by a term in the parameters alone
+    except EvaluationOverflowError:  # raised for every sample, by a term in the parameters alone
         fv, f1, f2 = np.full((3, len(pts)), np.nan)
-    raised = np.zeros(len(pts), dtype=bool)
-    for i in np.flatnonzero(~(np.isfinite(fv) & np.isfinite(f1) & np.isfinite(f2))):
-        try:
-            values = (fam.monotonicity_f(pts[i]), *fam.f_partials(pts[i], param))
-        except CopzError:
-            values = (math.nan,)
-        raised[i] = not all(map(math.isfinite, values))
-        fv[i], f1[i], f2[i] = (math.nan,) * 3 if raised[i] else values
+    raised = ~(np.isfinite(fv) & np.isfinite(f1) & np.isfinite(f2))
+    fv, f1, f2 = np.where(raised, np.nan, [fv, f1, f2])
     fails = (fv <= 0.0) | (f1 >= 0.0)
     counterexamples: list[float] = []
     for i in np.flatnonzero(raised | fails):
         if raised[i] or len(counterexamples) < 8:
             counterexamples.append(pts[i])
-    kept = ~raised
-    if np.all(f2[kept] > 0.0):
+    kept = f2[~raised]
+    f2_sign = "mixed"  # also where no sample is finite
+    if kept.size and np.all(kept > 0.0):
         f2_sign = "+"
-    elif np.all(f2[kept] < 0.0):
+    elif kept.size and np.all(kept < 0.0):
         f2_sign = "-"
-    else:
-        f2_sign = "mixed"
     is_grid4 = fam.grid.tag == Q_ANTISYMMETRIC
     grid4_vals_ok = not np.any(problem.degree * fv + f1 > 0.0)
     grid4 = "not-applicable" if not is_grid4 else ("pass" if grid4_vals_ok else "fail")
@@ -301,10 +295,6 @@ class MonotonicityVerdict:
     reversals: int
     claimed: str | None
     agrees: bool | None
-
-    @property
-    def monotone(self) -> bool:
-        return all(d in ("increasing", "decreasing") for d in self.directions)
 
 
 def _solved_near(problem: ZeroProblem, guesses, radii) -> ZeroSet:

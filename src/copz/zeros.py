@@ -4,9 +4,11 @@ Consecutive zeros of these polynomials sit more than one lattice unit apart in
 s wherever the coefficient ratio is positive on the zero set, on finite and
 infinite supports alike, so sampling at step 1/2 brackets every zero; the
 scan still refines to steps 1/4 and 1/8 before declaring a count failure.
-Each scan evaluates all its samples in one array pass of the float series.
-The brackets are then refined by ITP in the s variable and mapped to X at
-the end.  A set of _LOCKSTEP (16) or more brackets refines in lockstep: each
+A search reads the series through one function of s, the base family's
+FamilySpec._at_s(n), built once: one-point calls, and its array pass many,
+which gives each value bit for bit.  Each scan evaluates all its samples in
+one array pass.  The brackets are then refined by ITP in the s variable and
+mapped to X at the end.  A set of _LOCKSTEP (16) or more brackets refines in lockstep: each
 round moves every open bracket one ITP step and evaluates all their trial
 points in one array pass, since one pass costs about as much as 14-20
 one-point calls.  Fewer brackets, and those a lockstep set leaves open once
@@ -23,9 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import EvaluationOverflowError, SingularityError, ZeroCountError
-from .families import FamilySpec, ZeroProblem
+from .families import ZeroProblem
 from .qseries import exact_summation
 
 _STEPS = (0.5, 0.25, 0.125)
@@ -65,22 +68,23 @@ class ZeroSet:
         return min(b - a for a, b in zip(self.zeros_s, self.zeros_s[1:]))
 
 
-def _scan(spec: FamilySpec, n: int, lo: float, hi: float, step: float):
-    """Sample the degree-n polynomial on [lo, hi] in s and return zero brackets
-    as (sl, sr, gl, gr) tuples, in increasing s, and the samples where the
-    float series is NaN or inf when a scan at the finest step finds fewer
-    than n brackets; that count is final, and no sign change pairs across
-    such a sample.  Any other scan gives no samples.
+def _scan(g, n: int, lo: float, hi: float, step: float):
+    """Sample g, the degree-n polynomial as a function of s (FamilySpec._at_s),
+    on [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples, in
+    increasing s, and the samples where the float series is NaN or inf when a
+    scan at the finest step finds fewer than n brackets; that count is final,
+    and no sign change pairs across such a sample.  Any other scan gives no
+    samples.
 
-    The samples are evaluated together, in one array pass of the float series.
-    A sample within the node tolerance of zero (relative to its neighbors)
-    counts as a width-zero bracket; its gl and gr carry the neighbors'
-    magnitude, the local scale its residual is measured against.  No sign
-    change is paired across it.
+    The samples are evaluated together, in one array pass of the float series
+    (g.many).  A sample within the node tolerance of zero (relative to its
+    neighbors) counts as a width-zero bracket; its gl and gr carry the
+    neighbors' magnitude, the local scale its residual is measured against.
+    No sign change is paired across it.
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    vs = spec.eval_at_s_many(n, ss)
+    vs = g.many(ss)
     mags = list(map(abs, vs))
     nbrs = map(max, [0.0, *mags[:-1]], [*mags[1:], 0.0])
     brackets = []
@@ -173,9 +177,8 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     and the first such s.
     """
     fam = problem.family
-    base = fam.resolve_base()
     n = problem.degree
-    g = base._at_s(n)
+    g = fam.resolve_base()._at_s(n)
     a = fam.support_start
     # a finite window never grows: doubling would leave the support, and a
     # window that collapses in float (a + N - 1 == a) would double to itself
@@ -184,7 +187,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     else:
         hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
     while True:
-        brackets, lost = _scan(base, n, a, hi, _STEPS[0])
+        brackets, lost = _scan(g, n, a, hi, _STEPS[0])
         found, wider = len(brackets), a + 2.0 * (hi - a)
         if fam.is_finite or wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
             break
@@ -195,7 +198,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         # finer sampling can only reveal missed pairs, never remove changes
         if len(brackets) >= n:
             break
-        brackets, lost = _scan(base, n, a, hi, step)
+        brackets, lost = _scan(g, n, a, hi, step)
         diagnostics[f"count_at_step_{step}"] = len(brackets)
     if len(brackets) != n:
         message = f"{fam.kind}: found {len(brackets)} sign changes, expected {n}"
@@ -258,8 +261,8 @@ def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
     """Refine each (sl, sr, gl, gr) bracket of g by ITP and map its zero to X.
 
     While _LOCKSTEP or more brackets are open, they refine in lockstep: each
-    round evaluates the trial points of all of them in one array pass of the
-    float series, and each takes its next ITP step.  The brackets left open
+    round evaluates the trial points of all of them in one array pass,
+    g.many, and each takes its next ITP step.  The brackets left open
     then refine one at a time, one call of g per trial point; so do sets of
     fewer than _LOCKSTEP brackets from the start.  The residuals of a set of
     _LOCKSTEP or more come from one array pass too, and every value is the
@@ -271,7 +274,6 @@ def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
         found = [_drive(_itp(*b), g) for b in brackets]
         gz = [g(z) for z, _ in found]
     else:
-        base, n = fam.resolve_base(), problem.degree
         found = [None] * len(brackets)
         # (trial point, bracket index, stepper) of each open bracket, and g at
         # each trial point; None starts a stepper
@@ -287,10 +289,10 @@ def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
             trials = stepped
             if len(trials) < _LOCKSTEP:
                 break
-            values = base.eval_at_s_many(n, [x for x, _, _ in trials])
+            values = g.many([x for x, _, _ in trials])
         for x, i, steps in trials:
             found[i] = _drive(steps, g, g(x))
-        gz = base.eval_at_s_many(n, [z for z, _ in found])
+        gz = g.many([z for z, _ in found])
     zs, widths = zip(*found)
     residuals = [abs(v) / max(abs(gl), abs(gr), 1e-300) for v, (_, _, gl, gr) in zip(gz, brackets)]
     xs = [fam.zero_scale * fam.grid.x_raw(z) for z in zs]
@@ -330,7 +332,7 @@ class Eq1Report:
     rhs_values: tuple[float, ...]
     flagged: bool
     anomalies: tuple[int, ...]
-    tolerance: float = 1e-6
+    tolerance: ClassVar[float] = 1e-6
 
 
 def eq1_consistency(zs: ZeroSet) -> Eq1Report:
@@ -364,7 +366,7 @@ def eq1_consistency(zs: ZeroSet) -> Eq1Report:
         rhs_values.append(rhs)
         residuals.append(abs(fv - rhs) / max(1.0, abs(fv)))
     finite = [r for r in residuals if math.isfinite(r)]
-    flagged = bool(finite) and all(r > 1e-6 for r in finite)
+    flagged = bool(finite) and all(r > Eq1Report.tolerance for r in finite)
     return Eq1Report(
         tuple(residuals), tuple(f_values), tuple(rhs_values), flagged, tuple(anomalies)
     )

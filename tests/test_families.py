@@ -137,6 +137,45 @@ def test_ratio_singularity():
         charlier.monotonicity_f(0.0)
 
 
+_RACAH = {"a": 0.5, "alpha": 0.2, "beta": 0.3, "N": 6}
+_DUAL_HAHN = {"a": 0.5, "alpha": 0.7, "N": 6}
+
+
+@pytest.mark.parametrize(
+    "kind, params, s",
+    [
+        ("racah", _RACAH, 0.0),
+        ("racah", _RACAH, -0.5),
+        ("racah", _RACAH, -1.0),
+        ("racah", {**_RACAH, "a": 0.0}, -0.5),
+        ("dual_hahn", _DUAL_HAHN, 0.0),
+        ("dual_hahn", _DUAL_HAHN, -0.5),
+        ("dual_hahn", _DUAL_HAHN, -1.0),
+        ("q_racah", {"a": 0.8, "alpha": 0.3, "beta": 0.9, "q": 0.6, "N": 7}, 0.0),
+        ("q_racah", {"a": 0.8, "alpha": 0.3, "beta": 0.9, "q": 0.6, "N": 7}, -0.0),
+        ("dual_q_hahn", {"a": 0.8, "alpha": 0.5, "q": 0.6, "N": 7}, 0.0),
+    ],
+)
+def test_coefficient_poles_name_their_table_and_point(kind, params, s):
+    # a division by zero in the table, at a scalar s, whichever call reads it
+    spec = make_family(kind, params)
+    for read in (spec.coeffs_AB, spec.monotonicity_f, lambda s: spec.f_partials(s, "alpha")):
+        with pytest.raises(SingularityError, match=f"^{kind}: coefficient pole at s={s!r}$"):
+            read(s)
+
+
+@pytest.mark.parametrize("kind, params", [("racah", _RACAH), ("dual_hahn", _DUAL_HAHN)])
+def test_removable_zero_over_zero_at_the_support_start(kind, params):
+    # at s = a = 0 the (s - a)/(2s) pair of A cancels: a scalar value, but not
+    # in an array pass
+    spec = make_family(kind, {**params, "a": 0.0})
+    A, B = spec.coeffs_AB(0.0)
+    assert math.isfinite(A) and A != 0.0 and math.isfinite(B)
+    assert all(map(math.isfinite, spec.f_partials(0.0, "alpha")))
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(spec.coeffs_AB(np.array([0.0, 1.0]))[0][0])
+
+
 def test_partials_spot_values():
     hahn = make_family("hahn", alpha=0.0, beta=0.0, N=5)
     _, f2a = hahn.f_partials(1.0, "alpha")
@@ -734,6 +773,9 @@ def _reference_at_s(spec, n, ss):
     return out
 
 
+# the array pass _at_s(n).many, against one eval_at_s call per sample
+
+
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_eval_at_s_many_matches_eval_at_s_bit_for_bit(kind):
     # aliases evaluate through their base, q_racah and dual_q_hahn through the
@@ -744,16 +786,17 @@ def test_eval_at_s_many_matches_eval_at_s_bit_for_bit(kind):
     ss = [lo + (hi - lo) * i / 699 for i in range(700)] + [lo - 0.75, lo - 0.5, hi + 0.25]
     for n in sorted({1, 2, 3, 7, min(spec.degree_max, 30)}):
         if n <= spec.degree_max:
-            assert _outcomes(spec.eval_at_s_many, n, ss) == _outcomes(_per_sample, spec, n, ss)
+            got = _outcomes(lambda: spec._at_s(n).many(ss))
+            assert got == _outcomes(_per_sample, spec, n, ss)
 
 
 def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
     spec = make_family("q_hahn", alpha=0.5, beta=0.6, q=0.7, N=8)
     ss = [0.5 * i for i in range(15)]
     with exact_summation():
-        exact = _outcomes(spec.eval_at_s_many, 5, ss)
+        exact = _outcomes(lambda: spec._at_s(5).many(ss))
         assert exact == _outcomes(_per_sample, spec, 5, ss)
-    assert exact != _outcomes(spec.eval_at_s_many, 5, ss)  # the float sums round apart
+    assert exact != _outcomes(lambda: spec._at_s(5).many(ss))  # the float sums round apart
 
 
 @pytest.mark.parametrize(
@@ -782,7 +825,7 @@ def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
 )
 def test_eval_at_s_many_raises_the_first_per_sample_error(kind, params, n, ss, error):
     spec = make_family(kind, params)
-    got = _outcomes(spec.eval_at_s_many, n, ss)
+    got = _outcomes(lambda: spec._at_s(n).many(ss))
     assert got == _outcomes(_per_sample, spec, n, ss)
     assert got[0].__name__ == error
 

@@ -211,6 +211,20 @@ def test_trajectory_matrix_shape():
     assert math.isfinite(v.trajectories[0][0])
 
 
+def test_sweep_past_a_turning_zero_is_non_monotone():
+    # over q in (0.4, 0.95) the lower q-Charlier zero falls, then rises
+    problem = ZeroProblem(make_family("q_charlier", alpha=0.5, q=0.7), 2)
+    v = monotonicity_verdict(problem, "q", (0.4, 0.95), samples=9)
+    assert v.directions == ("non-monotone", "decreasing")
+    assert len(v.ts) == 15 and v.claimed is None and v.agrees is None
+    lower = v.trajectories[0]
+    rises = [b > a for a, b in zip(lower, lower[1:])]
+    turn = rises.index(True)
+    assert turn > 0 and not any(rises[:turn]) and all(rises[turn:])  # it turns once
+    # each step against the first direction is a reversal
+    assert v.reversals == len(rises) - turn == 6
+
+
 def test_hypothesis_report_lets_programming_errors_through(monkeypatch):
     from copz.families import FamilySpec
 
@@ -328,16 +342,49 @@ def test_array_report_keeps_the_samples_a_scalar_call_raises_at(kind, params, ze
         assert not rep.f_positive and zs.zeros_s[0] in rep.counterexamples
 
 
-def test_array_report_takes_the_removable_racah_value_at_the_support_start():
-    # at s = a = 0 the racah A is 0/0 in one array pass; the scalar call cancels it
+def test_array_report_counts_the_racah_support_start_as_a_counterexample():
+    # at s = a = 0 the racah A is 0/0 in one array pass, which the scalar call
+    # cancels; the report reads the array passes alone, so s = 0 is a
+    # counterexample whose signs count for nothing.  The zero set is made up:
+    # no real zero lies at the support start.
     spec = make_family("racah", a=0.0, alpha=0.5, beta=0.4, N=6)
     zs = find_zeros(ZeroProblem(spec, 2))
     zs = dataclasses.replace(zs, zeros_s=(0.0, *zs.zeros_s[1:]))
     with np.errstate(invalid="ignore"):
         assert math.isnan(spec.monotonicity_f(np.array([0.0, 1.0]))[0])
     assert math.isfinite(spec.monotonicity_f(0.0))
+    assert spec.f_partials(0.0, "alpha")[1] > 0.0  # the one sample with f2 > 0
     for samples in (200, 60):
-        _assert_same_report(zs, "alpha", samples)
+        rep = hypothesis_report(zs, "alpha", samples)
+        want = _reference_report(zs, "alpha", samples)
+        assert want.f2_sign == "mixed" and 0.0 in want.counterexamples
+        assert rep == dataclasses.replace(want, f2_sign="-")
+
+
+@pytest.mark.parametrize("param", ["N", "gamma"])
+def test_report_rejects_a_parameter_the_family_cannot_take(param):
+    # N is discrete and gamma is no hahn parameter: a DomainError, not a
+    # report of counterexamples or a KeyError
+    zs = find_zeros(ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=8), 3))
+    with pytest.raises(DomainError, match=f"^hahn has no continuous parameter '{param}'$"):
+        hypothesis_report(zs, param)
+
+
+def test_report_where_the_table_overflows_at_every_sample():
+    # q**(-N) in the q-Hahn A, B overflows at q = 1e-40 whatever s is, so the
+    # array passes raise as a whole: every sample is a counterexample, and with
+    # no finite sample f2 shows no sign
+    tiny = make_family("q_hahn", alpha=0.5, beta=0.5, q=1e-40, N=10)
+    zs = find_zeros(ZeroProblem(tiny.with_param("q", 0.5), 3))
+    zs = dataclasses.replace(zs, problem=ZeroProblem(tiny, 3))
+    with pytest.raises(copz.EvaluationOverflowError):
+        tiny.monotonicity_f(zs.zeros_s[0])
+    for samples in (200, 60):
+        rep = hypothesis_report(zs, "alpha", samples)
+        assert len(rep.counterexamples) == rep.sample_count == samples + 3
+        assert rep.f2_sign == "mixed" and not rep.hypotheses_hold
+        # the scalar reference takes f2's sign over no sample as "+"
+        assert rep == dataclasses.replace(_reference_report(zs, "alpha", samples), f2_sign="mixed")
 
 
 def test_zero_set_analyses_solve_nothing(monkeypatch):

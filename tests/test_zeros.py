@@ -185,11 +185,11 @@ def test_node_zero_residual_is_relative_to_neighbours():
 # ---------------------------------------------------------------------------
 
 
-def _per_sample_scan(spec, n, lo, hi, step):
-    """zeros._scan with one eval_at_s call per sample."""
+def _per_sample_scan(g, n, lo, hi, step):
+    """zeros._scan with one call of g per sample, not its array pass g.many."""
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    vs = [spec.eval_at_s(n, s) for s in ss]
+    vs = [g(s) for s in ss]
     brackets = []
     prev_i = None
     for i, v in enumerate(vs):
@@ -402,7 +402,9 @@ def test_refinement_returns_an_exact_hit_with_width_zero():
 def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, params):
     base = make_family(kind, params).resolve_base()
     n = 10
-    brackets, _ = copz.zeros._scan(base, n, base.support_start, base.support_end - 1.0, 0.5)
+    brackets, _ = copz.zeros._scan(
+        base._at_s(n), n, base.support_start, base.support_end - 1.0, 0.5
+    )
     assert len(brackets) == n
     for sl, sr, gl, gr in brackets:
         if sl == sr:
@@ -427,10 +429,17 @@ def _refinement_points(monkeypatch):
 
         return counted
 
-    def pass_size(self, n, ss):
-        if refining:
-            passes.append(len(ss))
-        return many(self, n, ss)
+    def counted_passes(self, n):
+        g = at_s(self, n)
+        many = g.many
+
+        def pass_size(ss):
+            if refining:
+                passes.append(len(ss))
+            return many(ss)
+
+        g.many = pass_size
+        return g
 
     def refined(*args):
         refining.append(True)
@@ -439,10 +448,10 @@ def _refinement_points(monkeypatch):
         finally:
             refining.clear()
 
-    many, refine = copz.families.FamilySpec.eval_at_s_many, copz.zeros._refined
+    at_s, refine = copz.families.FamilySpec._at_s, copz.zeros._refined
     for name in ("hyper_sum", "qhyper_sum"):
         monkeypatch.setattr(copz.families, name, series_points(getattr(copz.families, name)))
-    monkeypatch.setattr(copz.families.FamilySpec, "eval_at_s_many", pass_size)
+    monkeypatch.setattr(copz.families.FamilySpec, "_at_s", counted_passes)
     monkeypatch.setattr(copz.zeros, "_refined", refined)
     return points, passes
 
@@ -479,7 +488,7 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, params, n, lockstep):
     problem = ZeroProblem(make_family("hahn", params), n)
     base = problem.family.resolve_base()
     for step in copz.zeros._STEPS:  # as find_zeros scans a finite support
-        brackets, _ = copz.zeros._scan(base, n, 0.0, params["N"] - 1.0, step)
+        brackets, _ = copz.zeros._scan(base._at_s(n), n, 0.0, params["N"] - 1.0, step)
         if len(brackets) >= n:
             break
     assert len(brackets) == n
