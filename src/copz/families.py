@@ -1303,11 +1303,26 @@ def eval_exact_at_support(
     exact series over them, and the result holds the values per degree, and
     within one per point.  Each value is the one-point call's bit for bit,
     and the error raised is the first one the loop over the degrees, then
-    the points, would meet.
+    the points, would meet.  An index outside the support, k < 0 or k >= N,
+    raises DomainError before any sum.
+
+    Each value is the exact rational's correctly rounded float.  A sum whose
+    integers are wider than 128 bits is first taken at 128 bits with an
+    error radius, and returned where both ends of its interval round to one
+    float; elsewhere the exact rational sum decides (qseries._sum_points).
     """
     one_degree, many = isinstance(n, int), isinstance(k, range)
     if many and not k:  # no point to evaluate, so none to fail
         return [] if one_degree else [[] for _ in n]
+    size = round(family.support_end - family.support_start) if family.is_finite else math.inf
+    outside = next((j for j in (k if many else (k,)) if not 0 <= j < size), None)
+    if outside is not None:
+        support = (
+            f"the {size} support points 0..{size - 1}"
+            if family.is_finite
+            else "the infinite support 0, 1, 2, ..."
+        )
+        raise DomainError(f"{family._label}: support index k={outside} outside {support}")
     base = family.resolve_base()
     entry = _CATALOG[base.kind]
     p, atom = _support_atoms(base)

@@ -14,6 +14,13 @@ takes per-point sequences of exact atoms in the same places and returns the
 list of the points' sums, each the one-point call's bit for bit: the factors
 of the scalar atoms are built once per term, and only the per-point atoms'
 factors and the summation run at each point.
+
+Each exact sum is the exact rational's correctly rounded float.  Where an
+integer of a point's sum is wider than 128 bits, the sum is first taken in
+128-bit midpoint-radius arithmetic, whose radius bounds every rounding made
+(Ziv's strategy); if both ends of the result round to the same float, the
+sign of zero included, that float is the value.  Otherwise, and for narrower
+sums, the sum runs in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ import contextlib
 import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from itertools import chain
+from math import copysign, prod
+from operator import methodcaller
 
 from .errors import DomainError, UndefinedSeriesError
 
@@ -89,7 +98,9 @@ def _point_sum(ratios, steps, z, atoms) -> float:
     (an u + ad v)/ad of r_k; z is the point's argument, or 1 when z is
     scalar.  The pairs are never reduced; the sum stops at the first
     vanishing ratio.  int/int true division is correctly rounded, as
-    Fraction.__float__ is.
+    Fraction.__float__ is.  It takes the sums of narrow integers and those
+    whose 128-bit pass (_certified_sum) is in doubt, and is that pass's
+    reference in the tests.
     """
     cn, cd = z.as_integer_ratio()
     atoms = [a.as_integer_ratio() for a in atoms]
@@ -130,20 +141,138 @@ def _scalar(atom) -> bool:
     return hasattr(atom, "as_integer_ratio")
 
 
+# The certified pass holds a value as a ball (m, e, r): the interval
+# [(m - r) 2^e, (m + r) 2^e], its midpoint m kept to about _BITS bits and its
+# radius r a few units of m's last place, or 0 while no bit has been dropped
+_BITS = 128
+_ONE = (1, 0, 0)
+
+
+def _ball(n: int, d: int = 1):
+    """n/d as a ball of _BITS bits; radius 0 where the quotient is exact."""
+    s = _BITS - n.bit_length() + d.bit_length()
+    if d == 1 and s >= 0:
+        return n, 0, 0
+    m, rem = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
+    return m, -s, 1 if rem else 0
+
+
+def _shifted(m: int, r: int, s: int):
+    """The ball's midpoint and radius in units 2^s times as large."""
+    if s <= 0:
+        return m << -s, r << -s
+    t = m >> s
+    return t, -(-r >> s) + (t << s != m)
+
+
+def _times(x, y):
+    """The ball of x y, narrowed to _BITS bits."""
+    (m, e, r), (n, f, t) = x, y
+    p = m * n
+    if r or t:
+        r = abs(m) * t + abs(n) * r + r * t
+    s = p.bit_length() - _BITS
+    if s <= 0:
+        return p, e + f, r
+    m = p >> s
+    return m, e + f + s, -(-r >> s) + (m << s != p)
+
+
+def _plus(x, y):
+    """The ball of x + y, in the unit that leaves the larger of the two _BITS
+    bits: a much smaller operand is absorbed into a widened larger one."""
+    (m, e, r), (n, f, t) = x, y
+    if not (n or t):
+        return x
+    if not (m or r):
+        return y
+    g = max(e + m.bit_length(), f + n.bit_length()) - _BITS
+    m, r = _shifted(m, r, g - e)
+    n, t = _shifted(n, t, g - f)
+    return m + n, g, r + t
+
+
+def _certified_sum(balls, steps, z, atoms) -> float | None:
+    """_point_sum(ratios, steps, z, atoms) from balls[k], the balls of
+    ratios[k] and of steps[k], or None where rounding is in doubt.
+
+    Each term is the product _point_sum forms and the sum is nested as there.
+    A factor whose ball holds 0 is formed exactly, so the sum stops at the
+    first vanishing term, as there.  int/int division rounds each end of the
+    sum's ball correctly and rounding is monotone, so where both ends round
+    to one float, the sign of zero included, so does the exact sum.
+    """
+    zb = None if z == 1 else _ball(*z.as_integer_ratio())
+    atoms = [(*a.as_integer_ratio(), _ball(*a.as_integer_ratio())) for a in atoms]
+    terms = []
+    for (ratio, ub, vb), (u, v) in zip(balls, steps):
+        term = ratio if zb is None else _times(zb, ratio)
+        for an, ad, ab in atoms:
+            f = _plus(_times(ab, ub), vb)
+            if abs(f[0]) <= f[2]:
+                f = _ball(an * u + ad * v, ad)
+            term = _times(term, f)
+        if not (term[0] or term[2]):
+            break
+        terms.append(term)
+    s = _ONE
+    for term in reversed(terms):
+        s = _plus(_ONE, _times(term, s))
+    m, e, r = s
+    try:
+        if e >= 0:
+            lo, hi = float((m - r) << e), float((m + r) << e)
+        else:
+            lo, hi = (m - r) / (1 << -e), (m + r) / (1 << -e)
+    except OverflowError:  # _point_sum names the overflow
+        return None
+    return lo if lo == hi and copysign(1.0, lo) == copysign(1.0, hi) else None
+
+
+def _wide(pairs) -> bool:
+    """True where an integer of the (n, d) pairs is wider than _BITS bits."""
+    return max(map(int.bit_length, chain.from_iterable(pairs)), default=0) > _BITS
+
+
+_integer_ratio = methodcaller("as_integer_ratio")
+
+
 def _sum_points(ratios, steps, num, z):
-    """The sum at each point of the per-point atoms in num and z, or the one sum."""
+    """The sum at each point of the per-point atoms in num and z, or the one sum.
+
+    A point's sum goes first to _certified_sum where one of its integers, a
+    ratio's p or d or a numerator or denominator of z or an atom, is wider
+    than _BITS bits, and to _point_sum where they are all narrower or the
+    certified pass is in doubt.  Either way it is the exact rational's
+    correctly rounded float.
+    """
     lattice = [a for a in num if not _scalar(a)]
+    one = _scalar(z) and not lattice
     if _scalar(z):
-        if not lattice:
-            return _point_sum(ratios, steps, 1, ())
-        z = [1] * len(lattice[0])
+        z = [1] * (len(lattice[0]) if lattice else 1)
+    # wide ratios make every point's sum wide; otherwise the points are
+    # tested one by one only where one of the call's atoms is wide
+    wide, balls = _wide(ratios), None
+    some = wide or _wide(map(_integer_ratio, chain(z, *lattice)))
     out = []
     for j, zj in enumerate(z):
-        try:
-            out.append(_point_sum(ratios, steps, zj, [a[j] for a in lattice]))
-        except OverflowError as exc:
-            raise _PointOverflow(j) from exc
-    return out
+        atoms = [a[j] for a in lattice]
+        value = None
+        if wide or some and _wide(map(_integer_ratio, (zj, *atoms))):
+            if balls is None:
+                balls = [
+                    (_ball(*ratio), _ball(u), _ball(v)) for ratio, (u, v) in zip(ratios, steps)
+                ]
+            value = _certified_sum(balls, steps, zj, atoms)
+        if value is None:
+            try:
+                value = _point_sum(ratios, steps, zj, atoms)
+            except OverflowError as exc:
+                if one:
+                    raise
+                raise _PointOverflow(j) from exc
+        out.append(value)
+    return out[0] if one else out
 
 
 def _hyper_sum_exact(num, den, z, n: int):

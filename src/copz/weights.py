@@ -13,7 +13,10 @@ absolute ratios and prominently flagged.
 Orthogonality sums take the polynomial values from the exact lattice path,
 ``eval_exact_at_support``, in one batched call over the table's points: float
 summation loses every digit near the top support points at higher degrees,
-where the terminating series cancels by many orders.
+where the terminating series cancels by many orders.  Each value is the exact
+rational's correctly rounded float: a sum with integers wider than 128 bits
+is taken first at 128 bits with a rigorous error radius, and summed exactly
+only where the radius leaves its rounding in doubt.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import copz.qseries
 from copz import (
     ALIAS_FAMILIES,
     CopzError,
@@ -647,6 +648,33 @@ def test_batched_exact_degree_is_checked_in_order():
     spec = make_family("charlier", alpha=1e-300)
     with pytest.raises(EvaluationOverflowError, match="degree-30 value at s=2.0"):
         eval_exact_at_support(spec, (30, 31), range(5))
+
+
+@pytest.mark.parametrize(
+    "kind, params, k, message",
+    [
+        ("hahn", {"alpha": 0.5, "beta": 0.5, "N": 5}, 10, "k=10 outside the 5 support points 0..4"),
+        ("hahn", {"alpha": 0.5, "beta": 0.5, "N": 5}, -3, "k=-3 outside the 5 support points 0..4"),
+        ("q_krawtchouk", {"alpha": 0.5, "q": 0.5, "N": 5}, 7, "k=7 outside the 5 support points 0..4"),
+        # a range names its first index outside
+        ("q_krawtchouk", {"alpha": 0.5, "q": 0.5, "N": 5}, range(3, 9),
+         "k=5 outside the 5 support points 0..4"),
+        ("q_charlier", {"alpha": 1.0, "q": 0.5}, range(-1, 3),
+         "k=-1 outside the infinite support 0, 1, 2, ..."),
+    ],
+)
+def test_exact_values_reject_indices_outside_the_support(kind, params, k, message, monkeypatch):
+    spec = make_family(kind, params)
+
+    def no_sum(*args):
+        raise AssertionError("summed before the index check")
+
+    monkeypatch.setattr(copz.qseries, "_sum_points", no_sum)
+    # before any sum, and before the degree check
+    for degrees in (2, range(3), 99):
+        with pytest.raises(DomainError) as err:
+            eval_exact_at_support(spec, degrees, k)
+        assert str(err.value) == f"{kind}: support index {message}"
 
 
 _Q_AT_BOUND = 2.0 ** -5  # q^(1-N) at q=1/2, N=6

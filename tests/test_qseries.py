@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import copz.qseries
 from copz import (
@@ -17,6 +17,7 @@ from copz import (
     q_pochhammer,
 )
 from copz.families import catalog_kinds, eval_exact_at_support, make_family, sample_params
+from copz.weights import weight_table
 from copz.qseries import (
     Neumaier,
     chu_vandermonde,
@@ -483,15 +484,18 @@ def test_exact_sums_raise_as_the_reference():
 
 
 def _catalog_instance(kind):
+    """A drawn instance and its point count: the support, or 16 points of an
+    infinite one; on q-lattices, whose sums the 128-bit pass takes, up to 40."""
     spec = make_family(kind, sample_params(kind, random.Random(kind)))
-    npts = int(round(spec.support_end - spec.support_start)) if spec.is_finite else 16
-    return spec, npts
+    size = round(spec.support_end - spec.support_start) if spec.is_finite else None
+    return spec, size or 16 if spec.grid.q is None else min(size or 40, 40)
 
 
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_catalog_exact_values_match_fraction_reference(kind, monkeypatch):
+    # degrees up to 8, the Gram checks' widest
     spec, npts = _catalog_instance(kind)
-    points = [(n, k) for n in range(min(4, spec.degree_max) + 1) for k in range(npts)]
+    points = [(n, k) for n in range(min(8, spec.degree_max) + 1) for k in range(npts)]
 
     def values():
         return [_outcome(eval_exact_at_support, spec, n, k) for n, k in points]
@@ -501,6 +505,214 @@ def test_catalog_exact_values_match_fraction_reference(kind, monkeypatch):
     monkeypatch.setattr(copz.qseries, "_qhyper_sum_exact", _reference_qhyper_sum_exact)
     want = values()
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the 128-bit pass, on sums with an integer wider than 128 bits
+# ---------------------------------------------------------------------------
+
+# 53-bit rational parameters: floats, and fractions of 53-bit integers
+_rational53 = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.builds(Fraction, st.integers(-(2**53), 2**53), st.integers(1, 2**53)),
+)
+# a base whose powers q^j, j >= 4, have a numerator or denominator wider than 128 bits
+_wide_base = st.floats(0.05, 0.95).filter(lambda q: q.as_integer_ratio()[1] > 2**40)
+
+
+def _q_powers(q, points):
+    """A column of wide q-power atoms c q^(±j), 4 <= j <= 60, at consecutive j."""
+    def powers(j, sign, c):
+        return _column_of(*(Fraction(q) ** (sign * (j + i)) * Fraction(c) for i in range(points)))
+
+    factor = st.one_of(st.just(1), _rational53.filter(bool))
+    return st.builds(powers, st.integers(4, 61 - points), st.sampled_from((1, -1)), factor)
+
+
+def _column_of(*values):
+    return np.array(values, dtype=object)
+
+
+@st.composite
+def _wide_sums(draw, hyper):
+    """(base, point count, numerator atoms, argument) with a wide q-power
+    column as the argument or a numerator atom, so every point is certified
+    first.  Beside it a basic sum takes at most one more such column and a
+    hypergeometric one per-point atoms -j, whose factors vanish at k = j."""
+    q = draw(_wide_base)
+    points = draw(st.integers(1, 3))
+    column = _q_powers(q, points)
+    negative = st.integers(0, 12).map(lambda j: _column_of(*range(-j, -j - points, -1)))
+    other = st.one_of(_rational53, negative if hyper else column)
+    num = draw(st.lists(other, max_size=2 if hyper else 1))
+    z = draw(st.one_of(_rational53, column))
+    if not _per_point(z):
+        num.append(draw(column))
+    return q, points, num, z
+
+
+# (point count, numerator atoms, argument), denominators and degree whose
+# certified pass is in doubt at one point, so that its exact sum decides
+_A = Fraction(3**90 + 1, 3**89)
+_B = 1 / (Fraction(2**56, 9) / (1 + 1 / _A) - 1)
+_FALLBACKS = {
+    # 1 + z a cancels to an exact 0, which is +0.0
+    "exact zero": ((1, [_column_of(_A)], _column_of(-1 / _A)), (), 1),
+    # 1 + z a = -2^-1100 underflows to -0.0
+    "negative underflow": (
+        (1, [_column_of(_A)], _column_of(-(1 + Fraction(1, 2**1100)) / _A)), (), 1
+    ),
+    # the sum at point 1 overflows, and the error names that point
+    "overflow at point 1": (
+        (2, [_column_of(_A, _A)], _column_of(1 / _A, Fraction(3**700, 7))), (), 1
+    ),
+    # r_0 = 3 2^-55 and r_1 = 1/3 from non-dyadic atoms: the sum 1 + 2^-53 is
+    # the midpoint of 1 and its successor, and ties to even give 1
+    "rounding midpoint": (
+        (1, [_column_of(_A), _column_of(_B)], _column_of(Fraction(3, 2**55) / (_A * _B))), (), 2
+    ),
+}
+
+
+def _with_fallback_examples(test):
+    for case in _FALLBACKS.values():
+        test = example(*case)(test)
+    return test
+
+
+# 50 draws each keep these two within half a second; their Fraction
+# references take most of it
+@settings(max_examples=50)
+@given(
+    _wide_sums(hyper=True).map(lambda c: c[1:]),
+    st.lists(_rational53, max_size=2),
+    st.integers(0, 12),
+)
+@_with_fallback_examples
+def test_certified_sum_matches_fraction_reference(case, den, n):
+    points, num, z = case
+    _pointwise_outcome(
+        lambda num, z: hyper_sum(num, den, z, n),
+        lambda num, z: _reference_hyper_sum_exact(num, den, z, n),
+        points, num, z,
+    )
+
+
+@settings(max_examples=50)
+@given(_wide_sums(hyper=False), st.lists(_rational53, max_size=2), st.integers(0, 12))
+def test_certified_qsum_matches_fraction_reference(case, den, n):
+    q, points, num, z = case
+    _pointwise_outcome(
+        lambda num, z: qhyper_sum(num, den, q, z, n),
+        lambda num, z: _reference_qhyper_sum_exact(num, den, q, z, n),
+        points, num, z,
+    )
+
+
+def _count_passes(monkeypatch):
+    """Counters of the points certified, the points whose pass was in doubt,
+    and the exact sums run."""
+    counts = {"certified": 0, "in doubt": 0, "exact": 0}
+    certified_sum, point_sum = copz.qseries._certified_sum, copz.qseries._point_sum
+
+    def certify(*args):
+        value = certified_sum(*args)
+        counts["certified" if value is not None else "in doubt"] += 1
+        return value
+
+    def exact(*args):
+        counts["exact"] += 1
+        return point_sum(*args)
+
+    monkeypatch.setattr(copz.qseries, "_certified_sum", certify)
+    monkeypatch.setattr(copz.qseries, "_point_sum", exact)
+    return counts
+
+
+@pytest.mark.parametrize("name", _FALLBACKS)
+def test_fallback_examples_are_in_doubt(name, monkeypatch):
+    (_, num, z), den, n = _FALLBACKS[name]
+    counts = _count_passes(monkeypatch)
+    try:
+        _exact(hyper_sum, num, den, z, n)
+    except OverflowError:
+        pass
+    assert counts["in doubt"] == counts["exact"] == 1
+
+
+@pytest.mark.parametrize(
+    "kind, params, kmax",
+    [
+        # the orthogonality benchmark's little q-Jacobi case at seed 1: a table
+        # of 179 points, at kmax 3
+        ("little_q_jacobi",
+         {"alpha": 1.0154906041886784, "beta": 0.4392306287333191, "q": 0.8005117047406922}, 3),
+        # atoms q^-j, whose factors (q^-j; q)_k vanish exactly at k = j
+        ("q_hahn", {"alpha": 0.5, "beta": 0.5, "q": 0.7, "N": 40}, 6),
+    ],
+)
+def test_wide_tables_are_certified(kind, params, kmax, monkeypatch):
+    counts = _count_passes(monkeypatch)
+    spec = make_family(kind, params)
+    points = range(len(weight_table(spec, degree_hint=kmax)))
+    eval_exact_at_support(spec, range(kmax + 1), points)
+    # the exact sums: the points in doubt and the first points, whose integers are narrow
+    assert counts["in doubt"] <= 1
+    assert counts["certified"] + counts["exact"] - counts["in doubt"] == (kmax + 1) * len(points)
+    assert counts["certified"] >= (kmax + 1) * (len(points) - 3)
+
+
+def test_vanishing_factor_ends_the_certified_sum(monkeypatch):
+    # (q^-4; q)_k vanishes at k = 4, where the sum stops; the ball of that
+    # factor holds 0, and the terms past it, near z^k = 2^(100 k), would
+    # swamp its radius were the factor not formed exactly
+    counts = _count_passes(monkeypatch)
+    atom = Fraction(0.7) ** -4
+    (value,) = _exact(qhyper_sum, [_column_of(atom)], [], 0.7, 2.0**100, 12)
+    assert value.hex() == _reference_qhyper_sum_exact([atom], [], 0.7, 2.0**100, 12).hex()
+    assert counts == {"certified": 1, "in doubt": 0, "exact": 0}
+
+
+def test_cancelling_sum_is_decided_exactly(monkeypatch):
+    # at the top of a q-Racah support of 60 points the degree-59 sum cancels
+    # far below 2^-128 of its terms: the pass is in doubt and the exact sum decides
+    counts = _count_passes(monkeypatch)
+    spec = make_family("q_racah", a=1.5, alpha=0.5, beta=0.5, q=0.5, N=60)
+    eval_exact_at_support(spec, 59, 59)
+    assert counts == {"certified": 0, "in doubt": 1, "exact": 1}
+
+
+# balls (m, e, r) of the 128-bit pass: the interval [(m - r) 2^e, (m + r) 2^e]
+_balls = st.tuples(st.integers(-(2**140), 2**140), st.integers(-200, 200), st.integers(0, 4))
+
+
+def _ends(ball):
+    m, e, r = ball
+    return Fraction(m - r) * Fraction(2) ** e, Fraction(m + r) * Fraction(2) ** e
+
+
+def _holds(ball, value) -> bool:
+    lo, hi = _ends(ball)
+    return lo <= value <= hi
+
+
+@given(_balls, _balls)
+def test_ball_products_and_sums_hold_every_corner(x, y):
+    # products and sums of two intervals take their extremes at the corners
+    product, total = copz.qseries._times(x, y), copz.qseries._plus(x, y)
+    assert product[0].bit_length() <= 128
+    for a in _ends(x):
+        for b in _ends(y):
+            assert _holds(product, a * b) and _holds(total, a + b)
+
+
+@given(st.integers(-(2**300), 2**300), st.integers(-(2**300), 2**300).filter(bool))
+@example(3**90, 3**89)
+@example(-(2**200), 2**5)  # exact, so of radius 0
+def test_ball_of_a_quotient_holds_it(n, d):
+    m, e, r = ball = copz.qseries._ball(n, d)
+    assert _holds(ball, Fraction(n, d))
+    assert (r == 0) == (Fraction(m) * Fraction(2) ** e == Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------
