@@ -47,6 +47,7 @@ from .grid import LINEAR, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC, QUADRATIC, Grid
 from .qseries import (
     _EXACT,
     _PointOverflow,
+    _array_pass,
     binom2,
     exact_summation,
     hyper_sum,
@@ -184,9 +185,12 @@ class FamilySpec:
                         atoms(s)
                     except OverflowError as exc:
                         raise self._overflow(n, s) from exc
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"), _array_pass(len(rows)):
                 values = value(p, _columns(rows))
-            return out + np.broadcast_to(values, len(rows)).tolist()
+            # a degree-0 value is one float for all the points
+            if not isinstance(values, np.ndarray):
+                return out + [values] * len(rows)
+            return out + values.tolist()
 
         at_s.many = many
         return at_s

@@ -8,11 +8,13 @@ A search reads the series through one function of s, the base family's
 FamilySpec._at_s(n), built once: one-point calls, and its array pass many,
 which gives each value bit for bit.  Each scan evaluates all its samples in
 one array pass.  The brackets are then refined by ITP in the s variable and
-mapped to X at the end.  A set of _LOCKSTEP (16) or more brackets refines in lockstep: each
-round moves every open bracket one ITP step and evaluates all their trial
-points in one array pass, since one pass costs about as much as 14-20
-one-point calls.  Fewer brackets, and those a lockstep set leaves open once
-fewer than 16 remain, refine one value at a time.
+mapped to X at the end.  A set of _LOCKSTEP (8) or more brackets refines in
+lockstep: each round moves every open bracket one ITP step and evaluates all
+their trial points in one array pass, which sums the float series as one
+block (see qseries): a pass of 8 points costs about as much as 2 one-point
+calls at degree 59, 3 at degree 30, 4-5 at degree 16 and 7-8 at degree 8.
+Fewer brackets, and those a lockstep set leaves open once fewer than 8
+remain, refine one value at a time.
 
 track_zeros skips the scan where the zeros are nearly known, as along a
 parameter sweep: it brackets each zero inside the cell of its guess and
@@ -35,9 +37,13 @@ _STEPS = (0.5, 0.25, 0.125)
 _NODE_TOL = 1e-13
 _WIDTH_REL = 1e-12
 _MAX_WINDOW = 4096.0
-# open brackets from which one array pass of the float series, which costs
-# about as much as 14-20 one-point calls, refines them in lockstep
-_LOCKSTEP = 16
+# open brackets from which one array pass of the float series refines them in
+# lockstep: the fewest for which one pass costs less than a one-point call
+# per bracket at every degree.  A set this large has degree 8 or more, so its
+# passes are summed as one block (qseries._BLOCK_DEGREE); a pass of 8 points
+# costs about as much as 7-8 one-point calls at degree 8, 4-5 at degree 16
+# and 2 at degree 59, and one of 4 points still 7 at degree 8
+_LOCKSTEP = 8
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,17 @@ def _scan(g, n: int, lo: float, hi: float, step: float):
     (g.many).  A sample within the node tolerance of zero (relative to its
     neighbors) counts as a width-zero bracket; its gl and gr carry the
     neighbors' magnitude, the local scale its residual is measured against.
-    No sign change is paired across it.
+    A NaN or inf neighbor is no scale and counts as 0.0, as past the window's
+    ends.  No sign change is paired across such a zero.
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     vs = g.many(ss)
     mags = list(map(abs, vs))
+    # the sum is finite unless a sample is NaN or inf; where finite
+    # magnitudes overflow it, the rebuild changes nothing
+    if not math.isfinite(sum(mags)):
+        mags = [m if m < math.inf else 0.0 for m in mags]
     nbrs = map(max, [0.0, *mags[:-1]], [*mags[1:], 0.0])
     brackets = []
     # the last sample with a definite sign since the last node zero; pv = 0.0

@@ -827,6 +827,91 @@ def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
     assert exact != _outcomes(lambda: spec._at_s(5).many(ss))  # the float sums round apart
 
 
+def _block_widths(monkeypatch):
+    """The number of points of each pass the float series sums as one block."""
+    widths, block_sum = [], copz.qseries._block_sum
+    monkeypatch.setattr(
+        copz.qseries, "_block_sum", lambda ratio: widths.append(ratio.shape[1]) or block_sum(ratio)
+    )
+    return widths
+
+
+def _wide_support_family(kind, rng):
+    """A seeded draw of the kind, on N = 60 points where it has N and takes 60."""
+    params = sample_params(kind, rng)
+    if "N" in params:
+        try:
+            return make_family(kind, {**params, "N": 60.0})
+        except DomainError:
+            pass
+    return make_family(kind, params)
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_block_passes_match_eval_at_s_bit_for_bit(monkeypatch, kind):
+    # degrees on both sides of the block's degree floor and up to the cap,
+    # passes below, at and above its point cap, and samples past the ends of
+    # the support and far off it, where the float series is NaN or huge
+    spec = _wide_support_family(kind, random.Random(f"block/{kind}"))
+    floor, cap = copz.qseries._BLOCK_DEGREE, copz.qseries._BLOCK_POINTS
+    degrees = sorted({0, floor - 1, floor, spec.degree_max})
+    lo = spec.support_start
+    hi = spec.support_end - 1.0 if spec.is_finite else lo + 60.0
+    far = [
+        s
+        for s in (lo - 300.5, lo - 30.5, hi + 30.5, hi + 300.5, -1e30, 1e30)
+        if not isinstance(_outcomes(_per_sample, spec, spec.degree_max, [s]), tuple)
+    ]
+    widths = _block_widths(monkeypatch)
+    for n in degrees:
+        for points in (16, cap, cap + 1):  # many takes the first sample one at a time
+            m = points + 1 - len(far)
+            ss = [lo - 0.75 + (hi - lo + 1.0) * i / (m - 1) for i in range(m)] + far
+            got = _outcomes(lambda: spec._at_s(n).many(ss))
+            assert got == _outcomes(_per_sample, spec, n, ss)
+    assert widths == [p for n in degrees if n >= floor for p in (16, cap)]
+
+
+def test_block_passes_keep_nan_and_infinite_values(monkeypatch):
+    # the prefactor of the second Al-Salam-Carlitz family carries huge values
+    # past the float range with either sign; far out the series is NaN
+    spec = make_family("al_salam_carlitz_2", alpha=0.5, q=0.3)
+    n = 30
+    ss = [0.0, 17.5, 18.5, 34.0, 360.0] + [0.25 * i for i in range(20)]
+    widths = _block_widths(monkeypatch)
+    got = _outcomes(lambda: spec._at_s(n).many(ss))
+    assert got == _outcomes(_per_sample, spec, n, ss)
+    assert widths == [len(ss) - 1]
+    assert {"inf", "-inf", "nan"} <= set(got)
+
+
+@pytest.mark.parametrize(
+    "series, args",
+    [
+        # b + k = 0 at k = 3, after three finite terms
+        (copz.qseries.hyper_sum, ((-9.0, "X"), (-3.0,), 1.0, 9)),
+        # 1 - b q^k = 0 at k = 3: b = 2^3, q = 1/2
+        (copz.qseries.qhyper_sum, ((0.5**-9, "X"), (8.0,), 0.5, 1.0, 9)),
+        # (-q^k)^-1 divides by zero once q^k underflows, at k = 7
+        (copz.qseries.qhyper_sum, ((2.0, "X"), (), 1e-50, 1.0, 9)),
+    ],
+    ids=["hyper-denominator", "q-denominator", "q-power"],
+)
+def test_block_pass_raises_the_loops_error(monkeypatch, series, args):
+    # the block gives way to the loop, which raises as it does outside a pass
+    xs = np.linspace(-2.0, 2.0, 17)
+    num, *rest = args
+    args = (tuple(xs if a == "X" else a for a in num), *rest)
+    widths = _block_widths(monkeypatch)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ArithmeticError) as loop:
+            series(*args)
+        with copz.qseries._array_pass(len(xs)), pytest.raises(ArithmeticError) as block:
+            series(*args)
+    assert (type(block.value), str(block.value)) == (type(loop.value), str(loop.value))
+    assert widths == []
+
+
 @pytest.mark.parametrize(
     "kind, params, n, ss, error",
     [

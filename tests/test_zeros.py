@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import copz.qseries
 import copz.zeros
 from copz import (
     ZeroProblem,
@@ -16,6 +17,7 @@ from copz import (
     sample_params,
     separation_check,
 )
+from copz.qseries import exact_summation
 
 FLAGGED = {"q_bessel", "little_q_laguerre", "q_laguerre"}
 
@@ -180,6 +182,34 @@ def test_node_zero_residual_is_relative_to_neighbours():
     assert max(zs.residuals) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        ({"alpha": 0.5, "q": 0.3}, 24),
+        ({"alpha": 0.5, "q": 0.3}, 25),
+        ({"alpha": 0.5, "q": 0.3}, 26),
+        ({"alpha": 6.305279308934954, "q": 0.10994905506345153}, 20),
+    ],
+    ids=["q0.3-n24", "q0.3-n25", "q0.3-n26", "q0.11-n20"],
+)
+def test_no_node_zero_beside_a_non_finite_sample(params, n):
+    # near the top of the window the float values overflow to inf (from
+    # s = 24 at q = 0.3, n = 25); an inf neighbour made the finite sample
+    # before it a width-zero node zero, wrong at n = 25 and one too many at
+    # n = 24.  Each zero must bracket a sign change of the exact series
+    # within 1e-10 relative in X
+    problem = ZeroProblem(make_family("al_salam_carlitz_2", params), n)
+    zs = find_zeros(problem)
+    base = problem.family.resolve_base()
+    g = base.grid
+    assert len(zs) == n
+    for z in zs.zeros_s:
+        half = 1e-10 * abs(g.x_raw(z)) / abs(g.dx_ds(z))
+        with exact_summation():
+            lo, hi = base.eval_at_s(n, z - half), base.eval_at_s(n, z + half)
+        assert lo == 0.0 or hi == 0.0 or (lo < 0.0) != (hi < 0.0), z
+
+
 # ---------------------------------------------------------------------------
 # find_zeros against the per-sample scan the array passes replaced
 # ---------------------------------------------------------------------------
@@ -194,8 +224,8 @@ def _per_sample_scan(g, n, lo, hi, step):
     prev_i = None
     for i, v in enumerate(vs):
         nbr = max(
-            abs(vs[i - 1]) if i > 0 else 0.0,
-            abs(vs[i + 1]) if i + 1 < count else 0.0,
+            abs(vs[i - 1]) if i > 0 and math.isfinite(vs[i - 1]) else 0.0,
+            abs(vs[i + 1]) if i + 1 < count and math.isfinite(vs[i + 1]) else 0.0,
         )
         if v == 0.0 or abs(v) < copz.zeros._NODE_TOL * nbr:
             brackets.append((ss[i], ss[i], nbr, nbr))
@@ -475,20 +505,29 @@ def test_series_calls_per_zero_over_the_recorded_outcomes(monkeypatch):
     assert sum(points) / zeros <= SERIES_CALLS_PER_ZERO
 
 
+HAHN_30 = {"alpha": 0.5, "beta": 1.0, "N": 30}
+
+
 @pytest.mark.parametrize(
-    "params, n, lockstep",
+    "kind, params, n, lockstep",
     [
-        ({"alpha": 0.5, "beta": 1.0, "N": 60}, 59, True),
-        ({"alpha": 0.5, "beta": 1.0, "N": 30}, 15, False),
-        ({"alpha": 0.5, "beta": 1.0, "N": 30}, 16, True),
+        ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 60}, 59, True),
+        ("hahn", HAHN_30, copz.zeros._LOCKSTEP - 1, False),
+        ("hahn", HAHN_30, copz.zeros._LOCKSTEP, True),
+        # the quadratic and the q-quadratic lattice, their passes summed as blocks
+        ("dual_hahn", {"a": 0.0, "alpha": 0.5, "N": 50}, 49, True),
+        ("q_racah", {"a": 0.8, "alpha": 0.5, "beta": 0.9, "q": 0.9, "N": 30}, 29, True),
     ],
-    ids=["59-brackets", "15-brackets", "16-brackets"],
+    ids=["59-brackets", "below-lockstep", "at-lockstep", "dual-hahn-49-brackets",
+         "q-racah-29-brackets"],
 )
-def test_wide_sets_refine_in_lockstep(monkeypatch, params, n, lockstep):
-    problem = ZeroProblem(make_family("hahn", params), n)
+def test_wide_sets_refine_in_lockstep(monkeypatch, kind, params, n, lockstep):
+    problem = ZeroProblem(make_family(kind, params), n)
     base = problem.family.resolve_base()
     for step in copz.zeros._STEPS:  # as find_zeros scans a finite support
-        brackets, _ = copz.zeros._scan(base._at_s(n), n, 0.0, params["N"] - 1.0, step)
+        brackets, _ = copz.zeros._scan(
+            base._at_s(n), n, base.support_start, base.support_end - 1.0, step
+        )
         if len(brackets) >= n:
             break
     assert len(brackets) == n
@@ -500,6 +539,10 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, params, n, lockstep):
         ref["bracket_widths"].append(w.hex())
         ref["residuals"].append((abs(base.eval_at_s(n, z)) / max(abs(gl), abs(gr), 1e-300)).hex())
     _, passes = _refinement_points(monkeypatch)
+    blocks, block_sum = [], copz.qseries._block_sum
+    monkeypatch.setattr(
+        copz.qseries, "_block_sum", lambda ratio: blocks.append(ratio.shape[1]) or block_sum(ratio)
+    )
     zs = find_zeros(problem)
     assert {f: [v.hex() for v in getattr(zs, f)] for f in ref} == ref
     # one array pass per round of ITP steps, and one for the residuals
@@ -513,3 +556,6 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, params, n, lockstep):
         assert passes[-1] == n
         # a round runs only while enough brackets are open to fill a pass
         assert min(passes) >= copz.zeros._LOCKSTEP
+        # and each pass is summed as one block, all its points but the first,
+        # which many evaluates as a one-point call
+        assert [w + 1 for w in blocks[-len(passes):]] == passes
