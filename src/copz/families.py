@@ -152,18 +152,20 @@ class FamilySpec:
         of the summation in force here) are looked up once.  Where that lookup
         raises, the function repeats it at each s, after the atoms.
 
-        Its attribute many(ss) is the array pass: the values at all of ss from
-        one pass of the float series, each the one-point call's bit for bit.
-        It raises the error the per-sample loop meets first: the first sample
-        is a one-point call, so an overflow of its lattice atoms comes first,
-        then the degree, prefactor and series errors, which no later sample
-        escapes; then the first overflow of the atoms at a later sample.
+        Its attribute many(ss) is the array pass: the values at all of ss, a
+        float array or sequence, as an array, from one pass of the float
+        series over the lattice atoms of the whole array, each the one-point
+        call's bit for bit.  It raises the error the per-sample loop meets
+        first: the first sample is a one-point call, so an overflow of its
+        lattice atoms comes first, then the degree, prefactor and series
+        errors, which no later sample escapes; then the first overflow of the
+        atoms at a later sample.
         """
         try:
             value = self._of_atoms(n)
         except (DomainError, ArithmeticError):
             value = lambda p, x: self._of_atoms(n)(p, x)
-        p, atoms = _lattice_atoms(self.resolve_base(), _EXACT.get())
+        p, atoms, array_atoms = _lattice_atoms(self.resolve_base(), _EXACT.get())
 
         def at_s(s: float) -> float:
             try:
@@ -171,26 +173,27 @@ class FamilySpec:
             except OverflowError as exc:
                 raise self._overflow(n, s) from exc
 
-        def many(ss) -> list[float]:
+        def many(ss) -> np.ndarray:
+            ss = np.asarray(ss, dtype=float)
             # exact sums give lists, which value does not scale by its
             # prefactor; one sample needs no array
             if _EXACT.get() or len(ss) < 2:
-                return [at_s(s) for s in ss]
-            out = [at_s(ss[0])]
+                return np.array([at_s(s) for s in ss.tolist()], dtype=float)
+            out = np.empty(len(ss))
+            out[0] = at_s(float(ss[0]))
+            rest = ss[1:]
             try:
-                rows = [atoms(s) for s in ss[1:]]
+                x = array_atoms(rest)
             except OverflowError:
-                for s in ss[1:]:  # name the first s whose atoms overflow
+                for s in rest.tolist():  # name the first s whose atoms overflow
                     try:
                         atoms(s)
                     except OverflowError as exc:
                         raise self._overflow(n, s) from exc
-            with np.errstate(all="ignore"), _array_pass(len(rows)):
-                values = value(p, _columns(rows))
             # a degree-0 value is one float for all the points
-            if not isinstance(values, np.ndarray):
-                return out + [values] * len(rows)
-            return out + values.tolist()
+            with np.errstate(all="ignore"), _array_pass(len(rest)):
+                out[1:] = value(p, x)
+            return out
 
         at_s.many = many
         return at_s
@@ -1349,11 +1352,17 @@ def eval_exact_at_support(
 
 
 def _lattice_atoms(base: FamilySpec, exact: bool):
-    """The series' parameters, and its lattice atoms as a function of s,
-    picked once per lattice: s, (a - s, s + a + 1) on the quadratic lattice,
-    q^-s or q^s on the q-linear ones, (q^a q^-s, q^a q^s) on the q-quadratic
-    one.  Exact, the quadratic atoms and parameters are rationals, the atoms
-    from Fraction(s); other lattices keep their float atoms, summed exactly."""
+    """The series' parameters, and its lattice atoms as a function of s and
+    as one of a float array of s, picked once per lattice: s, (a - s,
+    s + a + 1) on the quadratic lattice, q^-s or q^s on the q-linear ones,
+    (q^a q^-s, q^a q^s) on the q-quadratic one.  Exact, the quadratic atoms
+    and parameters are rationals, the atoms from Fraction(s); other lattices
+    keep their float atoms, summed exactly.
+
+    The array atoms are the float atoms elementwise, bit for bit.  numpy's
+    power is not Python's to the last bit, so each q-power of an array is
+    Python's float power, mapped over its floats: an overflow raises
+    OverflowError, as at one s."""
     tag, p, q = base.grid.tag, base.params, base.grid.q
     if tag == QUADRATIC:
         p, num = (_rational_params(base), Fraction) if exact else (p, float)
@@ -1363,11 +1372,20 @@ def _lattice_atoms(base: FamilySpec, exact: bool):
             s = num(s)
             return a - s, s + a + 1
 
-        return p, atoms
+        return p, atoms, lambda ss: (a - ss, ss + a + 1)
+
+    def powers(es):
+        return np.fromiter(map(q.__pow__, es.tolist()), float, len(es))
+
     if tag == Q_SYMMETRIC:
         qa = q ** p["a"]
-        return p, lambda s: (qa * q**-s, qa * q**s)
-    return p, {LINEAR: lambda s: s, Q_EXP_NEG: lambda s: q**-s, Q_EXP: lambda s: q**s}[tag]
+        return p, lambda s: (qa * q**-s, qa * q**s), lambda ss: (qa * powers(-ss), qa * powers(ss))
+    one, array = {
+        LINEAR: (lambda s: s, lambda ss: ss),
+        Q_EXP_NEG: (lambda s: q**-s, lambda ss: powers(-ss)),
+        Q_EXP: (lambda s: q**s, lambda ss: powers(ss)),
+    }[tag]
+    return p, one, array
 
 
 def _support_atoms(base: FamilySpec):

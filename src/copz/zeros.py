@@ -7,14 +7,19 @@ scan still refines to steps 1/4 and 1/8 before declaring a count failure.
 A search reads the series through one function of s, the base family's
 FamilySpec._at_s(n), built once: one-point calls, and its array pass many,
 which gives each value bit for bit.  Each scan evaluates all its samples in
-one array pass.  The brackets are then refined by ITP in the s variable and
-mapped to X at the end.  A set of _LOCKSTEP (8) or more brackets refines in
-lockstep: each round moves every open bracket one ITP step and evaluates all
-their trial points in one array pass, which sums the float series as one
-block (see qseries): a pass of 8 points costs about as much as 2 one-point
-calls at degree 59, 3 at degree 30, 4-5 at degree 16 and 7-8 at degree 8.
-Fewer brackets, and those a lockstep set leaves open once fewer than 8
-remain, refine one value at a time.
+one array pass.  A scan of _ARRAY_SCAN (85) samples or more, such as those
+of a search at high degree or over a wide window, also finds its node zeros
+and sign changes in a few numpy passes over the samples; a smaller one, such
+as every scan of copz verify at low degree, loops over them, since below
+about 85 samples the loop costs less than the passes' fixed numpy calls.
+Both give the same brackets.  The brackets are then refined by ITP in the s
+variable and mapped to X at the end.  A set of _LOCKSTEP (8) or more
+brackets refines in lockstep: each round moves every open bracket one ITP
+step and evaluates all their trial points in one array pass, which sums the
+float series as one block (see qseries): a pass of 8 points costs about as
+much as 2 one-point calls at degree 59, 3 at degree 30, 4-5 at degree 16 and
+7-8 at degree 8.  Fewer brackets, and those a lockstep set leaves open once
+fewer than 8 remain, refine one value at a time.
 
 track_zeros skips the scan where the zeros are nearly known, as along a
 parameter sweep: it brackets each zero inside the cell of its guess and
@@ -28,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import ClassVar
+
+import numpy as np
 
 from .errors import EvaluationOverflowError, SingularityError, ZeroCountError
 from .families import ZeroProblem
@@ -44,6 +51,13 @@ _MAX_WINDOW = 4096.0
 # costs about as much as 7-8 one-point calls at degree 8, 4-5 at degree 16
 # and 2 at degree 59, and one of 4 points still 7 at degree 8
 _LOCKSTEP = 8
+# samples from which a scan finds its brackets in array passes rather than a
+# loop: the crossover of the two, which lay between 81 and 89 samples at
+# degrees 5-30 on a 2-vCPU x86-64 host.  Whole scans, the array pass of the
+# series included, took 42-61 us by the loop and 61-95 us by the passes at
+# 11 samples, 88-189 us against 67-168 us at 161, and 0.80-2.05 ms against
+# 0.15-0.92 ms at 2,561
+_ARRAY_SCAN = 85
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,9 @@ class ZeroSet:
 
     ``zeros_s`` is strictly increasing; ``zeros_X`` follows the lattice
     direction (ascending on increasing lattices, descending otherwise).
+    ``residuals`` gives |P| at each zero relative to the larger end value of
+    its final bracket; it is inf where the float value at the zero is NaN or
+    inf, which the float series does not confirm as a zero.
     """
 
     problem: ZeroProblem
@@ -88,10 +105,27 @@ def _scan(g, n: int, lo: float, hi: float, step: float):
     neighbors' magnitude, the local scale its residual is measured against.
     A NaN or inf neighbor is no scale and counts as 0.0, as past the window's
     ends.  No sign change is paired across such a zero.
+
+    A scan of _ARRAY_SCAN samples or more finds its node zeros and sign
+    changes in a few array passes (_array_brackets); a smaller one visits
+    each sample in a loop, which costs less there than the passes' numpy
+    calls.  Both give the same brackets, bit for bit.
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
-    ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    ss = lo + (hi - lo) * np.arange(count) / (count - 1)
     vs = g.many(ss)
+    if count >= _ARRAY_SCAN:
+        brackets = _array_brackets(ss, vs)
+    else:
+        brackets = _looped_brackets(ss.tolist(), vs.tolist())
+    lost = []
+    if step == _STEPS[-1] and len(brackets) < n:
+        lost = ss[~np.isfinite(vs)].tolist()
+    return brackets, lost
+
+
+def _looped_brackets(ss: list, vs: list) -> list:
+    """_scan's brackets, one sample at a time."""
     mags = list(map(abs, vs))
     # the sum is finite unless a sample is NaN or inf; where finite
     # magnitudes overflow it, the rebuild changes nothing
@@ -110,10 +144,29 @@ def _scan(g, n: int, lo: float, hi: float, step: float):
         if pv * v < 0.0:
             brackets.append((ps, s, pv, v))
         ps, pv = s, v
-    lost = []
-    if step == _STEPS[-1] and len(brackets) < n:
-        lost = [s for s, v in zip(ss, vs) if not math.isfinite(v)]
-    return brackets, lost
+    return brackets
+
+
+def _array_brackets(ss: np.ndarray, vs: np.ndarray) -> list:
+    """_scan's brackets from array passes over the samples, the loop's bit
+    for bit.  The loop pairs a sample with the last one since a node zero
+    that is not one itself: with no node zero between, that is the sample
+    just before.  So a sign change pairs two neighbouring samples that are
+    not node zeros and whose product is below 0.0: a NaN pairs with neither
+    side, an inf pairs.  A bracket's place in sample order is its right end."""
+    with np.errstate(all="ignore"):
+        size = np.abs(vs)
+        mags = np.where(size < np.inf, size, 0.0)  # NaN and inf are no scale
+        nbrs = np.maximum(np.append(0.0, mags[:-1]), np.append(mags[1:], 0.0))
+        node = (vs == 0.0) | (size < _NODE_TOL * nbrs)
+        # the samples that pair with the one before
+        pair = np.append(False, ~(node[:-1] | node[1:]) & (vs[:-1] * vs[1:] < 0.0))
+    ends = np.flatnonzero(node | pair)
+    starts = ends - pair[ends]
+    at_node = node[ends]
+    gl = np.where(at_node, nbrs[ends], vs[starts])
+    gr = np.where(at_node, nbrs[ends], vs[ends])
+    return list(zip(ss[starts].tolist(), ss[ends].tolist(), gl.tolist(), gr.tolist()))
 
 
 def _itp(lo: float, hi: float, glo: float, ghi: float):
@@ -278,7 +331,9 @@ def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
     fewer than _LOCKSTEP brackets from the start.  The residuals of a set of
     _LOCKSTEP or more come from one array pass too, and every value is the
     one-at-a-time value bit for bit.  A zero's residual is |g| there relative
-    to the larger end value of its bracket, the local scale of the polynomial.
+    to the larger end value of its bracket, the local scale of the polynomial;
+    where g is NaN or inf at the zero, the float series does not confirm it,
+    and its residual is inf.
     """
     fam = problem.family
     if len(brackets) < _LOCKSTEP:
@@ -300,12 +355,15 @@ def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
             trials = stepped
             if len(trials) < _LOCKSTEP:
                 break
-            values = g.many([x for x, _, _ in trials])
+            values = g.many([x for x, _, _ in trials]).tolist()
         for x, i, steps in trials:
             found[i] = _drive(steps, g, g(x))
-        gz = g.many([z for z, _ in found])
+        gz = g.many([z for z, _ in found]).tolist()
     zs, widths = zip(*found)
-    residuals = [abs(v) / max(abs(gl), abs(gr), 1e-300) for v, (_, _, gl, gr) in zip(gz, brackets)]
+    residuals = [
+        abs(v) / max(abs(gl), abs(gr), 1e-300) if math.isfinite(v) else math.inf
+        for v, (_, _, gl, gr) in zip(gz, brackets)
+    ]
     xs = [fam.zero_scale * fam.grid.x_raw(z) for z in zs]
     return ZeroSet(problem, zs, tuple(xs), tuple(residuals), widths)
 

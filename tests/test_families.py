@@ -869,7 +869,18 @@ def test_block_passes_match_eval_at_s_bit_for_bit(monkeypatch, kind):
             ss = [lo - 0.75 + (hi - lo + 1.0) * i / (m - 1) for i in range(m)] + far
             got = _outcomes(lambda: spec._at_s(n).many(ss))
             assert got == _outcomes(_per_sample, spec, n, ss)
-    assert widths == [p for n in degrees if n >= floor for p in (16, cap)]
+            # an array of s gives the same values, its atoms built from the array
+            assert _outcomes(lambda: spec._at_s(n).many(np.array(ss))) == got
+    assert widths == [p for n in degrees if n >= floor for p in (16, 16, cap, cap)]
+    # a later sample whose atom leaves the float range (a q-power on the
+    # q-lattices, whichever of the two comes first on the q-quadratic one)
+    # is named as one call at a time names it
+    over = ss[:5] + [1e30, -1e30] + ss[5:]
+    got = _outcomes(lambda: spec._at_s(n).many(np.array(over)))
+    assert got == _outcomes(lambda: spec._at_s(n).many(over))
+    assert got == _outcomes(_per_sample, spec, n, over)
+    if spec.grid.q is not None:
+        assert got[0] is EvaluationOverflowError
 
 
 def test_block_passes_keep_nan_and_infinite_values(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import copz.cli
 import copz.qseries
 import copz.zeros
 from copz import (
@@ -203,6 +204,10 @@ def test_no_node_zero_beside_a_non_finite_sample(params, n):
     base = problem.family.resolve_base()
     g = base.grid
     assert len(zs) == n
+    # where the float value at a zero is inf, the float series does not
+    # confirm it: its residual is inf, not the NaN of inf / inf
+    unconfirmed = [not math.isfinite(base.eval_at_s(n, z)) for z in zs.zeros_s]
+    assert [r == math.inf for r in zs.residuals] == unconfirmed
     for z in zs.zeros_s:
         half = 1e-10 * abs(g.x_raw(z)) / abs(g.dx_ds(z))
         with exact_summation():
@@ -284,9 +289,68 @@ def _oracle_problems():
     return fixed + drawn
 
 
+def _table_g(values, step):
+    """g at the samples i * step of a scan from 0: values[i], by one call or
+    by an array pass."""
+
+    def g(s):
+        return values[round(s / step)]
+
+    g.many = lambda ss: np.array([g(s) for s in np.asarray(ss).tolist()])
+    return g
+
+
+def _scan_tables(rng):
+    """(values, step, n): float series values a scan may meet, on scans below,
+    at and above _ARRAY_SCAN samples.  Each table draws sign changes, NaN,
+    +-inf, zeros of either sign, values within the node tolerance of their
+    neighbours or exactly at it, and products that underflow or overflow;
+    node zeros sit on both ends of the window and beside an inf.  A step-1/8
+    scan that finds fewer than n brackets also gives its non-finite samples."""
+    gate = copz.zeros._ARRAY_SCAN
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 1e-200, -1e-200,
+               1e200, -1e200, 3e-14, -3e-14, 5e-324]
+    tables = []
+    for count in (11, gate - 1, gate, gate + 1, 3 * gate + 7):
+        for step, n in ((0.5, 0), (0.125, 0), (0.125, count)):
+            values = [
+                rng.choice(special) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+                for _ in range(count)
+            ]
+            values[:3] = [0.0, 1.0, -1.0]  # a node zero on the window's first sample
+            values[-3:] = [-1.0, 1e-20, 1.0]  # and within the tolerance on its last
+            # node zeros beside an inf: exactly zero, and small beside a finite neighbour
+            values[4:8] = [-1.0, 0.0, math.inf, 2.0]
+            values[8:12] = [1.0, 1e-20, -math.inf, math.nan]
+            # exactly at the node tolerance, so not a node zero
+            values[12:15] = [1.0, copz.zeros._NODE_TOL, -0.5]
+            # tiny neighbours whose product underflows to -0.0, so no pair
+            values[15:19] = [1e-200, -1e-200, 1e-200, -1e-200]
+            tables.append((values, step, n))
+    return tables
+
+
 def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
+    # the scan itself, on both sides of _ARRAY_SCAN, bracket by bracket
+    # through the bits of each value
+    gate, hexed = copz.zeros._ARRAY_SCAN, lambda bs: [tuple(map(float.hex, b)) for b in bs]
+    sizes = set()
+    for values, step, n in _scan_tables(random.Random(21)):
+        g, hi = _table_g(values, step), (len(values) - 1) * step
+        brackets, lost = copz.zeros._scan(g, n, 0.0, hi, step)
+        want, want_lost = _per_sample_scan(g, n, 0.0, hi, step)
+        assert hexed(brackets) == hexed(want), (len(values), step, n)
+        assert lost == want_lost and all(type(s) is float for s in lost)
+        sizes.add((len(values) >= gate, bool(lost)))
+    assert sizes == {(False, False), (False, True), (True, False), (True, True)}
+    # then whole searches, whose scans take both paths
+    paths = set()
+    for name in ("_array_brackets", "_looped_brackets"):
+        scan = getattr(copz.zeros, name)
+        monkeypatch.setattr(copz.zeros, name, lambda *a, n=name, f=scan: paths.add(n) or f(*a))
     problems = _oracle_problems()
     got = [_zero_outcome(p) for p in problems]
+    assert paths == {"_array_brackets", "_looped_brackets"}
     monkeypatch.setattr(copz.zeros, "_scan", _per_sample_scan)
     want = [_zero_outcome(p) for p in problems]
     for problem, g, w in zip(problems, got, want):
@@ -325,6 +389,22 @@ def test_find_zeros_matches_recorded_outcomes(case):
         return
     assert "raises" not in case
     assert {f: [v.hex() for v in getattr(zs, f)] for f in fields} == {f: case[f] for f in fields}
+
+
+def test_verify_scans_take_the_loop(monkeypatch, capsys):
+    # copz verify scans 11-81 samples at a time, below _ARRAY_SCAN, where one
+    # loop over the samples costs less than the array passes' numpy calls
+    counts = []
+    looped = copz.zeros._looped_brackets
+    monkeypatch.setattr(copz.zeros, "_array_brackets", None)
+    monkeypatch.setattr(
+        copz.zeros, "_looped_brackets", lambda ss, vs: counts.append(len(ss)) or looped(ss, vs)
+    )
+    argv = ["verify", "--family", "meixner", "--n", "3",
+            "--set", "alpha=0.7168482900438996", "--set", "beta=2.404502717505038"]
+    assert copz.cli.main(argv) == 0
+    assert "verify meixner: PASS" in capsys.readouterr().out
+    assert max(counts) == 81 < copz.zeros._ARRAY_SCAN
 
 
 def test_failed_window_growth_reports_the_scans_it_ran():
