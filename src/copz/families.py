@@ -48,6 +48,7 @@ from .qseries import (
     _EXACT,
     _PointOverflow,
     _array_pass,
+    _support_pass,
     binom2,
     exact_summation,
     hyper_sum,
@@ -1317,6 +1318,11 @@ def eval_exact_at_support(
     integers are wider than 128 bits is first taken at 128 bits with an
     error radius, and returned where both ends of its interval round to one
     float; elsewhere the exact rational sum decides (qseries._sum_points).
+    The loop over the degrees is one support pass (qseries._support_pass):
+    at each point, the 128-bit sums of all degrees share one table of the
+    products of the point's atom factors, built once up to the highest
+    degree, and each degree's sum is a dot product of that table with the
+    degree's ratio products.
     """
     one_degree, many = isinstance(n, int), isinstance(k, range)
     if many and not k:  # no point to evaluate, so none to fail
@@ -1335,19 +1341,20 @@ def eval_exact_at_support(
     p, atom = _support_atoms(base)
     x = _columns([atom(j) for j in k]) if many else atom(k)
     rows = []
-    for d in (n,) if one_degree else n:
-        family._check_degree(d)
-        try:
-            # an alias scales its base's value by its own prefactor, as in _of_atoms
-            outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, d)
-            pref = entry.prefactor(base.params, d)
-            with exact_summation():
-                values = entry.series(p, d, x)
-        except OverflowError as exc:
-            # a per-point sum names its point; the factors common to all fail at the first
-            i = exc.index if isinstance(exc, _PointOverflow) else 0
-            raise family._overflow(d, family.support_start + (k[i] if many else k)) from exc
-        rows.append([outer * (pref * v) for v in values] if many else outer * (pref * values))
+    with _support_pass():
+        for d in (n,) if one_degree else n:
+            family._check_degree(d)
+            try:
+                # an alias scales its base's value by its own prefactor, as in _of_atoms
+                outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, d)
+                pref = entry.prefactor(base.params, d)
+                with exact_summation():
+                    values = entry.series(p, d, x)
+            except OverflowError as exc:
+                # a per-point sum names its point; the factors common to all fail at the first
+                i = exc.index if isinstance(exc, _PointOverflow) else 0
+                raise family._overflow(d, family.support_start + (k[i] if many else k)) from exc
+            rows.append([outer * (pref * v) for v in values] if many else outer * (pref * values))
     return rows[0] if one_degree else rows
 
 

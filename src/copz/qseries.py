@@ -30,6 +30,17 @@ integer of a point's sum is wider than 128 bits, the sum is first taken in
 (Ziv's strategy); if both ends of the result round to the same float, the
 sign of zero included, that float is the value.  Otherwise, and for narrower
 sums, the sum runs in exact integer arithmetic.
+
+The 128-bit sum splits each term r_0 ... r_k into the product R_k of the
+scalar ratios p_i/d_i, one per sum, and the product G_(k+1) of the factors
+z prod_a (a u_i + v_i) of the point's atoms, which depend on the point and
+the term index alone.  So the sum at a point is the dot product
+1 + sum_k R_k G_(k+1).  Inside a support pass (_support_pass), the sums of
+every degree at a point share one table of G: eval_exact_at_support marks
+its loop over the degrees as one, and each point's table grows to the
+highest degree asked, each entry formed once.  An entry is reused only
+while the point's atoms and the steps (u_i, v_i) are the ones it was built
+from; a sum outside a pass has tables of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import copysign, prod
-from operator import methodcaller
 
 import numpy as np
 
@@ -138,8 +148,8 @@ def _point_sum(ratios, steps, z, atoms) -> float:
     scalar.  The pairs are never reduced; the sum stops at the first
     vanishing ratio.  int/int true division is correctly rounded, as
     Fraction.__float__ is.  It takes the sums of narrow integers and those
-    whose 128-bit pass (_certified_sum) is in doubt, and is that pass's
-    reference in the tests.
+    whose 128-bit pass (_dot_sum) is in doubt, and is that pass's reference
+    in the tests.
     """
     cn, cd = z.as_integer_ratio()
     atoms = [a.as_integer_ratio() for a in atoms]
@@ -231,38 +241,44 @@ def _plus(x, y):
     return m + n, g, r + t
 
 
-def _certified_sum(balls, steps, z, atoms) -> float | None:
-    """_point_sum(ratios, steps, z, atoms) from balls[k], the balls of
-    ratios[k] and of steps[k], or None where rounding is in doubt.
+def _cumulative(ratios):
+    """The balls R_k of the products ratios[0] ... ratios[k]."""
+    out, c = [], _ONE
+    for ratio in ratios:
+        c = _times(c, _ball(*ratio))
+        out.append(c)
+    return out
 
-    Each term is the product _point_sum forms and the sum is nested as there.
-    A factor whose ball holds 0 is formed exactly, so the sum stops at the
-    first vanishing term, as there.  int/int division rounds each end of the
-    sum's ball correctly and rounding is monotone, so where both ends round
-    to one float, the sign of zero included, so does the exact sum.
+
+def _dot_sum(cumulative, table) -> float | None:
+    """_point_sum at one point as 1 + sum_k R_k G_(k+1), from the balls R_k
+    of _cumulative and the point's factor table G, or None where rounding is
+    in doubt.
+
+    The products are summed at one binary exponent, _BITS bits below the top
+    of the widest, with a unit of radius where a shift drops bits.  int/int
+    division rounds each end of the sum's ball correctly and rounding is
+    monotone, so where both ends round to one float, the sign of zero
+    included, so does the exact sum.
     """
-    zb = None if z == 1 else _ball(*z.as_integer_ratio())
-    atoms = [(*a.as_integer_ratio(), _ball(*a.as_integer_ratio())) for a in atoms]
-    terms = []
-    for (ratio, ub, vb), (u, v) in zip(balls, steps):
-        term = ratio if zb is None else _times(zb, ratio)
-        for an, ad, ab in atoms:
-            f = _plus(_times(ab, ub), vb)
-            if abs(f[0]) <= f[2]:
-                f = _ball(an * u + ad * v, ad)
-            term = _times(term, f)
-        if not (term[0] or term[2]):
-            break
-        terms.append(term)
-    s = _ONE
-    for term in reversed(terms):
-        s = _plus(_ONE, _times(term, s))
-    m, e, r = s
+    terms, top = [], 1
+    for (m, e, r), (n, f, t) in zip(cumulative, table[1:]):
+        p, e, t = m * n, e + f, abs(m) * t + abs(n) * r + r * t
+        if p or t:
+            terms.append((p, e, t))
+            if e + p.bit_length() > top:
+                top = e + p.bit_length()
+    g = top - _BITS
+    m, r = _shifted(1, 0, g)
+    for p, e, t in terms:
+        p, t = _shifted(p, t, g - e)
+        m += p
+        r += t
     try:
-        if e >= 0:
-            lo, hi = float((m - r) << e), float((m + r) << e)
+        if g >= 0:
+            lo, hi = float((m - r) << g), float((m + r) << g)
         else:
-            lo, hi = (m - r) / (1 << -e), (m + r) / (1 << -e)
+            lo, hi = (m - r) / (1 << -g), (m + r) / (1 << -g)
     except OverflowError:  # _point_sum names the overflow
         return None
     return lo if lo == hi and copysign(1.0, lo) == copysign(1.0, hi) else None
@@ -273,39 +289,114 @@ def _wide(pairs) -> bool:
     return max(map(int.bit_length, chain.from_iterable(pairs)), default=0) > _BITS
 
 
-_integer_ratio = methodcaller("as_integer_ratio")
+class _Point:
+    """One point of a support pass: its z and atoms as given (key), their
+    integer ratios, whether one of those is wider than _BITS bits, and,
+    from its first certified sum on, their balls and its factor table."""
+
+    __slots__ = ("key", "ratios", "wide", "balls", "table")
+
+    def __init__(self, key):
+        self.key = key
+        self.ratios = [x.as_integer_ratio() for x in key]
+        self.wide = _wide(self.ratios)
+        self.table = None
+
+    def factors(self, tables, n: int):
+        """The table G_k = prod_(i<k) z prod_a (a u_i + v_i) for k <= n, as
+        balls, from the steps (u_i, v_i) of tables.  A factor whose ball holds
+        0 is formed exactly, so the table ends at its first exact 0: every
+        G_k past it is 0."""
+        if self.table is None:
+            self.balls = [(*ratio, _ball(*ratio)) for ratio in self.ratios]
+            self.table = [_ONE]
+        table = self.table
+        while len(table) <= n and (table[-1][0] or table[-1][2]):
+            (zn, zd, zb), *atoms = self.balls
+            (u, v), (ub, vb) = tables.steps[len(table) - 1], tables.balls[len(table) - 1]
+            g = table[-1] if zn == zd else _times(table[-1], zb)
+            for an, ad, ab in atoms:
+                f = _plus(_times(ab, ub), vb)
+                if abs(f[0]) <= f[2]:
+                    f = _ball(an * u + ad * v, ad)
+                g = _times(g, f)
+            table.append(g)
+        return table
+
+
+class _Tables:
+    """The points of a support pass by index, and the steps (u, v) and their
+    balls that the points' factor tables are built from."""
+
+    __slots__ = ("steps", "balls", "points")
+
+    def __init__(self):
+        self.steps, self.balls, self.points = [], [], {}
+
+    def follow(self, steps) -> None:
+        """Take on a sum's steps; where they differ from those the tables were
+        built from, every table is dropped."""
+        n = len(self.steps)
+        if steps[:n] != self.steps[: len(steps)]:
+            self.steps, self.balls, self.points = [], [], {}
+            n = 0
+        if len(steps) > n:
+            self.balls += [(_ball(u), _ball(v)) for u, v in steps[n:]]
+            self.steps = steps
+
+    def point(self, j: int, key) -> _Point:
+        """Point j's entry, new where its z and atoms differ from key."""
+        point = self.points.get(j)
+        if point is None or point.key != key:
+            point = self.points[j] = _Point(key)
+        return point
+
+
+# the points of the support pass in progress, None outside one:
+# eval_exact_at_support sets it around its loop over the degrees (_support_pass)
+_TABLES = contextvars.ContextVar("copz_support_tables", default=None)
+
+
+@contextlib.contextmanager
+def _support_pass():
+    """Share each point's factor table across the exact sums inside."""
+    token = _TABLES.set(_Tables())
+    try:
+        yield
+    finally:
+        _TABLES.reset(token)
 
 
 def _sum_points(ratios, steps, num, z):
     """The sum at each point of the per-point atoms in num and z, or the one sum.
 
-    A point's sum goes first to _certified_sum where one of its integers, a
-    ratio's p or d or a numerator or denominator of z or an atom, is wider
-    than _BITS bits, and to _point_sum where they are all narrower or the
-    certified pass is in doubt.  Either way it is the exact rational's
-    correctly rounded float.
+    A point's sum goes first to _dot_sum where one of its integers, a ratio's
+    p or d or a numerator or denominator of z or an atom, is wider than _BITS
+    bits, and to _point_sum where they are all narrower or the certified sum
+    is in doubt.  Either way it is the exact rational's correctly rounded
+    float.  The points' entries come from the support pass in progress, or
+    from a pass of the call's own outside one.
     """
     lattice = [a for a in num if not _scalar(a)]
     one = _scalar(z) and not lattice
     if _scalar(z):
         z = [1] * (len(lattice[0]) if lattice else 1)
-    # wide ratios make every point's sum wide; otherwise the points are
-    # tested one by one only where one of the call's atoms is wide
-    wide, balls = _wide(ratios), None
-    some = wide or _wide(map(_integer_ratio, chain(z, *lattice)))
+    tables = _TABLES.get() or _Tables()
+    tables.follow(steps)
+    # every point's entry first: an atom with no integer ratio raises before any sum
+    points = [tables.point(j, key) for j, key in enumerate(zip(z, *lattice))]
+    # wide ratios make every point's sum wide
+    wide, cumulative = _wide(ratios), None
     out = []
-    for j, zj in enumerate(z):
-        atoms = [a[j] for a in lattice]
+    for j, point in enumerate(points):
         value = None
-        if wide or some and _wide(map(_integer_ratio, (zj, *atoms))):
-            if balls is None:
-                balls = [
-                    (_ball(*ratio), _ball(u), _ball(v)) for ratio, (u, v) in zip(ratios, steps)
-                ]
-            value = _certified_sum(balls, steps, zj, atoms)
+        if wide or point.wide:
+            if cumulative is None:
+                cumulative = _cumulative(ratios)
+            value = _dot_sum(cumulative, point.factors(tables, len(ratios)))
         if value is None:
             try:
-                value = _point_sum(ratios, steps, zj, atoms)
+                value = _point_sum(ratios, steps, point.key[0], point.key[1:])
             except OverflowError as exc:
                 if one:
                     raise

@@ -16,7 +16,9 @@ summation loses every digit near the top support points at higher degrees,
 where the terminating series cancels by many orders.  Each value is the exact
 rational's correctly rounded float: a sum with integers wider than 128 bits
 is taken first at 128 bits with a rigorous error radius, and summed exactly
-only where the radius leaves its rounding in doubt.
+only where the radius leaves its rounding in doubt.  In that call every
+degree reads one table of factor products per point, so the 128-bit sum of
+a degree at a point is one dot product with that degree's ratio products.
 """
 
 from __future__ import annotations
@@ -143,13 +145,20 @@ def weight_table(
 def _pair_sum_values(
     table: WeightTable, vm: list[float], vn: list[float]
 ) -> float:
-    acc = Neumaier()
-    for k in range(len(table)):
-        prod = vm[k] * vn[k]
+    # Neumaier.add's steps on local variables, in its order
+    total = comp = 0.0
+    for a, b, log_mu in zip(vm, vn, table.log_measures, strict=True):
+        prod = a * b
         if prod == 0.0:
             continue
-        acc.add(math.copysign(math.exp(math.log(abs(prod)) + table.log_measures[k]), prod))
-    return acc.value
+        v = math.copysign(math.exp(math.log(abs(prod)) + log_mu), prod)
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    return total + comp
 
 
 def orthogonality_residual(

@@ -613,10 +613,10 @@ def _count_passes(monkeypatch):
     """Counters of the points certified, the points whose pass was in doubt,
     and the exact sums run."""
     counts = {"certified": 0, "in doubt": 0, "exact": 0}
-    certified_sum, point_sum = copz.qseries._certified_sum, copz.qseries._point_sum
+    dot_sum, point_sum = copz.qseries._dot_sum, copz.qseries._point_sum
 
     def certify(*args):
-        value = certified_sum(*args)
+        value = dot_sum(*args)
         counts["certified" if value is not None else "in doubt"] += 1
         return value
 
@@ -624,7 +624,7 @@ def _count_passes(monkeypatch):
         counts["exact"] += 1
         return point_sum(*args)
 
-    monkeypatch.setattr(copz.qseries, "_certified_sum", certify)
+    monkeypatch.setattr(copz.qseries, "_dot_sum", certify)
     monkeypatch.setattr(copz.qseries, "_point_sum", exact)
     return counts
 
@@ -640,17 +640,21 @@ def test_fallback_examples_are_in_doubt(name, monkeypatch):
     assert counts["in doubt"] == counts["exact"] == 1
 
 
-@pytest.mark.parametrize(
-    "kind, params, kmax",
-    [
-        # the orthogonality benchmark's little q-Jacobi case at seed 1: a table
-        # of 179 points, at kmax 3
-        ("little_q_jacobi",
-         {"alpha": 1.0154906041886784, "beta": 0.4392306287333191, "q": 0.8005117047406922}, 3),
-        # atoms q^-j, whose factors (q^-j; q)_k vanish exactly at k = j
-        ("q_hahn", {"alpha": 0.5, "beta": 0.5, "q": 0.7, "N": 40}, 6),
-    ],
+# the orthogonality benchmark's little q-Jacobi case at seed 1: a table of
+# 179 points, at kmax 3
+_LITTLE_QJ_179 = (
+    "little_q_jacobi",
+    {"alpha": 1.0154906041886784, "beta": 0.4392306287333191, "q": 0.8005117047406922},
+    3,
 )
+_WIDE_TABLES = [
+    _LITTLE_QJ_179,
+    # atoms q^-j, whose factors (q^-j; q)_k vanish exactly at k = j
+    ("q_hahn", {"alpha": 0.5, "beta": 0.5, "q": 0.7, "N": 40}, 6),
+]
+
+
+@pytest.mark.parametrize("kind, params, kmax", _WIDE_TABLES)
 def test_wide_tables_are_certified(kind, params, kmax, monkeypatch):
     counts = _count_passes(monkeypatch)
     spec = make_family(kind, params)
@@ -680,6 +684,91 @@ def test_cancelling_sum_is_decided_exactly(monkeypatch):
     spec = make_family("q_racah", a=1.5, alpha=0.5, beta=0.5, q=0.5, N=60)
     eval_exact_at_support(spec, 59, 59)
     assert counts == {"certified": 0, "in doubt": 1, "exact": 1}
+
+
+@pytest.mark.parametrize("kind, params, kmax", _WIDE_TABLES)
+def test_multi_degree_call_builds_each_table_once(kind, params, kmax, monkeypatch):
+    built = []
+
+    class Point(copz.qseries._Point):
+        __slots__ = ()
+
+        def __init__(self, key):
+            super().__init__(key)
+            built.append(self)
+
+    monkeypatch.setattr(copz.qseries, "_Point", Point)
+    spec = make_family(kind, params)
+    points = range(len(weight_table(spec, degree_hint=kmax)))
+    eval_exact_at_support(spec, range(kmax + 1), points)
+    # one entry per point for all degrees; the first points' sums are narrow
+    # and build no table, the others grow theirs once, to kmax factors or to
+    # the first that vanishes
+    assert len(built) == len(points)
+    tables = [p.table for p in built if p.table is not None]
+    assert len(tables) >= len(points) - 3
+    assert all(len(t) == kmax + 1 or len(t) < kmax + 1 and t[-1][::2] == (0, 0) for t in tables)
+    # the top degree alone builds the same tables
+    del built[:]
+    eval_exact_at_support(spec, kmax, points)
+    assert [p.table for p in built if p.table is not None] == tables
+
+
+def _support_values(spec, degrees, points):
+    try:
+        rows = eval_exact_at_support(spec, degrees, points)
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc), str(exc)
+    return [[v.hex() for v in row] for row in rows]
+
+
+def _at_60_points(kind):
+    """A drawn instance of kind at N = 60, and its first 60 points."""
+    params = sample_params(kind, random.Random(kind))
+    if "N" in params:
+        params["N"] = 60
+    if kind == "quantum_q_krawtchouk":  # alpha > q^(1-N)
+        params["alpha"] = 2.0 * params["q"] ** -59
+    return make_family(kind, params), range(60)
+
+
+@pytest.mark.parametrize("kind", [*catalog_kinds(), "little_q_jacobi/179"])
+def test_shared_tables_match_point_sums_and_one_degree_calls(kind, monkeypatch):
+    if kind == "little_q_jacobi/179":
+        name, params, _ = _LITTLE_QJ_179
+        spec = make_family(name, params)
+        points = range(len(weight_table(spec, degree_hint=3)))
+        assert len(points) == 179
+    else:
+        spec, points = _at_60_points(kind)
+    degrees = range(9)
+    got = _support_values(spec, degrees, points)
+    one_degree = [_support_values(spec, (n,), points) for n in degrees]
+    assert got == [row for (row,) in one_degree]
+    monkeypatch.setattr(copz.qseries, "_dot_sum", lambda *args: None)
+    assert got == _support_values(spec, degrees, points)
+
+
+def test_changed_atoms_or_steps_never_read_a_stale_table():
+    # at one point index, in one support pass: wide atoms, then other atoms,
+    # then the same atoms under other steps (a hypergeometric sum, another q)
+    q, other_q = 0.3, 0.7
+    wide = [Fraction(q) ** -j for j in range(20, 23)]
+    atoms = _column_of(*wide)
+    others = _column_of(*(3 * a for a in wide))
+    calls = [
+        (qhyper_sum, _reference_qhyper_sum_exact, ([atoms], [0.25], q, 0.5, 6)),
+        (qhyper_sum, _reference_qhyper_sum_exact, ([others], [0.25], q, 0.5, 6)),
+        (hyper_sum, _reference_hyper_sum_exact, ([others], [0.25], 0.5, 6)),
+        (qhyper_sum, _reference_qhyper_sum_exact, ([others], [0.25], other_q, 0.5, 6)),
+        (qhyper_sum, _reference_qhyper_sum_exact, ([atoms], [0.25], q, 0.5, 8)),
+    ]
+    with copz.qseries._support_pass():
+        for fn, ref, (num, *rest) in calls:
+            got = [v.hex() for v in _exact(fn, num, *rest)]
+            want = [ref([a], *rest).hex() for a in num[0]]
+            assert got == want
+            assert all(p.table is not None for p in copz.qseries._TABLES.get().points.values())
 
 
 # balls (m, e, r) of the 128-bit pass: the interval [(m - r) 2^e, (m + r) 2^e]
