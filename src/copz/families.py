@@ -157,10 +157,12 @@ class FamilySpec:
         float array or sequence, as an array, from one pass of the float
         series over the lattice atoms of the whole array, each the one-point
         call's bit for bit.  It raises the error the per-sample loop meets
-        first: the first sample is a one-point call, so an overflow of its
-        lattice atoms comes first, then the degree, prefactor and series
-        errors, which no later sample escapes; then the first overflow of the
-        atoms at a later sample.
+        first: an overflow of the first sample's lattice atoms, then the
+        degree, prefactor and series errors, which no later sample escapes;
+        then the first overflow of the atoms at a later sample.  Each of
+        these raises in the pass too, so only where the pass raises, or its
+        first value is NaN or inf, does many call the first sample as one
+        point, and on a raise the atoms of the rest one at a time.
         """
         try:
             value = self._of_atoms(n)
@@ -181,19 +183,20 @@ class FamilySpec:
             if _EXACT.get() or len(ss) < 2:
                 return np.array([at_s(s) for s in ss.tolist()], dtype=float)
             out = np.empty(len(ss))
-            out[0] = at_s(float(ss[0]))
-            rest = ss[1:]
             try:
-                x = array_atoms(rest)
-            except OverflowError:
-                for s in rest.tolist():  # name the first s whose atoms overflow
+                # a degree-0 value is one float for all the points
+                with np.errstate(all="ignore"), _array_pass(len(ss)):
+                    out[:] = value(p, array_atoms(ss))
+            except (DomainError, ArithmeticError):
+                at_s(float(ss[0]))
+                for s in ss[1:].tolist():  # name the first s whose atoms overflow
                     try:
                         atoms(s)
                     except OverflowError as exc:
                         raise self._overflow(n, s) from exc
-            # a degree-0 value is one float for all the points
-            with np.errstate(all="ignore"), _array_pass(len(rest)):
-                out[1:] = value(p, x)
+                raise
+            if not math.isfinite(out[0]):
+                out[0] = at_s(float(ss[0]))
             return out
 
         at_s.many = many

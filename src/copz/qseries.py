@@ -71,8 +71,9 @@ def exact_summation():
         _EXACT.reset(token)
 
 
-# the points of the array pass in progress, 0 outside one: FamilySpec._at_s(n).many
-# sets it around its call of the series (_array_pass)
+# the points of the array pass in progress, every sample of the pass counted,
+# 0 outside one: FamilySpec._at_s(n).many sets it around its call of the
+# series (_array_pass)
 _POINTS = contextvars.ContextVar("copz_series_points", default=0)
 # the float sums of an array pass of degree _BLOCK_DEGREE or more over at most
 # _BLOCK_POINTS points run as one block (_block_sum).  Measured on a 2-vCPU
@@ -224,6 +225,8 @@ def _times(x, y):
     if s <= 0:
         return p, e + f, r
     m = p >> s
+    if m.bit_length() > _BITS:  # a negative p floored onto -2^_BITS
+        m, s = m >> 1, s + 1
     return m, e + f + s, -(-r >> s) + (m << s != p)
 
 

@@ -323,9 +323,13 @@ def monotonicity_verdict(
     its ends' zeros (interpolation, so the guesses increase), within half
     their move, or by find_zeros where that fails.  Every solved point is
     kept, and at most three rounds subdivide, so a refined sweep's ts are not
-    evenly spaced.
+    evenly spaced.  A param the family cannot take (N, whose midpoints leave
+    the integers, or a name it does not have) raises DomainError before any
+    solve.
     """
     fam = problem.family
+    if param not in fam.params or param == "N":
+        raise DomainError(f"{fam.kind} has no continuous parameter {param!r}")
     lo, hi = t_range
     if not lo < hi:
         raise DomainError(f"empty sweep range {t_range!r}")

@@ -6,8 +6,10 @@ infinite supports alike, so sampling at step 1/2 brackets every zero; the
 scan still refines to steps 1/4 and 1/8 before declaring a count failure.
 A search reads the series through one function of s, the base family's
 FamilySpec._at_s(n), built once: one-point calls, and its array pass many,
-which gives each value bit for bit.  Each scan evaluates all its samples in
-one array pass.  A scan of _ARRAY_SCAN (85) samples or more, such as those
+which gives each value bit for bit.  Each scan evaluates its samples in one
+array pass, all but those it shares with the search's previous scan: the
+rescans at steps 1/4 and 1/8 and each doubled window take those values from
+the scan before.  A scan of _ARRAY_SCAN (85) samples or more, such as those
 of a search at high degree or over a wide window, also finds its node zeros
 and sign changes in a few numpy passes over the samples; a smaller one, such
 as every scan of copz verify at low degree, loops over them, since below
@@ -17,9 +19,9 @@ variable and mapped to X at the end.  A set of _LOCKSTEP (8) or more
 brackets refines in lockstep: each round moves every open bracket one ITP
 step and evaluates all their trial points in one array pass, which sums the
 float series as one block (see qseries): a pass of 8 points costs about as
-much as 2 one-point calls at degree 59, 3 at degree 30, 4-5 at degree 16 and
-7-8 at degree 8.  Fewer brackets, and those a lockstep set leaves open once
-fewer than 8 remain, refine one value at a time.
+much as 1.5-2 one-point calls at degree 59, 2-3 at degree 30, 4-5 at degree
+16 and 6-8 at degree 8.  Fewer brackets, and those a lockstep set leaves open
+once fewer than 8 remain, refine one value at a time.
 
 track_zeros skips the scan where the zeros are nearly known, as along a
 parameter sweep: it brackets each zero inside the cell of its guess and
@@ -47,9 +49,10 @@ _MAX_WINDOW = 4096.0
 # open brackets from which one array pass of the float series refines them in
 # lockstep: the fewest for which one pass costs less than a one-point call
 # per bracket at every degree.  A set this large has degree 8 or more, so its
-# passes are summed as one block (qseries._BLOCK_DEGREE); a pass of 8 points
-# costs about as much as 7-8 one-point calls at degree 8, 4-5 at degree 16
-# and 2 at degree 59, and one of 4 points still 7 at degree 8
+# passes are summed as one block (qseries._BLOCK_DEGREE); on a 2-vCPU x86-64
+# host a pass of 8 points cost about as much as 6-8 one-point calls at degree
+# 8 (24-45 us against 3.8-6.0 us), 4-5 at degree 16 and 1.5-2 at degree 59
+# (34-58 us against 23-34 us), and one of 4 points still 6-7 at degree 8
 _LOCKSTEP = 8
 # samples from which a scan finds its brackets in array passes rather than a
 # loop: the crossover of the two, which lay between 81 and 89 samples at
@@ -91,16 +94,20 @@ class ZeroSet:
         return min(b - a for a, b in zip(self.zeros_s, self.zeros_s[1:]))
 
 
-def _scan(g, n: int, lo: float, hi: float, step: float):
+def _scan(g, n: int, lo: float, hi: float, step: float, held=None):
     """Sample g, the degree-n polynomial as a function of s (FamilySpec._at_s),
     on [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples, in
-    increasing s, and the samples where the float series is NaN or inf when a
-    scan at the finest step finds fewer than n brackets; that count is final,
-    and no sign change pairs across such a sample.  Any other scan gives no
-    samples.
+    increasing s; the samples where the float series is NaN or inf when a
+    scan at the finest step finds fewer than n brackets (that count is final,
+    and no sign change pairs across such a sample), and none for any other
+    scan; and the scan's samples and their values, as two arrays.
 
-    The samples are evaluated together, in one array pass of the float series
-    (g.many).  A sample within the node tolerance of zero (relative to its
+    held is the samples and values of the search's previous scan, or None.
+    A sample equal as a float to a held one takes its value, since g is a
+    function of s alone; the others are evaluated together, in one array
+    pass of the float series (g.many).  Held samples never raised, so an
+    error names the first failing sample in grid order, as a pass over every
+    sample would.  A sample within the node tolerance of zero (relative to its
     neighbors) counts as a width-zero bracket; its gl and gr carry the
     neighbors' magnitude, the local scale its residual is measured against.
     A NaN or inf neighbor is no scale and counts as 0.0, as past the window's
@@ -113,7 +120,16 @@ def _scan(g, n: int, lo: float, hi: float, step: float):
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = lo + (hi - lo) * np.arange(count) / (count - 1)
-    vs = g.many(ss)
+    if held is None:
+        vs = g.many(ss)
+    else:
+        # the grids need not nest: match each sample to its place among the
+        # held ones, which are sorted as every grid is
+        hs, hv = held
+        at = np.minimum(np.searchsorted(hs, ss), len(hs) - 1)
+        vs, new = hv[at], hs[at] != ss
+        if new.any():
+            vs[new] = g.many(ss[new])
     if count >= _ARRAY_SCAN:
         brackets = _array_brackets(ss, vs)
     else:
@@ -121,7 +137,7 @@ def _scan(g, n: int, lo: float, hi: float, step: float):
     lost = []
     if step == _STEPS[-1] and len(brackets) < n:
         lost = ss[~np.isfinite(vs)].tolist()
-    return brackets, lost
+    return brackets, lost, (ss, vs)
 
 
 def _looped_brackets(ss: list, vs: list) -> list:
@@ -250,8 +266,9 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         hi = fam.support_end - 1.0
     else:
         hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
+    held = None
     while True:
-        brackets, lost = _scan(g, n, a, hi, _STEPS[0])
+        brackets, lost, held = _scan(g, n, a, hi, _STEPS[0], held)
         found, wider = len(brackets), a + 2.0 * (hi - a)
         if fam.is_finite or wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
             break
@@ -262,7 +279,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         # finer sampling can only reveal missed pairs, never remove changes
         if len(brackets) >= n:
             break
-        brackets, lost = _scan(g, n, a, hi, step)
+        brackets, lost, held = _scan(g, n, a, hi, step, held)
         diagnostics[f"count_at_step_{step}"] = len(brackets)
     if len(brackets) != n:
         message = f"{fam.kind}: found {len(brackets)} sign changes, expected {n}"

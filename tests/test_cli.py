@@ -195,6 +195,17 @@ def test_interlace_text_and_not_applicable():
     assert "not-applicable" in out
 
 
+def test_sweep_over_the_support_size_is_invalid_input():
+    # N takes integers only, so a sweep over it has no continuous direction
+    code, out, err = run_cli(
+        ["sweep", "--family", "hahn", "--set", "N=10", "--set", "alpha=0.5", "--set", "beta=1",
+         "--n", "3", "--param", "N", "--from", "4", "--to", "60", "--steps", "57"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: hahn has no continuous parameter 'N'\n"
+
+
 def test_unknown_family_is_invalid_input():
     code, _, err = run_cli(["zeros", "--family", "nope", "--n", "1"])
     assert code == 2

@@ -864,8 +864,8 @@ def test_block_passes_match_eval_at_s_bit_for_bit(monkeypatch, kind):
     ]
     widths = _block_widths(monkeypatch)
     for n in degrees:
-        for points in (16, cap, cap + 1):  # many takes the first sample one at a time
-            m = points + 1 - len(far)
+        for points in (16, cap, cap + 1):
+            m = points - len(far)
             ss = [lo - 0.75 + (hi - lo + 1.0) * i / (m - 1) for i in range(m)] + far
             got = _outcomes(lambda: spec._at_s(n).many(ss))
             assert got == _outcomes(_per_sample, spec, n, ss)
@@ -892,8 +892,15 @@ def test_block_passes_keep_nan_and_infinite_values(monkeypatch):
     widths = _block_widths(monkeypatch)
     got = _outcomes(lambda: spec._at_s(n).many(ss))
     assert got == _outcomes(_per_sample, spec, n, ss)
-    assert widths == [len(ss) - 1]
+    assert widths == [len(ss)]
     assert {"inf", "-inf", "nan"} <= set(got)
+    # a pass whose first value is not finite takes that one as a one-point
+    # call, and the rest from the same block
+    for first in (17.5, 18.5, 360.0):
+        widths.clear()
+        got = _outcomes(lambda: spec._at_s(n).many([first, *ss]))
+        assert got == _outcomes(_per_sample, spec, n, [first, *ss])
+        assert widths == [len(ss) + 1]
 
 
 @pytest.mark.parametrize(

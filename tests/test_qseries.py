@@ -786,6 +786,7 @@ def _holds(ball, value) -> bool:
 
 
 @given(_balls, _balls)
+@example((1, 0, 0), (-(2**129) + 1, 0, 0))  # floored onto -2^128, one bit too wide
 def test_ball_products_and_sums_hold_every_corner(x, y):
     # products and sums of two intervals take their extremes at the corners
     product, total = copz.qseries._times(x, y), copz.qseries._plus(x, y)

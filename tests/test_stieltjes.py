@@ -370,6 +370,19 @@ def test_report_rejects_a_parameter_the_family_cannot_take(param):
         hypothesis_report(zs, param)
 
 
+@pytest.mark.parametrize("param", ["N", "gamma"])
+def test_sweep_rejects_a_parameter_the_family_cannot_take(monkeypatch, param):
+    # N's refinement midpoints leave the integers; the DomainError comes
+    # before any solve, not from make_family at the first midpoint
+    solved = []
+    monkeypatch.setattr(copz.stieltjes, "find_zeros", solved.append)
+    monkeypatch.setattr(copz.stieltjes, "track_zeros", solved.append)
+    problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=10), 3)
+    with pytest.raises(DomainError, match=f"^hahn has no continuous parameter '{param}'$"):
+        monotonicity_verdict(problem, param, (4.0, 60.0), samples=57)
+    assert solved == []
+
+
 def test_report_where_the_table_overflows_at_every_sample():
     # q**(-N) in the q-Hahn A, B overflows at q = 1e-40 whatever s is, so the
     # array passes raise as a whole: every sample is a counterexample, and with

@@ -220,8 +220,9 @@ def test_no_node_zero_beside_a_non_finite_sample(params, n):
 # ---------------------------------------------------------------------------
 
 
-def _per_sample_scan(g, n, lo, hi, step):
-    """zeros._scan with one call of g per sample, not its array pass g.many."""
+def _per_sample_scan(g, n, lo, hi, step, held=None):
+    """zeros._scan with one call of g per sample, not its array pass g.many;
+    it takes no value from held, the previous scan's samples."""
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     vs = [g(s) for s in ss]
@@ -244,7 +245,7 @@ def _per_sample_scan(g, n, lo, hi, step):
     lost = []
     if step == copz.zeros._STEPS[-1] and len(brackets) < n:
         lost = [s for s, v in zip(ss, vs) if not math.isfinite(v)]
-    return brackets, lost
+    return brackets, lost, (np.array(ss), np.array(vs))
 
 
 def _zero_outcome(problem):
@@ -337,8 +338,8 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
     sizes = set()
     for values, step, n in _scan_tables(random.Random(21)):
         g, hi = _table_g(values, step), (len(values) - 1) * step
-        brackets, lost = copz.zeros._scan(g, n, 0.0, hi, step)
-        want, want_lost = _per_sample_scan(g, n, 0.0, hi, step)
+        brackets, lost, _ = copz.zeros._scan(g, n, 0.0, hi, step)
+        want, want_lost, _ = _per_sample_scan(g, n, 0.0, hi, step)
         assert hexed(brackets) == hexed(want), (len(values), step, n)
         assert lost == want_lost and all(type(s) is float for s in lost)
         sizes.add((len(values) >= gate, bool(lost)))
@@ -417,6 +418,113 @@ def test_failed_window_growth_reports_the_scans_it_ran():
     assert diag["count_at_step_0.5"] == 27
     assert diag["count_at_step_0.25"] == 39
     assert "count_at_step_0.125" not in diag
+
+
+def _scans_run(monkeypatch):
+    """Record each scan's samples, as a list, and its bracket count, as the
+    bracket finders see them."""
+    scans = []
+    for name in ("_array_brackets", "_looped_brackets"):
+        finder = getattr(copz.zeros, name)
+
+        def recorded(ss, vs, finder=finder):
+            brackets = finder(ss, vs)
+            scans.append((np.asarray(ss).tolist(), len(brackets)))
+            return brackets
+
+        monkeypatch.setattr(copz.zeros, name, recorded)
+    return scans
+
+
+@pytest.mark.parametrize(
+    "kind, params, n, scans",
+    [
+        ("q_bessel", {"alpha": 1.0, "q": 0.95}, 30,
+         [(64.0 * 2**k, 128 * 2**k + 1, 27) for k in range(7)] + [(4096.0, 16385, 39)]),
+        # zeros_high_degree seed-1 slot 93, with a zero on the window's first
+        # sample: every step-1/2 scan finds 14 of 15 sign changes
+        ("little_q_jacobi",
+         {"alpha": 0.5322822863482816, "beta": 0.5195442457881403, "q": 0.5807318495734701}, 15,
+         [(34.0 * 2**k, 68 * 2**k + 1, 14) for k in range(7)]
+         + [(2176.0, 8705, 14), (2176.0, 17409, 15)]),
+    ],
+    ids=["q-bessel-count-error", "slot-93"],
+)
+def test_window_growth_keeps_its_scans_and_outcome(monkeypatch, kind, params, n, scans):
+    # the two searches that grow their window to the largest and rescan it:
+    # every scan and the whole outcome, error text and diagnostics included
+    problem = ZeroProblem(make_family(kind, params), n)
+    run = _scans_run(monkeypatch)
+    got = _zero_outcome(problem)
+    assert [(ss[-1], len(ss), found) for ss, found in run] == scans
+    if kind == "q_bessel":
+        assert got == (
+            copz.ZeroCountError,
+            "q_bessel: found 39 sign changes, expected 30",
+            {"kind": "q_bessel", "degree": 30, "window": 4096.0,
+             "count_at_step_0.5": 27, "count_at_step_0.25": 39},
+        )
+    else:
+        (case,) = [c for c in ZERO_OUTCOMES if _recorded_problem(c) == problem]
+        fields = ("zeros_s", "zeros_X", "residuals", "bracket_widths")
+        assert got == (problem, [case[f] for f in fields])
+
+
+def test_searches_sum_each_scan_sample_once(monkeypatch):
+    # over the recorded outcomes: the array passes of a search's scans take
+    # each of its distinct samples once, whatever the window growth and
+    # rescans repeat, and a pass whose first value is finite sums every
+    # point in it, with no one-point call
+    passes, singles, refining = [], [], []
+    lattice_atoms, at_s, refine = (
+        copz.families._lattice_atoms, copz.families.FamilySpec._at_s, copz.zeros._refined
+    )
+
+    def counted_atoms(base, exact):
+        p, atoms, array_atoms = lattice_atoms(base, exact)
+        return p, lambda s: singles.append(s) or atoms(s), array_atoms
+
+    def counted_passes(self, n):
+        g = at_s(self, n)
+        many = g.many
+
+        def recorded(ss):
+            before = len(singles)
+            out = many(ss)
+            summed = len(out) > 1 and math.isfinite(out[0])
+            passes.append((np.asarray(ss).tolist(), summed, len(singles) - before, bool(refining)))
+            return out
+
+        g.many = recorded
+        return g
+
+    def refined(*args):
+        refining.append(True)
+        return refine(*args)
+
+    monkeypatch.setattr(copz.families, "_lattice_atoms", counted_atoms)
+    monkeypatch.setattr(copz.families.FamilySpec, "_at_s", counted_passes)
+    monkeypatch.setattr(copz.zeros, "_refined", refined)
+    scans = _scans_run(monkeypatch)
+    rescanned = summed_passes = 0
+    for case in ZERO_OUTCOMES:
+        for record in (passes, scans, refining):
+            record.clear()
+        try:
+            find_zeros(_recorded_problem(case))
+        except copz.CopzError:
+            pass
+        # the passes made before the refinement starts are the scans'
+        scanned = [s for ss, _, _, late in passes if not late for s in ss]
+        samples = {s for ss, _ in scans for s in ss}
+        assert len(scanned) == len(set(scanned)) and set(scanned) == samples, case["kind"]
+        rescanned += len(scans) > 1
+        for _, summed, calls, _ in passes:
+            if summed:
+                summed_passes += 1
+                assert calls == 0, case["kind"]
+    # window growth and rescans, and many passes, are covered
+    assert rescanned >= 10 and summed_passes >= 100
 
 
 def test_short_count_names_the_non_finite_samples():
@@ -512,7 +620,7 @@ def test_refinement_returns_an_exact_hit_with_width_zero():
 def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, params):
     base = make_family(kind, params).resolve_base()
     n = 10
-    brackets, _ = copz.zeros._scan(
+    brackets, _, _ = copz.zeros._scan(
         base._at_s(n), n, base.support_start, base.support_end - 1.0, 0.5
     )
     assert len(brackets) == n
@@ -605,7 +713,7 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, kind, params, n, lockstep):
     problem = ZeroProblem(make_family(kind, params), n)
     base = problem.family.resolve_base()
     for step in copz.zeros._STEPS:  # as find_zeros scans a finite support
-        brackets, _ = copz.zeros._scan(
+        brackets, _, _ = copz.zeros._scan(
             base._at_s(n), n, base.support_start, base.support_end - 1.0, step
         )
         if len(brackets) >= n:
@@ -636,6 +744,5 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, kind, params, n, lockstep):
         assert passes[-1] == n
         # a round runs only while enough brackets are open to fill a pass
         assert min(passes) >= copz.zeros._LOCKSTEP
-        # and each pass is summed as one block, all its points but the first,
-        # which many evaluates as a one-point call
-        assert [w + 1 for w in blocks[-len(passes):]] == passes
+        # and each pass is summed as one block, all its points
+        assert blocks[-len(passes):] == passes
