@@ -632,13 +632,13 @@ def _quantum_qk_claims(p):
 
 
 # ---------------------------------------------------------------------------
-# lattice X = q^s
+# lattice X = q^s; each series takes its argument z = qX as the atom
 # ---------------------------------------------------------------------------
 
 
-def _q_bessel_series(p, n, X):
+def _q_bessel_series(p, n, z):
     al, q = p["alpha"], p["q"]
-    return qhyper_sum((q ** (-n), -al * q**n), (0.0,), q, q * X, n)
+    return qhyper_sum((q ** (-n), -al * q**n), (0.0,), q, z, n)
 
 
 def _q_bessel_ab(p, s):
@@ -646,9 +646,9 @@ def _q_bessel_ab(p, s):
     return q**s - 1.0, al
 
 
-def _little_qj_series(p, n, X):
+def _little_qj_series(p, n, z):
     al, be, q = p["alpha"], p["beta"], p["q"]
-    return qhyper_sum((q ** (-n), al * be * q ** (n + 1)), (al * q,), q, q * X, n)
+    return qhyper_sum((q ** (-n), al * be * q ** (n + 1)), (al * q,), q, z, n)
 
 
 def _q_power_divisor(q, s):
@@ -677,9 +677,9 @@ def _little_qj_claims(p):
     )
 
 
-def _little_ql_series(p, n, X):
+def _little_ql_series(p, n, z):
     al, q = p["alpha"], p["q"]
-    return qhyper_sum((q ** (-n), 0.0), (al * q,), q, q * X, n)
+    return qhyper_sum((q ** (-n), 0.0), (al * q,), q, z, n)
 
 
 def _little_ql_ab(p, s):
@@ -1364,10 +1364,11 @@ def eval_exact_at_support(
 def _lattice_atoms(base: FamilySpec, exact: bool):
     """The series' parameters, and its lattice atoms as a function of s and
     as one of a float array of s, picked once per lattice: s, (a - s,
-    s + a + 1) on the quadratic lattice, q^-s or q^s on the q-linear ones,
-    (q^a q^-s, q^a q^s) on the q-quadratic one.  Exact, the quadratic atoms
-    and parameters are rationals, the atoms from Fraction(s); other lattices
-    keep their float atoms, summed exactly.
+    s + a + 1) on the quadratic lattice, q^-s on the q^-s lattice, q q^s on
+    the q^s one (its series' argument z = qX), (q^a q^-s, q^a q^s) on the
+    q-quadratic one.  Exact, the quadratic atoms and parameters are
+    rationals, the atoms from Fraction(s); other lattices keep their float
+    atoms, summed exactly.
 
     The array atoms are the float atoms elementwise, bit for bit.  numpy's
     power is not Python's to the last bit, so each q-power of an array is
@@ -1393,7 +1394,7 @@ def _lattice_atoms(base: FamilySpec, exact: bool):
     one, array = {
         LINEAR: (lambda s: s, lambda ss: ss),
         Q_EXP_NEG: (lambda s: q**-s, lambda ss: powers(-ss)),
-        Q_EXP: (lambda s: q**s, lambda ss: powers(ss)),
+        Q_EXP: (lambda s: q * q**s, lambda ss: q * powers(ss)),
     }[tag]
     return p, one, array
 
@@ -1401,11 +1402,12 @@ def _lattice_atoms(base: FamilySpec, exact: bool):
 def _support_atoms(base: FamilySpec):
     """The series' parameters, and its lattice atoms at the support point
     s = a + j as exact rationals, as a function of j: j on the linear lattice
-    and q^-j or q^j on the q-linear ones (where a = 0), (-j, 2a + 1 + j) on
-    the quadratic one and (q^-j, (q^a)^2 q^j) on the q-quadratic one.  Near
-    the top of the support the series cancels far below its terms, which any
-    rounding of the atoms would swamp; off the linear lattice the parameters
-    are rationals too, so each family is an exact polynomial model."""
+    and q^-j or q^(j+1) (the argument qX) on the q-linear ones (where a = 0),
+    (-j, 2a + 1 + j) on the quadratic one and (q^-j, (q^a)^2 q^j) on the
+    q-quadratic one.  Near the top of the support the series cancels far
+    below its terms, which any rounding of the atoms would swamp; off the
+    linear lattice the parameters are rationals too, so each family is an
+    exact polynomial model."""
     tag = base.grid.tag
     p = base.params if tag == LINEAR else _rational_params(base)
     q, a = p.get("q"), p.get("a")
@@ -1413,7 +1415,7 @@ def _support_atoms(base: FamilySpec):
         LINEAR: Fraction,
         QUADRATIC: lambda j: (Fraction(-j), 2 * a + 1 + j),
         Q_EXP_NEG: lambda j: q**-j,
-        Q_EXP: lambda j: q**j,
+        Q_EXP: lambda j: q ** (j + 1),
         Q_SYMMETRIC: lambda j: (q**-j, a * a * q**j),
     }[tag]
 

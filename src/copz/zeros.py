@@ -9,19 +9,25 @@ FamilySpec._at_s(n), built once: one-point calls, and its array pass many,
 which gives each value bit for bit.  Each scan evaluates its samples in one
 array pass, all but those it shares with the search's previous scan: the
 rescans at steps 1/4 and 1/8 and each doubled window take those values from
-the scan before.  A scan of _ARRAY_SCAN (85) samples or more, such as those
-of a search at high degree or over a wide window, also finds its node zeros
-and sign changes in a few numpy passes over the samples; a smaller one, such
-as every scan of copz verify at low degree, loops over them, since below
-about 85 samples the loop costs less than the passes' fixed numpy calls.
-Both give the same brackets.  The brackets are then refined by ITP in the s
-variable and mapped to X at the end.  A set of _LOCKSTEP (8) or more
-brackets refines in lockstep: each round moves every open bracket one ITP
-step and evaluates all their trial points in one array pass, which sums the
-float series as one block (see qseries): a pass of 8 points costs about as
-much as 1.5-2 one-point calls at degree 59, 2-3 at degree 30, 4-5 at degree
-16 and 6-8 at degree 8.  Fewer brackets, and those a lockstep set leaves open
-once fewer than 8 remain, refine one value at a time.
+the scan before.  On the q^s lattice of an infinite support, where X = q^s
+tends to 0 and no zero lies near it, a scan stops summing at a tail start s*
+that the search certifies once (_tail_start): past it the series provably
+keeps the sign of P(0), so every scan sums only its samples before s* and
+the first two at or past it, and each bracket, window, count and error is
+the one of a scan to the window's end.  A scan of _ARRAY_SCAN (85) samples
+or more, such as those of a search at high degree or over a wide window,
+also finds its node zeros and sign changes in a few numpy passes over the
+samples; a smaller one, such as every scan of copz verify at low degree,
+loops over them, since below about 85 samples the loop costs less than the
+passes' fixed numpy calls.  Both give the same brackets.  The brackets are
+then refined by ITP in the s variable and mapped to X at the end.  A set of
+_LOCKSTEP (8) or more brackets refines in lockstep: each round moves every
+open bracket one ITP step and evaluates all their trial points in one array
+pass, which sums the float series as one block (see qseries): a pass of 8
+points costs about as much as 1.5-2 one-point calls at degree 59, 2-3 at
+degree 30, 4-5 at degree 16 and 6-8 at degree 8.  Fewer brackets, and those
+a lockstep set leaves open once fewer than 8 remain, refine one value at a
+time.
 
 track_zeros skips the scan where the zeros are nearly known, as along a
 parameter sweep: it brackets each zero inside the cell of its guess and
@@ -38,9 +44,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import EvaluationOverflowError, SingularityError, ZeroCountError
+from .errors import DomainError, EvaluationOverflowError, SingularityError, ZeroCountError
 from .families import ZeroProblem
-from .qseries import exact_summation
+from .grid import Q_EXP
+from .qseries import _EXACT, exact_summation
 
 _STEPS = (0.5, 0.25, 0.125)
 _NODE_TOL = 1e-13
@@ -61,6 +68,12 @@ _LOCKSTEP = 8
 # 11 samples, 88-189 us against 67-168 us at 161, and 0.80-2.05 ms against
 # 0.15-0.92 ms at 2,561
 _ARRAY_SCAN = 85
+# the tail start s* on the q^s lattice: the atom z = q^(s+1) at most
+# _TAIL_REACH / e_1 there, and e_1 read by a complex step h of at most
+# e_1 h = _TAIL_STEP, from a first step of _TAIL_H down to _TAIL_H_MIN
+_TAIL_REACH = 0.125
+_TAIL_STEP = 1e-10
+_TAIL_H, _TAIL_H_MIN = 1e-20, 1e-280
 
 
 @dataclass(frozen=True)
@@ -94,13 +107,20 @@ class ZeroSet:
         return min(b - a for a, b in zip(self.zeros_s, self.zeros_s[1:]))
 
 
-def _scan(g, n: int, lo: float, hi: float, step: float, held=None):
+def _scan(g, n: int, lo: float, hi: float, step: float, held=None, tail=math.inf):
     """Sample g, the degree-n polynomial as a function of s (FamilySpec._at_s),
     on [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples, in
     increasing s; the samples where the float series is NaN or inf when a
     scan at the finest step finds fewer than n brackets (that count is final,
     and no sign change pairs across such a sample), and none for any other
     scan; and the scan's samples and their values, as two arrays.
+
+    tail is the tail start s* of _tail_start: only the samples before it and
+    the first two at or past it are evaluated, and the brackets, the
+    non-finite samples and the samples returned are theirs.  Past s* the
+    float series keeps within e^(1/8) - 1 of P(0), so no sample there is a
+    node zero or pairs a sign change, and the first two settle the brackets
+    of the samples before: the full scan's brackets, bit for bit.
 
     held is the samples and values of the search's previous scan, or None.
     A sample equal as a float to a held one takes its value, since g is a
@@ -120,6 +140,7 @@ def _scan(g, n: int, lo: float, hi: float, step: float, held=None):
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = lo + (hi - lo) * np.arange(count) / (count - 1)
+    ss = ss[: np.searchsorted(ss, tail) + 2]
     if held is None:
         vs = g.many(ss)
     else:
@@ -130,7 +151,7 @@ def _scan(g, n: int, lo: float, hi: float, step: float, held=None):
         vs, new = hv[at], hs[at] != ss
         if new.any():
             vs[new] = g.many(ss[new])
-    if count >= _ARRAY_SCAN:
+    if len(ss) >= _ARRAY_SCAN:
         brackets = _array_brackets(ss, vs)
     else:
         brackets = _looped_brackets(ss.tolist(), vs.tolist())
@@ -242,6 +263,49 @@ def _drive(steps, g, gx=None) -> tuple[float, float]:
         return stop.value
 
 
+def _tail_start(base, n: int) -> float:
+    """The tail start s* of a degree-n search on the q^s lattice, from which
+    the series keeps the sign of P(0): math.inf, no cut, on other lattices,
+    under exact summation, and where s* is not certified.
+
+    A positive measure on {q^k} puts all n zeros z_i of P, as a polynomial
+    in its atom z = q^(s+1), in (0, q).  So the power series of P/P(0) in z
+    alternates, its k-th coefficient e_k(1/z_i) at most e_1^k / k!
+    (Maclaurin), with e_1 = sum 1/z_i = -P'(0)/P(0); and for z at most
+    _TAIL_REACH / e_1 = 1/(8 e_1), |P(z)/P(0) - 1| <= e^(1/8) - 1 < 0.134.
+    Such a sample is no node zero, its neighbours in the tail within a ratio
+    of 0.76, and no two of them pair a sign change.
+
+    e_1 is read by a complex step, P(ih)/P(0) = 1 - i e_1 h + O((e_1 h)^2),
+    as the base's series takes a complex atom.  h shrinks from _TAIL_H until
+    the step moves P by at most _TAIL_STEP relative, which bounds e_1 h
+    (e_1 grows like q^-n, so no fixed step serves small q).  No cut is made
+    where _of_atoms raises, P(0) or e_1 is not finite, e_1 < n, which the
+    zeros' place forbids, or h would fall below _TAIL_H_MIN.
+    """
+    if base.grid.tag != Q_EXP or _EXACT.get():
+        return math.inf
+    try:
+        value, p = base._of_atoms(n), base.params
+        p0, h = value(p, 0.0), _TAIL_H
+        while math.isfinite(p0) and p0 != 0.0 and h >= _TAIL_H_MIN:
+            w = value(p, h * 1j) / p0
+            # |w - 1| bounds e_1 h: it is at least sin(arctan(e_1 h)) while
+            # the phase sum of arctan(h / z_i) stays below pi / 2, and a phase
+            # wound past 2 pi would take |w| past 1.9 at n <= 30
+            moved = abs(w - 1.0)
+            if moved <= _TAIL_STEP:
+                e1 = -w.imag / (h * w.real)
+                if not n <= e1 < math.inf:
+                    break
+                return math.log(e1 / _TAIL_REACH) / -math.log(base.grid.q) - 1.0
+            shrink = 0.5 * _TAIL_STEP / moved  # NaN or 0.0 past the float range
+            h *= shrink if shrink > 1e-30 else 1e-30
+    except (DomainError, ArithmeticError):
+        pass
+    return math.inf
+
+
 def find_zeros(problem: ZeroProblem) -> ZeroSet:
     """Locate all ``problem.degree`` zeros of the polynomial.
 
@@ -255,10 +319,16 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     step scanned when the count is not n; when it is short and the last scan
     met NaN or inf values of the float series, the error also gives how many
     and the first such s.
+
+    On the q^s lattice the tail start s* is computed once per search
+    (_tail_start), and each scan sums its samples up to the first two at or
+    past it: the windows, rescans, counts and errors are those of scans to
+    each window's end.
     """
     fam = problem.family
     n = problem.degree
-    g = fam.resolve_base()._at_s(n)
+    base = fam.resolve_base()
+    g, tail = base._at_s(n), _tail_start(base, n)
     a = fam.support_start
     # a finite window never grows: doubling would leave the support, and a
     # window that collapses in float (a + N - 1 == a) would double to itself
@@ -268,7 +338,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
     held = None
     while True:
-        brackets, lost, held = _scan(g, n, a, hi, _STEPS[0], held)
+        brackets, lost, held = _scan(g, n, a, hi, _STEPS[0], held, tail)
         found, wider = len(brackets), a + 2.0 * (hi - a)
         if fam.is_finite or wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
             break
@@ -279,7 +349,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         # finer sampling can only reveal missed pairs, never remove changes
         if len(brackets) >= n:
             break
-        brackets, lost, held = _scan(g, n, a, hi, step, held)
+        brackets, lost, held = _scan(g, n, a, hi, step, held, tail)
         diagnostics[f"count_at_step_{step}"] = len(brackets)
     if len(brackets) != n:
         message = f"{fam.kind}: found {len(brackets)} sign changes, expected {n}"

@@ -772,7 +772,7 @@ _ATOMS_AT_S = {
     "linear": lambda p, q, s: s,
     "quadratic": lambda p, q, s: (p["a"] - s, s + p["a"] + 1.0),
     "q_exp_neg": lambda p, q, s: q ** (-s),
-    "q_exp": lambda p, q, s: q**s,
+    "q_exp": lambda p, q, s: q * q**s,
     "q_symmetric": lambda p, q, s: (q ** p["a"] * q ** (-s), q ** p["a"] * q**s),
 }
 

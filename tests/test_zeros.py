@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copz.cli
 import copz.qseries
@@ -220,9 +222,10 @@ def test_no_node_zero_beside_a_non_finite_sample(params, n):
 # ---------------------------------------------------------------------------
 
 
-def _per_sample_scan(g, n, lo, hi, step, held=None):
+def _per_sample_scan(g, n, lo, hi, step, held=None, tail=None):
     """zeros._scan with one call of g per sample, not its array pass g.many;
-    it takes no value from held, the previous scan's samples."""
+    it takes no value from held, the previous scan's samples, and scans past
+    tail, the tail start, to the window's end."""
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     vs = [g(s) for s in ss]
@@ -344,14 +347,22 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
         assert lost == want_lost and all(type(s) is float for s in lost)
         sizes.add((len(values) >= gate, bool(lost)))
     assert sizes == {(False, False), (False, True), (True, False), (True, True)}
-    # then whole searches, whose scans take both paths
-    paths = set()
+    # then whole searches, whose scans take both paths, and on the q^s
+    # lattice stop at the tail start, where the per-sample scan does not
+    paths, cut, scan = set(), [], copz.zeros._scan
     for name in ("_array_brackets", "_looped_brackets"):
-        scan = getattr(copz.zeros, name)
-        monkeypatch.setattr(copz.zeros, name, lambda *a, n=name, f=scan: paths.add(n) or f(*a))
+        finder = getattr(copz.zeros, name)
+        monkeypatch.setattr(copz.zeros, name, lambda *a, n=name, f=finder: paths.add(n) or f(*a))
+
+    def recorded(g, n, lo, hi, step, held, tail):
+        out = scan(g, n, lo, hi, step, held, tail)
+        cut.append(out[2][0][-1] < hi)
+        return out
+
+    monkeypatch.setattr(copz.zeros, "_scan", recorded)
     problems = _oracle_problems()
     got = [_zero_outcome(p) for p in problems]
-    assert paths == {"_array_brackets", "_looped_brackets"}
+    assert paths == {"_array_brackets", "_looped_brackets"} and sum(cut) >= 5
     monkeypatch.setattr(copz.zeros, "_scan", _per_sample_scan)
     want = [_zero_outcome(p) for p in problems]
     for problem, g, w in zip(problems, got, want):
@@ -390,6 +401,50 @@ def test_find_zeros_matches_recorded_outcomes(case):
         return
     assert "raises" not in case
     assert {f: [v.hex() for v in getattr(zs, f)] for f in fields} == {f: case[f] for f in fields}
+
+
+#: every q^s-lattice case of the zeros_high_degree benchmark: slots 13 and
+#: 90-99, which keep their centres, so the same cases at seeds 1-5.  Recorded
+#: while each scan still summed every sample up to its window's end
+Q_EXP_OUTCOMES = json.loads((Path(__file__).parent / "data" / "q_exp_outcomes.json").read_text())
+
+
+@pytest.mark.parametrize("case", Q_EXP_OUTCOMES, ids=[f"slot-{c['slot']}" for c in Q_EXP_OUTCOMES])
+def test_q_exp_searches_match_recorded_outcomes(case):
+    # the zeros by their bits, or the error's type, text and diagnostics
+    recorded = {k: v for k, v in case.items() if k not in ("slot", "kind", "params", "n")}
+    try:
+        zs = find_zeros(_recorded_problem(case))
+    except copz.CopzError as exc:
+        got = {"raises": type(exc).__name__, "message": str(exc),
+               "diagnostics": getattr(exc, "diagnostics", None)}
+    else:
+        got = {f: [v.hex() for v in getattr(zs, f)] for f in recorded}
+    assert got == recorded
+
+
+def test_q_exp_searches_stop_summing_at_the_tail(monkeypatch):
+    # seed-1 slots 13, 93, 95 and 96 grow their windows to the largest and
+    # rescan them; summed to the window's end, their scans took 54,788
+    # distinct samples
+    scan, samples = copz.zeros._scan, set()
+
+    def recorded(*args):
+        out = scan(*args)
+        samples.update(out[2][0].tolist())
+        return out
+
+    monkeypatch.setattr(copz.zeros, "_scan", recorded)
+    total = 0
+    for case in Q_EXP_OUTCOMES:
+        if case["slot"] in (13, 93, 95, 96):
+            samples.clear()
+            try:
+                find_zeros(_recorded_problem(case))
+            except copz.ZeroCountError:
+                pass
+            total += len(samples)
+    assert total <= 1000
 
 
 def test_verify_scans_take_the_loop(monkeypatch, capsys):
@@ -439,24 +494,36 @@ def _scans_run(monkeypatch):
 @pytest.mark.parametrize(
     "kind, params, n, scans",
     [
+        # the tail start is s* = 127.02
         ("q_bessel", {"alpha": 1.0, "q": 0.95}, 30,
-         [(64.0 * 2**k, 128 * 2**k + 1, 27) for k in range(7)] + [(4096.0, 16385, 39)]),
+         [(64.0, 0.5, 129, 27)] + [(64.0 * 2**k, 0.5, 257, 27) for k in range(1, 7)]
+         + [(4096.0, 0.25, 511, 39)]),
         # zeros_high_degree seed-1 slot 93, with a zero on the window's first
-        # sample: every step-1/2 scan finds 14 of 15 sign changes
+        # sample: every step-1/2 scan finds 14 of 15 sign changes; s* = 20.11
         ("little_q_jacobi",
          {"alpha": 0.5322822863482816, "beta": 0.5195442457881403, "q": 0.5807318495734701}, 15,
-         [(34.0 * 2**k, 68 * 2**k + 1, 14) for k in range(7)]
-         + [(2176.0, 8705, 14), (2176.0, 17409, 15)]),
+         [(34.0 * 2**k, 0.5, 43, 14) for k in range(7)]
+         + [(2176.0, 0.25, 83, 14), (2176.0, 0.125, 163, 15)]),
     ],
     ids=["q-bessel-count-error", "slot-93"],
 )
 def test_window_growth_keeps_its_scans_and_outcome(monkeypatch, kind, params, n, scans):
     # the two searches that grow their window to the largest and rescan it:
-    # every scan and the whole outcome, error text and diagnostics included
+    # every scan's window end, step and bracket count, the samples it sums up
+    # to the first two past the tail start, and the whole outcome, error text
+    # and diagnostics included.  Each window end and bracket count is the one
+    # a scan to the window's end gave
     problem = ZeroProblem(make_family(kind, params), n)
-    run = _scans_run(monkeypatch)
+    scan, run = copz.zeros._scan, []
+
+    def recorded(g, n, lo, hi, step, held, tail):
+        out = scan(g, n, lo, hi, step, held, tail)
+        run.append((hi, step, len(out[2][0]), len(out[0])))
+        return out
+
+    monkeypatch.setattr(copz.zeros, "_scan", recorded)
     got = _zero_outcome(problem)
-    assert [(ss[-1], len(ss), found) for ss, found in run] == scans
+    assert run == scans
     if kind == "q_bessel":
         assert got == (
             copz.ZeroCountError,
@@ -566,6 +633,54 @@ def test_collapsed_finite_window_is_scanned_once(monkeypatch, kind, params):
     with pytest.raises(copz.ZeroCountError, match=f"^{kind}: found 0 sign changes, expected 2$"):
         find_zeros(ZeroProblem(spec, 2))
     assert len(calls) == len(copz.zeros._STEPS)
+
+
+# ---------------------------------------------------------------------------
+# the tail start on the q^s lattice
+# ---------------------------------------------------------------------------
+
+#: each q^s-lattice kind's parameters, inside its domain, from two draws u, v
+#: in (0, 1) and the base q
+_Q_EXP_PARAMS = {
+    "q_bessel": lambda u, v, q: {"alpha": 0.2 + 2.8 * u},
+    "little_q_jacobi": lambda u, v, q: {"alpha": u / q, "beta": -1.5 + v * (1.5 + 1.0 / q)},
+    "little_q_laguerre": lambda u, v, q: {"alpha": u / q},
+    "big_q_jacobi_special": lambda u, v, q: {"alpha": u / q, "beta": v / q},
+    "q_laguerre": lambda u, v, q: {"alpha": -1.0 + 2.5 * u},
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_Q_EXP_PARAMS)),
+    q=st.floats(math.log(1e-3), math.log(0.99)).map(math.exp),
+    n=st.integers(1, 30),
+    u=st.floats(0.01, 0.99),
+    v=st.floats(0.01, 0.99),
+)
+def test_values_past_the_tail_start_keep_to_the_value_at_zero(kind, q, n, u, v):
+    # at and past s*, the float and exact values lie within e^(1/8) - 1 of
+    # P(0), relatively: so no sample there is a node zero or pairs a sign
+    # change, and a scan may stop summing at s*
+    base = make_family(kind, dict(_Q_EXP_PARAMS[kind](u, v, q), q=q)).resolve_base()
+    tail = copz.zeros._tail_start(base, n)
+    if tail == math.inf:
+        return
+    p0, g = base._of_atoms(n)(base.params, 0.0), base._at_s(n)
+    for s in (tail, tail + 0.5, tail + 3.0, tail + 50.0):
+        with exact_summation():
+            exact = base.eval_at_s(n, s)
+        for value in (g(s), exact):
+            assert abs(value / p0 - 1.0) <= math.exp(0.125) - 1.0, (s, value, p0)
+
+
+@pytest.mark.parametrize("kind", sorted(_Q_EXP_PARAMS))
+def test_no_tail_start_where_the_complex_step_cannot_resolve(kind):
+    # at q = 1e-12 and n = 30, e_1 grows like q^-n past the float range, and
+    # the step would fall below 1e-280: the scans sum every sample
+    base = make_family(kind, dict(_Q_EXP_PARAMS[kind](0.5, 0.5, 1e-12), q=1e-12)).resolve_base()
+    assert copz.zeros._tail_start(base, 30) == math.inf
+    assert copz.zeros._tail_start(base, 1) < math.inf
 
 
 # ---------------------------------------------------------------------------
