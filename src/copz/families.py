@@ -47,7 +47,6 @@ from .grid import LINEAR, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC, QUADRATIC, Grid
 from .qseries import (
     _EXACT,
     _PointOverflow,
-    _array_pass,
     _support_pass,
     binom2,
     exact_summation,
@@ -156,7 +155,8 @@ class FamilySpec:
         Its attribute many(ss) is the array pass: the values at all of ss, a
         float array or sequence, as an array, from one pass of the float
         series over the lattice atoms of the whole array, each the one-point
-        call's bit for bit.  It raises the error the per-sample loop meets
+        call's bit for bit; the series picks how it sums from those arrays
+        (see qseries).  It raises the error the per-sample loop meets
         first: an overflow of the first sample's lattice atoms, then the
         degree, prefactor and series errors, which no later sample escapes;
         then the first overflow of the atoms at a later sample.  Each of
@@ -185,7 +185,7 @@ class FamilySpec:
             out = np.empty(len(ss))
             try:
                 # a degree-0 value is one float for all the points
-                with np.errstate(all="ignore"), _array_pass(len(ss)):
+                with np.errstate(all="ignore"):
                     out[:] = value(p, array_atoms(ss))
             except (DomainError, ArithmeticError):
                 at_s(float(ss[0]))

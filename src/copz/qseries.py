@@ -10,14 +10,14 @@ over k = 0..n only; the caller supplies the termination degree n.
 On the float path the numerator parameters and the argument may be numpy
 arrays, one entry per sample, and each sample's sum is the one a scalar call
 gives, bit for bit; the denominator parameters stay scalar.  The sums loop
-over the terms, each step a few numpy calls over the samples.  Inside an
-array pass (_array_pass) of degree 8 or more over at most 256 samples,
-where numpy's per-call cost dominates, the loop runs as one (terms x
-points) block instead: the term ratios of all k from one elementwise op
-per parameter, in the loop's order, then the terms, the running totals and
-their TwoSum errors each from one accumulate along the term axis.
-Accumulate is sequential and each op is the one the loop makes, so each
-value is the loop's bit for bit.
+over the terms, each step a few numpy calls over the samples.  A call whose
+arrays hold at most 256 samples, at degree 8 or more, where numpy's
+per-call cost dominates, runs the loop as one (terms x points) block
+instead: the term ratios of all k from one elementwise op per parameter, in
+the loop's order, then the terms, the running totals and their TwoSum
+errors each from one accumulate along the term axis.  Accumulate is
+sequential and each op is the one the loop makes, so each value is the
+loop's bit for bit.
 
 The exact path takes per-point sequences of exact atoms in the same places
 and returns the list of the points' sums, each the one-point call's bit for
@@ -71,11 +71,7 @@ def exact_summation():
         _EXACT.reset(token)
 
 
-# the points of the array pass in progress, every sample of the pass counted,
-# 0 outside one: FamilySpec._at_s(n).many sets it around its call of the
-# series (_array_pass)
-_POINTS = contextvars.ContextVar("copz_series_points", default=0)
-# the float sums of an array pass of degree _BLOCK_DEGREE or more over at most
+# the float sums of degree _BLOCK_DEGREE or more over arrays of at most
 # _BLOCK_POINTS points run as one block (_block_sum).  Measured on a 2-vCPU
 # x86-64 host, the block pass beats the per-term loop from degree 8 up to
 # about 300 points: 1.1-2.2x at 16-192 points and 1.0-1.5x at 256, where its
@@ -85,19 +81,13 @@ _BLOCK_DEGREE = 8
 _BLOCK_POINTS = 256
 
 
-class _array_pass:
-    """Mark the float sums inside as one array pass over this many points."""
-
-    __slots__ = ("points", "token")
-
-    def __init__(self, points: int):
-        self.points = points
-
-    def __enter__(self):
-        self.token = _POINTS.set(self.points)
-
-    def __exit__(self, *exc):
-        _POINTS.reset(self.token)
+def _points(z, num) -> int:
+    """The points of a float sum: the length of its ndarray atoms, z or a
+    numerator parameter, and 0 where they are plain floats or complex."""
+    for x in (z, *num):
+        if isinstance(x, np.ndarray):
+            return len(x)
+    return 0
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -464,7 +454,7 @@ def hyper_sum(num, den, z: float, n: int) -> float:
     """Terminating ordinary series iFj(num; den; z), summed over k = 0..n."""
     if _EXACT.get():
         return _hyper_sum_exact(num, den, z, n)
-    if n >= _BLOCK_DEGREE and 0 < _POINTS.get() <= _BLOCK_POINTS:
+    if n >= _BLOCK_DEGREE and 0 < _points(z, num) <= _BLOCK_POINTS:
         block = _hyper_block(num, den, z, n)
         if block is not None:
             return block
@@ -559,7 +549,7 @@ def qhyper_sum(num, den, q: float, z: float, n: int) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
     excess = 1 + len(den) - len(num)
-    if n >= _BLOCK_DEGREE and 0 < _POINTS.get() <= _BLOCK_POINTS:
+    if n >= _BLOCK_DEGREE and 0 < _points(z, num) <= _BLOCK_POINTS:
         block = _qhyper_block(num, den, q, z, n, excess)
         if block is not None:
             return block

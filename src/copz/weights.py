@@ -8,7 +8,7 @@ normalized to w(a) = 1 and accumulated in log space.  Sums use the positively
 oriented measure w(s) |dx(s-1/2)| so that norms stay positive on decreasing
 lattices.  A non-positive ratio signals an inconsistent coefficient table; by
 default it raises, and with ``allow_sign_flip`` the table is built from the
-absolute ratios and prominently flagged.
+absolute ratios, for a caller that has already flagged the table.
 
 Orthogonality sums take the polynomial values from the exact lattice path,
 ``eval_exact_at_support``, in one batched call over the table's points: float
@@ -43,8 +43,6 @@ class WeightTable:
     log_values: tuple[float, ...]
     log_measures: tuple[float, ...]  # log w(s) + log|dx(s-1/2)|, the measure sums use
     truncation_bound: float
-    sign_flipped: bool
-    flipped_at: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.log_values)
@@ -93,7 +91,7 @@ def weight_table(
     a = family.support_start
     margin = 2 * max(1, degree_hint)
     stop = int(round(family.support_end - a)) - 1 if family.is_finite else None
-    logs, log_measures, flipped_at = [], [], []
+    logs, log_measures = [], []
     mass_partial = Neumaier()
     heavy_max = prev_heavy = -math.inf
     log_w = 0.0
@@ -104,7 +102,6 @@ def weight_table(
             if r <= 0.0 or math.isinf(r):
                 if not allow_sign_flip or r == 0.0 or math.isinf(r):
                     raise WeightPositivityError(s, r)
-                flipped_at.append(s)
                 r = -r
             log_w += math.log(r)
             if log_w > 600.0:
@@ -133,10 +130,7 @@ def weight_table(
                         stop = k + margin
         if k == stop:
             bound = 0.0 if family.is_finite else _mass_tail(logmu, rh) / mass_partial.value
-            flips = tuple(flipped_at)
-            return WeightTable(
-                family, a, tuple(logs), tuple(log_measures), bound, bool(flips), flips
-            )
+            return WeightTable(family, a, tuple(logs), tuple(log_measures), bound)
     raise TruncationError(
         f"{family.kind}: weight table exceeded {_MAX_POINTS} points without meeting its tail bound"
     )

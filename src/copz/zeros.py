@@ -14,20 +14,19 @@ tends to 0 and no zero lies near it, a scan stops summing at a tail start s*
 that the search certifies once (_tail_start): past it the series provably
 keeps the sign of P(0), so every scan sums only its samples before s* and
 the first two at or past it, and each bracket, window, count and error is
-the one of a scan to the window's end.  A scan of _ARRAY_SCAN (85) samples
-or more, such as those of a search at high degree or over a wide window,
-also finds its node zeros and sign changes in a few numpy passes over the
+the one of a scan to the window's end.  A scan of _ARRAY_SCAN samples or
+more, such as those of a search at high degree or over a wide window, also
+finds its node zeros and sign changes in a few numpy passes over the
 samples; a smaller one, such as every scan of copz verify at low degree,
-loops over them, since below about 85 samples the loop costs less than the
-passes' fixed numpy calls.  Both give the same brackets.  The brackets are
-then refined by ITP in the s variable and mapped to X at the end.  A set of
-_LOCKSTEP (8) or more brackets refines in lockstep: each round moves every
-open bracket one ITP step and evaluates all their trial points in one array
-pass, which sums the float series as one block (see qseries): a pass of 8
-points costs about as much as 1.5-2 one-point calls at degree 59, 2-3 at
-degree 30, 4-5 at degree 16 and 6-8 at degree 8.  Fewer brackets, and those
-a lockstep set leaves open once fewer than 8 remain, refine one value at a
-time.
+loops over them, where the loop costs less than the passes' fixed numpy
+calls (the figures are at _ARRAY_SCAN).  Both give the same brackets.  The
+brackets are then refined by ITP in the s variable and mapped to X at the
+end.  A set of _LOCKSTEP or more brackets refines in lockstep: each round
+moves every open bracket one ITP step and evaluates all their trial points
+in one array pass, whose arrays the float series sums as one block (see
+qseries; the pass costs are at _LOCKSTEP).  Fewer brackets, and those a
+lockstep set leaves open once fewer than _LOCKSTEP remain, refine one value
+at a time.
 
 track_zeros skips the scan where the zeros are nearly known, as along a
 parameter sweep: it brackets each zero inside the cell of its guess and
@@ -107,31 +106,29 @@ class ZeroSet:
         return min(b - a for a, b in zip(self.zeros_s, self.zeros_s[1:]))
 
 
-def _scan(g, n: int, lo: float, hi: float, step: float, held=None, tail=math.inf):
-    """Sample g, the degree-n polynomial as a function of s (FamilySpec._at_s),
-    on [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples, in
-    increasing s; the samples where the float series is NaN or inf when a
-    scan at the finest step finds fewer than n brackets (that count is final,
-    and no sign change pairs across such a sample), and none for any other
-    scan; and the scan's samples and their values, as two arrays.
+def _scan(g, lo: float, hi: float, step: float, held=None, tail=math.inf):
+    """Sample g, a polynomial as a function of s (FamilySpec._at_s), on
+    [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples, in
+    increasing s, and the scan's samples and their values, as two arrays.
 
     tail is the tail start s* of _tail_start: only the samples before it and
-    the first two at or past it are evaluated, and the brackets, the
-    non-finite samples and the samples returned are theirs.  Past s* the
-    float series keeps within e^(1/8) - 1 of P(0), so no sample there is a
-    node zero or pairs a sign change, and the first two settle the brackets
-    of the samples before: the full scan's brackets, bit for bit.
+    the first two at or past it are evaluated, and the brackets and the
+    samples returned are theirs.  Past s* the float series keeps within
+    e^(1/8) - 1 of P(0), so no sample there is a node zero or pairs a sign
+    change, and the first two settle the brackets of the samples before: the
+    full scan's brackets, bit for bit.
 
     held is the samples and values of the search's previous scan, or None.
     A sample equal as a float to a held one takes its value, since g is a
     function of s alone; the others are evaluated together, in one array
-    pass of the float series (g.many).  Held samples never raised, so an
-    error names the first failing sample in grid order, as a pass over every
-    sample would.  A sample within the node tolerance of zero (relative to its
-    neighbors) counts as a width-zero bracket; its gl and gr carry the
-    neighbors' magnitude, the local scale its residual is measured against.
-    A NaN or inf neighbor is no scale and counts as 0.0, as past the window's
-    ends.  No sign change is paired across such a zero.
+    pass of the float series (g.many), which picks its summation from the
+    pass's arrays.  Held samples never raised, so an error names the first
+    failing sample in grid order, as a pass over every sample would.  A
+    sample within the node tolerance of zero (relative to its neighbors)
+    counts as a width-zero bracket; its gl and gr carry the neighbors'
+    magnitude, the local scale its residual is measured against.  A NaN or
+    inf neighbor is no scale and counts as 0.0, as past the window's ends.
+    No sign change is paired across such a zero.
 
     A scan of _ARRAY_SCAN samples or more finds its node zeros and sign
     changes in a few array passes (_array_brackets); a smaller one visits
@@ -155,10 +152,7 @@ def _scan(g, n: int, lo: float, hi: float, step: float, held=None, tail=math.inf
         brackets = _array_brackets(ss, vs)
     else:
         brackets = _looped_brackets(ss.tolist(), vs.tolist())
-    lost = []
-    if step == _STEPS[-1] and len(brackets) < n:
-        lost = ss[~np.isfinite(vs)].tolist()
-    return brackets, lost, (ss, vs)
+    return brackets, (ss, vs)
 
 
 def _looped_brackets(ss: list, vs: list) -> list:
@@ -338,7 +332,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
     held = None
     while True:
-        brackets, lost, held = _scan(g, n, a, hi, _STEPS[0], held, tail)
+        brackets, held = _scan(g, a, hi, _STEPS[0], held, tail)
         found, wider = len(brackets), a + 2.0 * (hi - a)
         if fam.is_finite or wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
             break
@@ -349,10 +343,13 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
         # finer sampling can only reveal missed pairs, never remove changes
         if len(brackets) >= n:
             break
-        brackets, lost, held = _scan(g, n, a, hi, step, held, tail)
+        brackets, held = _scan(g, a, hi, step, held, tail)
         diagnostics[f"count_at_step_{step}"] = len(brackets)
     if len(brackets) != n:
         message = f"{fam.kind}: found {len(brackets)} sign changes, expected {n}"
+        # a short count is the step-1/8 scan's, and no pair crosses its NaN or inf
+        ss, vs = held
+        lost = ss[~np.isfinite(vs)].tolist() if len(brackets) < n else []
         if lost:
             diagnostics["nonfinite_samples"] = len(lost)
             diagnostics["first_nonfinite_s"] = lost[0]

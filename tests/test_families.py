@@ -904,6 +904,43 @@ def test_block_passes_keep_nan_and_infinite_values(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "series, num, den, base",
+    [
+        (copz.qseries.hyper_sum, (2.5, 0.3), (1.5, -59.0), ()),
+        (copz.qseries.qhyper_sum, (0.45, 0.3), (0.5, 0.7**-60), (0.7,)),
+    ],
+    ids=["hyper", "q"],
+)
+def test_a_call_on_arrays_takes_the_block_from_its_own_arguments(
+    monkeypatch, series, num, den, base
+):
+    # the block opens exactly for ndarray atoms, the argument z or a numerator
+    # parameter, of 1 to _BLOCK_POINTS points at degree _BLOCK_DEGREE or more,
+    # and gives the values of one scalar call per point
+    floor, cap = copz.qseries._BLOCK_DEGREE, copz.qseries._BLOCK_POINTS
+    widths = _block_widths(monkeypatch)
+    for n in (floor - 1, floor, 30):
+        marker = base[0] ** -n if base else -float(n)
+        for points in (1, 2, cap, cap + 1):
+            xs = np.linspace(-0.9, 0.9, points)
+            for call in (
+                lambda x: series((marker, x, num[1]), den, *base, 0.5, n),
+                lambda x: series((marker, *num), den, *base, x, n),
+            ):
+                block = [points] if n >= floor and points <= cap else []
+                widths.clear()
+                got = call(xs)
+                assert widths == block, (n, points)
+                want = [call(x) for x in xs.tolist()]  # scalar calls open no block
+                assert widths == block
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        # nor does a complex scalar, the atom of the tail start's complex step
+        widths.clear()
+        assert isinstance(series((marker, *num), den, *base, 1e-20j, n), complex)
+        assert widths == []
+
+
+@pytest.mark.parametrize(
     "series, args",
     [
         # b + k = 0 at k = 3, after three finite terms
@@ -916,15 +953,17 @@ def test_block_passes_keep_nan_and_infinite_values(monkeypatch):
     ids=["hyper-denominator", "q-denominator", "q-power"],
 )
 def test_block_pass_raises_the_loops_error(monkeypatch, series, args):
-    # the block gives way to the loop, which raises as it does outside a pass
+    # a call of degree 9 over 17 points opens the block, which gives way to
+    # the loop, which raises as it does where no block opens
     xs = np.linspace(-2.0, 2.0, 17)
     num, *rest = args
     args = (tuple(xs if a == "X" else a for a in num), *rest)
     widths = _block_widths(monkeypatch)
     with np.errstate(all="ignore"):
-        with pytest.raises(ArithmeticError) as loop:
+        with pytest.raises(ArithmeticError) as block:
             series(*args)
-        with copz.qseries._array_pass(len(xs)), pytest.raises(ArithmeticError) as block:
+        monkeypatch.setattr(copz.qseries, "_BLOCK_POINTS", 0)
+        with pytest.raises(ArithmeticError) as loop:
             series(*args)
     assert (type(block.value), str(block.value)) == (type(loop.value), str(loop.value))
     assert widths == []

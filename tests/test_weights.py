@@ -74,7 +74,6 @@ def test_weight_table_positive_everywhere():
         spec = make_family(kind, sample_params(kind, rng))
         table = weight_table(spec)
         assert all(math.isfinite(lv) for lv in table.log_values)
-        assert not table.sign_flipped
         if not spec.resolve_base().is_finite:
             assert table.truncation_bound <= 1e-14
 
@@ -211,7 +210,6 @@ def test_inconsistent_tables_flag():
     # the neighboring two-parameter family on the same lattice is consistent
     lqj = make_family("little_q_jacobi", alpha=1.2, beta=0.8, q=0.5)
     table = weight_table(lqj)
-    assert not table.sign_flipped
     assert gram_offdiag_max(lqj, 5, table) < 1e-8
 
 

@@ -222,7 +222,7 @@ def test_no_node_zero_beside_a_non_finite_sample(params, n):
 # ---------------------------------------------------------------------------
 
 
-def _per_sample_scan(g, n, lo, hi, step, held=None, tail=None):
+def _per_sample_scan(g, lo, hi, step, held=None, tail=None):
     """zeros._scan with one call of g per sample, not its array pass g.many;
     it takes no value from held, the previous scan's samples, and scans past
     tail, the tail start, to the window's end."""
@@ -245,10 +245,7 @@ def _per_sample_scan(g, n, lo, hi, step, held=None, tail=None):
             ):
                 brackets.append((ss[prev_i], ss[i], vs[prev_i], v))
         prev_i = i
-    lost = []
-    if step == copz.zeros._STEPS[-1] and len(brackets) < n:
-        lost = [s for s, v in zip(ss, vs) if not math.isfinite(v)]
-    return brackets, lost, (np.array(ss), np.array(vs))
+    return brackets, (np.array(ss), np.array(vs))
 
 
 def _zero_outcome(problem):
@@ -305,32 +302,37 @@ def _table_g(values, step):
 
 
 def _scan_tables(rng):
-    """(values, step, n): float series values a scan may meet, on scans below,
-    at and above _ARRAY_SCAN samples.  Each table draws sign changes, NaN,
-    +-inf, zeros of either sign, values within the node tolerance of their
-    neighbours or exactly at it, and products that underflow or overflow;
-    node zeros sit on both ends of the window and beside an inf.  A step-1/8
-    scan that finds fewer than n brackets also gives its non-finite samples."""
+    """(values, step): float series values a scan may meet, on scans below,
+    at and above _ARRAY_SCAN samples.  Each table draws sign changes, zeros
+    of either sign, values within the node tolerance of their neighbours or
+    exactly at it, and products that underflow or overflow; node zeros sit
+    on both ends of the window.  Three tables of each size also draw NaN and
+    +-inf and set node zeros beside an inf; a fourth holds finite values."""
     gate = copz.zeros._ARRAY_SCAN
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 1e-200, -1e-200,
                1e200, -1e200, 3e-14, -3e-14, 5e-324]
+    finite = [v for v in special if math.isfinite(v)]
+    counts = (11, gate - 1, gate, gate + 1, 3 * gate + 7)
     tables = []
-    for count in (11, gate - 1, gate, gate + 1, 3 * gate + 7):
-        for step, n in ((0.5, 0), (0.125, 0), (0.125, count)):
-            values = [
-                rng.choice(special) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
-                for _ in range(count)
-            ]
-            values[:3] = [0.0, 1.0, -1.0]  # a node zero on the window's first sample
-            values[-3:] = [-1.0, 1e-20, 1.0]  # and within the tolerance on its last
+    for count, step, drawn in [
+        *((c, s, special) for c in counts for s in (0.5, 0.125, 0.125)),
+        *((c, 0.125, finite) for c in counts),
+    ]:
+        values = [
+            rng.choice(drawn) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+            for _ in range(count)
+        ]
+        values[:3] = [0.0, 1.0, -1.0]  # a node zero on the window's first sample
+        values[-3:] = [-1.0, 1e-20, 1.0]  # and within the tolerance on its last
+        if drawn is special:
             # node zeros beside an inf: exactly zero, and small beside a finite neighbour
             values[4:8] = [-1.0, 0.0, math.inf, 2.0]
             values[8:12] = [1.0, 1e-20, -math.inf, math.nan]
-            # exactly at the node tolerance, so not a node zero
-            values[12:15] = [1.0, copz.zeros._NODE_TOL, -0.5]
-            # tiny neighbours whose product underflows to -0.0, so no pair
-            values[15:19] = [1e-200, -1e-200, 1e-200, -1e-200]
-            tables.append((values, step, n))
+        # exactly at the node tolerance, so not a node zero
+        values[12:15] = [1.0, copz.zeros._NODE_TOL, -0.5]
+        # tiny neighbours whose product underflows to -0.0, so no pair
+        values[15:19] = [1e-200, -1e-200, 1e-200, -1e-200]
+        tables.append((values, step))
     return tables
 
 
@@ -339,12 +341,13 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
     # through the bits of each value
     gate, hexed = copz.zeros._ARRAY_SCAN, lambda bs: [tuple(map(float.hex, b)) for b in bs]
     sizes = set()
-    for values, step, n in _scan_tables(random.Random(21)):
+    for values, step in _scan_tables(random.Random(21)):
         g, hi = _table_g(values, step), (len(values) - 1) * step
-        brackets, lost, _ = copz.zeros._scan(g, n, 0.0, hi, step)
-        want, want_lost, _ = _per_sample_scan(g, n, 0.0, hi, step)
-        assert hexed(brackets) == hexed(want), (len(values), step, n)
-        assert lost == want_lost and all(type(s) is float for s in lost)
+        brackets, (ss, vs) = copz.zeros._scan(g, 0.0, hi, step)
+        want, (want_ss, want_vs) = _per_sample_scan(g, 0.0, hi, step)
+        assert hexed(brackets) == hexed(want), (len(values), step)
+        lost = ss[~np.isfinite(vs)].tolist()
+        assert lost == want_ss[~np.isfinite(want_vs)].tolist()
         sizes.add((len(values) >= gate, bool(lost)))
     assert sizes == {(False, False), (False, True), (True, False), (True, True)}
     # then whole searches, whose scans take both paths, and on the q^s
@@ -354,9 +357,9 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
         finder = getattr(copz.zeros, name)
         monkeypatch.setattr(copz.zeros, name, lambda *a, n=name, f=finder: paths.add(n) or f(*a))
 
-    def recorded(g, n, lo, hi, step, held, tail):
-        out = scan(g, n, lo, hi, step, held, tail)
-        cut.append(out[2][0][-1] < hi)
+    def recorded(g, lo, hi, step, held, tail):
+        out = scan(g, lo, hi, step, held, tail)
+        cut.append(out[1][0][-1] < hi)
         return out
 
     monkeypatch.setattr(copz.zeros, "_scan", recorded)
@@ -371,6 +374,23 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
     raised = {g[0] for g in got if isinstance(g[0], type)}
     assert {copz.ZeroCountError, copz.EvaluationOverflowError} <= raised
     assert sum(isinstance(g[0], ZeroProblem) for g in got) >= 25
+
+
+def test_a_short_count_reports_the_last_scans_non_finite_samples():
+    # 25 of 30 sign changes at every step, the window at its cap: the error
+    # names the samples of the step-1/8 scan where the float series is NaN
+    # or inf, as the per-sample scan over the whole window finds them
+    problem = ZeroProblem(make_family("big_q_jacobi_special", alpha=5.0, beta=5.0, q=0.1), 30)
+    with pytest.raises(copz.ZeroCountError) as err:
+        find_zeros(problem)
+    got = err.value.diagnostics
+    step, a = copz.zeros._STEPS[-1], problem.family.support_start
+    g = problem.family.resolve_base()._at_s(30)
+    brackets, (ss, vs) = _per_sample_scan(g, a, a + got["window"], step)
+    lost = ss[~np.isfinite(vs)].tolist()
+    assert got[f"count_at_step_{step}"] == len(brackets) < 30
+    assert (got["nonfinite_samples"], got["first_nonfinite_s"]) == (len(lost), lost[0])
+    assert type(got["first_nonfinite_s"]) is float and len(lost) == 38
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +451,7 @@ def test_q_exp_searches_stop_summing_at_the_tail(monkeypatch):
 
     def recorded(*args):
         out = scan(*args)
-        samples.update(out[2][0].tolist())
+        samples.update(out[1][0].tolist())
         return out
 
     monkeypatch.setattr(copz.zeros, "_scan", recorded)
@@ -516,9 +536,9 @@ def test_window_growth_keeps_its_scans_and_outcome(monkeypatch, kind, params, n,
     problem = ZeroProblem(make_family(kind, params), n)
     scan, run = copz.zeros._scan, []
 
-    def recorded(g, n, lo, hi, step, held, tail):
-        out = scan(g, n, lo, hi, step, held, tail)
-        run.append((hi, step, len(out[2][0]), len(out[0])))
+    def recorded(g, lo, hi, step, held, tail):
+        out = scan(g, lo, hi, step, held, tail)
+        run.append((hi, step, len(out[1][0]), len(out[0])))
         return out
 
     monkeypatch.setattr(copz.zeros, "_scan", recorded)
@@ -735,9 +755,7 @@ def test_refinement_returns_an_exact_hit_with_width_zero():
 def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, params):
     base = make_family(kind, params).resolve_base()
     n = 10
-    brackets, _, _ = copz.zeros._scan(
-        base._at_s(n), n, base.support_start, base.support_end - 1.0, 0.5
-    )
+    brackets, _ = copz.zeros._scan(base._at_s(n), base.support_start, base.support_end - 1.0, 0.5)
     assert len(brackets) == n
     for sl, sr, gl, gr in brackets:
         if sl == sr:
@@ -828,8 +846,8 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, kind, params, n, lockstep):
     problem = ZeroProblem(make_family(kind, params), n)
     base = problem.family.resolve_base()
     for step in copz.zeros._STEPS:  # as find_zeros scans a finite support
-        brackets, _, _ = copz.zeros._scan(
-            base._at_s(n), n, base.support_start, base.support_end - 1.0, step
+        brackets, _ = copz.zeros._scan(
+            base._at_s(n), base.support_start, base.support_end - 1.0, step
         )
         if len(brackets) >= n:
             break
