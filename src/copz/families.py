@@ -47,6 +47,7 @@ from .grid import LINEAR, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC, QUADRATIC, Grid
 from .qseries import (
     _EXACT,
     _PointOverflow,
+    _Slot,
     _support_pass,
     binom2,
     exact_summation,
@@ -148,45 +149,62 @@ class FamilySpec:
 
     def _at_s(self, n: int) -> Callable[[float], float]:
         """eval_at_s(n, .) as a function of s, for the many calls of a zero
-        search: the degree check, prefactor, series and lattice atoms (those
-        of the summation in force here) are looked up once.  Where that lookup
-        raises, the function repeats it at each s, after the atoms.
+        search: the degree check, prefactor and lattice atoms (those of the
+        summation in force here) are looked up once, and in float the series
+        is planned once (qseries._plan): each call multiplies in, term by
+        term, only its atoms' factors and the constant factors after the
+        first of them, each value the series call's bit for bit.  Where that
+        lookup raises, the function repeats it at each s, after the atoms.
 
         Its attribute many(ss) is the array pass: the values at all of ss, a
-        float array or sequence, as an array, from one pass of the float
-        series over the lattice atoms of the whole array, each the one-point
-        call's bit for bit; the series picks how it sums from those arrays
-        (see qseries).  It raises the error the per-sample loop meets
-        first: an overflow of the first sample's lattice atoms, then the
-        degree, prefactor and series errors, which no later sample escapes;
-        then the first overflow of the atoms at a later sample.  Each of
-        these raises in the pass too, so only where the pass raises, or its
-        first value is NaN or inf, does many call the first sample as one
-        point, and on a raise the atoms of the rest one at a time.
+        float array or sequence, as an array, from one run of the plan over
+        the lattice atoms of the whole array, each the one-point call's bit
+        for bit; the plan picks how it sums from those arrays (see qseries).
+        It raises the error the per-sample loop meets first: an overflow of
+        the first sample's lattice atoms, then the degree, prefactor and
+        series errors, which no later sample escapes; then the first overflow
+        of the atoms at a later sample.  Each of these raises in the pass
+        too, so only where the pass raises, or its first value is NaN or inf,
+        does many call the first sample as one point, and on a raise the
+        atoms of the rest one at a time.  Its attribute at_atoms(x) is the
+        value at lattice atoms x, which the complex step of
+        zeros._tail_start takes.
         """
+        exact = _EXACT.get()
+        p, atoms, array_atoms = _lattice_atoms(self.resolve_base(), exact)
         try:
-            value = self._of_atoms(n)
+            series, prefs = self._of_atoms(n, p)
         except (DomainError, ArithmeticError):
-            value = lambda p, x: self._of_atoms(n)(p, x)
-        p, atoms, array_atoms = _lattice_atoms(self.resolve_base(), _EXACT.get())
+            series, prefs = (lambda x: self._of_atoms(n, p)[0](x)), ()
+
+        # the prefactors scale the series value in place, with no call of
+        # their own: a one-point call is the search's most frequent step
+        def value(x):
+            v = series(x)
+            for pref in prefs:
+                v = pref * v
+            return v
 
         def at_s(s: float) -> float:
             try:
-                return value(p, atoms(s))
+                v = series(atoms(s))
             except OverflowError as exc:
                 raise self._overflow(n, s) from exc
+            for pref in prefs:
+                v = pref * v
+            return v
 
         def many(ss) -> np.ndarray:
             ss = np.asarray(ss, dtype=float)
             # exact sums give lists, which value does not scale by its
-            # prefactor; one sample needs no array
-            if _EXACT.get() or len(ss) < 2:
+            # prefactors; one sample needs no array
+            if exact or len(ss) < 2:
                 return np.array([at_s(s) for s in ss.tolist()], dtype=float)
             out = np.empty(len(ss))
             try:
                 # a degree-0 value is one float for all the points
                 with np.errstate(all="ignore"):
-                    out[:] = value(p, array_atoms(ss))
+                    out[:] = value(array_atoms(ss))
             except (DomainError, ArithmeticError):
                 at_s(float(ss[0]))
                 for s in ss[1:].tolist():  # name the first s whose atoms overflow
@@ -199,21 +217,25 @@ class FamilySpec:
                 out[0] = at_s(float(ss[0]))
             return out
 
-        at_s.many = many
+        at_s.many, at_s.at_atoms = many, value
         return at_s
 
-    def _of_atoms(self, n: int) -> Callable[[dict, object], float]:
-        """The degree-n value as a function of the series' parameters and
-        lattice atoms, the degree checked and prefactor and series looked up
-        once; an alias scales its base's value by its own prefactor."""
+    def _of_atoms(self, n: int, p) -> tuple[Callable[[object], float], tuple]:
+        """The degree-n series as a function of the lattice atoms, given its
+        parameters p, and the prefactors that scale its value, the base's
+        first: the degree checked, the prefactors looked up and, in float,
+        the series planned, with slots where _lattice_atoms puts the atoms.
+        An alias's value is its prefactor times its base's."""
         self._check_degree(n)
         entry = _CATALOG[self.kind]
         pref = entry.prefactor(self.params, n)
         if self.base is not None:
-            inner = self.base._of_atoms(n)
-            return lambda p, x: pref * inner(p, x)
+            series, prefs = self.base._of_atoms(n, p)
+            return series, (*prefs, pref)
         series = entry.series
-        return lambda p, x: pref * series(p, n, x)
+        if _EXACT.get():
+            return (lambda x: series(p, n, x)), (pref,)
+        return series(p, n, _SLOTS[self.grid.tag]), (pref,)
 
     def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(
@@ -1391,12 +1413,22 @@ def _lattice_atoms(base: FamilySpec, exact: bool):
     if tag == Q_SYMMETRIC:
         qa = q ** p["a"]
         return p, lambda s: (qa * q**-s, qa * q**s), lambda ss: (qa * powers(-ss), qa * powers(ss))
-    one, array = {
-        LINEAR: (lambda s: s, lambda ss: ss),
-        Q_EXP_NEG: (lambda s: q**-s, lambda ss: powers(-ss)),
-        Q_EXP: (lambda s: q * q**s, lambda ss: q * powers(ss)),
-    }[tag]
-    return p, one, array
+    if tag == LINEAR:
+        return p, lambda s: s, lambda ss: ss
+    if tag == Q_EXP_NEG:
+        return p, lambda s: q**-s, lambda ss: powers(-ss)
+    return p, lambda s: q * q**s, lambda ss: q * powers(ss)
+
+
+# the slots of the series' atoms on each lattice, in the shape _lattice_atoms
+# gives the atoms: one atom, or a pair
+_SLOTS = {
+    LINEAR: _Slot(),
+    QUADRATIC: (_Slot(0), _Slot(1)),
+    Q_EXP_NEG: _Slot(),
+    Q_EXP: _Slot(),
+    Q_SYMMETRIC: (_Slot(0), _Slot(1)),
+}
 
 
 def _support_atoms(base: FamilySpec):

@@ -7,17 +7,25 @@ The basic series uses the convention
 so the correction factor is trivial whenever i = j + 1.  A series is summed
 over k = 0..n only; the caller supplies the termination degree n.
 
-On the float path the numerator parameters and the argument may be numpy
-arrays, one entry per sample, and each sample's sum is the one a scalar call
-gives, bit for bit; the denominator parameters stay scalar.  The sums loop
-over the terms, each step a few numpy calls over the samples.  A call whose
-arrays hold at most 256 samples, at degree 8 or more, where numpy's
-per-call cost dominates, runs the loop as one (terms x points) block
-instead: the term ratios of all k from one elementwise op per parameter, in
-the loop's order, then the terms, the running totals and their TwoSum
-errors each from one accumulate along the term axis.  Accumulate is
-sequential and each op is the one the loop makes, so each value is the
-loop's bit for bit.
+On the float path a call is planned once for its degree (_plan) and then
+run: the atoms of the call, the numerator parameters and the argument given
+as slots (_Slot) or numpy arrays, become the plan's arguments, and the rest
+its constants.  For each term, the plan folds the constant factors before
+the first atom's into one start and keeps each later constant factor, so a
+run multiplies in only the atoms' factors and those constants, one by one
+in the term loop's order, and each sum is the loop's bit for bit.  A call
+given slots returns its plan, which a family's zero search runs at each of
+its samples (FamilySpec._at_s); a call given floats or arrays runs its plan
+at once.  On arrays, one entry per sample, each sample's sum is the one a
+scalar call gives, bit for bit; the denominator parameters stay scalar.
+The one term loop takes each step as a few numpy calls over the samples.  A
+run on arrays of at most 256 samples, at degree 8 or more, where numpy's
+per-call cost dominates, takes all terms as one (terms x points) block
+instead: the term ratios of all k from one elementwise op per step, in the
+loop's order, then the terms, the running totals and their TwoSum errors
+each from one accumulate along the term axis.  Accumulate is sequential
+and each op is the one the loop makes, so each value is the loop's bit for
+bit.
 
 The exact path takes per-point sequences of exact atoms in the same places
 and returns the list of the points' sums, each the one-point call's bit for
@@ -81,10 +89,10 @@ _BLOCK_DEGREE = 8
 _BLOCK_POINTS = 256
 
 
-def _points(z, num) -> int:
-    """The points of a float sum: the length of its ndarray atoms, z or a
-    numerator parameter, and 0 where they are plain floats or complex."""
-    for x in (z, *num):
+def _points(atoms) -> int:
+    """The points of a float sum: the length of its ndarray atoms, and 0
+    where they are plain floats or complex."""
+    for x in atoms:
         if isinstance(x, np.ndarray):
             return len(x)
     return 0
@@ -435,51 +443,176 @@ def _block_sum(ratio):
     return totals[-1] + np.add.accumulate(errs, axis=0)[-1]
 
 
-def _hyper_block(num, den, z, n: int):
-    """hyper_sum's loop as one (terms x points) block, or None where a
-    denominator factor vanishes: the loop then raises its error."""
-    k = np.arange(float(n))[:, None]
-    ratio = z / (k + 1.0)
-    for a in num:
-        ratio = ratio * (a + k)
-    for b in den:
-        d = b + k
-        if np.count_nonzero(d) < n:
-            return None
-        ratio = ratio / d
-    return _block_sum(ratio)
+class _Slot:
+    """The place of an atom in a float series call, which then returns the
+    series' plan (_plan) in place of its sum.  A run of the plan on x reads
+    the atom as x[index], or as x itself where index is None; neg marks the
+    atom's negative, the one operation a family series applies to an atom."""
+
+    __slots__ = ("index", "neg")
+
+    def __init__(self, index=None, neg=False):
+        self.index, self.neg = index, neg
+
+    def __neg__(self):
+        return _Slot(self.index, not self.neg)
+
+
+def _plan(num, den, q, z, n: int):
+    """The float sum of one series as a function of its atoms, the slots of
+    the call: the series' plan, which returns the sum at the atoms x.
+
+    The loop takes each term ratio as the argument z, divided by k + 1 on
+    the ordinary series, times the numerator factors a + k, or 1 - a q^k on
+    the basic series, divided by the denominator factors and, on the basic
+    series, by 1 - q q^k, and times (-q^k)^excess.  The plan holds each term
+    k as a row: its start, the product of the factors before the first
+    atom, folded in that order (None where z is an atom); c, k or q^k; its
+    divisors; and its last factor, the power of q, or None.  A run takes the
+    start, or z, then the factors of the numerators from the first atom on,
+    each from its atom or constant and c, then divides by each divisor and
+    multiplies in the power: the loop's factors, in the loop's order, so
+    each sum is the loop's bit for bit.
+
+    A run reads those numerators from xs: the atoms, then their negatives
+    where a slot is negated, then the constant numerators from the first
+    atom on; js holds their places in xs, and zj the place of z where it is
+    an atom.  A vanishing denominator factor and a power of q that raises
+    are constants of the plan: building it raises them, in the loop's
+    order.  A plan with atoms of degree _BLOCK_DEGREE or more also holds its
+    rows as one block row, whose fields are columns over k: a run on arrays
+    of at most _BLOCK_POINTS points takes it, every term at once.
+    """
+    if q is not None and not 0.0 < q < 1.0:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
+    hyper = q is None
+    # where the first atom stands (-1 for z); the numerators before it are
+    # folded into the start
+    kinds = [*map(type, (z, *num))]
+    first = kinds.index(_Slot) - 1 if _Slot in kinds else len(num)
+    head, tail = num[: max(first, 0)], num[max(first, 0) :]
+    # whether x is the one atom (a slot's index is None), the atoms read
+    # from it, and whether a slot is negated
+    bare = flip = False
+    width = 1
+    for a in (z, *tail) if first < 0 else tail:
+        if a.__class__ is _Slot:
+            if a.index is None:
+                bare = True
+            elif a.index >= width:
+                width = a.index + 1
+            if a.neg:
+                flip = True
+    at = (2 if flip else 1) * width  # the place of the first constant
+    consts, js = [], []
+    for a in tail:
+        if a.__class__ is _Slot:
+            js.append((a.index or 0) + a.neg * width)
+        else:
+            js.append(at + len(consts))
+            consts.append(a)
+    consts = tuple(consts)
+    zj = (z.index or 0) + z.neg * width if first < 0 else None
+    excess = 1 + len(den) - len(num)
+    rows = []
+    qk = 1.0  # q^k by repeated multiplication
+    for k in range(n):
+        start, divs = None, []
+        if hyper:
+            if zj is None:
+                start = z / (k + 1.0)
+                for a in head:
+                    start = start * (a + k)
+            for b in den:
+                divs.append(b + k)
+        else:
+            if zj is None:
+                start = z
+                for a in head:
+                    start = start * (1.0 - a * qk)
+            for b in den:
+                divs.append(1.0 - b * qk)
+        if 0.0 in divs:
+            b = den[divs.index(0.0)]
+            raise UndefinedSeriesError(f"denominator parameter {b!r} vanishes at k={k + 1}")
+        if hyper:
+            rows.append((start, k, divs, None))
+            continue
+        divs.append(1.0 - q * qk)
+        # ratio of consecutive ((-1)^k q^C(k,2))^excess factors
+        rows.append((start, qk, divs, (-qk) ** excess if excess else None))
+        qk *= q
+    block = None
+    if n >= _BLOCK_DEGREE and first < len(num):
+        starts, cs, divs, posts = zip(*rows)
+        block = [(
+            None if zj is not None else np.array(starts)[:, None],
+            np.array(cs)[:, None],
+            [np.array(d)[:, None] for d in zip(*divs)],
+            None if posts[0] is None else np.array(posts)[:, None],
+        )]
+
+    def run(x):
+        if bare:
+            xs = (x, -x) if flip else (x,)
+        else:
+            xs = x + tuple([-a for a in x]) if flip else x
+        if consts:
+            xs += consts
+        whole = block is not None and 0 < _points(xs) <= _BLOCK_POINTS
+        # no in-place operators: the atoms may be arrays the caller holds.
+        # TwoSum yields the exact error of each addition, as Neumaier.add
+        # does, without its branch, so the compensated sum is the same on arrays
+        total, comp, term = 1.0, 0.0, 1.0
+        for ratio, c, divs, post in block if whole else rows:
+            if ratio is None:
+                ratio = xs[zj] / (c + 1.0) if hyper else xs[zj]
+            if hyper:
+                for j in js:
+                    ratio = ratio * (xs[j] + c)
+            else:
+                for j in js:
+                    ratio = ratio * (1.0 - xs[j] * c)
+            for d in divs:
+                ratio = ratio / d
+            if post is not None:
+                ratio = ratio * post
+            if whole:
+                return _block_sum(ratio)
+            term = term * ratio
+            t = total + term
+            v = t - total
+            comp = comp + ((total - (t - v)) + (term - v))
+            total = t
+        return total + comp
+
+    return run
+
+
+def _float_sum(num, den, q, z, n: int):
+    """The float sum, its ndarray atoms (z or numerator parameters) taken as
+    slots of a plan run on them; a call given slots returns the plan."""
+    if z.__class__ is _Slot or _Slot in map(type, num):
+        return _plan(num, den, q, z, n)
+    arrays = []
+
+    def slotted(a):
+        if not isinstance(a, np.ndarray):
+            return a
+        arrays.append(a)
+        return _Slot(len(arrays) - 1)
+
+    return _plan([slotted(a) for a in num], den, q, slotted(z), n)(tuple(arrays))
 
 
 def hyper_sum(num, den, z: float, n: int) -> float:
-    """Terminating ordinary series iFj(num; den; z), summed over k = 0..n."""
+    """Terminating ordinary series iFj(num; den; z), summed over k = 0..n.
+
+    In float, given slots (_Slot) in place of atoms, it returns the plan of
+    the series (_plan) instead of its sum."""
     if _EXACT.get():
         return _hyper_sum_exact(num, den, z, n)
-    if n >= _BLOCK_DEGREE and 0 < _points(z, num) <= _BLOCK_POINTS:
-        block = _hyper_block(num, den, z, n)
-        if block is not None:
-            return block
-    # no in-place operators: z and the atoms may be arrays the caller holds.
-    # TwoSum yields the exact error of each addition, as Neumaier.add does,
-    # without its branch, so the compensated sum is the same on arrays
-    total, comp = 1.0, 0.0
-    term = 1.0
-    for k in range(n):
-        ratio = z / (k + 1.0)
-        for a in num:
-            ratio = ratio * (a + k)
-        for b in den:
-            d = b + k
-            if d == 0.0:
-                raise UndefinedSeriesError(
-                    f"denominator parameter {b!r} vanishes at k={k + 1}"
-                )
-            ratio = ratio / d
-        term = term * ratio
-        t = total + term
-        v = t - total
-        comp = comp + ((total - (t - v)) + (term - v))
-        total = t
-    return total + comp
+    return _float_sum(num, den, None, z, n)
 
 
 def _qhyper_sum_exact(num, den, q, z, n: int):
@@ -518,67 +651,14 @@ def _qhyper_sum_exact(num, den, q, z, n: int):
     return _sum_points(ratios, steps, num, z)
 
 
-def _qhyper_block(num, den, q, z, n: int, excess: int):
-    """qhyper_sum's loop as one (terms x points) block, or None where a
-    denominator factor vanishes or a power of q raises: the loop then raises
-    its error."""
-    qk = np.full((n, 1), q)
-    qk[0] = 1.0
-    qk = np.multiply.accumulate(qk, axis=0)  # q^k by repeated multiplication
-    ratio = z
-    for a in num:
-        ratio = ratio * (1.0 - a * qk)
-    for b in den:
-        d = 1.0 - b * qk
-        if np.count_nonzero(d) < n:
-            return None
-        ratio = ratio / d
-    ratio = ratio / (1.0 - q * qk)
-    if excess:
-        try:
-            ratio = ratio * np.array([(-p) ** excess for p in qk.ravel().tolist()])[:, None]
-        except ArithmeticError:
-            return None
-    return _block_sum(ratio)
-
-
 def qhyper_sum(num, den, q: float, z: float, n: int) -> float:
-    """Terminating basic series iφj(num; den; q, z), summed over k = 0..n."""
+    """Terminating basic series iφj(num; den; q, z), summed over k = 0..n.
+
+    In float, given slots (_Slot) in place of atoms, it returns the plan of
+    the series (_plan) instead of its sum."""
     if _EXACT.get():
         return _qhyper_sum_exact(num, den, q, z, n)
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
-    excess = 1 + len(den) - len(num)
-    if n >= _BLOCK_DEGREE and 0 < _points(z, num) <= _BLOCK_POINTS:
-        block = _qhyper_block(num, den, q, z, n, excess)
-        if block is not None:
-            return block
-    # compensated by TwoSum without in-place operators, as in hyper_sum
-    total, comp = 1.0, 0.0
-    term = 1.0
-    qk = 1.0  # q^k
-    for k in range(n):
-        ratio = z
-        for a in num:
-            ratio = ratio * (1.0 - a * qk)
-        for b in den:
-            d = 1.0 - b * qk
-            if d == 0.0:
-                raise UndefinedSeriesError(
-                    f"denominator parameter {b!r} vanishes at k={k + 1}"
-                )
-            ratio = ratio / d
-        ratio = ratio / (1.0 - q * qk)
-        if excess:
-            # ratio of consecutive ((-1)^k q^C(k,2))^excess factors
-            ratio = ratio * (-qk) ** excess
-        term = term * ratio
-        t = total + term
-        v = t - total
-        comp = comp + ((total - (t - v)) + (term - v))
-        total = t
-        qk *= q
-    return total + comp
+    return _float_sum(num, den, q, z, n)
 
 
 @dataclass(frozen=True)

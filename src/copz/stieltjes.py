@@ -153,25 +153,6 @@ def b_entry(grid: Grid, yj: float, yk: float) -> float:
     )
 
 
-def b_quadratic_closed(yj: float, yk: float) -> float:
-    """Closed form of b_jk on the lattice X = s(s+1)."""
-    return 4.0 / ((yj + yk) * (yj + yk + 2.0))
-
-
-def b_symmetric_closed(theta: float, yj: float, yk: float) -> float:
-    """Closed form of b_jk on the cosh lattice, base q = exp(-2*theta)."""
-    u1 = (yj + yk - 1.0) * theta
-    u2 = (yj + yk + 1.0) * theta
-    return 2.0 * theta * math.sinh(2.0 * theta) / (math.sinh(u1) * math.sinh(u2))
-
-
-def b_antisymmetric_closed(theta: float, yj: float, yk: float) -> float:
-    """Closed form of b_jk on the sinh lattice; lands in (-1, 0)."""
-    u1 = (yj + yk - 1.0) * theta
-    u2 = (yj + yk + 1.0) * theta
-    return -2.0 * theta * math.sinh(2.0 * theta) / (math.cosh(u1) * math.cosh(u2))
-
-
 @dataclass(frozen=True)
 class StieltjesSystem:
     """The assembled n x n system A y' = f2 with its structural flags."""

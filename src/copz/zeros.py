@@ -257,7 +257,7 @@ def _drive(steps, g, gx=None) -> tuple[float, float]:
         return stop.value
 
 
-def _tail_start(base, n: int) -> float:
+def _tail_start(base, n: int, g) -> float:
     """The tail start s* of a degree-n search on the q^s lattice, from which
     the series keeps the sign of P(0): math.inf, no cut, on other lattices,
     under exact summation, and where s* is not certified.
@@ -271,19 +271,20 @@ def _tail_start(base, n: int) -> float:
     of 0.76, and no two of them pair a sign change.
 
     e_1 is read by a complex step, P(ih)/P(0) = 1 - i e_1 h + O((e_1 h)^2),
-    as the base's series takes a complex atom.  h shrinks from _TAIL_H until
-    the step moves P by at most _TAIL_STEP relative, which bounds e_1 h
-    (e_1 grows like q^-n, so no fixed step serves small q).  No cut is made
-    where _of_atoms raises, P(0) or e_1 is not finite, e_1 < n, which the
-    zeros' place forbids, or h would fall below _TAIL_H_MIN.
+    from the search's function g (FamilySpec._at_s), whose at_atoms takes
+    a complex atom.  h shrinks from _TAIL_H until the step moves P by at
+    most _TAIL_STEP relative, which bounds e_1 h (e_1 grows like q^-n, so
+    no fixed step serves small q).  No cut is made where g's lookup of the
+    degree, prefactor or series raises, P(0) or e_1 is not finite, e_1 < n,
+    which the zeros' place forbids, or h would fall below _TAIL_H_MIN.
     """
     if base.grid.tag != Q_EXP or _EXACT.get():
         return math.inf
     try:
-        value, p = base._of_atoms(n), base.params
-        p0, h = value(p, 0.0), _TAIL_H
+        value = g.at_atoms
+        p0, h = value(0.0), _TAIL_H
         while math.isfinite(p0) and p0 != 0.0 and h >= _TAIL_H_MIN:
-            w = value(p, h * 1j) / p0
+            w = value(h * 1j) / p0
             # |w - 1| bounds e_1 h: it is at least sin(arctan(e_1 h)) while
             # the phase sum of arctan(h / z_i) stays below pi / 2, and a phase
             # wound past 2 pi would take |w| past 1.9 at n <= 30
@@ -322,7 +323,8 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
     fam = problem.family
     n = problem.degree
     base = fam.resolve_base()
-    g, tail = base._at_s(n), _tail_start(base, n)
+    g = base._at_s(n)
+    tail = _tail_start(base, n, g)
     a = fam.support_start
     # a finite window never grows: doubling would leave the support, and a
     # window that collapses in float (a + N - 1 == a) would double to itself

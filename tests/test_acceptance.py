@@ -44,12 +44,8 @@ from copz.qseries import (
     qhyper_sum,
     sheppard,
 )
-from copz.stieltjes import (
-    b_antisymmetric_closed,
-    b_entry,
-    b_quadratic_closed,
-    b_symmetric_closed,
-)
+from copz.stieltjes import b_entry
+from oracles import b_antisymmetric_closed, b_quadratic_closed, b_symmetric_closed
 
 FLAGGED = ("q_bessel", "little_q_laguerre", "q_laguerre")
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from copz import (
     DomainError,
     EvaluationOverflowError,
     SingularityError,
+    UndefinedSeriesError,
     ZeroProblem,
     catalog_kinds,
     family_info,
@@ -24,7 +27,8 @@ from copz import (
     weight_table,
 )
 from copz.families import _CATALOG, eval_exact_at_support
-from copz.qseries import exact_summation, hyper_sum
+from copz.qseries import exact_summation, hyper_sum, qhyper_sum
+from oracles import reference_hyper_sum, reference_qhyper_sum
 
 
 def test_make_family_valid_and_support():
@@ -827,6 +831,44 @@ def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
     assert exact != _outcomes(lambda: spec._at_s(5).many(ss))  # the float sums round apart
 
 
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_plans_give_the_reference_loops_values(monkeypatch, kind):
+    # each degree up to 12, on both sides of the block's degree floor, at
+    # support points and random s off them and past the support's ends, as
+    # one-point calls and as array passes of 2 to 300 points, on both sides
+    # of the block's point cap; and on the q^s lattice at complex atoms ih,
+    # as the tail start's complex step takes them, h = 1e-20 among them
+    base = _wide_support_family(kind, random.Random(f"plan/{kind}")).resolve_base()
+    if base.degree_max < 12:  # alpha > q^(1 - N) takes no wide support at this draw
+        base = make_family(kind, alpha=30.0, q=0.8, N=13)
+    entry, p, tag, q = _CATALOG[base.kind], base.params, base.grid.tag, base.grid.q
+    rng = random.Random(f"plan-s/{kind}")
+    lo = base.support_start
+    hi = base.support_end - 1.0 if base.is_finite else lo + 60.0
+    ss = [lo + j for j in range(min(20, int(hi - lo) + 1))]
+    ss += [rng.uniform(lo - 1.0, hi + 1.0) for _ in range(300 - len(ss))]
+    hs = (1e-20, 1e-8, 0.3) if tag == "q_exp" else ()
+    degrees = range(1, 13)
+    plans = {n: base._at_s(n) for n in degrees}
+    with monkeypatch.context() as m:
+        m.setattr(copz.families, "hyper_sum", reference_hyper_sum)
+        m.setattr(copz.families, "qhyper_sum", reference_qhyper_sum)
+        want = {
+            n: [entry.prefactor(p, n) * entry.series(p, n, _ATOMS_AT_S[tag](p, q, s)) for s in ss]
+            + [entry.prefactor(p, n) * entry.series(p, n, h * 1j) for h in hs]
+            for n in degrees
+        }
+    cap = copz.qseries._BLOCK_POINTS
+    for n, g in plans.items():
+        values = [v.hex() for v in want[n][: len(ss)]]
+        assert [g(s).hex() for s in ss] == values, n
+        for points in (2, cap, cap + 1, len(ss)):
+            assert [v.hex() for v in g.many(ss[:points]).tolist()] == values[:points], (n, points)
+        for h, v in zip(hs, want[n][len(ss):]):
+            got = g.at_atoms(h * 1j)
+            assert (got.real.hex(), got.imag.hex()) == (v.real.hex(), v.imag.hex()), (n, h)
+
+
 def _block_widths(monkeypatch):
     """The number of points of each pass the float series sums as one block."""
     widths, block_sum = [], copz.qseries._block_sum
@@ -969,35 +1011,101 @@ def test_block_pass_raises_the_loops_error(monkeypatch, series, args):
     assert widths == []
 
 
+# series whose sum cannot be taken, in place of a family's: on the q^-s
+# lattice 1 - 8 q^3 vanishes at k = 4 where q = 1/2, or the base 1.5 lies
+# outside (0, 1); on the linear lattice -1 + k vanishes at k = 2
+
+
+def _vanishing_q(p, n, X):
+    return qhyper_sum((0.5**-n, X), (8.0,), 0.5, 1.0, n)
+
+
+def _base_outside(p, n, X):
+    return qhyper_sum((p["q"] ** -n, X), (), 1.5, 1.0, n)
+
+
+def _vanishing(p, n, X):
+    return hyper_sum((-float(n), -X), (-1.0,), 1.0, n)
+
+
 @pytest.mark.parametrize(
-    "kind, params, n, ss, error",
+    "kind, params, n, ss, error, series",
     [
         # the atom q^-s0 overflows before the degree is checked
         ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, [300.0, 0.0],
-         "EvaluationOverflowError"),
+         "EvaluationOverflowError", None),
         # the degree, then a later sample's overflow
-        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, [0.0, 300.0], "DomainError"),
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 31, [0.0, 300.0], "DomainError",
+         None),
         # the prefactor, then a later sample's overflow
         ("al_salam_carlitz_2", {"alpha": 0.5, "q": 0.1}, 30, [0.0, 400.0],
-         "EvaluationOverflowError"),
+         "EvaluationOverflowError", None),
         # a later sample's overflow, after a thousand finite samples
         ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 3,
-         [0.2 * i for i in range(1000)] + [300.0, 400.0], "EvaluationOverflowError"),
+         [0.2 * i for i in range(1000)] + [300.0, 400.0], "EvaluationOverflowError", None),
         # an alias with a prefactor of its own over its base's lattice
         ("big_q_jacobi_special", {"alpha": 0.5, "beta": 0.5, "q": 0.5}, 2,
-         [-1500.0, 0.0], "EvaluationOverflowError"),
+         [-1500.0, 0.0], "EvaluationOverflowError", None),
         # a later sample's q-quadratic atom q^a q^-s
         ("dual_q_hahn", {"a": 0.8, "alpha": 0.5, "q": 0.6, "N": 7}, 2, [0.0, 2000.0],
-         "EvaluationOverflowError"),
+         "EvaluationOverflowError", None),
+        # the series' vanishing denominator factor and base outside (0, 1),
+        # after the first sample's atoms and before a later sample's overflow
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 4, [300.0, 0.0],
+         "EvaluationOverflowError", _vanishing_q),
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 4, [0.0, 300.0],
+         "UndefinedSeriesError", _vanishing_q),
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, 4, [0.0, 300.0], "DomainError",
+         _base_outside),
+        ("charlier", {"alpha": 0.5}, 3, [0.0, 1.5, 1e300], "UndefinedSeriesError", _vanishing),
     ],
     ids=["x-first", "degree-before-later-x", "prefactor-before-later-x", "later-x",
-         "alias-x-first", "later-q-quadratic-atom"],
+         "alias-x-first", "later-q-quadratic-atom", "x-before-vanishing",
+         "vanishing-before-later-x", "base-before-later-x", "vanishing-on-the-linear-lattice"],
 )
-def test_eval_at_s_many_raises_the_first_per_sample_error(kind, params, n, ss, error):
+def test_eval_at_s_many_raises_the_first_per_sample_error(
+    monkeypatch, kind, params, n, ss, error, series
+):
+    if series is not None:
+        monkeypatch.setitem(_CATALOG, kind, dataclasses.replace(_CATALOG[kind], series=series))
     spec = make_family(kind, params)
     got = _outcomes(lambda: spec._at_s(n).many(ss))
     assert got == _outcomes(_per_sample, spec, n, ss)
     assert got[0].__name__ == error
+
+
+@pytest.mark.parametrize(
+    "kind, params, series, error, text",
+    [
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, _vanishing_q,
+         UndefinedSeriesError, "denominator parameter 8.0 vanishes at k=4"),
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.05}, _base_outside, DomainError,
+         "base q must lie in (0, 1), got 1.5"),
+        ("charlier", {"alpha": 0.5}, _vanishing, UndefinedSeriesError,
+         "denominator parameter -1.0 vanishes at k=2"),
+    ],
+    ids=["vanishing", "base-outside", "vanishing-on-the-linear-lattice"],
+)
+def test_series_errors_are_raised_at_each_call_after_the_atoms(
+    monkeypatch, kind, params, series, error, text
+):
+    # the plan of a series whose sum cannot be taken is never built: each
+    # call of the search's function tries anew, and raises the series' error
+    # after the atoms, whose overflow raises first and names its s
+    monkeypatch.setitem(_CATALOG, kind, dataclasses.replace(_CATALOG[kind], series=series))
+    spec = make_family(kind, params)
+    tries, plan = [], copz.qseries._plan
+    monkeypatch.setattr(copz.qseries, "_plan", lambda *args: tries.append(args) or plan(*args))
+    g = spec._at_s(4)
+    for calls, s in enumerate((0.0, 1.5, 0.0, 2.5), start=2):
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            g(s)
+        assert len(tries) == calls
+    if spec.grid.q is not None:
+        overflow = r"^q_meixner: the degree-4 value at s=300\.0 overflows"
+        with pytest.raises(EvaluationOverflowError, match=overflow):
+            g(300.0)
+        assert len(tries) == 5
 
 
 @pytest.mark.parametrize("kind", catalog_kinds())

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import copz.qseries
+from oracles import reference_hyper_sum, reference_qhyper_sum
 from copz import (
     DomainError,
     SeriesSpec,
@@ -19,7 +21,6 @@ from copz import (
 from copz.families import catalog_kinds, eval_exact_at_support, make_family, sample_params
 from copz.weights import weight_table
 from copz.qseries import (
-    Neumaier,
     chu_vandermonde,
     exact_summation,
     hyper_sum,
@@ -77,6 +78,21 @@ def test_vanishing_denominator_raises():
     q = 0.5
     with pytest.raises(UndefinedSeriesError):
         qhyper_sum((q**-3, 0.3), (q**-2,), q, 0.5, 3)
+    # a call given an atom's slot raises as the call on floats does, as it
+    # builds the plan: the vanishing factor and the base q are constants
+    atom = copz.qseries._Slot()
+    for call in (
+        lambda x: hyper_sum((-3.0, x), (-2.0,), 1.0, 3),
+        lambda x: hyper_sum((-3.0, -x), (-2.0,), x, 3),
+        lambda x: qhyper_sum((q**-3, x), (q**-2,), q, 0.5, 3),
+        lambda x: qhyper_sum((q**-3, 0.3), (q**-2,), q, x, 3),
+        lambda x: qhyper_sum((q**-3, x), (), 1.5, 0.5, 3),
+    ):
+        with pytest.raises((UndefinedSeriesError, DomainError)) as want:
+            call(1.0)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            call(atom)
+    assert str(want.value) == "base q must lie in (0, 1), got 1.5"
 
 
 def test_chu_vandermonde_degree_one():
@@ -806,56 +822,9 @@ def test_ball_of_a_quotient_holds_it(n, d):
 
 
 # ---------------------------------------------------------------------------
-# float summation against the Neumaier loops it replaced, scalar and array
+# float summation against the Neumaier loops the plans replaced (tests/oracles.py),
+# scalar and array
 # ---------------------------------------------------------------------------
-
-
-def _reference_hyper_sum_float(num, den, z, n):
-    acc = Neumaier()
-    term = 1.0
-    acc.add(term)
-    for k in range(n):
-        ratio = z / (k + 1.0)
-        for a in num:
-            ratio *= a + k
-        for b in den:
-            d = b + k
-            if d == 0.0:
-                raise UndefinedSeriesError(
-                    f"denominator parameter {b!r} vanishes at k={k + 1}"
-                )
-            ratio /= d
-        term *= ratio
-        acc.add(term)
-    return acc.value
-
-
-def _reference_qhyper_sum_float(num, den, q, z, n):
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
-    excess = 1 + len(den) - len(num)
-    acc = Neumaier()
-    term = 1.0
-    acc.add(term)
-    qk = 1.0
-    for k in range(n):
-        ratio = z
-        for a in num:
-            ratio *= 1.0 - a * qk
-        for b in den:
-            d = 1.0 - b * qk
-            if d == 0.0:
-                raise UndefinedSeriesError(
-                    f"denominator parameter {b!r} vanishes at k={k + 1}"
-                )
-            ratio /= d
-        ratio /= 1.0 - q * qk
-        if excess:
-            ratio *= (-qk) ** excess
-        term *= ratio
-        acc.add(term)
-        qk *= q
-    return acc.value
 
 
 _SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -897,16 +866,72 @@ def _check_against_reference(new, ref, rows):
         assert [v.hex() for v in np.broadcast_to(got, zs.shape).tolist()] == want
 
 
-@given(st.integers(0, 3).flatmap(_samples), st.lists(_floats, max_size=2), st.integers(0, 9))
-@example([([-3.0, 1.5], -1.0)], [-2.0], 3)  # vanishing denominator
-@example([([1e300, 1e300], 1e300), ([-0.0, 2.0], 0.5)], [], 2)  # overflow beside a finite sum
-@example([([-5e-324], 5e-324), ([math.nan], 1.0), ([math.inf], -0.0)], [0.5], 3)
-def test_float_sum_matches_neumaier_reference(rows, den, n):
-    _check_against_reference(
-        lambda num, z: hyper_sum(num, den, z, n),
-        lambda num, z: _reference_hyper_sum_float(num, den, z, n),
-        rows,
-    )
+# the place of each numerator parameter (the first three) and of the
+# argument z (the last) in a planned call: 0 a constant, 1 an atom, 2 an
+# atom's negative
+_places = st.lists(st.sampled_from((0, 1, 2)), min_size=4, max_size=4)
+
+
+def _check_plan_against_reference(series, ref, rows, places):
+    """series(num, z) called with slots where places puts atoms returns the
+    plan; run on each sample's atoms, and on all samples' as arrays, it gives
+    ref's value per sample.  The constants are the first sample's, ref takes
+    a negated atom's negative, as a family series does, and one atom is
+    passed bare."""
+    values = [[*num, z] for num, z in rows]
+    kinds = [*places[: len(values[0]) - 1], places[-1]]
+    atoms = [i for i, kind in enumerate(kinds) if kind]
+    if not atoms:
+        return
+    bare = len(atoms) == 1
+    call = list(values[0])
+    for j, i in enumerate(atoms):
+        call[i] = copz.qseries._Slot(None if bare else j, kinds[i] == 2)
+    want = []
+    for row in values:
+        seen = [
+            values[0][i] if not kind else -row[i] if kind == 2 else row[i]
+            for i, kind in enumerate(kinds)
+        ]
+        want.append(_outcome(ref, tuple(seen[:-1]), seen[-1]))
+    try:
+        plan = series(tuple(call[:-1]), call[-1])
+    except (ArithmeticError, ValueError) as exc:
+        assert want == [(type(exc), str(exc))] * len(values)
+        return
+
+    def run(xs):
+        return plan(xs[0] if bare else tuple(xs))
+
+    assert [_outcome(run, [row[i] for i in atoms]) for row in values] == want
+    with np.errstate(all="ignore"):
+        got = run([np.array([row[i] for row in values]) for i in atoms])
+    assert [v.hex() for v in np.broadcast_to(got, (len(values),)).tolist()] == want
+
+
+@given(
+    st.integers(0, 3).flatmap(_samples),
+    st.lists(_floats, max_size=2),
+    st.integers(0, 9),
+    _places,
+)
+@example([([-3.0, 1.5], -1.0)], [-2.0], 3, [0, 2, 0, 0])  # vanishing denominator
+# overflow beside a finite sum
+@example([([1e300, 1e300], 1e300), ([-0.0, 2.0], 0.5)], [], 2, [2, 0, 0, 1])
+@example([([-5e-324], 5e-324), ([math.nan], 1.0), ([math.inf], -0.0)], [0.5], 3, [1, 0, 0, 2])
+# an atom, a constant and an atom, and the argument z, as arrays summed as one block
+@example([([-9.0, 0.5, 1.5], 2.0), ([-9.0, -0.0, 2.5], -0.5)], [1.5], 9, [0, 1, 0, 0])
+@example([([1.5, 0.5, -2.0], 0.25), ([0.3, 4.0, 7.0], -3.0)], [-12.5, 0.75], 9, [1, 0, 2, 1])
+def test_float_sum_matches_neumaier_reference(rows, den, n, places):
+    # direct calls on floats and on arrays, and plans with atoms in places
+    def series(num, z):
+        return hyper_sum(num, den, z, n)
+
+    def ref(num, z):
+        return reference_hyper_sum(num, den, z, n)
+
+    _check_against_reference(series, ref, rows)
+    _check_plan_against_reference(series, ref, rows, places)
 
 
 @given(
@@ -914,14 +939,22 @@ def test_float_sum_matches_neumaier_reference(rows, den, n):
     st.lists(_floats, max_size=2),
     _float_bases,
     st.integers(0, 9),
+    _places,
 )
-@example([([8.0, 0.3], 1.0)], [4.0], 0.5, 3)  # 1 - 4 q^2 vanishes at k=3
-@example([([0.25, 3.0], 0.5)], [], 5e-324, 3)  # q^k underflows under excess -1
-@example([([-1e300], 1e300), ([0.5], -0.0)], [], 0.5, 3)  # overflow beside a finite sum
-@example([([2.0], math.nan), ([math.inf], 0.5)], [0.0, 2.5], 0.5, 4)  # excess 2
-def test_float_qsum_matches_neumaier_reference(rows, den, q, n):
-    _check_against_reference(
-        lambda num, z: qhyper_sum(num, den, q, z, n),
-        lambda num, z: _reference_qhyper_sum_float(num, den, q, z, n),
-        rows,
-    )
+@example([([8.0, 0.3], 1.0)], [4.0], 0.5, 3, [0, 1, 0, 0])  # 1 - 4 q^2 vanishes at k=3
+@example([([0.25, 3.0], 0.5)], [], 5e-324, 3, [0, 0, 0, 1])  # q^k underflows under excess -1
+# overflow beside a finite sum
+@example([([-1e300], 1e300), ([0.5], -0.0)], [], 0.5, 3, [2, 0, 0, 0])
+@example([([2.0], math.nan), ([math.inf], 0.5)], [0.0, 2.5], 0.5, 4, [0, 0, 0, 2])  # excess 2
+# an atom, a constant and an atom, and the argument z, as arrays summed as one block
+@example([([0.7**-9, 0.5, 1.5], 0.7), ([0.7**-9, -0.0, 2.5], 0.3)], [0.2], 0.7, 9, [0, 1, 0, 0])
+@example([([1.5, 0.5, -2.0], 0.25), ([0.3, 4.0, 7.0], -3.0)], [0.9], 0.6, 9, [1, 0, 2, 1])
+def test_float_qsum_matches_neumaier_reference(rows, den, q, n, places):
+    def series(num, z):
+        return qhyper_sum(num, den, q, z, n)
+
+    def ref(num, z):
+        return reference_qhyper_sum(num, den, q, z, n)
+
+    _check_against_reference(series, ref, rows)
+    _check_plan_against_reference(series, ref, rows, places)

@@ -20,14 +20,8 @@ from copz import (
     zero_derivatives_fd,
 )
 from copz.grid import LINEAR, QUADRATIC, Q_ANTISYMMETRIC, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC
-from copz.stieltjes import (
-    HypothesisReport,
-    b_antisymmetric_closed,
-    b_entry,
-    b_quadratic_closed,
-    b_symmetric_closed,
-    direction_from_signs,
-)
+from copz.stieltjes import HypothesisReport, b_entry, direction_from_signs
+from oracles import b_antisymmetric_closed, b_quadratic_closed, b_symmetric_closed
 from copz.zeros import track_zeros
 
 SPANNING = [

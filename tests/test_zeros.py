@@ -557,6 +557,30 @@ def test_window_growth_keeps_its_scans_and_outcome(monkeypatch, kind, params, n,
         assert got == (problem, [case[f] for f in fields])
 
 
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_a_search_plans_its_series_once(monkeypatch, kind):
+    # find_zeros and track_zeros each plan the float series once, for all
+    # their samples, one-point calls and array passes alike, and the tail
+    # start's complex step on the q^s lattice
+    plans, runs, plan = [], [], copz.qseries._plan
+
+    def counted(*args):
+        run = plan(*args)
+        plans.append(args[-1])
+        return lambda x: runs.append(x) or run(x)
+
+    monkeypatch.setattr(copz.qseries, "_plan", counted)
+    spec = make_family(kind, sample_params(kind, random.Random(f"one-plan/{kind}")))
+    problem = ZeroProblem(spec, min(3, spec.degree_max))
+    zs = find_zeros(problem)
+    assert plans == [problem.degree] and len(runs) > 10
+    plans.clear()
+    runs.clear()
+    radii = [1e-3 * max(1.0, abs(z)) for z in zs.zeros_s]
+    assert len(copz.zeros.track_zeros(problem, zs.zeros_s, radii)) == problem.degree
+    assert plans == [problem.degree] and len(runs) > 2
+
+
 def test_searches_sum_each_scan_sample_once(monkeypatch):
     # over the recorded outcomes: the array passes of a search's scans take
     # each of its distinct samples once, whatever the window growth and
@@ -683,10 +707,11 @@ def test_values_past_the_tail_start_keep_to_the_value_at_zero(kind, q, n, u, v):
     # P(0), relatively: so no sample there is a node zero or pairs a sign
     # change, and a scan may stop summing at s*
     base = make_family(kind, dict(_Q_EXP_PARAMS[kind](u, v, q), q=q)).resolve_base()
-    tail = copz.zeros._tail_start(base, n)
+    g = base._at_s(n)
+    tail = copz.zeros._tail_start(base, n, g)
     if tail == math.inf:
         return
-    p0, g = base._of_atoms(n)(base.params, 0.0), base._at_s(n)
+    p0 = g.at_atoms(0.0)
     for s in (tail, tail + 0.5, tail + 3.0, tail + 50.0):
         with exact_summation():
             exact = base.eval_at_s(n, s)
@@ -699,8 +724,8 @@ def test_no_tail_start_where_the_complex_step_cannot_resolve(kind):
     # at q = 1e-12 and n = 30, e_1 grows like q^-n past the float range, and
     # the step would fall below 1e-280: the scans sum every sample
     base = make_family(kind, dict(_Q_EXP_PARAMS[kind](0.5, 0.5, 1e-12), q=1e-12)).resolve_base()
-    assert copz.zeros._tail_start(base, 30) == math.inf
-    assert copz.zeros._tail_start(base, 1) < math.inf
+    assert copz.zeros._tail_start(base, 30, base._at_s(30)) == math.inf
+    assert copz.zeros._tail_start(base, 1, base._at_s(1)) < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +791,9 @@ def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, para
 
 
 def _refinement_points(monkeypatch):
-    """Record what _refined evaluates: the points of each float-series call,
-    one for a scalar call and one per sample of an array pass, and the size
-    of each array pass.  Scan samples are not recorded."""
+    """Record what _refined evaluates: the points of each run of the float
+    series' plan, one for a scalar call and one per sample of an array pass,
+    and the size of each array pass.  Scan samples are not recorded."""
     points, passes, refining = [], [], []
 
     def series_points(series):
@@ -800,8 +825,8 @@ def _refinement_points(monkeypatch):
             refining.clear()
 
     at_s, refine = copz.families.FamilySpec._at_s, copz.zeros._refined
-    for name in ("hyper_sum", "qhyper_sum"):
-        monkeypatch.setattr(copz.families, name, series_points(getattr(copz.families, name)))
+    plan = copz.qseries._plan
+    monkeypatch.setattr(copz.qseries, "_plan", lambda *args: series_points(plan(*args)))
     monkeypatch.setattr(copz.families.FamilySpec, "_at_s", counted_passes)
     monkeypatch.setattr(copz.zeros, "_refined", refined)
     return points, passes
