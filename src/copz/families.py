@@ -166,9 +166,9 @@ class FamilySpec:
         of the atoms at a later sample.  Each of these raises in the pass
         too, so only where the pass raises, or its first value is NaN or inf,
         does many call the first sample as one point, and on a raise the
-        atoms of the rest one at a time.  Its attribute at_atoms(x) is the
-        value at lattice atoms x, which the complex step of
-        zeros._tail_start takes.
+        atoms of the rest one at a time.  Under exact summation the pass is
+        _exact_many.  Its attribute at_atoms(x) is the value at lattice
+        atoms x, which the complex step of zeros._tail_start takes.
         """
         exact = _EXACT.get()
         p, atoms, array_atoms = _lattice_atoms(self.resolve_base(), exact)
@@ -196,10 +196,10 @@ class FamilySpec:
 
         def many(ss) -> np.ndarray:
             ss = np.asarray(ss, dtype=float)
-            # exact sums give lists, which value does not scale by its
-            # prefactors; one sample needs no array
-            if exact or len(ss) < 2:
+            if len(ss) < 2:  # one sample needs no array
                 return np.array([at_s(s) for s in ss.tolist()], dtype=float)
+            if exact:
+                return self._exact_many(n, ss.tolist())
             out = np.empty(len(ss))
             try:
                 # a degree-0 value is one float for all the points
@@ -236,6 +236,36 @@ class FamilySpec:
         if _EXACT.get():
             return (lambda x: series(p, n, x)), (pref,)
         return series(p, n, _SLOTS[self.grid.tag]), (pref,)
+
+    def _exact_many(self, n: int, ss: list) -> np.ndarray:
+        """The values at the samples ss, floats, summed exactly, as an array:
+        the array pass of _at_s under exact summation, with no function of s
+        built for it.  The samples' exact lattice atoms go to one exact
+        series call (_exact_sums), each value the one-point call's bit for
+        bit.  Where that call raises, the samples are evaluated one at a
+        time, which raises the error the per-sample loop meets first."""
+        p, atoms, _ = _lattice_atoms(self.resolve_base(), True)
+        try:
+            return np.array(self._exact_sums(n, p, _columns([atoms(s) for s in ss])))
+        except (ValueError, ArithmeticError):
+            with exact_summation():
+                g = self._at_s(n)
+                return np.array([g(s) for s in ss], dtype=float)
+
+    def _exact_sums(self, n: int, p, x) -> float | list:
+        """The degree-n value at one point's exact lattice atoms x, or the
+        list of values at the points whose atoms are the columns x
+        (_columns), from one exact series call, each scaled by the
+        prefactors as at one point (_of_atoms): the one-point values bit for
+        bit.  The lookup's errors come first; an overflow of one point's sum
+        among columns raises qseries._PointOverflow, which names the point."""
+        with exact_summation():
+            series, prefs = self._of_atoms(n, p)
+            values = series(x)
+        points = isinstance(values, list)
+        for pref in prefs:
+            values = [pref * v for v in values] if points else pref * values
+        return values
 
     def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(
@@ -293,6 +323,12 @@ class FamilySpec:
             raise SingularityError(f"{self.kind}: A(s)=0 at s={s!r}")
         return B / A
 
+    def _check_continuous(self, param: str) -> None:
+        """Raise DomainError for a param the family cannot move continuously:
+        N, whose moved values leave the integers, or a name it does not have."""
+        if param not in self.params or param == "N":
+            raise DomainError(f"{self.kind} has no continuous parameter {param!r}")
+
     def f_partials(self, s: float, param: str) -> tuple[float, float]:
         """(df/ds, df/dparam) at s, as Im f / h with s, then param, moved by ih.
 
@@ -305,8 +341,7 @@ class FamilySpec:
         signs; the real f is not taken, so the samples a scalar call raises
         at are among those where monotonicity_f over the same array is NaN.
         """
-        if param not in self.params or param == "N":
-            raise DomainError(f"{self.kind} has no continuous parameter {param!r}")
+        self._check_continuous(param)
         if not isinstance(s, np.ndarray):
             self.monotonicity_f(s)
         moved = {**self.params, param: self.params[param] + _STEP * 1j}
@@ -1361,25 +1396,17 @@ def eval_exact_at_support(
             else "the infinite support 0, 1, 2, ..."
         )
         raise DomainError(f"{family._label}: support index k={outside} outside {support}")
-    base = family.resolve_base()
-    entry = _CATALOG[base.kind]
-    p, atom = _support_atoms(base)
+    p, atom = _support_atoms(family.resolve_base())
     x = _columns([atom(j) for j in k]) if many else atom(k)
     rows = []
     with _support_pass():
         for d in (n,) if one_degree else n:
-            family._check_degree(d)
             try:
-                # an alias scales its base's value by its own prefactor, as in _of_atoms
-                outer = 1.0 if base is family else _CATALOG[family.kind].prefactor(family.params, d)
-                pref = entry.prefactor(base.params, d)
-                with exact_summation():
-                    values = entry.series(p, d, x)
+                rows.append(family._exact_sums(d, p, x))
             except OverflowError as exc:
                 # a per-point sum names its point; the factors common to all fail at the first
                 i = exc.index if isinstance(exc, _PointOverflow) else 0
                 raise family._overflow(d, family.support_start + (k[i] if many else k)) from exc
-            rows.append([outer * (pref * v) for v in values] if many else outer * (pref * values))
     return rows[0] if one_degree else rows
 
 

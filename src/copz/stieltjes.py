@@ -250,8 +250,11 @@ def zero_derivatives_fd(problem: ZeroProblem, param: str) -> tuple[float, ...]:
     """Central-difference derivatives of the s-coordinates of the zeros.
 
     Independent of the linear system; pairs zeros by sorted order at t-h and
-    t+h, with h = 1e-5 max(1, |t|), and requires matching counts.
+    t+h, with h = 1e-5 max(1, |t|), and requires matching counts.  A param
+    the family cannot take (N, or a name it does not have) raises
+    DomainError before any solve.
     """
+    problem.family._check_continuous(param)
     t0 = float(problem.family.params[param])
     h = 1e-5 * max(1.0, abs(t0))
     up = find_zeros(_problem_at(problem, param, t0 + h))
@@ -309,8 +312,7 @@ def monotonicity_verdict(
     solve.
     """
     fam = problem.family
-    if param not in fam.params or param == "N":
-        raise DomainError(f"{fam.kind} has no continuous parameter {param!r}")
+    fam._check_continuous(param)
     lo, hi = t_range
     if not lo < hi:
         raise DomainError(f"empty sweep range {t_range!r}")

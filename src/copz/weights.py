@@ -24,9 +24,9 @@ a degree at a point is one dot product with that degree's ratio products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import SingularityError, TruncationError, WeightPositivityError
+from .errors import DomainError, SingularityError, TruncationError, WeightPositivityError
 from .families import FamilySpec, eval_exact_at_support
 from .qseries import Neumaier
 
@@ -36,13 +36,18 @@ _MAX_POINTS = 10_000
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Log-space weight values on s = start, start+1, ... with w(start) = 1."""
+    """Log-space weight values on s = start, start+1, ... with w(start) = 1.
+
+    ``terms`` holds the walk's ratio terms, _ratio_terms at each s but the
+    last, whose quotient is w(s+1)/w(s): pearson_residual_max reads them.
+    """
 
     family: FamilySpec
     start: float
     log_values: tuple[float, ...]
     log_measures: tuple[float, ...]  # log w(s) + log|dx(s-1/2)|, the measure sums use
     truncation_bound: float
+    terms: tuple[tuple[float, float], ...] = field(default=(), repr=False)
 
     def __len__(self) -> int:
         return len(self.log_values)
@@ -86,19 +91,36 @@ def weight_table(
     relative bound.  That margin covers pairing sums up to degree
     ``degree_hint``: on decreasing lattices the polynomials tend to 1 in the
     tail while high-degree norms are tiny.
+
+    The walk reads A, B and dx(s-1/2) once per point: the step from s takes
+    B(s) and dx(s-1/2) from the step before, which read them at its s + 1.0,
+    wherever that is the same float as this s, and reads them afresh where
+    it is not.  Each ratio is weight_ratio's bit for bit, in the same order
+    of calls where one raises.
     """
     g = family.grid
     a = family.support_start
     margin = 2 * max(1, degree_hint)
     stop = int(round(family.support_end - a)) - 1 if family.is_finite else None
-    logs, log_measures = [], []
+    logs, log_measures, terms = [], [], []
     mass_partial = Neumaier()
     heavy_max = prev_heavy = -math.inf
     log_w = 0.0
+    # the last point whose A, B and whose dx(s-1/2) were read, and their values
+    s_ab = s_dx = None
     for k in range(_MAX_POINTS):
         if k:
             s = a + (k - 1)
-            r = weight_ratio(family, s)
+            B = ab[1] if s == s_ab else family.coeffs_AB(s)[1]
+            s_ab = s + 1.0
+            ab = family.coeffs_AB(s_ab)
+            num = B * dx_half  # dx(s-1/2), read at the end of the step before
+            s_dx, dx_half = s_ab, g.delta_x_half(s_ab)
+            den = ab[0] * dx_half
+            terms.append((num, den))
+            if den == 0.0:
+                raise WeightPositivityError(s, math.inf)
+            r = num / den
             if r <= 0.0 or math.isinf(r):
                 if not allow_sign_flip or r == 0.0 or math.isinf(r):
                     raise WeightPositivityError(s, r)
@@ -109,8 +131,10 @@ def weight_table(
                     f"{family.kind}: weight magnitude overflow (log w = {log_w:.1f} at s={s + 1})"
                 )
         s = a + k
+        if s != s_dx:
+            s_dx, dx_half = s, g.delta_x_half(s)
         # a zero step at s = a is a coefficient pole, which the next ratio reports
-        dx = abs(g.delta_x_half(s))
+        dx = abs(dx_half)
         logmu = log_w + (math.log(dx) if dx else -math.inf)
         logs.append(log_w)
         log_measures.append(logmu)
@@ -130,7 +154,9 @@ def weight_table(
                         stop = k + margin
         if k == stop:
             bound = 0.0 if family.is_finite else _mass_tail(logmu, rh) / mass_partial.value
-            return WeightTable(family, a, tuple(logs), tuple(log_measures), bound)
+            return WeightTable(
+                family, a, tuple(logs), tuple(log_measures), bound, tuple(terms)
+            )
     raise TruncationError(
         f"{family.kind}: weight table exceeded {_MAX_POINTS} points without meeting its tail bound"
     )
@@ -192,10 +218,18 @@ def gram_offdiag_max(family: FamilySpec, kmax: int, table: WeightTable) -> float
 
 
 def pearson_residual_max(family: FamilySpec, table: WeightTable) -> float:
-    """Largest pointwise residual of the ratio recurrence over the table."""
+    """Largest pointwise residual of the ratio recurrence over the table.
+
+    The ratio terms are those the table's walk read (WeightTable.terms), so
+    family must be the table's own: another raises DomainError.
+    """
+    if family != table.family:
+        raise DomainError(
+            f"{family.kind} {dict(family.params)}: the weight table was walked for"
+            f" {table.family.kind} {dict(table.family.params)}"
+        )
     worst = 0.0
-    for k in range(len(table) - 1):
-        t2, t1 = _ratio_terms(family, table.s_at(k))
+    for k, (t2, t1) in enumerate(table.terms):
         # w(s+1) t1 - w(s) t2 = 0, evaluated through the log table
         lhs = math.exp(table.log_values[k + 1] - table.log_values[k]) * t1
         scale = max(abs(lhs), abs(t2))

@@ -38,7 +38,8 @@ where it cannot certify the set, it returns None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -82,18 +83,47 @@ class ZeroSet:
     ``zeros_s`` is strictly increasing; ``zeros_X`` follows the lattice
     direction (ascending on increasing lattices, descending otherwise).
     ``residuals`` gives |P| at each zero relative to the larger end value of
-    its final bracket; it is inf where the float value at the zero is NaN or
-    inf, which the float series does not confirm as a zero.
+    the bracket its refinement started from, the scan's pair or the tracked
+    bracket; it is inf where the float value at the zero is NaN or inf,
+    which the float series does not confirm as a zero.  The residuals are
+    computed on first read, from the search's function of s under the
+    summation the search ran in and the brackets' scales, which the set
+    keeps out of its comparison and repr.
     """
 
     problem: ZeroProblem
     zeros_s: tuple[float, ...]
     zeros_X: tuple[float, ...]
-    residuals: tuple[float, ...]
     bracket_widths: tuple[float, ...]
+    # what residuals reads: whether the search ran under exact summation, and
+    # each bracket's max(|gl|, |gr|, 1e-300)
+    _exact: bool = field(default=False, compare=False, repr=False)
+    _scales: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.zeros_s)
+
+    @cached_property
+    def residuals(self) -> tuple[float, ...]:
+        """|g| at each zero over its bracket's scale: one array pass for a
+        set of _LOCKSTEP or more zeros, one call each for fewer, each value
+        the one-point call's bit for bit.
+
+        g, the search's FamilySpec._at_s, is built again here, a function of
+        the family, the degree and the summation alone.  A set that kept it
+        would keep its closures alive for as long as a sweep keeps its sets,
+        and the garbage collector would pay for them: in a copz verify pass
+        that was about 2% of the time, in gen-1 and gen-2 collections."""
+        token = _EXACT.set(self._exact)
+        try:
+            g = self.problem.family.resolve_base()._at_s(self.problem.degree)
+            zs = self.zeros_s
+            gz = g.many(zs).tolist() if len(zs) >= _LOCKSTEP else list(map(g, zs))
+        finally:
+            _EXACT.reset(token)
+        return tuple(
+            abs(v) / scale if math.isfinite(v) else math.inf for v, scale in zip(gz, self._scales)
+        )
 
     @property
     def zeros_X_sorted(self) -> tuple[float, ...]:
@@ -414,17 +444,14 @@ def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
     round evaluates the trial points of all of them in one array pass,
     g.many, and each takes its next ITP step.  The brackets left open
     then refine one at a time, one call of g per trial point; so do sets of
-    fewer than _LOCKSTEP brackets from the start.  The residuals of a set of
-    _LOCKSTEP or more come from one array pass too, and every value is the
-    one-at-a-time value bit for bit.  A zero's residual is |g| there relative
-    to the larger end value of its bracket, the local scale of the polynomial;
-    where g is NaN or inf at the zero, the float series does not confirm it,
-    and its residual is inf.
+    fewer than _LOCKSTEP brackets from the start.  Every value is the
+    one-at-a-time value bit for bit.  g is not evaluated at the zeros: the
+    set keeps each bracket's larger end value, the local scale of the
+    polynomial, and computes the residuals when they are read (ZeroSet).
     """
     fam = problem.family
     if len(brackets) < _LOCKSTEP:
         found = [_drive(_itp(*b), g) for b in brackets]
-        gz = [g(z) for z, _ in found]
     else:
         found = [None] * len(brackets)
         # (trial point, bracket index, stepper) of each open bracket, and g at
@@ -444,14 +471,10 @@ def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
             values = g.many([x for x, _, _ in trials]).tolist()
         for x, i, steps in trials:
             found[i] = _drive(steps, g, g(x))
-        gz = g.many([z for z, _ in found]).tolist()
     zs, widths = zip(*found)
-    residuals = [
-        abs(v) / max(abs(gl), abs(gr), 1e-300) if math.isfinite(v) else math.inf
-        for v, (_, _, gl, gr) in zip(gz, brackets)
-    ]
     xs = [fam.zero_scale * fam.grid.x_raw(z) for z in zs]
-    return ZeroSet(problem, zs, tuple(xs), tuple(residuals), widths)
+    scales = tuple(max(abs(gl), abs(gr), 1e-300) for _, _, gl, gr in brackets)
+    return ZeroSet(problem, zs, tuple(xs), widths, _EXACT.get(), scales)
 
 
 @dataclass(frozen=True)
@@ -491,20 +514,31 @@ class Eq1Report:
 
 
 def eq1_consistency(zs: ZeroSet) -> Eq1Report:
+    """The identity at each zero, P(x(y +/- 1)) summed exactly: at higher
+    degrees the float series loses enough digits near the top of q-lattice
+    supports to mimic a flag.  The 2n shifted points y_1 - 1, y_1 + 1,
+    y_2 - 1, ... are one exact array pass (FamilySpec._exact_many); where it
+    raises, each zero evaluates its own two, so an error is met, or counted
+    as an anomaly, at the zero it belongs to."""
     fam = zs.problem.family
     base = fam.resolve_base()
     n = zs.problem.degree
+    try:
+        values = base._exact_many(n, [y + d for y in zs.zeros_s for d in (-1.0, 1.0)]).tolist()
+    except (ValueError, ArithmeticError):
+        values = None
     residuals = []
     f_values = []
     rhs_values = []
     anomalies = []
     for j, y in enumerate(zs.zeros_s):
         try:
-            # exact summation: at higher degrees the float series loses enough
-            # digits near the top of q-lattice supports to mimic a flag
-            with exact_summation():
-                p_minus = base.eval_at_s(n, y - 1.0)
-                p_plus = base.eval_at_s(n, y + 1.0)
+            if values is None:
+                with exact_summation():
+                    p_minus = base.eval_at_s(n, y - 1.0)
+                    p_plus = base.eval_at_s(n, y + 1.0)
+            else:
+                p_minus, p_plus = values[2 * j : 2 * j + 2]
             if p_plus == 0.0:
                 raise ZeroDivisionError
             fv = fam.monotonicity_f(y)

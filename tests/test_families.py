@@ -822,13 +822,53 @@ def test_eval_at_s_many_matches_eval_at_s_bit_for_bit(kind):
             assert got == _outcomes(_per_sample, spec, n, ss)
 
 
-def test_eval_at_s_many_sums_exactly_one_point_at_a_time():
+def test_eval_at_s_many_sums_exactly_in_one_series_call():
     spec = make_family("q_hahn", alpha=0.5, beta=0.6, q=0.7, N=8)
     ss = [0.5 * i for i in range(15)]
     with exact_summation():
         exact = _outcomes(lambda: spec._at_s(5).many(ss))
         assert exact == _outcomes(_per_sample, spec, 5, ss)
     assert exact != _outcomes(lambda: spec._at_s(5).many(ss))  # the float sums round apart
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_exact_many_is_one_series_call_of_the_one_point_values(monkeypatch, kind):
+    # every lattice, aliases with their prefactors: the samples' exact atoms
+    # go to one exact series call, each value the one-point call's by its bits
+    spec = make_family(kind, sample_params(kind, random.Random(f"exact/{kind}")))
+    lo = spec.support_start
+    hi = spec.support_end - 1.0 if spec.is_finite else lo + 12.0
+    ss = [lo + (hi - lo) * i / 16 for i in range(17)] + [lo - 0.75, hi + 0.25]
+    n = min(3, spec.degree_max)
+    calls, sums = [], copz.qseries._sum_points
+    monkeypatch.setattr(copz.qseries, "_sum_points", lambda *args: calls.append(1) or sums(*args))
+    with exact_summation():
+        want = _outcomes(_per_sample, spec, n, ss)
+        del calls[:]
+        got = _outcomes(lambda: spec._at_s(n).many(ss))
+    assert got == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, params, n, ss",
+    [
+        # a later sample's q^-s atom overflows
+        ("q_hahn", {"alpha": 0.5, "beta": 0.6, "q": 0.5, "N": 8}, 2, [0.0, 1.5, 2000.0, 3000.0]),
+        # a later sample's q-quadratic atom q^a q^-s
+        ("dual_q_hahn", {"a": 0.8, "alpha": 0.5, "q": 0.6, "N": 7}, 2, [0.0, 1.0, 2000.0, 1.5]),
+        # a later sample's sum passes the float range; its rational atoms do not
+        ("racah", {"a": 0.5, "alpha": 0.4, "beta": 1.1, "N": 8}, 3, [0.0, 1.0, 1e80, 1e90]),
+    ],
+    ids=["later-q-atom", "later-q-quadratic-atom", "later-sum"],
+)
+def test_exact_many_raises_the_first_per_sample_error(kind, params, n, ss):
+    spec = make_family(kind, params)
+    with exact_summation():
+        got = _outcomes(lambda: spec._at_s(n).many(ss))
+        assert got == _outcomes(_per_sample, spec, n, ss)
+    assert got[0] is EvaluationOverflowError
+    assert f"s={ss[2]!r}" in got[1]
 
 
 @pytest.mark.parametrize("kind", catalog_kinds())

@@ -377,6 +377,28 @@ def test_sweep_rejects_a_parameter_the_family_cannot_take(monkeypatch, param):
     assert solved == []
 
 
+@pytest.mark.parametrize(
+    "kind, params, param",
+    [
+        ("meixner", {"alpha": 0.5, "beta": 1.5}, "zz"),
+        ("meixner", {"alpha": 0.5, "beta": 1.5}, "N"),
+        ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 8}, "N"),
+    ],
+)
+def test_finite_differences_reject_a_parameter_the_family_cannot_take(
+    monkeypatch, kind, params, param
+):
+    # a name the family lacks raised a bare KeyError, and hahn's N the
+    # domain error of its first moved instance, "N must satisfy integer
+    # 2..60 (got 8.00008)"; the typed error comes before any solve
+    solved = []
+    monkeypatch.setattr(copz.stieltjes, "find_zeros", solved.append)
+    problem = ZeroProblem(make_family(kind, params), 2)
+    with pytest.raises(DomainError, match=f"^{kind} has no continuous parameter '{param}'$"):
+        zero_derivatives_fd(problem, param)
+    assert solved == []
+
+
 def test_report_where_the_table_overflows_at_every_sample():
     # q**(-N) in the q-Hahn A, B overflows at q = 1e-40 whatever s is, so the
     # array passes raise as a whole: every sample is a counterexample, and with

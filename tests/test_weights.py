@@ -10,6 +10,7 @@ from copz import (
     TruncationError,
     WeightPositivityError,
     boundary_check,
+    catalog_kinds,
     gram_offdiag_max,
     make_family,
     orthogonality_residual,
@@ -18,6 +19,7 @@ from copz import (
     weight_table,
 )
 from copz.families import eval_exact_at_support
+import copz
 from copz import weights
 from copz.weights import weight_ratio
 
@@ -83,6 +85,68 @@ def test_pearson_residual_pointwise():
     for kind in CONSISTENT_KINDS:
         spec = make_family(kind, sample_params(kind, rng))
         assert pearson_residual_max(spec, weight_table(spec)) < 1e-12
+
+
+def test_pearson_rejects_a_table_walked_for_another_family():
+    # the residual reads the table's own ratio terms: an alpha=0.5 table
+    # against alpha=0.7 terms read 0.1176, a mix of two families
+    table = weight_table(make_family("hahn", alpha=0.5, beta=1.0, N=10))
+    other = make_family("hahn", alpha=0.7, beta=1.0, N=10)
+    with pytest.raises(DomainError, match="walked for hahn"):
+        pearson_residual_max(other, table)
+    assert pearson_residual_max(make_family("hahn", alpha=0.5, beta=1.0, N=10), table) < 1e-12
+
+
+#: a racah draw whose support points a + k are not always the float
+#: (a + (k - 1)) + 1.0 the step before reads its A, B and dx at: at k = 4
+_RACAH_MISSTEP = {"a": 0.15306868060822457, "alpha": -0.46138361286703544,
+                  "beta": -0.4028142519502368, "N": 8}
+
+
+#: every kind but little_q_laguerre and q_laguerre: their tables flag their
+#: signs, and the flipped weights overflow at every draw
+_TABLED_KINDS = [k for k in catalog_kinds() if k not in ("little_q_laguerre", "q_laguerre")]
+
+
+def _walked_draw(kind):
+    """The first of kind's draws whose table builds, its signs flipped where
+    the coefficient table is inconsistent, as verify's fallback does."""
+    rng = random.Random(kind)
+    for _ in range(5):
+        spec = make_family(kind, sample_params(kind, rng))
+        try:
+            weight_table(spec, allow_sign_flip=True)
+        except TruncationError:
+            continue
+        return spec
+    raise AssertionError(f"no {kind} table builds")
+
+
+@pytest.mark.parametrize("kind", [*_TABLED_KINDS, "racah-misstep"])
+def test_walk_reads_each_points_coefficients_once(monkeypatch, kind):
+    # the table's terms are _ratio_terms at each s but the last, bit for
+    # bit, from one A, B read per point, and a second read at each s the
+    # step before reached as another float
+    if kind == "racah-misstep":
+        spec = make_family("racah", _RACAH_MISSTEP)
+    else:
+        spec = _walked_draw(kind)
+    reads, coeffs = [], copz.FamilySpec.coeffs_AB
+    monkeypatch.setattr(copz.FamilySpec, "coeffs_AB", lambda self, s: reads.append(s) or coeffs(self, s))
+    table = weight_table(spec, allow_sign_flip=True)
+    monkeypatch.undo()
+    ref = [weights._ratio_terms(spec, table.s_at(k)) for k in range(len(table) - 1)]
+    assert [(u.hex(), v.hex()) for u, v in table.terms] == [(u.hex(), v.hex()) for u, v in ref]
+    # the step from s reads A, B at s + 1.0, and at s too where the step
+    # before read another float
+    a, walked = spec.support_start, []
+    for k in range(len(table) - 1):
+        s = table.s_at(k)
+        if not k or s != (a + (k - 1)) + 1.0:
+            walked.append(s)
+        walked.append(s + 1.0)
+    assert reads == walked
+    assert len(walked) > len(table) or kind != "racah-misstep"
 
 
 def test_gram_matrix_diagonal():

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -17,8 +18,10 @@ from copz import (
     eq1_consistency,
     find_zeros,
     make_family,
+    monotonicity_verdict,
     sample_params,
     separation_check,
+    zero_derivatives_fd,
 )
 from copz.qseries import exact_summation
 
@@ -791,9 +794,10 @@ def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, para
 
 
 def _refinement_points(monkeypatch):
-    """Record what _refined evaluates: the points of each run of the float
-    series' plan, one for a scalar call and one per sample of an array pass,
-    and the size of each array pass.  Scan samples are not recorded."""
+    """Record what _refined and a read of a set's residuals evaluate: the
+    points of each run of the float series' plan, one for a scalar call and
+    one per sample of an array pass, and the size of each array pass.  Scan
+    samples are not recorded."""
     points, passes, refining = [], [], []
 
     def series_points(series):
@@ -817,18 +821,23 @@ def _refinement_points(monkeypatch):
         g.many = pass_size
         return g
 
-    def refined(*args):
-        refining.append(True)
-        try:
-            return refine(*args)
-        finally:
-            refining.clear()
+    def recording(fn):
+        def recorded(*args):
+            refining.append(True)
+            try:
+                return fn(*args)
+            finally:
+                refining.clear()
 
-    at_s, refine = copz.families.FamilySpec._at_s, copz.zeros._refined
+        return recorded
+
+    at_s = copz.families.FamilySpec._at_s
     plan = copz.qseries._plan
     monkeypatch.setattr(copz.qseries, "_plan", lambda *args: series_points(plan(*args)))
     monkeypatch.setattr(copz.families.FamilySpec, "_at_s", counted_passes)
-    monkeypatch.setattr(copz.zeros, "_refined", refined)
+    monkeypatch.setattr(copz.zeros, "_refined", recording(copz.zeros._refined))
+    residuals = recording(copz.zeros.ZeroSet.residuals.func)
+    monkeypatch.setattr(copz.zeros.ZeroSet, "residuals", property(residuals))
     return points, passes
 
 
@@ -844,9 +853,10 @@ def test_series_calls_per_zero_over_the_recorded_outcomes(monkeypatch):
     zeros = 0
     for case in ZERO_OUTCOMES:
         try:
-            zeros += len(find_zeros(_recorded_problem(case)))
+            zs = find_zeros(_recorded_problem(case))
         except copz.CopzError:
-            pass
+            continue
+        zeros += len(zs.residuals)
     assert zeros == sum(len(case.get("zeros_s", ())) for case in ZERO_OUTCOMES)
     assert sum(points) / zeros <= SERIES_CALLS_PER_ZERO
 
@@ -904,3 +914,90 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, kind, params, n, lockstep):
         assert min(passes) >= copz.zeros._LOCKSTEP
         # and each pass is summed as one block, all its points
         assert blocks[-len(passes):] == passes
+
+
+# ---------------------------------------------------------------------------
+# residuals, computed when read
+# ---------------------------------------------------------------------------
+
+
+def _started_brackets(monkeypatch):
+    """The brackets each _refined call starts from, in call order."""
+    started, refine = [], copz.zeros._refined
+
+    def recorded(problem, g, brackets):
+        started.append(list(brackets))
+        return refine(problem, g, brackets)
+
+    monkeypatch.setattr(copz.zeros, "_refined", recorded)
+    return started
+
+
+def _one_point_residuals(zs, brackets):
+    """The residuals as the search itself computed them before they were
+    read lazily: |P| at each zero by one eval_at_s call, under the
+    summation in force, over the larger end value of its starting bracket."""
+    base, n = zs.problem.family.resolve_base(), zs.problem.degree
+    out = []
+    for z, (_, _, gl, gr) in zip(zs.zeros_s, brackets):
+        v = base.eval_at_s(n, z)
+        out.append(abs(v) / max(abs(gl), abs(gr), 1e-300) if math.isfinite(v) else math.inf)
+    return [r.hex() for r in out]
+
+
+def _check_read_residuals(monkeypatch, problem, exact=False):
+    """find_zeros and track_zeros around its zeros, run under exact summation
+    where exact is set, and their residuals read outside it: each value the
+    one-point value of the search's summation, by its bits."""
+    started = _started_brackets(monkeypatch)
+    with exact_summation() if exact else contextlib.nullcontext():
+        found = find_zeros(problem)
+        tracked = copz.zeros.track_zeros(problem, found.zeros_s, [0.25] * problem.degree)
+        sets = [found] if tracked is None else [found, tracked]
+    for zs, brackets in zip(sets, started):
+        assert "residuals" not in vars(zs)  # nothing evaluated before the read
+        got = [r.hex() for r in zs.residuals]
+        with exact_summation() if exact else contextlib.nullcontext():
+            assert got == _one_point_residuals(zs, brackets)
+    monkeypatch.undo()
+    return len(sets)
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_residuals_read_later_are_the_searchs_own(monkeypatch, kind):
+    spec = make_family(kind, sample_params(kind, random.Random(kind)))
+    tracked = 0
+    for n in range(1, min(3, spec.degree_max) + 1):
+        tracked += _check_read_residuals(monkeypatch, ZeroProblem(spec, n)) - 1
+        # a set built under exact summation reads its g under it too
+        tracked += _check_read_residuals(monkeypatch, ZeroProblem(spec, n), exact=True) - 1
+    assert tracked
+
+
+@pytest.mark.parametrize("kind, params, n", _ORACLE_CASES, ids=[f"{k}-{n}" for k, _, n in _ORACLE_CASES])
+def test_high_degree_residuals_read_later_are_the_searchs_own(monkeypatch, kind, params, n):
+    # the lockstep refinement's sets, and one pass for their residuals
+    problem = ZeroProblem(make_family(kind, params), n)
+    try:
+        find_zeros(problem)
+    except copz.CopzError:
+        return  # the recorded outcomes check the error
+    _check_read_residuals(monkeypatch, problem)
+
+
+def test_sweeps_and_finite_differences_evaluate_no_residual(monkeypatch):
+    reads, residuals = [], copz.zeros.ZeroSet.residuals.func
+    monkeypatch.setattr(
+        copz.zeros.ZeroSet, "residuals", property(lambda zs: reads.append(zs) or residuals(zs))
+    )
+    for kind, params, n in [
+        ("hahn", {"alpha": 0.5, "beta": 1.0, "N": 12}, 3),
+        ("q_meixner", {"alpha": 0.5, "beta": 0.5, "q": 0.5}, 2),
+    ]:
+        problem = ZeroProblem(make_family(kind, params), n)
+        claim = problem.family.claims()[0]
+        monotonicity_verdict(problem, claim.param, claim.window, samples=7)
+        zero_derivatives_fd(problem, claim.param)
+        assert reads == []
+    find_zeros(problem).residuals  # the spy sees a read
+    assert len(reads) == 1
