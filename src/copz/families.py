@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -169,6 +169,12 @@ class FamilySpec:
         atoms of the rest one at a time.  Under exact summation the pass is
         _exact_many.  Its attribute at_atoms(x) is the value at lattice
         atoms x, which the complex step of zeros._tail_start takes.
+
+        The function is no reference cycle: many calls a twin of it, not
+        the function itself, on its cold paths.  So it and its plan die by
+        reference counting where the search that built it ends: a copz
+        verify pass builds thousands, and left as cycles they would make the
+        cycle collector run over a hundred times a pass.
         """
         exact = _EXACT.get()
         p, atoms, array_atoms = _lattice_atoms(self.resolve_base(), exact)
@@ -194,10 +200,17 @@ class FamilySpec:
                 v = pref * v
             return v
 
+        # at_s's value and error, with one more frame, for many's cold paths
+        def one(s: float) -> float:
+            try:
+                return value(atoms(s))
+            except OverflowError as exc:
+                raise self._overflow(n, s) from exc
+
         def many(ss) -> np.ndarray:
             ss = np.asarray(ss, dtype=float)
             if len(ss) < 2:  # one sample needs no array
-                return np.array([at_s(s) for s in ss.tolist()], dtype=float)
+                return np.array([one(s) for s in ss.tolist()], dtype=float)
             if exact:
                 return self._exact_many(n, ss.tolist())
             out = np.empty(len(ss))
@@ -206,7 +219,7 @@ class FamilySpec:
                 with np.errstate(all="ignore"):
                     out[:] = value(array_atoms(ss))
             except (DomainError, ArithmeticError):
-                at_s(float(ss[0]))
+                one(float(ss[0]))
                 for s in ss[1:].tolist():  # name the first s whose atoms overflow
                     try:
                         atoms(s)
@@ -214,7 +227,7 @@ class FamilySpec:
                         raise self._overflow(n, s) from exc
                 raise
             if not math.isfinite(out[0]):
-                out[0] = at_s(float(ss[0]))
+                out[0] = one(float(ss[0]))
             return out
 
         at_s.many, at_s.at_atoms = many, value
@@ -364,7 +377,10 @@ class FamilySpec:
         return _CATALOG[self.kind].claims(self.params)
 
     def with_param(self, param: str, value: float) -> "FamilySpec":
-        return make_family(self.kind, {**self.params, param: value})
+        """make_family(kind, params with param at value): a sweep point calls
+        it, and it runs make_family's binder, so the checks and errors are
+        the same."""
+        return _bind(self.kind, {**self.params, param: value})
 
 
 #: a domain record: parameter name, the printed inequality, and its predicate
@@ -1315,10 +1331,16 @@ def make_family(kind: str, params: Mapping[str, float] | None = None, **kw) -> F
     Raises DomainError naming the violated inequality when a parameter lies
     outside its family's domain.
     """
-    key = normalize_kind(kind)
-    entry = _CATALOG[key]
     p = dict(params or {})
     p.update(kw)
+    return _bind(normalize_kind(kind), p)
+
+
+def _bind(key: str, p: dict, alias_kind: str | None = None) -> FamilySpec:
+    """Check the parameters p of the catalog kind key and bind them to the
+    lattice: make_family and with_param both run this, and no other place
+    checks.  alias_kind is the field of an alias's base: the alias's kind."""
+    entry = _CATALOG[key]
     expected = set(entry.param_order)
     given = set(p)
     if given != expected:
@@ -1338,17 +1360,18 @@ def make_family(kind: str, params: Mapping[str, float] | None = None, **kw) -> F
         if not math.isfinite(v):
             raise DomainError(f"{key}: {name} must be finite (got {v!r})")
     if entry.alias_map is not None:
-        base = make_family(*entry.alias_map(p))
-        return replace(
-            base, kind=key, params=p, base=replace(base, alias_kind=key),
-            zero_scale=entry.zero_scale(p),
+        # an alias takes its base's grid, support and degree cap
+        base = _bind(*entry.alias_map(p), key)
+        return FamilySpec(
+            key, p, base.grid, base.support_start, base.support_end, base.degree_max,
+            base, entry.zero_scale(p),
         )
     grid = Grid(entry.lattice, p.get("q"))
     a = p.get("a", 0.0)
     if "N" not in p:
-        return FamilySpec(key, p, grid, a, math.inf, INFINITE_DEGREE_CAP)
+        return FamilySpec(key, p, grid, a, math.inf, INFINITE_DEGREE_CAP, alias_kind=alias_kind)
     p["N"] = int(p["N"])
-    return FamilySpec(key, p, grid, a, a + p["N"], p["N"] - 1)
+    return FamilySpec(key, p, grid, a, a + p["N"], p["N"] - 1, alias_kind=alias_kind)
 
 
 def sample_params(kind: str, rng: random.Random) -> dict:

@@ -111,9 +111,9 @@ class ZeroSet:
 
         g, the search's FamilySpec._at_s, is built again here, a function of
         the family, the degree and the summation alone.  A set that kept it
-        would keep its closures alive for as long as a sweep keeps its sets,
-        and the garbage collector would pay for them: in a copz verify pass
-        that was about 2% of the time, in gen-1 and gen-2 collections."""
+        would hold its plan and closures for as long as a sweep keeps its
+        sets, for residuals that no sweep, finite difference or verify line
+        reads."""
         token = _EXACT.set(self._exact)
         try:
             g = self.problem.family.resolve_base()._at_s(self.problem.degree)

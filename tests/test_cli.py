@@ -1,16 +1,19 @@
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import copz
+from copz import make_family
 from copz.cli import main
 
 
@@ -276,6 +279,37 @@ def test_python_dash_m_runs_the_cli():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, sets",
+    [
+        ("hahn", ["alpha=0.5", "beta=1", "N=10"]),  # a finite support
+        ("little_q_jacobi", ["alpha=0.5", "beta=0.5", "q=0.5"]),  # the q^s lattice
+        ("q_charlier", ["alpha=1", "q=0.5"]),  # an alias
+        ("q_bessel", ["alpha=1", "q=0.5"]),  # a flagged, sign-inconsistent table
+    ],
+)
+def test_verify_frees_what_it_builds_without_the_cycle_collector(kind, sets):
+    # a pass whose objects die by reference counting leaves the collector no
+    # work: the search functions of its sweeps and solves hold no cycle
+    argv = ["verify", "--family", kind, "--n", "2"]
+    for item in sets:
+        argv += ["--set", item]
+    run_cli(argv)  # imports and module-level caches are built once
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, err = run_cli(argv)
+        assert gc.collect() == 0
+        g = make_family(kind, dict(item.split("=") for item in sets))._at_s(2)
+        g(0.5), g.many([0.5]), g.many([0.5, 1.5, 2.5])
+        dropped = weakref.ref(g)
+        del g
+        assert dropped() is None
+    finally:
+        gc.enable()
+    assert code == 0, err
 
 
 def _count_zero_solves(monkeypatch, *modules):

@@ -26,7 +26,7 @@ from copz import (
     sample_params,
     weight_table,
 )
-from copz.families import _CATALOG, eval_exact_at_support
+from copz.families import _CATALOG, MAX_FINITE_SUPPORT, eval_exact_at_support
 from copz.qseries import exact_summation, hyper_sum, qhyper_sum
 from oracles import reference_hyper_sum, reference_qhyper_sum
 
@@ -820,6 +820,10 @@ def test_eval_at_s_many_matches_eval_at_s_bit_for_bit(kind):
         if n <= spec.degree_max:
             got = _outcomes(lambda: spec._at_s(n).many(ss))
             assert got == _outcomes(_per_sample, spec, n, ss)
+            # one sample takes no array pass
+            g = spec._at_s(n)
+            for s in ss[-3:]:
+                assert _outcomes(g.many, [s]) == _outcomes(_per_sample, spec, n, [s])
 
 
 def test_eval_at_s_many_sums_exactly_in_one_series_call():
@@ -951,6 +955,10 @@ def test_block_passes_match_eval_at_s_bit_for_bit(monkeypatch, kind):
             ss = [lo - 0.75 + (hi - lo + 1.0) * i / (m - 1) for i in range(m)] + far
             got = _outcomes(lambda: spec._at_s(n).many(ss))
             assert got == _outcomes(_per_sample, spec, n, ss)
+            # one sample takes no array pass
+            g = spec._at_s(n)
+            for s in ss[-3:]:
+                assert _outcomes(g.many, [s]) == _outcomes(_per_sample, spec, n, [s])
             # an array of s gives the same values, its atoms built from the array
             assert _outcomes(lambda: spec._at_s(n).many(np.array(ss))) == got
     assert widths == [p for n in degrees if n >= floor for p in (16, 16, cap, cap)]
@@ -1112,6 +1120,8 @@ def test_eval_at_s_many_raises_the_first_per_sample_error(
     got = _outcomes(lambda: spec._at_s(n).many(ss))
     assert got == _outcomes(_per_sample, spec, n, ss)
     assert got[0].__name__ == error
+    # one sample takes no array pass
+    assert _outcomes(lambda: spec._at_s(n).many(ss[:1])) == _outcomes(_per_sample, spec, n, ss[:1])
 
 
 @pytest.mark.parametrize(
@@ -1191,6 +1201,60 @@ def test_per_degree_evaluator_raises_as_eval_at_s(kind, params, n, s, error):
     assert got == _outcomes(_reference_at_s, spec, n, [s])
     assert got[0].__name__ == error
     assert f"s={s!r}" in got[1] or error == "DomainError"
+
+
+def _bound(build):
+    """A spec's fields, its base's and alias_kind, floats as hex, or the type
+    and text of the exception raised building it."""
+    try:
+        spec = build()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    fields = []
+    for f in (spec, spec.base):
+        if f is not None:
+            fields.append((
+                f.kind, f.alias_kind, repr(f.params), f.grid,
+                _hex(f.support_start), _hex(f.support_end), f.degree_max, _hex(f.zero_scale),
+            ))
+    return spec, fields
+
+
+def _moved_values(spec, param):
+    """The ends and midpoint of each claim window on param; the value nudged
+    both ways (N by one, past its bounds too), and a value no domain allows."""
+    values = []
+    for claim in spec.claims():
+        if claim.param == param:
+            lo, hi = claim.window
+            values += [lo, 0.5 * (lo + hi), hi]
+    v = spec.params[param]
+    if param == "N":
+        values += [v - 1, v + 1, 1, MAX_FINITE_SUPPORT + 1, v + 0.5]
+    else:
+        values += [v * 0.97, v * 1.03 + 0.01, -2.0, 2.0]
+    return values + [math.inf, math.nan]
+
+
+@pytest.mark.parametrize("kind", catalog_kinds())
+def test_with_param_is_make_family_with_the_moved_parameter(kind):
+    # a sweep point moves one parameter: the spec, its base and its errors
+    # are make_family's, whether or not the grid and support move with it
+    rng = random.Random(f"with_param/{kind}")
+    for _ in range(3):
+        spec = make_family(kind, sample_params(kind, rng))
+        for param in (*spec.params, "zz"):
+            for v in _moved_values(spec, param) if param != "zz" else [1.0]:
+                got = _bound(lambda: spec.with_param(param, v))
+                assert got == _bound(lambda: make_family(kind, {**spec.params, param: v}))
+                if not isinstance(got[0], type):
+                    assert got[0].base is None or got[0].base.alias_kind == kind
+                    # a moved spec moves again as a fresh one does
+                    other = next(iter(spec.params))
+                    w = spec.params[other]
+                    assert _bound(lambda: got[0].with_param(other, w)) == _bound(
+                        lambda: make_family(kind, {**got[0].params, other: w})
+                    )
 
 
 FACTS = Path(__file__).parent / "data" / "family_facts.json"
