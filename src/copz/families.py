@@ -35,6 +35,7 @@ take the base's lattice, support, degree cap, series, A, B and K.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,13 +43,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import qseries
 from .errors import DomainError, EvaluationOverflowError, SingularityError
 from .grid import LINEAR, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC, QUADRATIC, Grid
 from .qseries import (
     _EXACT,
     _PointOverflow,
     _Slot,
-    _support_pass,
     binom2,
     exact_summation,
     hyper_sum,
@@ -150,11 +151,12 @@ class FamilySpec:
     def _at_s(self, n: int) -> Callable[[float], float]:
         """eval_at_s(n, .) as a function of s, for the many calls of a zero
         search: the degree check, prefactor and lattice atoms (those of the
-        summation in force here) are looked up once, and in float the series
-        is planned once (qseries._plan): each call multiplies in, term by
-        term, only its atoms' factors and the constant factors after the
-        first of them, each value the series call's bit for bit.  Where that
-        lookup raises, the function repeats it at each s, after the atoms.
+        summation in force here) are looked up once, and the series is
+        planned once (qseries._plan, or an exact plan under exact summation):
+        in float each call multiplies in, term by term, only its atoms'
+        factors and the constant factors after the first of them, each value
+        the series call's bit for bit.  Where that lookup raises, the
+        function repeats it at each s, after the atoms.
 
         Its attribute many(ss) is the array pass: the values at all of ss, a
         float array or sequence, as an array, from one run of the plan over
@@ -236,49 +238,66 @@ class FamilySpec:
     def _of_atoms(self, n: int, p) -> tuple[Callable[[object], float], tuple]:
         """The degree-n series as a function of the lattice atoms, given its
         parameters p, and the prefactors that scale its value, the base's
-        first: the degree checked, the prefactors looked up and, in float,
-        the series planned, with slots where _lattice_atoms puts the atoms.
-        An alias's value is its prefactor times its base's."""
+        first: the degree checked, the prefactors looked up and the series
+        planned, in float or exactly as the summation in force asks, with
+        slots where _lattice_atoms puts the atoms.  An alias's value is its
+        prefactor times its base's."""
         self._check_degree(n)
         entry = _CATALOG[self.kind]
         pref = entry.prefactor(self.params, n)
         if self.base is not None:
             series, prefs = self.base._of_atoms(n, p)
             return series, (*prefs, pref)
-        series = entry.series
-        if _EXACT.get():
-            return (lambda x: series(p, n, x)), (pref,)
-        return series(p, n, _SLOTS[self.grid.tag]), (pref,)
+        return entry.series(p, n, _SLOTS[self.grid.tag]), (pref,)
 
     def _exact_many(self, n: int, ss: list) -> np.ndarray:
         """The values at the samples ss, floats, summed exactly, as an array:
         the array pass of _at_s under exact summation, with no function of s
-        built for it.  The samples' exact lattice atoms go to one exact
-        series call (_exact_sums), each value the one-point call's bit for
-        bit.  Where that call raises, the samples are evaluated one at a
-        time, which raises the error the per-sample loop meets first."""
+        built for it.  The samples' exact lattice atoms go to one run of the
+        degree's exact plan (_exact_rows), each value the one-point call's
+        bit for bit.  Where that run raises, the samples are evaluated one at
+        a time, which raises the error the per-sample loop meets first."""
         p, atoms, _ = _lattice_atoms(self.resolve_base(), True)
         try:
-            return np.array(self._exact_sums(n, p, _columns([atoms(s) for s in ss])))
+            (values,) = self._exact_rows((n,), p, [atoms(s) for s in ss], ss)
+            return np.array(values)
         except (ValueError, ArithmeticError):
             with exact_summation():
                 g = self._at_s(n)
                 return np.array([g(s) for s in ss], dtype=float)
 
-    def _exact_sums(self, n: int, p, x) -> float | list:
-        """The degree-n value at one point's exact lattice atoms x, or the
-        list of values at the points whose atoms are the columns x
-        (_columns), from one exact series call, each scaled by the
-        prefactors as at one point (_of_atoms): the one-point values bit for
-        bit.  The lookup's errors come first; an overflow of one point's sum
-        among columns raises qseries._PointOverflow, which names the point."""
+    def _exact_rows(self, degrees, p, points, ss) -> list[list[float]]:
+        """The values of each of the degrees at the points' exact lattice
+        atoms, given the parameters p, as one row per degree, each the
+        one-point call's bit for bit: every degree planned first (_of_atoms
+        under exact summation), then all summed in one run over the points
+        (qseries._sum_points), each value scaled by its degree's prefactors.
+
+        The error raised is the one a loop over the degrees, then the points,
+        meets first: a degree's lookup or plan error before its points' sums,
+        an atom with no integer ratio at the first degree.  An OverflowError
+        of a sum is named at its degree and at its point's s in ss, one of a
+        lookup, common to all points, at the first point's."""
+        plans, failed = [], None
         with exact_summation():
-            series, prefs = self._of_atoms(n, p)
-            values = series(x)
-        points = isinstance(values, list)
-        for pref in prefs:
-            values = [pref * v for v in values] if points else pref * values
-        return values
+            for d in degrees:
+                try:
+                    plans.append(self._of_atoms(d, p))
+                except (ValueError, ArithmeticError) as exc:
+                    failed = exc
+                    break
+        try:
+            rows = qseries._sum_points([series for series, _ in plans], points)
+        except _PointOverflow as exc:
+            raise self._overflow(degrees[exc.plan], ss[exc.index]) from exc
+        if isinstance(failed, OverflowError):
+            raise self._overflow(degrees[len(plans)], ss[0]) from failed
+        if failed is not None:
+            raise failed
+        for (_, prefs), row in zip(plans, rows):
+            for pref in prefs:
+                row[:] = [pref * v for v in row]
+        return rows
 
     def _overflow(self, n: int, s: float) -> EvaluationOverflowError:
         return EvaluationOverflowError(
@@ -1389,29 +1408,29 @@ def eval_exact_at_support(
     exactly there; the rounding of float atoms otherwise dominates at degrees
     whose upper zeros crowd the top of the support.
 
-    n may be a sequence of degrees, and k a range of support indices: the
-    atoms of the points are then built once, each degree is one pass of the
-    exact series over them, and the result holds the values per degree, and
-    within one per point.  Each value is the one-point call's bit for bit,
-    and the error raised is the first one the loop over the degrees, then
-    the points, would meet.  An index outside the support, k < 0 or k >= N,
-    raises DomainError before any sum.
+    n may be a sequence of degrees, in any order and with repeats, and k a
+    range of support indices: the result then holds the values per degree,
+    and within one per point.  Each value is the one-point call's bit for
+    bit, and the error raised is the first one a loop over the degrees, then
+    the points, would meet.  A degree or index that is not an integer (by
+    operator.index), and an index outside the support, k < 0 or k >= N,
+    raise DomainError before any sum.
 
     Each value is the exact rational's correctly rounded float.  A sum whose
     integers are wider than 128 bits is first taken at 128 bits with an
     error radius, and returned where both ends of its interval round to one
     float; elsewhere the exact rational sum decides (qseries._sum_points).
-    The loop over the degrees is one support pass (qseries._support_pass):
-    at each point, the 128-bit sums of all degrees share one table of the
-    products of the point's atom factors, built once up to the highest
-    degree, and each degree's sum is a dot product of that table with the
-    degree's ratio products.
+    Every degree is planned once, and the points are then taken one at a
+    time: each converts its atoms once and builds once, up to the highest
+    degree, the products of its atom factors, as a table of 128-bit balls
+    and as exact integers, which the sums of all degrees share.  A degree's
+    sum is then a dot product of that table with the degree's ratio
+    products, or a Horner pass over the exact factors.
     """
-    one_degree, many = isinstance(n, int), isinstance(k, range)
-    if many and not k:  # no point to evaluate, so none to fail
-        return [] if one_degree else [[] for _ in n]
+    many = isinstance(k, range)
+    ks = k if many else (_integer(family, "support index k", k),)
     size = round(family.support_end - family.support_start) if family.is_finite else math.inf
-    outside = next((j for j in (k if many else (k,)) if not 0 <= j < size), None)
+    outside = next((j for j in ks if not 0 <= j < size), None)
     if outside is not None:
         support = (
             f"the {size} support points 0..{size - 1}"
@@ -1419,18 +1438,25 @@ def eval_exact_at_support(
             else "the infinite support 0, 1, 2, ..."
         )
         raise DomainError(f"{family._label}: support index k={outside} outside {support}")
-    p, atom = _support_atoms(family.resolve_base())
-    x = _columns([atom(j) for j in k]) if many else atom(k)
-    rows = []
-    with _support_pass():
-        for d in (n,) if one_degree else n:
-            try:
-                rows.append(family._exact_sums(d, p, x))
-            except OverflowError as exc:
-                # a per-point sum names its point; the factors common to all fail at the first
-                i = exc.index if isinstance(exc, _PointOverflow) else 0
-                raise family._overflow(d, family.support_start + (k[i] if many else k)) from exc
+    one_degree = not np.iterable(n)
+    degrees = [_integer(family, "degree n", d) for d in ((n,) if one_degree else n)]
+    if ks:
+        p, atom = _support_atoms(family.resolve_base())
+        ss = [family.support_start + j for j in ks]
+        rows = family._exact_rows(degrees, p, [atom(j) for j in ks], ss)
+    else:  # no point to evaluate, so none to fail
+        rows = [[] for _ in degrees]
+    if not many:
+        rows = [value for (value,) in rows]
     return rows[0] if one_degree else rows
+
+
+def _integer(family: FamilySpec, name: str, value) -> int:
+    """value as an int (operator.index), or DomainError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{family._label}: {name}={value!r} is not an integer") from None
 
 
 def _lattice_atoms(base: FamilySpec, exact: bool):
@@ -1510,13 +1536,6 @@ def _rational_params(base: FamilySpec) -> dict:
         name: v if name == "N" else Fraction(q**v if power and name != "q" else v)
         for name, v in base.params.items()
     }
-
-
-def _columns(rows):
-    """The points' atoms as arrays over the points, one per atom."""
-    if isinstance(rows[0], tuple):
-        return tuple(map(np.array, zip(*rows)))
-    return np.array(rows)
 
 
 def family_info(kind: str) -> dict:

@@ -27,10 +27,18 @@ each from one accumulate along the term axis.  Accumulate is sequential
 and each op is the one the loop makes, so each value is the loop's bit for
 bit.
 
-The exact path takes per-point sequences of exact atoms in the same places
-and returns the list of the points' sums, each the one-point call's bit for
-bit: the factors of the scalar atoms are built once per term, and only the
-per-point atoms' factors and the summation run at each point.
+The exact path has plans too.  A call given slots returns its exact plan
+(_ExactPlan), built once for its degree with no per-point work: the term
+ratios (p, d) over the constant parameters, the steps (u, v) that turn an
+atom an/ad into its factor (an u + ad v)/ad of each ratio, and the slots
+its argument and atoms are read from.  _sum_points runs the plans of one
+series at several degrees over many points, points outer: each point
+converts its atoms to integer ratios once, forms once, up to the highest
+degree, what the sums of every degree share, and then takes each degree's
+sum in turn.  A call given per-point sequences of exact atoms, one entry per
+point, runs its plan over those points and returns the list of their sums,
+and a call given scalars alone returns its one sum: each the one-point
+call's bit for bit.
 
 Each exact sum is the exact rational's correctly rounded float.  Where an
 integer of a point's sum is wider than 128 bits, the sum is first taken in
@@ -39,16 +47,14 @@ integer of a point's sum is wider than 128 bits, the sum is first taken in
 sign of zero included, that float is the value.  Otherwise, and for narrower
 sums, the sum runs in exact integer arithmetic.
 
-The 128-bit sum splits each term r_0 ... r_k into the product R_k of the
-scalar ratios p_i/d_i, one per sum, and the product G_(k+1) of the factors
-z prod_a (a u_i + v_i) of the point's atoms, which depend on the point and
-the term index alone.  So the sum at a point is the dot product
-1 + sum_k R_k G_(k+1).  Inside a support pass (_support_pass), the sums of
-every degree at a point share one table of G: eval_exact_at_support marks
-its loop over the degrees as one, and each point's table grows to the
-highest degree asked, each entry formed once.  An entry is reused only
-while the point's atoms and the steps (u_i, v_i) are the ones it was built
-from; a sum outside a pass has tables of its own.
+Each term r_0 ... r_k splits into the product R_k of the plan's ratios
+p_i/d_i, one per degree, and the product G_(k+1) of the point's factors
+z prod_a (a u_i + v_i), which depend on the point and the term index alone.
+So a 128-bit sum is the dot product 1 + sum_k R_k G_(k+1) (_dot_sum), and an
+exact one a Horner pass over the point's exact factors (_point_sum).  A
+point builds its table of G and its exact factors once each, where a sum
+first needs them, up to the highest degree of the run, and every degree
+reads them; nothing outlives the run.
 """
 
 from __future__ import annotations
@@ -138,29 +144,24 @@ class Neumaier:
         return self.total + self.comp
 
 
-def _point_sum(ratios, steps, z, atoms) -> float:
+def _point_sum(ratios, factors, scale) -> float:
     """1 + r_0 (1 + r_1 (1 + ...)) at one point, rounded once.
 
-    ratios[k] = (p, d) is the k-th term ratio over the scalar atoms, and
-    steps[k] = (u, v) turns an atom an/ad of the point into the factor
-    (an u + ad v)/ad of r_k; z is the point's argument, or 1 when z is
-    scalar.  The pairs are never reduced; the sum stops at the first
+    ratios[k] = (p, d) is the k-th term ratio over the constant parameters,
+    and factors[k] / scale the point's factor of it, z prod_a (a u_k + v_k)
+    over its atoms, as _Point.exact gives them: they end at the first that
+    vanishes.  The pairs are never reduced; the sum stops at the first
     vanishing ratio.  int/int true division is correctly rounded, as
     Fraction.__float__ is.  It takes the sums of narrow integers and those
     whose 128-bit pass (_dot_sum) is in doubt, and is that pass's reference
     in the tests.
     """
-    cn, cd = z.as_integer_ratio()
-    atoms = [a.as_integer_ratio() for a in atoms]
-    cd *= prod(ad for _, ad in atoms)
     own = []
-    for (p, d), (u, v) in zip(ratios, steps):
-        p *= cn
-        for an, ad in atoms:
-            p *= an * u + ad * v
+    for (p, d), f in zip(ratios, factors):
+        p *= f
         if not p:
             break
-        own.append((p, d * cd))
+        own.append((p, d * scale))
     sn = sd = 1
     for p, d in reversed(own):
         sd *= d
@@ -177,11 +178,12 @@ def _vanishing(bn: int, bd: int, k: int) -> UndefinedSeriesError:
 
 
 class _PointOverflow(OverflowError):
-    """The sum at the point of this index lies beyond the float range."""
+    """The sum at the point of this index, of the plan at position plan of
+    a run (_sum_points), lies beyond the float range."""
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, plan: int):
         super().__init__(f"the sum at point {index} overflows the float range")
-        self.index = index
+        self.index, self.plan = index, plan
 
 
 def _scalar(atom) -> bool:
@@ -291,124 +293,146 @@ def _wide(pairs) -> bool:
 
 
 class _Point:
-    """One point of a support pass: its z and atoms as given (key), their
-    integer ratios, whether one of those is wider than _BITS bits, and,
-    from its first certified sum on, their balls and its factor table."""
+    """One point of a run of exact plans (_sum_points): the integer ratios of
+    its z and atoms, whether one is wider than _BITS bits, and, once a sum
+    needs them, its exact factors and its table of balls."""
 
-    __slots__ = ("key", "ratios", "wide", "balls", "table")
+    __slots__ = ("ratios", "wide", "exact_factors", "table")
 
-    def __init__(self, key):
-        self.key = key
-        self.ratios = [x.as_integer_ratio() for x in key]
-        self.wide = _wide(self.ratios)
-        self.table = None
+    def __init__(self, ratios):
+        self.ratios = ratios
+        self.wide = _wide(ratios)
+        self.exact_factors = self.table = None
 
-    def factors(self, tables, n: int):
-        """The table G_k = prod_(i<k) z prod_a (a u_i + v_i) for k <= n, as
-        balls, from the steps (u_i, v_i) of tables.  A factor whose ball holds
-        0 is formed exactly, so the table ends at its first exact 0: every
-        G_k past it is 0."""
+    def exact(self, steps):
+        """The exact factors zn prod_a (an u_i + ad v_i) of the steps (u_i, v_i),
+        up to the first that vanishes, and their common denominator zd prod_a ad."""
+        if self.exact_factors is None:
+            (zn, zd), *atoms = self.ratios
+            factors = []
+            for u, v in steps:
+                f = zn
+                for an, ad in atoms:
+                    f *= an * u + ad * v
+                if not f:
+                    break
+                factors.append(f)
+            self.exact_factors = factors, zd * prod(ad for _, ad in atoms)
+        return self.exact_factors
+
+    def factors(self, steps, balls):
+        """The table G_k = prod_(i<k) z prod_a (a u_i + v_i), k <= len(steps), as
+        balls, from the steps (u_i, v_i) and their balls.  A factor whose ball
+        holds 0 is formed exactly, so the table ends at its first exact 0:
+        every G_k past it is 0."""
         if self.table is None:
-            self.balls = [(*ratio, _ball(*ratio)) for ratio in self.ratios]
-            self.table = [_ONE]
-        table = self.table
-        while len(table) <= n and (table[-1][0] or table[-1][2]):
-            (zn, zd, zb), *atoms = self.balls
-            (u, v), (ub, vb) = tables.steps[len(table) - 1], tables.balls[len(table) - 1]
-            g = table[-1] if zn == zd else _times(table[-1], zb)
-            for an, ad, ab in atoms:
-                f = _plus(_times(ab, ub), vb)
-                if abs(f[0]) <= f[2]:
-                    f = _ball(an * u + ad * v, ad)
-                g = _times(g, f)
-            table.append(g)
-        return table
+            (zn, zd), *atoms = self.ratios
+            zb = None if zn == zd else _ball(zn, zd)
+            atoms = [(an, ad, _ball(an, ad)) for an, ad in atoms]
+            g = _ONE
+            self.table = [g]
+            for (u, v), (ub, vb) in zip(steps, balls):
+                if zb is not None:
+                    g = _times(g, zb)
+                for an, ad, ab in atoms:
+                    f = _plus(_times(ab, ub), vb)
+                    if abs(f[0]) <= f[2]:
+                        f = _ball(an * u + ad * v, ad)
+                    g = _times(g, f)
+                self.table.append(g)
+                if not (g[0] or g[2]):
+                    break
+        return self.table
 
 
-class _Tables:
-    """The points of a support pass by index, and the steps (u, v) and their
-    balls that the points' factor tables are built from."""
+class _ExactPlan:
+    """The exact sum of one series as a function of its atoms, the slots of
+    the call: the term ratios (p, d) over its constant parameters, the steps
+    (u, v) that turn an atom an/ad into its factor (an u + ad v)/ad of each
+    ratio, the slots its argument z (None where z is a constant) and its
+    atoms are read from, in that order, and whether a ratio is wider than
+    _BITS bits.  Called on one point's atoms x, as a float plan is, it
+    returns the sum there."""
 
-    __slots__ = ("steps", "balls", "points")
+    __slots__ = ("ratios", "steps", "reads", "wide")
 
-    def __init__(self):
-        self.steps, self.balls, self.points = [], [], {}
+    def __init__(self, ratios, steps, z, num):
+        self.ratios, self.steps = ratios, steps
+        atoms = [a for a in num if a.__class__ is _Slot]
+        self.reads = (z if z.__class__ is _Slot else None, *atoms)
+        self.wide = _wide(ratios)
 
-    def follow(self, steps) -> None:
-        """Take on a sum's steps; where they differ from those the tables were
-        built from, every table is dropped."""
-        n = len(self.steps)
-        if steps[:n] != self.steps[: len(steps)]:
-            self.steps, self.balls, self.points = [], [], {}
-            n = 0
-        if len(steps) > n:
-            self.balls += [(_ball(u), _ball(v)) for u, v in steps[n:]]
-            self.steps = steps
-
-    def point(self, j: int, key) -> _Point:
-        """Point j's entry, new where its z and atoms differ from key."""
-        point = self.points.get(j)
-        if point is None or point.key != key:
-            point = self.points[j] = _Point(key)
-        return point
+    def __call__(self, x) -> float:
+        try:
+            ((value,),) = _sum_points((self,), (x,))
+        except _PointOverflow as exc:
+            raise exc.__cause__ from None
+        return value
 
 
-# the points of the support pass in progress, None outside one:
-# eval_exact_at_support sets it around its loop over the degrees (_support_pass)
-_TABLES = contextvars.ContextVar("copz_support_tables", default=None)
+def _read(x, slot):
+    """The integer ratio of the atom slot reads from x (see _Slot), and 1 for
+    a constant z (slot None)."""
+    if slot is None:
+        return 1, 1
+    n, d = (x if slot.index is None else x[slot.index]).as_integer_ratio()
+    return (-n, d) if slot.neg else (n, d)
 
 
-@contextlib.contextmanager
-def _support_pass():
-    """Share each point's factor table across the exact sums inside."""
-    token = _TABLES.set(_Tables())
-    try:
-        yield
-    finally:
-        _TABLES.reset(token)
+def _sum_points(plans, points):
+    """The sums of the plans at the points, each point's atoms as a plan's
+    call takes them, as one row per plan.
 
+    The plans are one series' at several degrees: they read the same slots,
+    and the steps of each begin those of the longest.  Each point converts
+    its atoms to integer ratios once, before any sum.  A sum goes first to
+    _dot_sum where one of its integers, a ratio's p or d or a numerator or
+    denominator of z or an atom, is wider than _BITS bits, and to _point_sum
+    where they are all narrower or the certified sum is in doubt; the point's
+    table and exact factors are built where a sum first needs them, up to
+    the highest degree, and every plan reads them.  Either way the sum is the
+    exact rational's correctly rounded float.
 
-def _sum_points(ratios, steps, num, z):
-    """The sum at each point of the per-point atoms in num and z, or the one sum.
-
-    A point's sum goes first to _dot_sum where one of its integers, a ratio's
-    p or d or a numerator or denominator of z or an atom, is wider than _BITS
-    bits, and to _point_sum where they are all narrower or the certified sum
-    is in doubt.  Either way it is the exact rational's correctly rounded
-    float.  The points' entries come from the support pass in progress, or
-    from a pass of the call's own outside one.
+    The error raised is the one a loop over the plans, then the points,
+    meets first: an atom with no integer ratio before any sum, then the first
+    sum past the float range, as _PointOverflow, which names its point and
+    plan.
     """
-    lattice = [a for a in num if not _scalar(a)]
-    one = _scalar(z) and not lattice
-    if _scalar(z):
-        z = [1] * (len(lattice[0]) if lattice else 1)
-    tables = _TABLES.get() or _Tables()
-    tables.follow(steps)
-    # every point's entry first: an atom with no integer ratio raises before any sum
-    points = [tables.point(j, key) for j, key in enumerate(zip(z, *lattice))]
-    # wide ratios make every point's sum wide
-    wide, cumulative = _wide(ratios), None
-    out = []
+    if not plans:
+        return []
+    steps = max((plan.steps for plan in plans), key=len)
+    reads = plans[0].reads
+    points = [_Point([_read(x, slot) for slot in reads]) for x in points]
+    balls, cumulative = None, [None] * len(plans)
+    rows = [[] for _ in plans]
+    stop, failed = len(plans), None
     for j, point in enumerate(points):
-        value = None
-        if wide or point.wide:
-            if cumulative is None:
-                cumulative = _cumulative(ratios)
-            value = _dot_sum(cumulative, point.factors(tables, len(ratios)))
-        if value is None:
-            try:
-                value = _point_sum(ratios, steps, point.key[0], point.key[1:])
-            except OverflowError as exc:
-                if one:
-                    raise
-                raise _PointOverflow(j) from exc
-        out.append(value)
-    return out[0] if one else out
+        for i in range(stop):
+            plan = plans[i]
+            value = None
+            if plan.wide or point.wide:
+                if balls is None:
+                    balls = [(_ball(u), _ball(v)) for u, v in steps]
+                if cumulative[i] is None:
+                    cumulative[i] = _cumulative(plan.ratios)
+                value = _dot_sum(cumulative[i], point.factors(steps, balls))
+            if value is None:
+                try:
+                    value = _point_sum(plan.ratios, *point.exact(steps))
+                except OverflowError as exc:
+                    # no later point's sum of this plan or a later one comes first
+                    stop, failed = i, (j, exc)
+                    break
+            rows[i].append(value)
+    if failed is not None:
+        j, exc = failed
+        raise _PointOverflow(j, stop) from exc
+    return rows
 
 
-def _hyper_sum_exact(num, den, z, n: int):
+def _hyper_plan(num, den, z, n: int) -> _ExactPlan:
     # atoms a = an/ad enter as (an + k ad)/ad; the ad, bd and z move into
-    # constants; per-point atoms enter point by point
+    # constants; the slots' atoms enter point by point
     nums = [a.as_integer_ratio() for a in num if _scalar(a)]
     dens = [b.as_integer_ratio() for b in den]
     zn, zd = z.as_integer_ratio() if _scalar(z) else (1, 1)
@@ -425,7 +449,7 @@ def _hyper_sum_exact(num, den, z, n: int):
             d *= f
         ratios.append((p, d))
         steps.append((1, k))
-    return _sum_points(ratios, steps, num, z)
+    return _ExactPlan(ratios, steps, z, num)
 
 
 def _block_sum(ratio):
@@ -444,10 +468,11 @@ def _block_sum(ratio):
 
 
 class _Slot:
-    """The place of an atom in a float series call, which then returns the
-    series' plan (_plan) in place of its sum.  A run of the plan on x reads
-    the atom as x[index], or as x itself where index is None; neg marks the
-    atom's negative, the one operation a family series applies to an atom."""
+    """The place of an atom in a series call, which then returns the series'
+    plan (_plan, or _ExactPlan under exact summation) in place of its sum.  A
+    run of the plan on x reads the atom as x[index], or as x itself where
+    index is None; neg marks the atom's negative, the one operation a family
+    series applies to an atom."""
 
     __slots__ = ("index", "neg")
 
@@ -605,17 +630,41 @@ def _float_sum(num, den, q, z, n: int):
     return _plan([slotted(a) for a in num], den, q, slotted(z), n)(tuple(arrays))
 
 
+def _exact_sum(num, den, q, z, n: int):
+    """The exact sum: a call given slots returns its plan (_hyper_plan,
+    _qhyper_plan), one given per-point sequences of atoms, one entry per
+    point, the list of the points' sums from one run of the plan over them,
+    and one given scalars alone its sum."""
+    planned = z.__class__ is _Slot or _Slot in map(type, num)
+    columns = []
+
+    def slotted(a):
+        if _scalar(a):
+            return a
+        columns.append(a)
+        return _Slot(len(columns) - 1)
+
+    if not planned:
+        num, z = [slotted(a) for a in num], slotted(z)
+    plan = _hyper_plan(num, den, z, n) if q is None else _qhyper_plan(num, den, q, z, n)
+    if planned:
+        return plan
+    if not columns:
+        return plan(())
+    return _sum_points((plan,), list(zip(*columns)))[0]
+
+
 def hyper_sum(num, den, z: float, n: int) -> float:
     """Terminating ordinary series iFj(num; den; z), summed over k = 0..n.
 
-    In float, given slots (_Slot) in place of atoms, it returns the plan of
-    the series (_plan) instead of its sum."""
+    Given slots (_Slot) in place of atoms, it returns the series' plan
+    instead of its sum: _plan in float, _ExactPlan under exact summation."""
     if _EXACT.get():
-        return _hyper_sum_exact(num, den, z, n)
+        return _exact_sum(num, den, None, z, n)
     return _float_sum(num, den, None, z, n)
 
 
-def _qhyper_sum_exact(num, den, q, z, n: int):
+def _qhyper_plan(num, den, q, z, n: int) -> _ExactPlan:
     # integer bounds: comparing an exact base with float bounds converts them
     if not 0 < q < 1:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
@@ -648,16 +697,16 @@ def _qhyper_sum_exact(num, den, q, z, n: int):
         Qn *= qn
         Qd *= qd
         ratios.append((p, d * (Qd - Qn)))  # 1 - q^(k+1), from (q; q)_k
-    return _sum_points(ratios, steps, num, z)
+    return _ExactPlan(ratios, steps, z, num)
 
 
 def qhyper_sum(num, den, q: float, z: float, n: int) -> float:
     """Terminating basic series iφj(num; den; q, z), summed over k = 0..n.
 
-    In float, given slots (_Slot) in place of atoms, it returns the plan of
-    the series (_plan) instead of its sum."""
+    Given slots (_Slot) in place of atoms, it returns the series' plan
+    instead of its sum: _plan in float, _ExactPlan under exact summation."""
     if _EXACT.get():
-        return _qhyper_sum_exact(num, den, q, z, n)
+        return _exact_sum(num, den, q, z, n)
     return _float_sum(num, den, q, z, n)
 
 

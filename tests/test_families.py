@@ -605,11 +605,14 @@ def test_batched_exact_values_are_the_one_point_values(kind):
     degrees = range(min(6, spec.degree_max) + 1)
     points = _exact_table_points(spec, degrees[-1])
     rows = eval_exact_at_support(spec, degrees, points)
-    assert [[v.hex() for v in row] for row in rows] == [
-        [eval_exact_at_support(spec, n, k).hex() for k in points] for n in degrees
-    ]
+    one_point = [[eval_exact_at_support(spec, n, k).hex() for k in points] for n in degrees]
+    assert [[v.hex() for v in row] for row in rows] == one_point
     for n in degrees:
         assert eval_exact_at_support(spec, n, points) == rows[n]
+    # degrees in any order, repeats included
+    shuffled = [n for n in (5, 0, 5, 2) if n in degrees]
+    rows = eval_exact_at_support(spec, shuffled, points)
+    assert [[v.hex() for v in row] for row in rows] == [one_point[n] for n in shuffled]
 
 
 def _first_error_of_the_point_loop(spec, degrees, points):
@@ -629,6 +632,10 @@ def _first_error_of_the_point_loop(spec, degrees, points):
         ("charlier", {"alpha": 1e-300}, (0, 30), range(5), "degree-30 value at s=2.0"),
         ("q_meixner", {"alpha": 1.0, "beta": 0.5, "q": 0.1}, (29, 30), range(30, 40),
          "degree-29 value at s=36.0"),
+        # degrees in any order, with a repeat: degree 12 fails first at s=38,
+        # a point before degree 9's first failure, but degree 9 comes first
+        ("q_meixner", {"alpha": 1.0, "beta": 0.5, "q": 0.1}, (9, 0, 9, 12), range(30, 45),
+         "degree-9 value at s=44.0"),
         # the prefactor overflows at every point, so at the first one
         ("quantum_q_krawtchouk", {"alpha": 1e300, "q": 0.5, "N": 10}, range(3), range(3, 8),
          "degree-2 value at s=3.0"),
@@ -679,6 +686,31 @@ def test_exact_values_reject_indices_outside_the_support(kind, params, k, messag
         with pytest.raises(DomainError) as err:
             eval_exact_at_support(spec, degrees, k)
         assert str(err.value) == f"{kind}: support index {message}"
+
+
+def test_exact_values_take_integer_degrees_and_indices(monkeypatch):
+    # numpy integers are integers, as eval_at_s and find_zeros take them
+    spec = make_family("hahn", alpha=0.5, beta=0.5, N=10)
+    want = eval_exact_at_support(spec, 3, 2)
+    assert eval_exact_at_support(spec, np.int64(3), 2) == want
+    assert eval_exact_at_support(spec, 3, np.int64(2)) == want
+    assert eval_exact_at_support(spec, (np.int64(3),), range(2, 3)) == [[want]]
+
+    def no_sum(*args):
+        raise AssertionError("summed before the integer check")
+
+    monkeypatch.setattr(copz.qseries, "_sum_points", no_sum)
+    # any other degree or index is named before any sum: 1.5 is no support
+    # point, and eval_at_s(2, 1.5) is a value off the support
+    for n, k, message in [
+        (2, 1.5, "support index k=1.5"),
+        (2.0, 3, "degree n=2.0"),
+        ((1, 2.5), range(4), "degree n=2.5"),
+        ((1, 2), "3", "support index k='3'"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            eval_exact_at_support(spec, n, k)
+        assert str(err.value) == f"hahn: {message} is not an integer"
 
 
 _Q_AT_BOUND = 2.0 ** -5  # q^(1-N) at q=1/2, N=6

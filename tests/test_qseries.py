@@ -507,6 +507,27 @@ def _catalog_instance(kind):
     return spec, size or 16 if spec.grid.q is None else min(size or 40, 40)
 
 
+def _reference_plan(reference):
+    """reference, a Fraction sum over scalar atoms, as the exact plan of a
+    series call given slots: the function of one point's atoms x that sums
+    the call with each slot's atom read from x."""
+    def plan(num, *rest):
+        *args, z, n = rest
+
+        def at(x):
+            def atom(a):
+                if a.__class__ is not copz.qseries._Slot:
+                    return a
+                v = x if a.index is None else x[a.index]
+                return -v if a.neg else v
+
+            return reference([atom(a) for a in num], *args, atom(z), n)
+
+        return at
+
+    return plan
+
+
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_catalog_exact_values_match_fraction_reference(kind, monkeypatch):
     # degrees up to 8, the Gram checks' widest
@@ -517,8 +538,12 @@ def test_catalog_exact_values_match_fraction_reference(kind, monkeypatch):
         return [_outcome(eval_exact_at_support, spec, n, k) for n, k in points]
 
     got = values()
-    monkeypatch.setattr(copz.qseries, "_hyper_sum_exact", _reference_hyper_sum_exact)
-    monkeypatch.setattr(copz.qseries, "_qhyper_sum_exact", _reference_qhyper_sum_exact)
+    # the same calls, each plan summed at each point by the Fraction reference
+    monkeypatch.setattr(copz.qseries, "_hyper_plan", _reference_plan(_reference_hyper_sum_exact))
+    monkeypatch.setattr(copz.qseries, "_qhyper_plan", _reference_plan(_reference_qhyper_sum_exact))
+    monkeypatch.setattr(
+        copz.qseries, "_sum_points", lambda plans, xs: [[plan(x) for x in xs] for plan in plans]
+    )
     want = values()
     assert got == want
 
@@ -766,8 +791,9 @@ def test_shared_tables_match_point_sums_and_one_degree_calls(kind, monkeypatch):
 
 
 def test_changed_atoms_or_steps_never_read_a_stale_table():
-    # at one point index, in one support pass: wide atoms, then other atoms,
-    # then the same atoms under other steps (a hypergeometric sum, another q)
+    # at one point index, call after call: wide atoms, then other atoms, then
+    # the same atoms under other steps (a hypergeometric sum, another q); a
+    # point's tables live for one run of the plans, so none is read again
     q, other_q = 0.3, 0.7
     wide = [Fraction(q) ** -j for j in range(20, 23)]
     atoms = _column_of(*wide)
@@ -779,12 +805,10 @@ def test_changed_atoms_or_steps_never_read_a_stale_table():
         (qhyper_sum, _reference_qhyper_sum_exact, ([others], [0.25], other_q, 0.5, 6)),
         (qhyper_sum, _reference_qhyper_sum_exact, ([atoms], [0.25], q, 0.5, 8)),
     ]
-    with copz.qseries._support_pass():
-        for fn, ref, (num, *rest) in calls:
-            got = [v.hex() for v in _exact(fn, num, *rest)]
-            want = [ref([a], *rest).hex() for a in num[0]]
-            assert got == want
-            assert all(p.table is not None for p in copz.qseries._TABLES.get().points.values())
+    for fn, ref, (num, *rest) in calls:
+        got = [v.hex() for v in _exact(fn, num, *rest)]
+        want = [ref([a], *rest).hex() for a in num[0]]
+        assert got == want
 
 
 # balls (m, e, r) of the 128-bit pass: the interval [(m - r) 2^e, (m + r) 2^e]
