@@ -1416,11 +1416,13 @@ def eval_exact_at_support(
     operator.index), and an index outside the support, k < 0 or k >= N,
     raise DomainError before any sum.
 
-    Each value is the exact rational's correctly rounded float.  A sum whose
-    integers are wider than 128 bits is first taken at 128 bits with an
-    error radius, and returned where both ends of its interval round to one
-    float; elsewhere the exact rational sum decides (qseries._sum_points).
-    Every degree is planned once, and the points are then taken one at a
+    Each value is the exact rational's correctly rounded float.  Degree 0,
+    whose series is the constant 1, takes no sum: each of its values is its
+    prefactors times 1.0.  A sum whose integers are wider than 128 bits is
+    first taken at 128 bits with an error radius, each end of its interval
+    rounded once, and returned where both ends round to one float; elsewhere
+    the exact rational sum decides (qseries._sum_points).  Every degree is
+    planned once, and the points are then taken one at a
     time: each converts its atoms once and builds once, up to the highest
     degree, the products of its atom factors, as a table of 128-bit balls
     and as exact integers, which the sums of all degrees share.  A degree's
@@ -1515,17 +1517,22 @@ def _support_atoms(base: FamilySpec):
     q-quadratic one.  Near the top of the support the series cancels far
     below its terms, which any rounding of the atoms would swamp; off the
     linear lattice the parameters are rationals too, so each family is an
-    exact polynomial model."""
+    exact polynomial model.  The integers j and -j stand as they are, and
+    2a + 1 and (q^a)^2 are formed once."""
     tag = base.grid.tag
     p = base.params if tag == LINEAR else _rational_params(base)
     q, a = p.get("q"), p.get("a")
-    return p, {
-        LINEAR: Fraction,
-        QUADRATIC: lambda j: (Fraction(-j), 2 * a + 1 + j),
-        Q_EXP_NEG: lambda j: q**-j,
-        Q_EXP: lambda j: q ** (j + 1),
-        Q_SYMMETRIC: lambda j: (q**-j, a * a * q**j),
-    }[tag]
+    if tag == LINEAR:
+        return p, lambda j: j
+    if tag == QUADRATIC:
+        c = 2 * a + 1
+        return p, lambda j: (-j, c + j)
+    if tag == Q_EXP_NEG:
+        return p, lambda j: q**-j
+    if tag == Q_EXP:
+        return p, lambda j: q ** (j + 1)
+    aa = a * a
+    return p, lambda j: (q**-j, aa * q**j)
 
 
 def _rational_params(base: FamilySpec) -> dict:

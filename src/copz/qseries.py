@@ -40,12 +40,14 @@ point, runs its plan over those points and returns the list of their sums,
 and a call given scalars alone returns its one sum: each the one-point
 call's bit for bit.
 
-Each exact sum is the exact rational's correctly rounded float.  Where an
-integer of a point's sum is wider than 128 bits, the sum is first taken in
-128-bit midpoint-radius arithmetic, whose radius bounds every rounding made
-(Ziv's strategy); if both ends of the result round to the same float, the
-sign of zero included, that float is the value.  Otherwise, and for narrower
-sums, the sum runs in exact integer arithmetic.
+Each exact sum is the exact rational's correctly rounded float.  A plan of
+degree 0 has no term ratios: its sum is 1 at every point, and a run takes
+none.  Where an integer of a point's sum is wider than 128 bits, the sum is
+first taken in 128-bit midpoint-radius arithmetic, whose radius bounds every
+rounding made (Ziv's strategy); each end of the result is rounded once, by
+float() of its integer and an exact ldexp, and if both ends round to the
+same float, that float is the value.  Otherwise, and for narrower sums, the
+sum runs in exact integer arithmetic.
 
 Each term r_0 ... r_k splits into the product R_k of the plan's ratios
 p_i/d_i, one per degree, and the product G_(k+1) of the point's factors
@@ -64,7 +66,7 @@ import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import copysign, prod
+from math import ldexp, prod
 
 import numpy as np
 
@@ -199,7 +201,8 @@ _ONE = (1, 0, 0)
 
 
 def _ball(n: int, d: int = 1):
-    """n/d as a ball of _BITS bits; radius 0 where the quotient is exact."""
+    """n/d as a ball whose midpoint has _BITS or _BITS + 1 bits; radius 0
+    where the quotient is exact."""
     s = _BITS - n.bit_length() + d.bit_length()
     if d == 1 and s >= 0:
         return n, 0, 0
@@ -258,11 +261,16 @@ def _dot_sum(cumulative, table) -> float | None:
     of _cumulative and the point's factor table G, or None where rounding is
     in doubt.
 
-    The products are summed at one binary exponent, _BITS bits below the top
-    of the widest, with a unit of radius where a shift drops bits.  int/int
-    division rounds each end of the sum's ball correctly and rounding is
-    monotone, so where both ends round to one float, the sign of zero
-    included, so does the exact sum.
+    The products are summed at one binary exponent g, _BITS bits below the
+    top of the widest, with a unit of radius where a shift drops bits; each
+    shifted product, and so each end m -/+ r of the sum's ball, has at most
+    a few bits more than _BITS.  The 1 puts the top at 2^0 or above, so
+    g >= 1 - _BITS and a nonzero end is at least 2^(1 - _BITS): no end is
+    subnormal.  Each end is rounded once, by ldexp: float() of its integer
+    rounds it, a zero end to +0.0, and the scaling by 2^g is exact, or
+    overflows where the rounded end reaches 2^1024.  Rounding is monotone,
+    so where both ends round to one float, so does the exact sum, of the
+    same sign, for no end rounds to -0.0.
     """
     terms, top = [], 1
     for (m, e, r), (n, f, t) in zip(cumulative, table[1:]):
@@ -272,19 +280,22 @@ def _dot_sum(cumulative, table) -> float | None:
             if e + p.bit_length() > top:
                 top = e + p.bit_length()
     g = top - _BITS
-    m, r = _shifted(1, 0, g)
+    # the 1, then each term, shifted to the unit 2^g as _shifted shifts
+    m, r = (1 << -g, 0) if g <= 0 else (0, 1)
     for p, e, t in terms:
-        p, t = _shifted(p, t, g - e)
-        m += p
-        r += t
-    try:
-        if g >= 0:
-            lo, hi = float((m - r) << g), float((m + r) << g)
+        s = g - e
+        if s <= 0:
+            m += p << -s
+            r += t << -s
         else:
-            lo, hi = (m - r) / (1 << -g), (m + r) / (1 << -g)
+            n = p >> s
+            m += n
+            r += -(-t >> s) + (n << s != p)
+    try:
+        lo, hi = ldexp(m - r, g), ldexp(m + r, g)
     except OverflowError:  # _point_sum names the overflow
         return None
-    return lo if lo == hi and copysign(1.0, lo) == copysign(1.0, hi) else None
+    return lo if lo == hi else None
 
 
 def _wide(pairs) -> bool:
@@ -385,18 +396,20 @@ def _sum_points(plans, points):
 
     The plans are one series' at several degrees: they read the same slots,
     and the steps of each begin those of the longest.  Each point converts
-    its atoms to integer ratios once, before any sum.  A sum goes first to
-    _dot_sum where one of its integers, a ratio's p or d or a numerator or
-    denominator of z or an atom, is wider than _BITS bits, and to _point_sum
-    where they are all narrower or the certified sum is in doubt; the point's
-    table and exact factors are built where a sum first needs them, up to
-    the highest degree, and every plan reads them.  Either way the sum is the
-    exact rational's correctly rounded float.
+    its atoms to integer ratios once, before any sum.  A plan with no term
+    ratios is degree 0, whose row is 1.0 at every point, filled before the
+    points are taken; the loop over the points runs the other plans.  A sum
+    goes first to _dot_sum where one of its integers, a ratio's p or d or a
+    numerator or denominator of z or an atom, is wider than _BITS bits, and
+    to _point_sum where they are all narrower or the certified sum is in
+    doubt; the point's table and exact factors are built where a sum first
+    needs them, up to the highest degree, and every plan reads them.  Either
+    way the sum is the exact rational's correctly rounded float.
 
     The error raised is the one a loop over the plans, then the points,
     meets first: an atom with no integer ratio before any sum, then the first
     sum past the float range, as _PointOverflow, which names its point and
-    plan.
+    plan.  A degree-0 sum can neither overflow nor vanish.
     """
     if not plans:
         return []
@@ -404,11 +417,11 @@ def _sum_points(plans, points):
     reads = plans[0].reads
     points = [_Point([_read(x, slot) for slot in reads]) for x in points]
     balls, cumulative = None, [None] * len(plans)
-    rows = [[] for _ in plans]
-    stop, failed = len(plans), None
+    rows = [[] if plan.ratios else [1.0] * len(points) for plan in plans]
+    todo = [(i, plan) for i, plan in enumerate(plans) if plan.ratios]
+    failed = None
     for j, point in enumerate(points):
-        for i in range(stop):
-            plan = plans[i]
+        for at, (i, plan) in enumerate(todo):
             value = None
             if plan.wide or point.wide:
                 if balls is None:
@@ -421,12 +434,12 @@ def _sum_points(plans, points):
                     value = _point_sum(plan.ratios, *point.exact(steps))
                 except OverflowError as exc:
                     # no later point's sum of this plan or a later one comes first
-                    stop, failed = i, (j, exc)
+                    todo, failed = todo[:at], (j, i, exc)
                     break
             rows[i].append(value)
     if failed is not None:
-        j, exc = failed
-        raise _PointOverflow(j, stop) from exc
+        j, i, exc = failed
+        raise _PointOverflow(j, i) from exc
     return rows
 
 

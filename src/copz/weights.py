@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, SingularityError, TruncationError, WeightPositivityError
-from .families import FamilySpec, eval_exact_at_support
+from .families import FamilySpec, _integer, eval_exact_at_support
 from .qseries import Neumaier
 
 _TAIL_REL = 1e-14
@@ -204,7 +204,12 @@ def gram_offdiag_max(family: FamilySpec, kmax: int, table: WeightTable) -> float
     """Largest normalized off-diagonal entry of the Gram matrix of degrees 0..kmax.
 
     An alias pairs its base's values: its prefactor only rescales each degree.
+    A kmax that is not an integer (by operator.index) or is negative raises
+    DomainError.
     """
+    kmax = _integer(family, "kmax", kmax)
+    if kmax < 0:
+        raise DomainError(f"{family._label}: kmax={kmax} is negative")
     values = eval_exact_at_support(family.resolve_base(), range(kmax + 1), range(len(table)))
     norms = [_pair_sum_values(table, v, v) for v in values]
     worst = 0.0

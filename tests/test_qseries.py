@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -18,7 +19,7 @@ from copz import (
     pochhammer,
     q_pochhammer,
 )
-from copz.families import catalog_kinds, eval_exact_at_support, make_family, sample_params
+from copz.families import _CATALOG, catalog_kinds, eval_exact_at_support, make_family, sample_params
 from copz.weights import weight_table
 from copz.qseries import (
     chu_vandermonde,
@@ -612,6 +613,14 @@ _FALLBACKS = {
     "rounding midpoint": (
         (1, [_column_of(_A), _column_of(_B)], _column_of(Fraction(3, 2**55) / (_A * _B))), (), 2
     ),
+    # 1 + z a = 3 2^-1074, a subnormal: the 128-bit pass resolves no finer
+    # than 2^-127 about its 1, so a sum this small is always in doubt
+    "subnormal": ((1, [_column_of(_A)], _column_of((Fraction(3, 2**1074) - 1) / _A)), (), 1),
+    # 1 + z a = 2^1024 - 2^969, past the midpoint of the largest float and 2^1024:
+    # it rounds up to 2^1024, an overflow, though below 2^1024 itself
+    "rounds past the largest float": (
+        (1, [_column_of(_A)], _column_of((2**1024 - 2**969 - 1) / _A)), (), 1
+    ),
 }
 
 
@@ -701,10 +710,11 @@ def test_wide_tables_are_certified(kind, params, kmax, monkeypatch):
     spec = make_family(kind, params)
     points = range(len(weight_table(spec, degree_hint=kmax)))
     eval_exact_at_support(spec, range(kmax + 1), points)
-    # the exact sums: the points in doubt and the first points, whose integers are narrow
+    # one sum per degree 1..kmax and point, degree 0 taking none; the exact
+    # sums: the points in doubt and the first points, whose integers are narrow
     assert counts["in doubt"] <= 1
-    assert counts["certified"] + counts["exact"] - counts["in doubt"] == (kmax + 1) * len(points)
-    assert counts["certified"] >= (kmax + 1) * (len(points) - 3)
+    assert counts["certified"] + counts["exact"] - counts["in doubt"] == kmax * len(points)
+    assert counts["certified"] >= kmax * (len(points) - 3)
 
 
 def test_vanishing_factor_ends_the_certified_sum(monkeypatch):
@@ -725,6 +735,56 @@ def test_cancelling_sum_is_decided_exactly(monkeypatch):
     spec = make_family("q_racah", a=1.5, alpha=0.5, beta=0.5, q=0.5, N=60)
     eval_exact_at_support(spec, 59, 59)
     assert counts == {"certified": 0, "in doubt": 1, "exact": 1}
+
+
+def _one_plus_a(value):
+    """(numerator atoms, argument) of 1 + z a = value, a = _A at one point."""
+    return [_column_of(_A)], _column_of((value - 1) / _A)
+
+
+# (numerator atoms, argument) of sums 1 + z a that the 128-bit pass
+# certifies: just below and above 2^1023, and the largest float, whose ends
+# ldexp scales with no overflow; and an exact 0 from balls that drop no bit,
+# a = 2^200 and z = -2^-200, whose ends are +0.0
+_CERTIFIED = {
+    "below 2^1023": _one_plus_a(2**1023 - 2**970 - Fraction(2**968, 3)),
+    "above 2^1023": _one_plus_a(2**1023 + Fraction(2**971, 3)),
+    "largest float": _one_plus_a(2**1024 - 2**971 - 2**960),
+    "exact zero": ([_column_of(Fraction(2**200))], Fraction(-1, 2**200)),
+}
+
+
+@pytest.mark.parametrize("name", _CERTIFIED)
+def test_certified_top_binade_and_zero_sums(name, monkeypatch):
+    num, z = _CERTIFIED[name]
+    counts = _count_passes(monkeypatch)
+    (value,) = _exact(hyper_sum, num, [], z, 1)
+    (atom,) = num[0]
+    zs = z[0] if _per_point(z) else z
+    assert value.hex() == _reference_hyper_sum_exact([atom], [], zs, 1).hex()
+    assert counts == {"certified": 1, "in doubt": 0, "exact": 0}
+
+
+@pytest.mark.parametrize("kind", ["hahn", "q_racah", "q_charlier", "big_q_jacobi_special"])
+def test_degree_zero_rows_take_no_sum(kind, monkeypatch):
+    # the degree-0 series is the constant 1: its row is its prefactors times 1.0
+    spec, points = _at_60_points(kind)
+    names = [spec.kind] + ([spec.base.kind] if spec.base is not None else [])
+    for scale, name in zip((0.75, 3.0), names):
+        entry = _CATALOG[name]
+
+        def prefactor(p, n, entry=entry, scale=scale):
+            return scale if n == 0 else entry.prefactor(p, n)
+
+        monkeypatch.setitem(_CATALOG, name, dataclasses.replace(entry, prefactor=prefactor))
+    counts = _count_passes(monkeypatch)
+    want = 0.75 * (3.0 * 1.0) if spec.base is not None else 0.75 * 1.0
+    assert eval_exact_at_support(spec, (0,), points) == [[want] * len(points)]
+    assert counts == {"certified": 0, "in doubt": 0, "exact": 0}
+    # beside other degrees, the same row
+    rows = eval_exact_at_support(spec, (2, 0, 1), points)
+    assert rows[1] == [want] * len(points)
+    assert counts["certified"] + counts["exact"] - counts["in doubt"] == 2 * len(points)
 
 
 @pytest.mark.parametrize("kind, params, kmax", _WIDE_TABLES)

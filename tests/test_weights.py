@@ -234,6 +234,17 @@ def test_alias_pairing_errors_name_the_alias():
         gram_offdiag_max(alias, 31, weight_table(alias))
 
 
+@pytest.mark.parametrize(
+    "kmax, message",
+    [(-1, "kmax=-1 is negative"), (-5, "kmax=-5 is negative"), (2.0, "kmax=2.0 is not an integer")],
+)
+def test_gram_rejects_a_bad_kmax(kmax, message):
+    # a negative kmax pairs no degrees, so it would pass vacuously with 0.0
+    spec = make_family("hahn", alpha=0.5, beta=0.5, N=8)
+    with pytest.raises(DomainError, match=rf"^hahn: {message}$"):
+        gram_offdiag_max(spec, kmax, weight_table(spec))
+
+
 def _norm_sq(spec, n):
     return orthogonality_residual(spec, n, n, weight_table(spec, degree_hint=max(n, 1)))
 
