@@ -32,6 +32,7 @@ from .families import (
 from .interlacing import interlace_check
 from .stieltjes import (
     STRUCTURAL_PARAMS,
+    _finite_range,
     build_stieltjes_system,
     hypothesis_report,
     monotonicity_verdict,
@@ -142,7 +143,10 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _params_from_sets(args.sets)
-    # the swept parameter needs no --set; seed it from the range midpoint
+    # the swept parameter needs no --set; seed it from the range midpoint,
+    # once the ends are finite, so that make_family meets no NaN or inf
+    # the caller did not give
+    _finite_range((args.lo, args.hi))
     params.setdefault(args.param, 0.5 * (args.lo + args.hi))
     spec = make_family(args.family, params)
     problem = ZeroProblem(spec, args.n)

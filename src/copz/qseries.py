@@ -90,9 +90,11 @@ def exact_summation():
 # the float sums of degree _BLOCK_DEGREE or more over arrays of at most
 # _BLOCK_POINTS points run as one block (_block_sum).  Measured on a 2-vCPU
 # x86-64 host, the block pass beats the per-term loop from degree 8 up to
-# about 300 points: 1.1-2.2x at 16-192 points and 1.0-1.5x at 256, where its
-# accumulates, 4-5 ns a cell along the term axis, start to outweigh the
-# loop's saved numpy calls; at degree 6 it already loses at 96 points
+# about 300 points: 1.2-3.2x at 16-192 points and 1.0-1.4x at 256, where its
+# accumulates, 3-4 ns a cell along the term axis, start to outweigh the
+# loop's saved numpy calls; it breaks even at 320.  Forced at degree 6, it
+# still won 1.2-1.6x at 96 points.  A degree-59 pass of 59 points took
+# 62-103 us
 _BLOCK_DEGREE = 8
 _BLOCK_POINTS = 256
 
@@ -469,14 +471,20 @@ def _block_sum(ratio):
     """The loop's compensated sum over the rows of ratio, the term ratios of
     k = 0..n-1: the terms, the running totals and their TwoSum errors are
     one accumulate each along the term axis.  An accumulate runs in order,
-    and leading rows of 1 and 0 give the loop's starting term, total and
-    error, so every op is the loop's and each value its value bit for bit."""
-    width = ratio.shape[1]
-    terms = np.multiply.accumulate(np.concatenate((np.ones((1, width)), ratio)), axis=0)
+    so every op is the loop's and each value its value bit for bit.  The
+    terms are accumulated under a row of 1.0, the loop's start, written in
+    place: the first term is then the first ratio row, since 1.0 x = x, and
+    the first total 1.0 + term_0.  The errors need no leading 0.0: the
+    loop's comp = 0.0 + e_0 is e_0 unless e_0 is -0.0, and no error is,
+    since prev - (t - v) is -0.0 only where prev is, and no total is."""
+    n, width = ratio.shape
+    terms = np.empty((n + 1, width))
+    terms[0] = 1.0
+    np.multiply.accumulate(ratio, axis=0, out=terms[1:])
     totals = np.add.accumulate(terms, axis=0)
     prev, t, term = totals[:-1], totals[1:], terms[1:]
     v = t - prev
-    errs = np.concatenate((np.zeros((1, width)), (prev - (t - v)) + (term - v)))
+    errs = (prev - (t - v)) + (term - v)
     return totals[-1] + np.add.accumulate(errs, axis=0)[-1]
 
 

@@ -39,6 +39,12 @@ def _problem_at(problem: ZeroProblem, param: str, t: float) -> ZeroProblem:
     return ZeroProblem(problem.family.with_param(param, float(t)), problem.degree)
 
 
+def _finite_range(t_range) -> None:
+    """DomainError naming the sweep range where an end is NaN or infinite."""
+    if not all(map(math.isfinite, t_range)):
+        raise DomainError(f"sweep range {t_range!r} is not finite")
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     kind: str
@@ -308,11 +314,12 @@ def monotonicity_verdict(
     their move, or by find_zeros where that fails.  Every solved point is
     kept, and at most three rounds subdivide, so a refined sweep's ts are not
     evenly spaced.  A param the family cannot take (N, whose midpoints leave
-    the integers, or a name it does not have) raises DomainError before any
-    solve.
+    the integers, or a name it does not have), and a range with a NaN or
+    infinite end, raise DomainError before any solve.
     """
     fam = problem.family
     fam._check_continuous(param)
+    _finite_range(t_range)
     lo, hi = t_range
     if not lo < hi:
         raise DomainError(f"empty sweep range {t_range!r}")

@@ -80,6 +80,15 @@ def _mass_tail(log_mu: float, r: float) -> float:
     return math.exp(log_mu + math.log(r) - math.log1p(-r)) if r < 1.0 else math.inf
 
 
+def _count(family: FamilySpec, name: str, value) -> int:
+    """value as an int (operator.index), or DomainError naming it where it
+    is not one or is negative."""
+    value = _integer(family, name, value)
+    if value < 0:
+        raise DomainError(f"{family._label}: {name}={value} is negative")
+    return value
+
+
 def weight_table(
     family: FamilySpec, degree_hint: int = 8, allow_sign_flip: bool = False
 ) -> WeightTable:
@@ -97,7 +106,11 @@ def weight_table(
     wherever that is the same float as this s, and reads them afresh where
     it is not.  Each ratio is weight_ratio's bit for bit, in the same order
     of calls where one raises.
+
+    A degree_hint that is not an integer (by operator.index) or is negative
+    raises DomainError.
     """
+    degree_hint = _count(family, "degree_hint", degree_hint)
     g = family.grid
     a = family.support_start
     margin = 2 * max(1, degree_hint)
@@ -207,9 +220,7 @@ def gram_offdiag_max(family: FamilySpec, kmax: int, table: WeightTable) -> float
     A kmax that is not an integer (by operator.index) or is negative raises
     DomainError.
     """
-    kmax = _integer(family, "kmax", kmax)
-    if kmax < 0:
-        raise DomainError(f"{family._label}: kmax={kmax} is negative")
+    kmax = _count(family, "kmax", kmax)
     values = eval_exact_at_support(family.resolve_base(), range(kmax + 1), range(len(table)))
     norms = [_pair_sum_values(table, v, v) for v in values]
     worst = 0.0

@@ -57,9 +57,10 @@ _MAX_WINDOW = 4096.0
 # lockstep: the fewest for which one pass costs less than a one-point call
 # per bracket at every degree.  A set this large has degree 8 or more, so its
 # passes are summed as one block (qseries._BLOCK_DEGREE); on a 2-vCPU x86-64
-# host a pass of 8 points cost about as much as 6-8 one-point calls at degree
-# 8 (24-45 us against 3.8-6.0 us), 4-5 at degree 16 and 1.5-2 at degree 59
-# (34-58 us against 23-34 us), and one of 4 points still 6-7 at degree 8
+# host a pass of 8 points cost about as much as 5-9 one-point calls at degree
+# 8 (14-25 us against 2.4-4.1 us), 2-4.5 at degree 16 and 1.2-1.8 at degree
+# 59 (21-46 us against 14-25 us), and one of 4 points still 4.5-7.5 at
+# degree 8
 _LOCKSTEP = 8
 # samples from which a scan finds its brackets in array passes rather than a
 # loop: the crossover of the two, which lay between 81 and 89 samples at
@@ -242,25 +243,40 @@ def _itp(lo: float, hi: float, glo: float, ghi: float):
     ceil(log2(width / (2 eps))) + n0 trial points, bisection's count plus n0.
     kappa1 = 0.2 / width, kappa2 = 2 and n0 = 1.  A point where g is exactly
     0.0 is returned with width 0.0, as a scan node zero is.
+
+    Step j takes the textbook floats, with sigma = copysign(1, mid - xf):
+    delta = max(kappa1 width^2, eps), xt = xf + sigma delta where delta <=
+    |mid - xf|, else mid, r = eps 2^(n_max - j) - width / 2, and the point
+    xt where |xt - mid| <= r, else mid - sigma r.  Comparisons stand in for
+    the calls, with the same floats: xf + sigma delta at sigma = -1 is
+    xf - delta, mid - sigma r is mid + r, and eps 2^(n_max - j) is halved
+    from step to step, exactly, as it stays above eps.  copysign is left
+    where mid - xf is 0.0 or NaN, whose sign no comparison reads.
     """
     if lo == hi:
         return lo, 0.0
     eps = 0.5 * _WIDTH_REL * max(1.0, abs(0.5 * (lo + hi)))
+    two_eps = 2.0 * eps
     kappa1 = 0.2 / (hi - lo)
-    n_max = math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1
-    for j in range(n_max):
+    n_max = math.ceil(math.log2((hi - lo) / two_eps)) + 1
+    reach = math.ldexp(eps, n_max)  # eps 2^(n_max - j), halved each step
+    for _ in range(n_max):
         width = hi - lo
-        if width <= 2.0 * eps:
+        if width <= two_eps:
             break
         mid = 0.5 * (lo + hi)
         xf = lo + width * (glo / (glo - ghi))
-        sigma = math.copysign(1.0, mid - xf)
+        d = mid - xf
         # kappa1 * width**2 drops below an ulp of s as the bracket closes; a
         # step of eps keeps xt off xf, which may already be a bracket end
-        delta = max(kappa1 * width * width, eps)
-        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-        r = math.ldexp(eps, n_max - j) - 0.5 * width
-        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        delta = kappa1 * width * width
+        if delta < eps:
+            delta = eps
+        x = xf + delta if d >= delta else xf - delta if d <= -delta else mid
+        r = reach - 0.5 * width
+        reach *= 0.5
+        if not -r <= x - mid <= r:
+            x = mid - r if d > 0.0 else mid + r if d < 0.0 else mid - math.copysign(1.0, d) * r
         gx = yield x
         if gx == 0.0:
             return x, 0.0

@@ -209,6 +209,24 @@ def test_sweep_over_the_support_size_is_invalid_input():
     assert err == "error: hahn has no continuous parameter 'N'\n"
 
 
+@pytest.mark.parametrize(
+    "ends, named",
+    [(("0", "nan"), "(0.0, nan)"), (("0", "inf"), "(0.0, inf)"), (("-inf", "1"), "(-inf, 1.0)")],
+)
+def test_sweep_over_a_non_finite_range_is_invalid_input(ends, named):
+    # the unset alpha was seeded from the range midpoint, and make_family
+    # rejected that NaN or inf as if the caller had passed it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["sweep", "--family", "hahn", "--set", "N=10", "--set", "beta=1", "--n", "3",
+             "--param", "alpha", f"--from={ends[0]}", f"--to={ends[1]}"]
+        )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sweep range {named} is not finite\n"
+
+
 def test_unknown_family_is_invalid_input():
     code, _, err = run_cli(["zeros", "--family", "nope", "--n", "1"])
     assert code == 2

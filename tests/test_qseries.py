@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import copz.qseries
-from oracles import reference_hyper_sum, reference_qhyper_sum
+from oracles import reference_compensated_sum, reference_hyper_sum, reference_qhyper_sum
 from copz import (
     DomainError,
     SeriesSpec,
@@ -1042,3 +1042,52 @@ def test_float_qsum_matches_neumaier_reference(rows, den, q, n, places):
 
     _check_against_reference(series, ref, rows)
     _check_plan_against_reference(series, ref, rows, places)
+
+
+def _block(columns):
+    """A (terms x points) block whose columns are the given term ratios."""
+    return np.array(columns, dtype=float).T.reshape(len(columns[0]), len(columns))
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        pytest.param([[0.5, -3.0, 1e-300, _INF, -0.0, _NAN, 1e308]], id="one row"),
+        pytest.param([[0.25, -2.0, 1.5, -1e-3, 7.0, 0.125, -0.5, 3.0, 1e-8]], id="one column"),
+        # the first term cancels the leading 1: a total of 0.0, then -0.0 and
+        # 0.0 terms on it, and a sum that cancels to 0.0 after two terms
+        pytest.param([[-1.0, 0.0, 5.0], [-1.0, -0.0, 5.0], [-2.0, -0.5, 3.0],
+                      [-0.0, 4.0, -1.0], [-1.0, -1.0, -1.0], [1.0, -1.0, 0.5]],
+                     id="cancelling columns"),
+        # terms that carry an error only the compensated sum keeps
+        pytest.param([[1e-17, 1.0, -1e16], [-1e16, -1e-16, 1e-17], [3.0, 1.0 / 3.0, 3.0]],
+                     id="tiny and huge terms"),
+        pytest.param([[_INF, 0.5, 2.0], [-_INF, 0.5, -2.0], [_NAN, 1.0, 1.0],
+                      [0.5, _INF, 0.0], [1e200, 1e200, -1.0], [-1e300, 1e300, 1e-300],
+                      [2.0, -_INF, _NAN], [0.0, _INF, 1.0]],
+                     id="infinite and NaN terms"),
+    ],
+)
+def test_block_sum_is_the_per_term_loop(columns):
+    # every value of the block, by .hex(), the sign of zero included, is the
+    # per-term TwoSum loop's over that point's column of term ratios
+    with np.errstate(all="ignore"):
+        got = copz.qseries._block_sum(_block(columns)).tolist()
+    assert [v.hex() for v in got] == [reference_compensated_sum(c).hex() for c in columns]
+
+
+def test_block_sum_is_the_per_term_loop_on_seeded_blocks():
+    rng = random.Random(11)
+    pool = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, _INF, -_INF, _NAN, 1e300, 5e-324)
+    for _ in range(200):
+        n, width = rng.randint(1, 12), rng.randint(1, 6)
+        # ratios of all sizes, so the terms' errors differ by many orders
+        columns = [[rng.choice(pool) if rng.random() < 0.2 else
+                    rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, 12.0)
+                    for _ in range(n)] for _ in range(width)]
+        with np.errstate(all="ignore"):
+            got = copz.qseries._block_sum(_block(columns)).tolist()
+        assert [v.hex() for v in got] == [reference_compensated_sum(c).hex() for c in columns]

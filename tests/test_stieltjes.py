@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +375,26 @@ def test_sweep_rejects_a_parameter_the_family_cannot_take(monkeypatch, param):
     problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=10), 3)
     with pytest.raises(DomainError, match=f"^hahn has no continuous parameter '{param}'$"):
         monotonicity_verdict(problem, param, (4.0, 60.0), samples=57)
+    assert solved == []
+
+
+@pytest.mark.parametrize(
+    "t_range",
+    [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)],
+)
+def test_sweep_rejects_a_range_with_a_non_finite_end(monkeypatch, t_range):
+    # (0, inf) passed lo < hi, warned from linspace and failed on the
+    # NaN sample "alpha must satisfy alpha > -1 (got nan)"; the range is
+    # named before any solve, with no warning
+    solved = []
+    monkeypatch.setattr(copz.stieltjes, "find_zeros", solved.append)
+    monkeypatch.setattr(copz.stieltjes, "track_zeros", solved.append)
+    problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=10), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            monotonicity_verdict(problem, "alpha", t_range)
+    assert str(info.value) == f"sweep range {t_range!r} is not finite"
     assert solved == []
 
 

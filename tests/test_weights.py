@@ -245,6 +245,24 @@ def test_gram_rejects_a_bad_kmax(kmax, message):
         gram_offdiag_max(spec, kmax, weight_table(spec))
 
 
+
+@pytest.mark.parametrize(
+    "hint, message",
+    [
+        (1.25, "degree_hint=1.25 is not an integer"),
+        (math.nan, "degree_hint=nan is not an integer"),
+        (2.0, "degree_hint=2.0 is not an integer"),
+        (-1, "degree_hint=-1 is negative"),
+    ],
+)
+def test_weight_table_rejects_a_bad_degree_hint(hint, message):
+    # a fractional hint made the tail margin a float that no point index
+    # equals, so the table walked 10,000 points to a TruncationError after
+    # meeting its tail bound; nan and -1 were taken as a hint of 1
+    spec = make_family("charlier", alpha=1.0)
+    with pytest.raises(DomainError, match=rf"^charlier: {message}$"):
+        weight_table(spec, degree_hint=hint)
+
 def _norm_sq(spec, n):
     return orthogonality_residual(spec, n, n, weight_table(spec, degree_hint=max(n, 1)))
 

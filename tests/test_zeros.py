@@ -24,6 +24,7 @@ from copz import (
     zero_derivatives_fd,
 )
 from copz.qseries import exact_summation
+from oracles import reference_itp
 
 FLAGGED = {"q_bessel", "little_q_laguerre", "q_laguerre"}
 
@@ -791,6 +792,65 @@ def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, para
         g, calls = _counted(lambda s: base.eval_at_s(n, s))
         copz.zeros._drive(copz.zeros._itp(sl, sr, gl, gr), g)
         assert len(calls) <= _bisection_calls(sl, sr)[0] / 2, (sl, sr)
+
+
+def _itp_trace(steps, g):
+    """Every trial point of an ITP stepper driven by g, and its (zero, width), by .hex()."""
+    points, gx = [], None
+    try:
+        while True:
+            x = steps.send(gx)
+            points.append(x.hex())
+            gx = g(x)
+    except StopIteration as stop:
+        return points, tuple(float(v).hex() for v in stop.value)
+
+
+def _itp_cases(seed):
+    """(lo, hi, glo, ghi, g) brackets of each kind the stepper meets, drawn from seed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(40):
+        # smooth: a cubic or quartic with one root in the bracket, either sign
+        roots = sorted(rng.uniform(-50.0, 50.0) for _ in range(rng.choice((3, 4))))
+        j = rng.randrange(len(roots))
+        lo = max(roots[j - 1] if j else -60.0, roots[j] - rng.uniform(1e-6, 2.0))
+        hi = min(roots[j + 1] if j + 1 < len(roots) else 60.0, roots[j] + rng.uniform(1e-6, 2.0))
+        lo, hi = 0.5 * (lo + roots[j]), 0.5 * (hi + roots[j])
+        scale = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-30.0, 30.0)
+        g = lambda s, rs=roots, c=scale: c * math.prod(s - r for r in rs)
+        out.append((lo, hi, g(lo), g(hi), g))
+        # sign only, from ends of any size, and from equal ones, where the
+        # regula falsi point is the midpoint (mid - xf = 0.0) or an ulp off
+        root = rng.uniform(lo, hi)
+        upper = rng.choice((1.0, 1e9, 1e-9, rng.uniform(0.1, 10.0)))
+        step = lambda s, r=root, u=upper: -1.0 if s < r else u
+        out.append((lo, hi, -1.0, upper, step))
+        out.append((lo, hi, -1.0, 1.0, lambda s, r=root: -1.0 if s < r else 1.0))
+        # an exact hit: a line through a dyadic midpoint
+        a, w = rng.randint(-1000, 1000) / 8.0, rng.randint(1, 64) / 16.0
+        out.append((a - w, a + w, -w, w, lambda s, a=a: s - a))
+        # an infinite end value, the regula falsi point then NaN or an end
+        ends = rng.choice(((-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf),
+                           (math.inf, -1.0)))
+        out.append((lo, hi, *ends, lambda s, r=root, e=ends: e[0] if s < r else e[1]))
+        # a width just above the stopping width 2 eps
+        s0 = rng.uniform(-5000.0, 5000.0)
+        two_eps = copz.zeros._WIDTH_REL * max(1.0, abs(s0))
+        top = s0 + two_eps * (1.0 + rng.choice((1e-15, 1e-9, 1e-3, 0.5)))
+        line = lambda s, r=rng.uniform(s0, top): s - r
+        out.append((s0, top, line(s0), line(top), line))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_itp_steps_as_the_reference_stepper(seed):
+    # the library's stepper trades the reference's max, copysign, abs and
+    # ldexp calls for comparisons and an exact halving: the same trial
+    # points and result, bit for bit
+    for lo, hi, glo, ghi, g in _itp_cases(seed):
+        got = _itp_trace(copz.zeros._itp(lo, hi, glo, ghi), g)
+        assert got == _itp_trace(reference_itp(lo, hi, glo, ghi), g), (lo, hi, glo, ghi)
 
 
 def _refinement_points(monkeypatch):
