@@ -34,13 +34,7 @@ from .families import (
 )
 from .grid import Grid
 from .interlacing import InterlacingReport, connection_residual, interlace_check
-from .qseries import (
-    SeriesSpec,
-    eval_terminating_series,
-    identity_value,
-    pochhammer,
-    q_pochhammer,
-)
+from .qseries import q_pochhammer
 from .stieltjes import (
     HypothesisReport,
     MonotonicityVerdict,
@@ -52,7 +46,6 @@ from .stieltjes import (
 )
 from .weights import (
     WeightTable,
-    boundary_check,
     gram_offdiag_max,
     orthogonality_residual,
     pearson_residual_max,
@@ -76,7 +69,6 @@ __all__ = [
     "IllConditionedSystemError",
     "InterlacingReport",
     "MonotonicityVerdict",
-    "SeriesSpec",
     "SingularityError",
     "StieltjesSystem",
     "SweepDiscontinuityError",
@@ -88,24 +80,20 @@ __all__ = [
     "ZeroCountError",
     "ZeroProblem",
     "ZeroSet",
-    "boundary_check",
     "build_stieltjes_system",
     "catalog_kinds",
     "connection_residual",
     "eq1_consistency",
     "eval_exact_at_support",
-    "eval_terminating_series",
     "family_info",
     "find_zeros",
     "gram_offdiag_max",
     "hypothesis_report",
-    "identity_value",
     "interlace_check",
     "make_family",
     "monotonicity_verdict",
     "orthogonality_residual",
     "pearson_residual_max",
-    "pochhammer",
     "q_pochhammer",
     "sample_params",
     "separation_check",

@@ -143,11 +143,12 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _params_from_sets(args.sets)
-    # the swept parameter needs no --set; seed it from the range midpoint,
-    # once the ends are finite, so that make_family meets no NaN or inf
-    # the caller did not give
+    # the swept parameter needs no --set; seed it from the range's lower
+    # end, the sweep's first point, once the ends are finite, so that
+    # make_family meets no NaN or inf and names no value the caller did
+    # not give
     _finite_range((args.lo, args.hi))
-    params.setdefault(args.param, 0.5 * (args.lo + args.hi))
+    params.setdefault(args.param, args.lo)
     spec = make_family(args.family, params)
     problem = ZeroProblem(spec, args.n)
     verdict = monotonicity_verdict(

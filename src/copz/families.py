@@ -141,7 +141,8 @@ class FamilySpec:
 
     def eval_at_s(self, n: int, s: float) -> float:
         """Value of the degree-n polynomial at the lattice point x(s), s on or
-        off the monotone branch; at a point X it is eval_at_s(n, grid.x_inverse(X)).
+        off the monotone branch; at a point X it is the value at the s of the
+        monotone branch with x(s) = X.
 
         This is _at_s(n) at s, the one map from s to the value, which names an
         OverflowError of the lattice atoms or of the value as EvaluationOverflowError.
@@ -1459,6 +1460,15 @@ def _integer(family: FamilySpec, name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{family._label}: {name}={value!r} is not an integer") from None
+
+
+def _count(family: FamilySpec, name: str, value) -> int:
+    """value as an int (operator.index), or DomainError naming it where it
+    is not one or is negative."""
+    value = _integer(family, name, value)
+    if value < 0:
+        raise DomainError(f"{family._label}: {name}={value} is negative")
+    return value
 
 
 def _lattice_atoms(base: FamilySpec, exact: bool):

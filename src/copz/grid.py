@@ -1,4 +1,4 @@
-"""Canonical lattices s -> X: pointwise maps, inverses, derivatives, differences.
+"""Canonical lattices s -> X: pointwise maps, derivatives, differences.
 
 Every q-dependent lattice is parameterized with a base 0 < q < 1.  The
 symmetric form (q^s + q^-s)/2 and the antisymmetric form (q^-s - q^s)/2 are
@@ -20,9 +20,6 @@ Q_SYMMETRIC = "q_symmetric"
 Q_ANTISYMMETRIC = "q_antisymmetric"
 
 _Q_TAGS = (Q_EXP_NEG, Q_EXP, Q_SYMMETRIC, Q_ANTISYMMETRIC)
-
-# relative slop for inverse-map arguments that sit on the image boundary
-_EDGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,13 +54,6 @@ class Grid:
         """+1 for increasing lattices, -1 for decreasing ones."""
         return 1.0 if self.increasing else -1.0
 
-    @property
-    def theta(self) -> float:
-        """Positive hyperbolic rate; the base satisfies q = exp(-2*theta)."""
-        if self.q is None:
-            raise DomainError(f"{self.tag} lattice has no theta")
-        return -0.5 * math.log(self.q)
-
     def domain_contains(self, s: float) -> bool:
         if self.tag == QUADRATIC:
             return s > -0.5
@@ -95,33 +85,6 @@ class Grid:
         if not self.domain_contains(s):
             raise DomainError(f"s={s!r} outside the monotone domain of {self.tag}")
         return self.x_raw(s)
-
-    def x_inverse(self, X: float) -> float:
-        """The s with x(s) = X on the monotone branch."""
-        if self.tag == LINEAR:
-            return X
-        if self.tag == QUADRATIC:
-            lo = -0.25
-            if X < lo - _EDGE_TOL * max(1.0, abs(lo)):
-                raise DomainError(f"X={X!r} below the quadratic-lattice image")
-            return 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * X)))
-        q = self.q
-        if self.tag in (Q_EXP_NEG, Q_EXP):
-            if X <= 0.0:
-                raise DomainError(f"X={X!r} outside the image of {self.tag}")
-            s = math.log(X) / math.log(q)
-            return -s if self.tag == Q_EXP_NEG else s
-        if self.tag == Q_SYMMETRIC:
-            if X < 1.0 - _EDGE_TOL:
-                raise DomainError(f"X={X!r} below the symmetric-lattice image")
-            X = max(X, 1.0)
-            # q^s = X - sqrt(X^2-1); evaluate through the large root for stability
-            s = -math.log(X + math.sqrt(X * X - 1.0)) / math.log(q)
-            # x magnifies an ulp of s about s |ln q| times, so keep whichever
-            # neighbour of the rounded s lands closest to X
-            steps = (s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf))
-            return min(steps, key=lambda t: abs(self.x_raw(t) - X))
-        return math.asinh(X) / (2.0 * self.theta)
 
     def dx_ds(self, s: float) -> float:
         """Analytic derivative of the lattice map."""

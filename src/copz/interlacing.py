@@ -96,14 +96,15 @@ def interlace_check(
     anyway.  Shared-weight instances also carry the connection-formula residual.
     """
     spec_n, spec_n1 = _pair(kind, params, N)
+    problem_n, problem_n1 = ZeroProblem(spec_n, n), ZeroProblem(spec_n1, n)
     shared = same_weight(spec_n, spec_n1)
     if check_weight and not shared:
         raise WeightMismatchError(
             f"{spec_n.kind}: weight shape depends on the support size; interlacing "
             "statements need a shared weight"
         )
-    zn = find_zeros(ZeroProblem(spec_n, n)).zeros_X_sorted
-    zn1 = find_zeros(ZeroProblem(spec_n1, n)).zeros_X_sorted
+    zn = find_zeros(problem_n).zeros_X_sorted
+    zn1 = find_zeros(problem_n1).zeros_X_sorted
     g = spec_n.grid
     xb = g.x(spec_n.support_end)
     p = _monic(zn)
@@ -155,12 +156,13 @@ def connection_residual(
     points equal to x(b) are skipped (removable singularity).
     """
     spec_n, spec_n1 = _pair(kind, params, N)
+    problem_n, problem_n1 = ZeroProblem(spec_n, n), ZeroProblem(spec_n1, n)
     if not same_weight(spec_n, spec_n1):
         raise WeightMismatchError(
             f"{spec_n.kind}: connection formula needs a shared weight shape"
         )
-    zn = find_zeros(ZeroProblem(spec_n, n)).zeros_X_sorted
-    zn1 = find_zeros(ZeroProblem(spec_n1, n)).zeros_X_sorted
+    zn = find_zeros(problem_n).zeros_X_sorted
+    zn1 = find_zeros(problem_n1).zeros_X_sorted
     return _connection(spec_n, spec_n1, n, zn, zn1, sample_X)
 
 

@@ -1,4 +1,4 @@
-"""Terminating hypergeometric and basic hypergeometric sums plus identity oracles.
+"""Terminating hypergeometric and basic hypergeometric sums.
 
 The basic series uses the convention
 
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import ldexp, prod
@@ -106,14 +105,6 @@ def _points(atoms) -> int:
         if isinstance(x, np.ndarray):
             return len(x)
     return 0
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k; the empty product is 1."""
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
 
 
 def q_pochhammer(a: float, q: float, k: int) -> float:
@@ -731,96 +722,6 @@ def qhyper_sum(num, den, q: float, z: float, n: int) -> float:
     return _float_sum(num, den, q, z, n)
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """One terminating (q-)hypergeometric sum.
-
-    Exactly one numerator parameter must mark termination at the stated
-    degree: -n for ordinary series, q^-n for basic ones.
-    """
-
-    numerator: tuple
-    denominator: tuple
-    argument: float
-    degree: int
-    q: float | None = None
-
-
-def eval_terminating_series(spec: SeriesSpec) -> float:
-    n = spec.degree
-    if n < 0:
-        raise DomainError(f"degree must be nonnegative, got {n}")
-    if spec.q is None:
-        marker = -float(n)
-        if not any(abs(a - marker) <= 1e-9 * max(1.0, n) for a in spec.numerator):
-            raise DomainError(f"no numerator parameter equals -n = {marker}")
-        return hyper_sum(spec.numerator, spec.denominator, spec.argument, n)
-    marker = spec.q ** (-n)
-    if not any(abs(a - marker) <= 1e-9 * marker for a in spec.numerator):
-        raise DomainError(f"no numerator parameter equals q^-n = {marker}")
-    return qhyper_sum(spec.numerator, spec.denominator, spec.q, spec.argument, n)
-
-
-# ---------------------------------------------------------------------------
-# closed-form identity oracles
-# ---------------------------------------------------------------------------
-
-
-def chu_vandermonde(n: int, b: float, c: float) -> float:
-    """2F1(-n, b; c; 1) = (c-b)_n / (c)_n."""
-    den = pochhammer(c, n)
-    if den == 0.0:
-        raise DomainError(f"(c)_n vanishes for c={c!r}, n={n}")
-    return pochhammer(c - b, n) / den
-
-
-def sheppard(n: int, a: float, b: float, c: float) -> float:
-    """Balanced 3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / [(c)_n (c-a-b)_n]."""
-    den = pochhammer(c, n) * pochhammer(c - a - b, n)
-    if den == 0.0:
-        raise DomainError(f"denominator shifted factorial vanishes for c={c!r}, n={n}")
-    return pochhammer(c - a, n) * pochhammer(c - b, n) / den
-
-
-def q_pfaff_saalschutz(n: int, a: float, b: float, c: float, q: float) -> float:
-    """Balanced 3φ2(q^-n, a, b; c, a b q^(1-n)/c; q, q) in closed form."""
-    if a == 0.0 or b == 0.0 or c == 0.0:
-        raise DomainError("parameters of the balanced 3φ2 must be nonzero")
-    den = q_pochhammer(c, q, n) * q_pochhammer(c / (a * b), q, n)
-    if den == 0.0:
-        raise DomainError("denominator q-shifted factorial vanishes")
-    return q_pochhammer(c / a, q, n) * q_pochhammer(c / b, q, n) / den
-
-
-def q_chu_vandermonde(n: int, b: float, c: float, q: float) -> float:
-    """2φ1(q^-n, b; c; q, q) = b^n (c/b; q)_n / (c; q)_n."""
-    if b == 0.0:
-        raise DomainError("b must be nonzero")
-    den = q_pochhammer(c, q, n)
-    if den == 0.0:
-        raise DomainError(f"(c; q)_n vanishes for c={c!r}, n={n}")
-    return b**n * q_pochhammer(c / b, q, n) / den
-
-
-_IDENTITIES = {
-    "chu_vandermonde": chu_vandermonde,
-    "sheppard": sheppard,
-    "q_pfaff_saalschutz": q_pfaff_saalschutz,
-    "q_chu_vandermonde": q_chu_vandermonde,
-}
-
-
-def identity_value(identity: str, **params) -> float:
-    """Dispatch to one of the closed-form identity oracles by name."""
-    try:
-        fn = _IDENTITIES[identity]
-    except KeyError:
-        raise DomainError(
-            f"unknown identity {identity!r}; known: {sorted(_IDENTITIES)}"
-        ) from None
-    return fn(**params)
-
-
 def binom2(k: int) -> int:
     """k choose 2."""
     return k * (k - 1) // 2
@@ -828,16 +729,8 @@ def binom2(k: int) -> int:
 
 __all__ = [
     "Neumaier",
-    "SeriesSpec",
     "binom2",
-    "chu_vandermonde",
-    "eval_terminating_series",
     "hyper_sum",
-    "identity_value",
-    "pochhammer",
-    "q_chu_vandermonde",
-    "q_pfaff_saalschutz",
     "q_pochhammer",
     "qhyper_sum",
-    "sheppard",
 ]

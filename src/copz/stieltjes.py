@@ -26,7 +26,7 @@ from .errors import (
     IllConditionedSystemError,
     SweepDiscontinuityError,
 )
-from .families import ZeroProblem
+from .families import ZeroProblem, _count
 from .grid import Grid, Q_ANTISYMMETRIC
 from .zeros import ZeroSet, find_zeros, track_zeros
 
@@ -97,11 +97,13 @@ def hypothesis_report(zs: ZeroSet, param: str, samples: int = 200) -> Hypothesis
     the removable 0/0 of the racah and dual Hahn tables at s = a = 0) is a
     counterexample, and f is not positive; it is kept past the cap of eight
     on the other counterexamples, and its signs count for nothing.  A param
-    the family cannot take raises DomainError; where a term in the parameters
-    alone overflows, every sample is such a counterexample.
+    the family cannot take, and a samples count that is not an integer (by
+    operator.index) or is negative, raise DomainError; where a term in the
+    parameters alone overflows, every sample is such a counterexample.
     """
     problem = zs.problem
     fam = problem.family
+    samples = _count(fam, "samples", samples)
     lo, hi = fam.k_interval()
     hi_eff = hi if math.isfinite(hi) else max(zs.zeros_s) + 2.0
     pts = np.linspace(lo, hi_eff, samples + 2)[1:-1].tolist()
@@ -314,12 +316,14 @@ def monotonicity_verdict(
     their move, or by find_zeros where that fails.  Every solved point is
     kept, and at most three rounds subdivide, so a refined sweep's ts are not
     evenly spaced.  A param the family cannot take (N, whose midpoints leave
-    the integers, or a name it does not have), and a range with a NaN or
-    infinite end, raise DomainError before any solve.
+    the integers, or a name it does not have), a range with a NaN or
+    infinite end, and a samples count that is not an integer (by
+    operator.index) or is negative, raise DomainError before any solve.
     """
     fam = problem.family
     fam._check_continuous(param)
     _finite_range(t_range)
+    samples = _count(fam, "samples", samples)
     lo, hi = t_range
     if not lo < hi:
         raise DomainError(f"empty sweep range {t_range!r}")

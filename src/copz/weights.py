@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, SingularityError, TruncationError, WeightPositivityError
-from .families import FamilySpec, _integer, eval_exact_at_support
+from .errors import DomainError, TruncationError, WeightPositivityError
+from .families import FamilySpec, _count, eval_exact_at_support
 from .qseries import Neumaier
 
 _TAIL_REL = 1e-14
@@ -78,15 +78,6 @@ def weight_ratio(family: FamilySpec, s: float) -> float:
 def _mass_tail(log_mu: float, r: float) -> float:
     """The geometric tail mu r / (1 - r) past a point of measure mu = exp(log_mu)."""
     return math.exp(log_mu + math.log(r) - math.log1p(-r)) if r < 1.0 else math.inf
-
-
-def _count(family: FamilySpec, name: str, value) -> int:
-    """value as an int (operator.index), or DomainError naming it where it
-    is not one or is negative."""
-    value = _integer(family, name, value)
-    if value < 0:
-        raise DomainError(f"{family._label}: {name}={value} is negative")
-    return value
 
 
 def weight_table(
@@ -252,57 +243,3 @@ def pearson_residual_max(family: FamilySpec, table: WeightTable) -> float:
         if scale > 0.0:
             worst = max(worst, abs(lhs - t2) / scale)
     return worst
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    passed: bool
-    start_residuals: tuple[float, ...]
-    end_residuals: tuple[float, ...]
-
-
-def _a_lower(family: FamilySpec, s: float) -> float:
-    """The lower-coefficient product A(s) * dx(s-1) * dx(s-1/2), limit-safe in A."""
-    g = family.grid
-    try:
-        A, _ = family.coeffs_AB(s)
-    except SingularityError:
-        A, _ = family.coeffs_AB(s + 1e-7)
-    return A * g.delta_x(s - 1.0) * g.delta_x_half(s)
-
-
-def boundary_check(family: FamilySpec, k_max: int = 3) -> BoundaryReport:
-    """Verify that the weighted lower coefficient vanishes at both support ends.
-
-    Finite support: w(a) a(a) = 0 and w(b) a(b) = 0 exactly (up to rounding).
-    Infinite support: the tabulated tail term must have decayed relative to the
-    table maximum, for each moment order k = 0..k_max.
-    """
-    table = weight_table(family, degree_hint=max(k_max, 2), allow_sign_flip=True)
-    g = family.grid
-    a = family.support_start
-    scale = max(math.exp(lv) for lv in table.log_values)
-    aa = _a_lower(family, a)
-    start = [abs(aa * g.x_raw(a - 0.5) ** k) / scale for k in range(k_max + 1)]
-    end = []
-    if family.is_finite:
-        b = family.support_end
-        r = weight_ratio(family, b - 1.0)
-        w_b = math.exp(table.log_values[-1]) * abs(r)
-        ab = _a_lower(family, b)
-        for k in range(k_max + 1):
-            xb = g.x_raw(b - 0.5) ** k
-            end.append(abs(w_b * ab * xb) / scale)
-        tol = 1e-10 * max(1.0, abs(g.x_raw(b - 0.5))) ** k_max
-        ok = all(r <= tol for r in start + end)
-        return BoundaryReport(ok, tuple(start), tuple(end))
-    last = len(table) - 1
-    s_last = table.s_at(last)
-    a_last = _a_lower(family, s_last)
-    log_max = max(table.log_values)
-    for k in range(k_max + 1):
-        tail = table.log_values[last] + math.log(max(abs(a_last), 1e-300))
-        tail += k * math.log(max(1.0, abs(g.x_raw(s_last - 0.5))))
-        end.append(math.exp(tail - log_max) / max(scale, 1.0))
-    ok = all(r <= 1e-10 for r in start) and all(r <= 1e-8 for r in end)
-    return BoundaryReport(ok, tuple(start), tuple(end))

@@ -35,17 +35,18 @@ from copz import (
 )
 from copz.cli import main as cli_main
 from copz.grid import QUADRATIC, Q_ANTISYMMETRIC, Q_SYMMETRIC, Grid
-from copz.qseries import (
+from copz.qseries import hyper_sum, q_pochhammer, qhyper_sum
+from copz.stieltjes import b_entry
+from oracles import (
+    b_antisymmetric_closed,
+    b_quadratic_closed,
+    b_symmetric_closed,
     chu_vandermonde,
-    hyper_sum,
     q_chu_vandermonde,
     q_pfaff_saalschutz,
-    q_pochhammer,
-    qhyper_sum,
     sheppard,
+    theta,
 )
-from copz.stieltjes import b_entry
-from oracles import b_antisymmetric_closed, b_quadratic_closed, b_symmetric_closed
 
 FLAGGED = ("q_bessel", "little_q_laguerre", "q_laguerre")
 
@@ -182,14 +183,14 @@ def test_criterion_04_lattice_curvature_closed_forms():
         q = rng.uniform(0.35, 0.95)
         gs = Grid(Q_SYMMETRIC, q)
         yj2, yk2 = rng.uniform(0.7, 8.0), rng.uniform(0.7, 8.0)
-        closed = b_symmetric_closed(gs.theta, yj2, yk2)
+        closed = b_symmetric_closed(theta(gs), yj2, yk2)
         worst_s = max(worst_s, abs(b_entry(gs, yj2, yk2) - closed) / abs(closed))
         # the containment needs a moderate rate: |b| <= 4*theta*tanh(theta)
         qa = rng.uniform(0.45, 0.95)
         ga = Grid(Q_ANTISYMMETRIC, qa)
         yj3, yk3 = rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
         val = b_entry(ga, yj3, yk3)
-        closed_a = b_antisymmetric_closed(ga.theta, yj3, yk3)
+        closed_a = b_antisymmetric_closed(theta(ga), yj3, yk3)
         in_interval &= -1.0 < val < 0.0 and abs(val - closed_a) <= 1e-10 * abs(closed_a) + 1e-12
     ok = worst_q < 1e-10 and worst_s < 1e-10 and in_interval
     _report(

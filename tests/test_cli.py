@@ -214,8 +214,8 @@ def test_sweep_over_the_support_size_is_invalid_input():
     [(("0", "nan"), "(0.0, nan)"), (("0", "inf"), "(0.0, inf)"), (("-inf", "1"), "(-inf, 1.0)")],
 )
 def test_sweep_over_a_non_finite_range_is_invalid_input(ends, named):
-    # the unset alpha was seeded from the range midpoint, and make_family
-    # rejected that NaN or inf as if the caller had passed it
+    # the unset alpha is seeded from the range only once both ends are
+    # finite, so make_family never rejects a NaN or inf as if it were given
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
@@ -225,6 +225,18 @@ def test_sweep_over_a_non_finite_range_is_invalid_input(ends, named):
     assert code == 2
     assert out == ""
     assert err == f"error: sweep range {named} is not finite\n"
+
+
+def test_sweep_names_the_range_end_it_seeds_an_unset_parameter_with():
+    # the unset alpha is seeded from the range's lower end, the sweep's
+    # first point, so the error names a value the caller gave, not -2.0
+    code, out, err = run_cli(
+        ["sweep", "--family", "hahn", "--set", "beta=1", "--set", "N=10", "--n", "2",
+         "--param", "alpha", "--from", "-5", "--to", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: hahn: alpha must satisfy alpha > -1 (got -5.0)\n"
 
 
 def test_unknown_family_is_invalid_input():
@@ -278,6 +290,18 @@ def test_interlace_rejects_support_size_without_room_for_n_plus_one():
         "error: hahn: interlacing compares N with N+1, so N must satisfy "
         "N+1 <= 60 (got 60)\n"
     )
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "5"], ["--n", "6", "--force"]])
+def test_interlace_degree_outside_the_cap_is_invalid_input(flags):
+    # krawtchouk's weight shape depends on N; a degree outside 1..N-1 is
+    # invalid input, not a not-applicable report with exit 0
+    code, out, err = run_cli(
+        ["interlace", "--family", "krawtchouk", "--set", "alpha=0.5", "--set", "N=5", *flags]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: degree {flags[1]} outside 1..4 for krawtchouk\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -28,7 +28,7 @@ from copz import (
 )
 from copz.families import _CATALOG, MAX_FINITE_SUPPORT, eval_exact_at_support
 from copz.qseries import exact_summation, hyper_sum, qhyper_sum
-from oracles import reference_hyper_sum, reference_qhyper_sum
+from oracles import reference_hyper_sum, reference_qhyper_sum, x_inverse
 
 
 def test_make_family_valid_and_support():
@@ -69,7 +69,7 @@ def test_kind_normalization():
 
 def _at_X(spec, n, X):
     """The degree-n value at the point X of the family's own variable."""
-    return spec.eval_at_s(n, spec.grid.x_inverse(X / spec.zero_scale))
+    return spec.eval_at_s(n, x_inverse(spec.grid, X / spec.zero_scale))
 
 
 def test_eval_normalization_points():

@@ -129,3 +129,12 @@ def test_connection_skips_boundary_sample():
         "hahn", {"alpha": 0.0, "beta": 0.5}, 2, 6, [1.0, 6.0, 3.0]
     )
     assert res < 1e-7
+
+
+@pytest.mark.parametrize("n", [0, 5, 6])
+@pytest.mark.parametrize("call", [interlace_check, connection_residual])
+def test_degree_outside_the_cap_is_named_before_the_weight(call, n):
+    # krawtchouk's weight shape depends on N: the degree is checked before
+    # the weights, so a degree outside 1..N-1 is no weight mismatch
+    with pytest.raises(DomainError, match=f"^degree {n} outside 1..4 for krawtchouk$"):
+        call("krawtchouk", {"alpha": 0.5}, n, 5)

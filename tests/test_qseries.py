@@ -9,27 +9,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import copz.qseries
-from oracles import reference_compensated_sum, reference_hyper_sum, reference_qhyper_sum
-from copz import (
-    DomainError,
-    SeriesSpec,
-    UndefinedSeriesError,
-    eval_terminating_series,
-    identity_value,
-    pochhammer,
-    q_pochhammer,
-)
-from copz.families import _CATALOG, catalog_kinds, eval_exact_at_support, make_family, sample_params
-from copz.weights import weight_table
-from copz.qseries import (
+from oracles import (
     chu_vandermonde,
-    exact_summation,
-    hyper_sum,
+    pochhammer,
     q_chu_vandermonde,
     q_pfaff_saalschutz,
-    qhyper_sum,
+    reference_compensated_sum,
+    reference_hyper_sum,
+    reference_qhyper_sum,
     sheppard,
 )
+from copz import DomainError, UndefinedSeriesError, q_pochhammer
+from copz.families import _CATALOG, catalog_kinds, eval_exact_at_support, make_family, sample_params
+from copz.weights import weight_table
+from copz.qseries import exact_summation, hyper_sum, qhyper_sum
 
 
 def test_pochhammer_values():
@@ -55,22 +48,6 @@ def test_two_term_expansion():
     assert hyper_sum((-1.0, b), (c,), z, 1) == pytest.approx(1 - b * z / c, rel=1e-15)
     assert hyper_sum((-4.0, b), (c,), 0.0, 4) == 1.0
     assert hyper_sum((-3.0, 0.0, b), (c, 1 - 9.0), 1.0, 3) == 1.0
-
-
-def test_series_spec_termination_validation():
-    spec = SeriesSpec((-2.0, 1.5), (2.0,), 0.3, 2)
-    assert eval_terminating_series(spec) == pytest.approx(
-        hyper_sum((-2.0, 1.5), (2.0,), 0.3, 2), rel=1e-15
-    )
-    with pytest.raises(DomainError):
-        eval_terminating_series(SeriesSpec((1.0,), (), 0.5, 2))
-    q = 0.5
-    qspec = SeriesSpec((q**-3, 0.2), (0.4,), 0.1, 3, q=q)
-    assert eval_terminating_series(qspec) == pytest.approx(
-        qhyper_sum((q**-3, 0.2), (0.4,), q, 0.1, 3), rel=1e-15
-    )
-    with pytest.raises(DomainError):
-        eval_terminating_series(SeriesSpec((0.2,), (0.4,), 0.1, 3, q=q))
 
 
 def test_vanishing_denominator_raises():
@@ -249,14 +226,6 @@ def test_q_quadratic_gap_instances():
     )
     assert val == pytest.approx(explicit, rel=1e-12)
     assert val > 0.0
-
-
-def test_identity_dispatcher():
-    assert identity_value("chu_vandermonde", n=2, b=0.5, c=3.0) == pytest.approx(
-        chu_vandermonde(2, 0.5, 3.0)
-    )
-    with pytest.raises(DomainError):
-        identity_value("unknown_identity", n=1)
 
 
 def test_q_to_one_consistency():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from copz import (
 )
 from copz.grid import LINEAR, QUADRATIC, Q_ANTISYMMETRIC, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC
 from copz.stieltjes import HypothesisReport, b_entry, direction_from_signs
-from oracles import b_antisymmetric_closed, b_quadratic_closed, b_symmetric_closed
+from oracles import b_antisymmetric_closed, b_quadratic_closed, b_symmetric_closed, theta
 from copz.zeros import track_zeros
 
 SPANNING = [
@@ -104,7 +105,7 @@ def test_b_entries_symmetric_closed_form():
         yj = rng.uniform(0.7, 9.0)
         yk = rng.uniform(0.7, 9.0)
         assert b_entry(g, yj, yk) == pytest.approx(
-            b_symmetric_closed(g.theta, yj, yk), rel=1e-10
+            b_symmetric_closed(theta(g), yj, yk), rel=1e-10
         )
 
 
@@ -117,7 +118,7 @@ def test_b_entries_antisymmetric_in_unit_interval():
         yj = rng.uniform(-6.0, 6.0)
         yk = rng.uniform(-6.0, 6.0)
         val = b_entry(g, yj, yk)
-        closed = b_antisymmetric_closed(g.theta, yj, yk)
+        closed = b_antisymmetric_closed(theta(g), yj, yk)
         assert val == pytest.approx(closed, rel=1e-10, abs=1e-12)
         assert -1.0 < val < 0.0
 
@@ -375,6 +376,29 @@ def test_sweep_rejects_a_parameter_the_family_cannot_take(monkeypatch, param):
     problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=10), 3)
     with pytest.raises(DomainError, match=f"^hahn has no continuous parameter '{param}'$"):
         monotonicity_verdict(problem, param, (4.0, 60.0), samples=57)
+    assert solved == []
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (-3, "samples=-3 is negative"),
+        (2.5, "samples=2.5 is not an integer"),
+        (math.nan, "samples=nan is not an integer"),
+        (math.inf, "samples=inf is not an integer"),
+    ],
+)
+def test_sample_counts_that_are_not_counts_are_domain_errors(monkeypatch, samples, message):
+    # checked before any solve: linspace would raise a raw ValueError or
+    # TypeError, and max(3, samples) would run a negative or NaN count as 3
+    zs = find_zeros(ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=10), 3))
+    with pytest.raises(DomainError, match=f"^hahn: {re.escape(message)}$"):
+        hypothesis_report(zs, "alpha", samples=samples)
+    solved = []
+    monkeypatch.setattr(copz.stieltjes, "find_zeros", solved.append)
+    monkeypatch.setattr(copz.stieltjes, "track_zeros", solved.append)
+    with pytest.raises(DomainError, match=f"^hahn: {re.escape(message)}$"):
+        monotonicity_verdict(zs.problem, "alpha", (0.1, 1.0), samples=samples)
     assert solved == []
 
 

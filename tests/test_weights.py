@@ -9,7 +9,6 @@ from copz import (
     SingularityError,
     TruncationError,
     WeightPositivityError,
-    boundary_check,
     catalog_kinds,
     gram_offdiag_max,
     make_family,
@@ -18,6 +17,7 @@ from copz import (
     sample_params,
     weight_table,
 )
+from oracles import boundary_check
 from copz.families import eval_exact_at_support
 import copz
 from copz import weights
