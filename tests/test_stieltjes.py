@@ -690,6 +690,47 @@ def test_track_zeros_certifies_or_returns_nothing():
     assert track_zeros(problem, [-5.0, -4.5], [0.0, 0.0]) is None
 
 
+def _capped_calls(monkeypatch, cap):
+    """Make each one-point series call past the first cap raise, so a search
+    that does not end fails instead of running on."""
+    calls, lattice_atoms = [], copz.families._lattice_atoms
+
+    def capped(base, exact):
+        p, atoms, array_atoms = lattice_atoms(base, exact)
+
+        def counted(s):
+            calls.append(s)
+            assert len(calls) <= cap, f"{len(calls)} one-point calls"
+            return atoms(s)
+
+        return p, counted, array_atoms
+
+    monkeypatch.setattr(copz.families, "_lattice_atoms", capped)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_track_zeros_returns_nothing_on_a_guess_that_is_not_finite(monkeypatch, bad):
+    # max(nan, lo) is nan: the bracket never reached its cell's ends and
+    # grew forever; now the caller falls back to find_zeros at once
+    calls = _capped_calls(monkeypatch, 200)
+    problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=8), 1)
+    assert track_zeros(problem, [bad], [0.5]) is None
+    problem = ZeroProblem(problem.family, 2)
+    assert track_zeros(problem, [2.0, bad], [0.5, 0.5]) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_track_zeros_returns_nothing_on_a_radius_that_is_not_finite(monkeypatch, bad):
+    calls = _capped_calls(monkeypatch, 200)
+    problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=8), 1)
+    assert track_zeros(problem, [2.0], [bad]) is None
+    problem = ZeroProblem(problem.family, 2)
+    assert track_zeros(problem, [2.0, 5.0], [0.5, bad]) is None
+    assert calls == []
+
+
 def test_sweep_falls_back_where_zeros_jump_past_their_cells(monkeypatch):
     # at samples=3 the secant guesses at alpha=0.9 miss: meixner's zero 2
     # (s=16.7) lies past its cell, which ends at s=8.5, and krawtchouk's top
