@@ -135,9 +135,13 @@ class FamilySpec:
     def resolve_base(self) -> "FamilySpec":
         return self.base if self.base is not None else self
 
-    def _check_degree(self, n: int) -> None:
+    def _check_degree(self, n: int) -> int:
+        """n as an int, or DomainError where it is not one or lies outside
+        0..degree_max."""
+        n = _integer(self, "degree n", n)
         if not 0 <= n <= self.degree_max:
             raise DomainError(f"{self._label}: degree n={n} outside 0..{self.degree_max}")
+        return n
 
     def eval_at_s(self, n: int, s: float) -> float:
         """Value of the degree-n polynomial at the lattice point x(s), s on or
@@ -243,7 +247,7 @@ class FamilySpec:
         planned, in float or exactly as the summation in force asks, with
         slots where _lattice_atoms puts the atoms.  An alias's value is its
         prefactor times its base's."""
-        self._check_degree(n)
+        n = self._check_degree(n)
         entry = _CATALOG[self.kind]
         pref = entry.prefactor(self.params, n)
         if self.base is not None:
@@ -1578,12 +1582,14 @@ def family_info(kind: str) -> dict:
 
 @dataclass(frozen=True)
 class ZeroProblem:
-    """A family instance and a degree."""
+    """A family instance and a degree, kept as an int in 1..degree_max: any
+    other degree raises DomainError."""
 
     family: FamilySpec
     degree: int
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _integer(self.family, "degree", self.degree))
         if not 1 <= self.degree <= self.family.degree_max:
             raise DomainError(
                 f"degree {self.degree} outside 1..{self.family.degree_max} for {self.family.kind}"

@@ -20,26 +20,19 @@ finds its node zeros and sign changes in a few numpy passes over the
 samples; a smaller one, such as every scan of copz verify at low degree,
 loops over them, where the loop costs less than the passes' fixed numpy
 calls (the figures are at _ARRAY_SCAN).  Both give the same brackets.  The
-brackets are then refined by ITP in the s variable and mapped to X at the
-end.  A set of _LOCKSTEP or more brackets refines in lockstep: each round
-moves every open bracket one ITP step and evaluates all their trial points
-in one array pass, whose arrays the float series sums as one block (see
-qseries; the pass costs are at _LOCKSTEP).  Fewer brackets, and those a
-lockstep set leaves open once fewer than _LOCKSTEP remain, refine one value
-at a time.
+brackets are then refined by Chandrupatla's method in the s variable and
+mapped to X at the end.  A set of _LOCKSTEP or more brackets refines in
+lockstep: each round moves every open bracket one step and evaluates all
+their trial points in one array pass, whose arrays the float series sums as
+one block (see qseries; the pass costs are at _LOCKSTEP).  Fewer brackets,
+and those a lockstep set leaves open once fewer than _LOCKSTEP remain,
+refine one value at a time.
 
 track_zeros skips the scan where the zeros are nearly known, as along a
 parameter sweep: it brackets each zero inside the cell of its guess and
-hands the brackets to the same refinement, stepped by Chandrupatla's method
-in place of ITP.  It has ITP's stopping width 2 eps = _WIDTH_REL * max(1,
-|s|), exact-hit rule and closing secant, and takes at most bisection's count
-plus two trial points.  On these narrow, smooth brackets its inverse
-quadratic steps take 6.8 series calls per zero, bracket ends included, on a
-seed-1 catalog_verify pass, where ITP, which always steps off the regula
-falsi point, took 10.4.  Scans keep ITP: their zeros feed every printed
-number, and the recorded goldens pin them bit for bit.  n disjoint brackets
-with a sign change each hold all n zeros, the count argument the scan relies
-on; where it cannot certify the set, it returns None.
+hands the brackets to the same refinement.  n disjoint brackets with a sign
+change each hold all n zeros, the count argument the scan relies on; where
+it cannot certify the set, it returns None.
 """
 
 from __future__ import annotations
@@ -238,75 +231,13 @@ def _array_brackets(ss: np.ndarray, vs: np.ndarray) -> list:
     return list(zip(ss[starts].tolist(), ss[ends].tolist(), gl.tolist(), gr.tolist()))
 
 
-def _itp(lo: float, hi: float, glo: float, ghi: float):
-    """Refine the bracket [lo, hi], where g changes sign, by ITP, as a
-    stepper: the generator yields each trial point, is sent g there, and
-    returns the zero and the final bracket width.
-
-    ITP (Oliveira & Takahashi, ACM TOMS 2020) steps from the regula falsi
-    point towards the midpoint by kappa1 * width**kappa2, at least eps, and
-    projects the step into a ball about the midpoint that shrinks so that the
-    bracket narrows to 2 eps = _WIDTH_REL * max(1, |s|) within
-    ceil(log2(width / (2 eps))) + n0 trial points, bisection's count plus n0.
-    kappa1 = 0.2 / width, kappa2 = 2 and n0 = 1.  A point where g is exactly
-    0.0 is returned with width 0.0, as a scan node zero is.
-
-    Step j takes the textbook floats, with sigma = copysign(1, mid - xf):
-    delta = max(kappa1 width^2, eps), xt = xf + sigma delta where delta <=
-    |mid - xf|, else mid, r = eps 2^(n_max - j) - width / 2, and the point
-    xt where |xt - mid| <= r, else mid - sigma r.  Comparisons stand in for
-    the calls, with the same floats: xf + sigma delta at sigma = -1 is
-    xf - delta, mid - sigma r is mid + r, and eps 2^(n_max - j) is halved
-    from step to step, exactly, as it stays above eps.  copysign is left
-    where mid - xf is 0.0 or NaN, whose sign no comparison reads.
-    """
-    if lo == hi:
-        return lo, 0.0
-    eps = 0.5 * _WIDTH_REL * max(1.0, abs(0.5 * (lo + hi)))
-    two_eps = 2.0 * eps
-    kappa1 = 0.2 / (hi - lo)
-    n_max = math.ceil(math.log2((hi - lo) / two_eps)) + 1
-    reach = math.ldexp(eps, n_max)  # eps 2^(n_max - j), halved each step
-    for _ in range(n_max):
-        width = hi - lo
-        if width <= two_eps:
-            break
-        mid = 0.5 * (lo + hi)
-        xf = lo + width * (glo / (glo - ghi))
-        d = mid - xf
-        # kappa1 * width**2 drops below an ulp of s as the bracket closes; a
-        # step of eps keeps xt off xf, which may already be a bracket end
-        delta = kappa1 * width * width
-        if delta < eps:
-            delta = eps
-        x = xf + delta if d >= delta else xf - delta if d <= -delta else mid
-        r = reach - 0.5 * width
-        reach *= 0.5
-        if not -r <= x - mid <= r:
-            x = mid - r if d > 0.0 else mid + r if d < 0.0 else mid - math.copysign(1.0, d) * r
-        gx = yield x
-        if gx == 0.0:
-            return x, 0.0
-        if (glo < 0.0) == (gx < 0.0):
-            lo, glo = x, gx
-        else:
-            hi, ghi = x, gx
-    # inside the final bracket the polynomial is linear to machine precision;
-    # one secant step takes the zero well below the bracket width
-    if ghi != glo:
-        z = hi - ghi * (hi - lo) / (ghi - glo)
-        if lo <= z <= hi:
-            return z, hi - lo
-    return 0.5 * (lo + hi), hi - lo
-
-
 def _chandrupatla(lo: float, hi: float, glo: float, ghi: float):
     """Refine the bracket [lo, hi], where g changes sign, by Chandrupatla's
-    method, as a stepper with _itp's protocol: the generator yields each
-    trial point, is sent g there, and returns the zero and the final bracket
-    width.  It stops as _itp does, at a width of 2 eps = _WIDTH_REL *
-    max(1, |s|), returns a point where g is exactly 0.0 with width 0.0, and
-    closes with the same secant step.
+    method, as a stepper: the generator yields each trial point, is sent g
+    there, and returns the zero and the final bracket width.  It stops at a
+    width of 2 eps = _WIDTH_REL * max(1, |s|), taken at the bracket's
+    midpoint, returns a point where g is exactly 0.0 with width 0.0, as a
+    scan node zero is, and closes with a secant step.
 
     Chandrupatla (Adv. Eng. Softw. 28, 1997) keeps the bracket's newest end
     a, its other end b and the end c that a displaced.  Where the inverse
@@ -484,7 +415,7 @@ def find_zeros(problem: ZeroProblem) -> ZeroSet:
             )
         raise ZeroCountError(message, diagnostics)
 
-    return _refined(problem, g, brackets, _itp)
+    return _refined(problem, g, brackets)
 
 
 def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
@@ -497,20 +428,15 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
     width, and grows 4x while its ends have no strict sign change; a guess
     outside its cell starts from the cell's nearer end.  n disjoint
     brackets with a sign change each hold all n zeros of the polynomial, so
-    the result is the whole zero set.  When the guesses are not strictly
-    increasing, a guess or radius is NaN or inf, or a cell holds no sign
-    change, the zeros are not certified and None is returned: the caller
-    falls back to find_zeros.
-
-    The brackets refine by Chandrupatla's method (_chandrupatla), to
-    find_zeros' stopping width 2 eps = _WIDTH_REL * max(1, |s|) within
-    bisection's count plus two trial points: 4.8 per zero on a seed-1
-    catalog_verify pass, where ITP took 8.4.  find_zeros keeps ITP, whose
-    zeros the recorded goldens pin bit for bit; a tracked zero agrees with
-    its full search's to the stopping width.
+    the result is the whole zero set.  When there are not n guesses and n
+    radii, the guesses are not strictly increasing, a guess or radius is NaN
+    or inf, or a cell holds no sign change, the zeros are not certified and
+    None is returned: the caller falls back to find_zeros.  The brackets
+    refine as find_zeros' do (_refined).
     """
     fam = problem.family
-    if len(guesses) != problem.degree or any(v <= u for u, v in zip(guesses, guesses[1:])):
+    n = problem.degree
+    if len(guesses) != n or len(radii) != n or any(v <= u for u, v in zip(guesses, guesses[1:])):
         return None
     # a NaN would pass every test below and grow its bracket forever
     if not all(map(math.isfinite, guesses)) or not all(map(math.isfinite, radii)):
@@ -519,7 +445,7 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
     top = fam.support_end - 1.0 if fam.is_finite else a + _MAX_WINDOW
     mids = [0.5 * (u + v) for u, v in zip(guesses, guesses[1:])]
     brackets = []
-    g = fam.resolve_base()._at_s(problem.degree)
+    g = fam.resolve_base()._at_s(n)
     for cl, cr, p, r in zip([a, *mids], [*mids, top], guesses, radii):
         cl, cr = max(cl, a), min(cr, top)
         if not cl < cr:
@@ -538,12 +464,12 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
                 return None
             r *= 4.0
         brackets.append((sl, sr, gl, gr))
-    return _refined(problem, g, brackets, _chandrupatla)
+    return _refined(problem, g, brackets)
 
 
-def _refined(problem: ZeroProblem, g, brackets, stepper) -> ZeroSet:
-    """Refine each (sl, sr, gl, gr) bracket of g by stepper, _itp or
-    _chandrupatla, and map its zero to X.
+def _refined(problem: ZeroProblem, g, brackets) -> ZeroSet:
+    """Refine each (sl, sr, gl, gr) bracket of g by _chandrupatla, and map
+    its zero to X.
 
     While _LOCKSTEP or more brackets are open, they refine in lockstep: each
     round evaluates the trial points of all of them in one array pass,
@@ -556,12 +482,12 @@ def _refined(problem: ZeroProblem, g, brackets, stepper) -> ZeroSet:
     """
     fam = problem.family
     if len(brackets) < _LOCKSTEP:
-        found = [_drive(stepper(*b), g) for b in brackets]
+        found = [_drive(_chandrupatla(*b), g) for b in brackets]
     else:
         found = [None] * len(brackets)
         # (trial point, bracket index, stepper) of each open bracket, and g at
         # each trial point; None starts a stepper
-        trials = [(None, i, stepper(*b)) for i, b in enumerate(brackets)]
+        trials = [(None, i, _chandrupatla(*b)) for i, b in enumerate(brackets)]
         values = [None] * len(trials)
         while True:
             stepped = []

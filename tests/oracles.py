@@ -2,14 +2,14 @@
 
 The float series as the compensated loops the float plans replaced, summed
 with the Neumaier accumulator; the TwoSum-compensated loop over given term
-ratios that qseries._block_sum takes as one block; the ITP stepper
-zeros._itp was before its steps traded calls for comparisons; the lattice
-curvature entries b_jk in closed form, against which the tests check
-stieltjes.b_entry, the generic form from the lattice map; the closed forms of
-four summation identities (Chu-Vandermonde, Sheppard, q-Pfaff-Saalschutz,
-q-Chu-Vandermonde), against which the tests check the series; the inverse of
-each lattice map; and the boundary terms of the weighted lower coefficient,
-which vanish at both support ends.
+ratios that qseries._block_sum takes as one block; the ITP bracket stepper the
+zero search refined by before Chandrupatla's method, the baseline of its call
+counts; the lattice curvature entries b_jk in closed form, against which the
+tests check stieltjes.b_entry, the generic form from the lattice map; the
+closed forms of four summation identities (Chu-Vandermonde, Sheppard,
+q-Pfaff-Saalschutz, q-Chu-Vandermonde), against which the tests check the
+series; the inverse of each lattice map; and the boundary terms of the
+weighted lower coefficient, which vanish at both support ends.
 """
 
 import math

@@ -713,6 +713,21 @@ def test_exact_values_take_integer_degrees_and_indices(monkeypatch):
         assert str(err.value) == f"hahn: {message} is not an integer"
 
 
+def test_degrees_that_are_not_integers_raise_a_domain_error():
+    # 1.5 and 2.0 raised a raw TypeError from the series, and a numpy
+    # integer degree gave numpy float zeros
+    spec = make_family("hahn", alpha=0.5, beta=1.0, N=10)
+    for n in (1.5, 2.0):
+        with pytest.raises(DomainError, match=rf"^hahn: degree={n} is not an integer$"):
+            find_zeros(ZeroProblem(spec, n))
+        with pytest.raises(DomainError, match=rf"^hahn: degree n={n} is not an integer$"):
+            spec.eval_at_s(n, 0.5)
+    problem = ZeroProblem(spec, np.int64(3))
+    assert type(problem.degree) is int and problem == ZeroProblem(spec, 3)
+    assert all(type(z) is float for z in find_zeros(problem).zeros_s)
+    assert spec.eval_at_s(np.int64(3), 0.5) == spec.eval_at_s(3, 0.5)
+
+
 _Q_AT_BOUND = 2.0 ** -5  # q^(1-N) at q=1/2, N=6
 
 #: a valid parameter set per kind, then one out-of-domain value per stated constraint

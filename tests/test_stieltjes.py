@@ -669,6 +669,10 @@ def test_track_zeros_certifies_or_returns_nothing():
     # guesses out of order, or two alike, have no cells
     assert track_zeros(problem, [zs[1], zs[0], zs[2], zs[3]], [0.1] * 4) is None
     assert track_zeros(problem, [zs[0], zs[0], zs[2], zs[3]], [0.1] * 4) is None
+    # one radius per guess: zip stopped at the shorter list, so 3 radii gave
+    # a set of 3 zeros for this degree-4 problem
+    assert track_zeros(problem, zs, [0.1] * 3) is None
+    assert track_zeros(problem, zs, [0.1] * 5) is None
     # on an infinite q lattice an empty top cell grows its bracket until the
     # atom q^-s overflows: that is no result either, not an error
     problem = ZeroProblem(make_family("q_meixner", alpha=0.5, beta=0.5, q=0.5), 2)

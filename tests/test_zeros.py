@@ -733,7 +733,7 @@ def test_no_tail_start_where_the_complex_step_cannot_resolve(kind):
 
 
 # ---------------------------------------------------------------------------
-# bracket refinement by ITP
+# bracket refinement by Chandrupatla's method
 # ---------------------------------------------------------------------------
 
 
@@ -753,10 +753,6 @@ def _bisection_calls(lo, hi):
     return math.ceil(math.log2((hi - lo) / tol)), tol
 
 
-#: the two bracket steppers: ITP for scans, Chandrupatla's method for tracked brackets
-STEPPERS = (copz.zeros._itp, copz.zeros._chandrupatla)
-
-
 @pytest.mark.parametrize("upper", [1.0, 1e9, 1e-9])
 def test_refinement_keeps_the_bisection_bound_on_a_sign_only_function(upper):
     # a step at an irrational point: the values carry no slope, and when the
@@ -764,19 +760,17 @@ def test_refinement_keeps_the_bisection_bound_on_a_sign_only_function(upper):
     root = math.sqrt(2.0)
     lo, hi = 1.0, 1.5
     bisection, tol = _bisection_calls(lo, hi)
-    for stepper in STEPPERS:
-        g, calls = _counted(lambda s: -1.0 if s < root else upper)
-        z, width = copz.zeros._drive(stepper(lo, hi, -1.0, upper), g)
-        assert len(calls) <= bisection + 1, stepper
-        assert 0.0 < width <= tol
-        assert abs(z - root) <= tol
+    g, calls = _counted(lambda s: -1.0 if s < root else upper)
+    z, width = copz.zeros._drive(copz.zeros._chandrupatla(lo, hi, -1.0, upper), g)
+    assert len(calls) <= bisection + 1
+    assert 0.0 < width <= tol
+    assert abs(z - root) <= tol
 
 
 def test_refinement_returns_an_exact_hit_with_width_zero():
-    for stepper in STEPPERS:
-        g, calls = _counted(lambda s: s - 0.25)
-        assert copz.zeros._drive(stepper(0.0, 0.5, -0.25, 0.25), g) == (0.25, 0.0)
-        assert calls == [0.25]
+    g, calls = _counted(lambda s: s - 0.25)
+    assert copz.zeros._drive(copz.zeros._chandrupatla(0.0, 0.5, -0.25, 0.25), g) == (0.25, 0.0)
+    assert calls == [0.25]
 
 
 @pytest.mark.parametrize("shape", [3, 5, 9, 15, "atan"])
@@ -803,26 +797,37 @@ def test_tracked_refinement_keeps_its_bound_on_flat_and_steep_zeros(shape):
 
 def test_tracked_refinement_of_a_sweep_takes_a_third_fewer_calls_than_itp(monkeypatch):
     # the brackets track_zeros hands on over one fixed sweep: Chandrupatla's
-    # method takes half of ITP's calls there (156 against 316)
-    tracked, refine = [], copz.zeros._refined
+    # method takes half of the calls of ITP (tests/oracles.reference_itp)
+    # there (156 against 316)
+    tracked, tracking = [], []
+    refine, track = copz.zeros._refined, copz.stieltjes.track_zeros
 
-    def recorded(problem, g, brackets, stepper):
-        if stepper is copz.zeros._chandrupatla:
+    def recorded(problem, g, brackets):
+        if tracking:
             tracked.extend((g, b) for b in brackets)
-        return refine(problem, g, brackets, stepper)
+        return refine(problem, g, brackets)
+
+    def tracked_solve(*args):
+        tracking.append(True)
+        try:
+            return track(*args)
+        finally:
+            tracking.clear()
 
     monkeypatch.setattr(copz.zeros, "_refined", recorded)
+    monkeypatch.setattr(copz.stieltjes, "track_zeros", tracked_solve)
     problem = ZeroProblem(make_family("hahn", alpha=0.5, beta=1.0, N=15), 3)
     copz.monotonicity_verdict(problem, "alpha", (0.1, 0.9))
     assert len(tracked) > 30
-    totals = dict.fromkeys(STEPPERS, 0)
+    steppers = (copz.zeros._chandrupatla, reference_itp)
+    totals = dict.fromkeys(steppers, 0)
     for g, (sl, sr, gl, gr) in tracked:
-        for stepper in STEPPERS:
+        for stepper in steppers:
             counted, calls = _counted(g)
             copz.zeros._drive(stepper(sl, sr, gl, gr), counted)
             assert len(calls) <= _bisection_calls(sl, sr)[0] + 2
             totals[stepper] += len(calls)
-    assert totals[copz.zeros._chandrupatla] <= 2 / 3 * totals[copz.zeros._itp]
+    assert totals[copz.zeros._chandrupatla] <= 2 / 3 * totals[reference_itp]
 
 
 def _inside_trace(steps, lo, hi, glo, g):
@@ -844,14 +849,17 @@ def _inside_trace(steps, lo, hi, glo, g):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tracked_steps_stay_inside_the_bracket(seed):
-    # smooth, sign-only, NaN and inf end values, exact hits and brackets just
-    # above the stopping width: every trial point inside the bracket, and
-    # the zero inside the final one
-    for lo, hi, glo, ghi, g in _itp_cases(seed):
+    # smooth, sign-only, NaN and inf end values, exact hits, brackets just
+    # above the stopping width and rounding noise: every trial point inside
+    # the bracket, at most bisection's count plus 2 of them, and the zero
+    # inside the final one
+    for lo, hi, glo, ghi, f in _bracket_cases(seed):
+        g, calls = _counted(f)
         z, width = _inside_trace(copz.zeros._chandrupatla(lo, hi, glo, ghi), lo, hi, glo, g)
+        assert len(calls) <= _bisection_calls(lo, hi)[0] + 2, (lo, hi, glo, ghi)
         assert lo <= z <= hi and 0.0 <= width <= hi - lo, (lo, hi, glo, ghi)
-        assert width > 0.0 or g(z) == 0.0
-        if g(0.5 * (lo + hi)) == 0.0:  # the first trial point, an exact hit
+        assert width > 0.0 or f(z) == 0.0
+        if f(0.5 * (lo + hi)) == 0.0:  # the first trial point, an exact hit
             assert (z, width) == (0.5 * (lo + hi), 0.0)
 
 
@@ -872,23 +880,11 @@ def test_refinement_of_smooth_brackets_takes_half_of_bisections_calls(kind, para
         if sl == sr:
             continue
         g, calls = _counted(lambda s: base.eval_at_s(n, s))
-        copz.zeros._drive(copz.zeros._itp(sl, sr, gl, gr), g)
+        copz.zeros._drive(copz.zeros._chandrupatla(sl, sr, gl, gr), g)
         assert len(calls) <= _bisection_calls(sl, sr)[0] / 2, (sl, sr)
 
 
-def _itp_trace(steps, g):
-    """Every trial point of an ITP stepper driven by g, and its (zero, width), by .hex()."""
-    points, gx = [], None
-    try:
-        while True:
-            x = steps.send(gx)
-            points.append(x.hex())
-            gx = g(x)
-    except StopIteration as stop:
-        return points, tuple(float(v).hex() for v in stop.value)
-
-
-def _itp_cases(seed):
+def _bracket_cases(seed):
     """(lo, hi, glo, ghi, g) brackets of each kind the stepper meets, drawn from seed."""
     rng = random.Random(seed)
     out = []
@@ -922,17 +918,16 @@ def _itp_cases(seed):
         top = s0 + two_eps * (1.0 + rng.choice((1e-15, 1e-9, 1e-3, 0.5)))
         line = lambda s, r=rng.uniform(s0, top): s - r
         out.append((s0, top, line(s0), line(top), line))
+        # rounding noise, as the float series is at high degree on N=60
+        # supports: a sign with no pattern and |g| from 1e8 to 1e11, a
+        # function of s drawn from the seed, on a half-step scan bracket
+        def noise(s, salt=rng.random()):
+            r = random.Random(f"{salt}/{s.hex()}")
+            return r.choice((-1.0, 1.0)) * 10.0 ** r.uniform(8.0, 11.0)
+
+        s0 = rng.randint(0, 118) / 2.0
+        out.append((s0, s0 + 0.5, -abs(noise(s0)), abs(noise(s0 + 0.5)), noise))
     return out
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_itp_steps_as_the_reference_stepper(seed):
-    # the library's stepper trades the reference's max, copysign, abs and
-    # ldexp calls for comparisons and an exact halving: the same trial
-    # points and result, bit for bit
-    for lo, hi, glo, ghi, g in _itp_cases(seed):
-        got = _itp_trace(copz.zeros._itp(lo, hi, glo, ghi), g)
-        assert got == _itp_trace(reference_itp(lo, hi, glo, ghi), g), (lo, hi, glo, ghi)
 
 
 def _refinement_points(monkeypatch):
@@ -983,9 +978,12 @@ def _refinement_points(monkeypatch):
     return points, passes
 
 
-#: points the refinement evaluates per zero over the recorded outcomes: 31.5
-#: when each bracket was bisected, 12.9 by ITP; the noise-dominated N=60 cases
-#: still take about 37
+#: points the refinement evaluates per zero over the recorded outcomes, its
+#: residual included: 31.5 when each bracket was bisected, 12.9 by ITP and
+#: 14.2 by Chandrupatla's method.  On the 7 sets where the float series is
+#: rounding noise in some brackets (hahn, krawtchouk, racah and dual_hahn at
+#: N=60, meixner at degrees 20 and 30) that is 19.4 against ITP's 16.9, and
+#: on the rest 6.5 against 7.0
 SERIES_CALLS_PER_ZERO = 16.0
 
 
@@ -1032,7 +1030,9 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, kind, params, n, lockstep):
     # the reference refines one bracket at a time through eval_at_s
     ref = {"zeros_s": [], "bracket_widths": [], "residuals": []}
     for sl, sr, gl, gr in brackets:
-        z, w = copz.zeros._drive(copz.zeros._itp(sl, sr, gl, gr), lambda s: base.eval_at_s(n, s))
+        z, w = copz.zeros._drive(
+            copz.zeros._chandrupatla(sl, sr, gl, gr), lambda s: base.eval_at_s(n, s)
+        )
         ref["zeros_s"].append(z.hex())
         ref["bracket_widths"].append(w.hex())
         ref["residuals"].append((abs(base.eval_at_s(n, z)) / max(abs(gl), abs(gr), 1e-300)).hex())
@@ -1043,7 +1043,7 @@ def test_wide_sets_refine_in_lockstep(monkeypatch, kind, params, n, lockstep):
     )
     zs = find_zeros(problem)
     assert {f: [v.hex() for v in getattr(zs, f)] for f in ref} == ref
-    # one array pass per round of ITP steps, and one for the residuals
+    # one array pass per round of steps, and one for the residuals
     steps = max(_bisection_calls(sl, sr)[0] + 1 for sl, sr, _, _ in brackets if sl < sr)
     assert len(passes) <= steps + 2
     assert bool(passes) == lockstep
@@ -1067,9 +1067,9 @@ def _started_brackets(monkeypatch):
     """The brackets each _refined call starts from, in call order."""
     started, refine = [], copz.zeros._refined
 
-    def recorded(problem, g, brackets, stepper):
+    def recorded(problem, g, brackets):
         started.append(list(brackets))
-        return refine(problem, g, brackets, stepper)
+        return refine(problem, g, brackets)
 
     monkeypatch.setattr(copz.zeros, "_refined", recorded)
     return started
