@@ -15,7 +15,11 @@ The domain table holds one record per parameter: the inequality as
 is written once over the base q and lattice atoms taken from s, not from
 X = x(s) (see _lattice_atoms), so a float value overflows where an atom does;
 exact rational atoms come from a support index, or on the quadratic lattice
-from Fraction(s).  X serves output, the weights and the Stieltjes system.
+from the exact s.  X serves output, the weights and the Stieltjes system.
+The exact path's parameters and atoms are _Ratio values, integer pairs that
+are never reduced, which the series combine by the usual operators as they
+combine floats; each sum is the same correctly rounded float whatever
+integers denote its rational.
 
 The three-point relation determines A and B only up to a common factor;
 everything downstream consumes the ratio f = B/A and its signs, except the
@@ -35,6 +39,7 @@ take the base's lattice, support, degree cap, series, A, B and K.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass, field
@@ -456,6 +461,161 @@ _ALPHA_POSITIVE = ("alpha", "alpha > 0", lambda p: p["alpha"] > 0.0)
 _ALPHA_UNIT = ("alpha", "0 < alpha < 1", lambda p: 0.0 < p["alpha"] < 1.0)
 _ALPHA_BELOW_1_Q = ("alpha", "0 < alpha < 1/q", lambda p: 0.0 < p["alpha"] < 1.0 / p["q"])
 _BETA_BELOW_1_Q = ("beta", "0 < beta < 1/q", lambda p: 0.0 < p["beta"] < 1.0 / p["q"])
+
+
+def _pair(x):
+    """The integer ratio (n, d), d > 0, of an exact rational x (a _Ratio, an
+    int or another numbers.Rational), or None."""
+    if x.__class__ is _Ratio:
+        return x._n, x._d
+    if x.__class__ is int:
+        return x, 1
+    if isinstance(x, numbers.Rational):
+        return x.numerator, x.denominator
+    return None
+
+
+def _operators(exact, fallback):
+    """An arithmetic operator of _Ratio and its reflection, as Fraction pairs
+    them: exact(an, ad, bn, bd) on two exact rationals, and fallback on the
+    float of the rational beside a float."""
+
+    def forward(a, b):
+        pair = _pair(b)
+        if pair is not None:
+            return exact(a._n, a._d, *pair)
+        return fallback(float(a), b) if isinstance(b, float) else NotImplemented
+
+    def reverse(b, a):
+        pair = _pair(a)
+        if pair is not None:
+            return exact(*pair, b._n, b._d)
+        return fallback(a, float(b)) if isinstance(a, float) else NotImplemented
+
+    return forward, reverse
+
+
+def _quotient(an, ad, bn, bd):
+    if not bn:
+        raise ZeroDivisionError("division by zero")
+    return _Ratio(-an * bd, -ad * bn) if bn < 0 else _Ratio(an * bd, ad * bn)
+
+
+def _comparison(op):
+    """A comparison of _Ratio with an exact rational or a float, exact as
+    Fraction's: a float that is not finite compares as it does with 0.0."""
+
+    def compare(a, b):
+        pair = _pair(b)
+        if pair is None:
+            if not isinstance(b, float):
+                return NotImplemented
+            if not math.isfinite(b):
+                return op(0.0, b)
+            pair = b.as_integer_ratio()
+        return op(a._n * pair[1], pair[0] * a._d)
+
+    return compare
+
+
+def _via_fraction(name):
+    """The Fraction method of that name, on the reduced value: for the
+    operations of numbers.Rational that no series takes."""
+    return lambda a, *args: getattr(Fraction(a._n, a._d), name)(*args)
+
+
+class _Ratio(numbers.Rational):
+    """An exact rational n/d, d > 0, held as the integers its operations
+    formed: no gcd is taken, so a product is two integer products and a sum
+    three (Knuth, TAOCP vol. 2, 4.5.1).  The exact plans read the pair by
+    as_integer_ratio(); numerator and denominator read it reduced, so
+    Fraction() takes it.  With an exact rational each operation gives the
+    rational Fraction gives, and with a float the float Fraction gives."""
+
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, n: int, d: int = 1):
+        self._n, self._d = n, d
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        return self._n, self._d
+
+    @property
+    def numerator(self) -> int:
+        return self._n // math.gcd(self._n, self._d)
+
+    @property
+    def denominator(self) -> int:
+        return self._d // math.gcd(self._n, self._d)
+
+    __add__, __radd__ = _operators(
+        lambda an, ad, bn, bd: _Ratio(an * bd + bn * ad, ad * bd), operator.add
+    )
+    __sub__, __rsub__ = _operators(
+        lambda an, ad, bn, bd: _Ratio(an * bd - bn * ad, ad * bd), operator.sub
+    )
+    __mul__, __rmul__ = _operators(lambda an, ad, bn, bd: _Ratio(an * bn, ad * bd), operator.mul)
+    __truediv__, __rtruediv__ = _operators(_quotient, operator.truediv)
+    __lt__, __le__ = _comparison(operator.lt), _comparison(operator.le)
+    __gt__, __ge__ = _comparison(operator.gt), _comparison(operator.ge)
+    __eq__ = _comparison(operator.eq)
+
+    def __pow__(self, e):
+        """An integer power exactly, as Fraction's; any other, of the float."""
+        if isinstance(e, numbers.Rational) and e.denominator == 1:
+            e = e.numerator
+            if e >= 0:
+                return _Ratio(self._n**e, self._d**e)
+            return _quotient(1, 1, self._n**-e, self._d**-e)
+        return float(self) ** (float(e) if isinstance(e, numbers.Rational) else e)
+
+    def __rpow__(self, b):
+        n, d = self._n, self._d
+        return b ** (n // d) if n % d == 0 else b ** float(self)
+
+    def __neg__(self):
+        return _Ratio(-self._n, self._d)
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        return _Ratio(abs(self._n), self._d)
+
+    def __float__(self) -> float:
+        return self._n / self._d  # correctly rounded, as Fraction's
+
+    def __hash__(self) -> int:
+        return hash(Fraction(self._n, self._d))
+
+    def __repr__(self) -> str:
+        return f"_Ratio({self._n}, {self._d})"
+
+    __trunc__, __floor__, __ceil__, __round__ = map(
+        _via_fraction, ("__trunc__", "__floor__", "__ceil__", "__round__")
+    )
+    __floordiv__, __rfloordiv__, __mod__, __rmod__ = map(
+        _via_fraction, ("__floordiv__", "__rfloordiv__", "__mod__", "__rmod__")
+    )
+
+
+def _exact(x) -> _Ratio:
+    """The float or int x as the exact rational it is."""
+    return _Ratio(*x.as_integer_ratio())
+
+
+def _powers(q: _Ratio, ks: range, c: _Ratio | None = None) -> list[_Ratio]:
+    """c q^j for each j of the nonempty run ks, c = 1 where None: the first a
+    power, each other from the one before by one product of each integer."""
+    n, d = (q ** ks.start).as_integer_ratio()
+    if c is not None:
+        n, d = n * c._n, d * c._d
+    sn, sd = (q ** ks.step).as_integer_ratio()
+    out = [_Ratio(n, d)]
+    for _ in range(len(ks) - 1):
+        n, d = n * sn, d * sd
+        out.append(_Ratio(n, d))
+    return out
 
 
 def _qp(q, e1, e2=0, e3=0, e4=0):
@@ -1435,7 +1595,9 @@ def eval_exact_at_support(
     products, or a Horner pass over the exact factors.
     """
     many = isinstance(k, range)
-    ks = k if many else (_integer(family, "support index k", k),)
+    if not many:
+        k = _integer(family, "support index k", k)
+    ks = k if many else range(k, k + 1)
     size = round(family.support_end - family.support_start) if family.is_finite else math.inf
     outside = next((j for j in ks if not 0 <= j < size), None)
     if outside is not None:
@@ -1448,9 +1610,9 @@ def eval_exact_at_support(
     one_degree = not np.iterable(n)
     degrees = [_integer(family, "degree n", d) for d in ((n,) if one_degree else n)]
     if ks:
-        p, atom = _support_atoms(family.resolve_base())
+        p, atoms = _support_atoms(family.resolve_base())
         ss = [family.support_start + j for j in ks]
-        rows = family._exact_rows(degrees, p, [atom(j) for j in ks], ss)
+        rows = family._exact_rows(degrees, p, atoms(ks), ss)
     else:  # no point to evaluate, so none to fail
         rows = [[] for _ in degrees]
     if not many:
@@ -1481,8 +1643,8 @@ def _lattice_atoms(base: FamilySpec, exact: bool):
     s + a + 1) on the quadratic lattice, q^-s on the q^-s lattice, q q^s on
     the q^s one (its series' argument z = qX), (q^a q^-s, q^a q^s) on the
     q-quadratic one.  Exact, the quadratic atoms and parameters are
-    rationals, the atoms from Fraction(s); other lattices keep their float
-    atoms, summed exactly.
+    rationals (_Ratio), the atoms from the exact s; other lattices keep
+    their float atoms, summed exactly.
 
     The array atoms are the float atoms elementwise, bit for bit.  numpy's
     power is not Python's to the last bit, so each q-power of an array is
@@ -1490,7 +1652,7 @@ def _lattice_atoms(base: FamilySpec, exact: bool):
     OverflowError, as at one s."""
     tag, p, q = base.grid.tag, base.params, base.grid.q
     if tag == QUADRATIC:
-        p, num = (_rational_params(base), Fraction) if exact else (p, float)
+        p, num = (_rational_params(base), _exact) if exact else (p, float)
         a = p["a"]
 
         def atoms(s):
@@ -1524,37 +1686,41 @@ _SLOTS = {
 
 
 def _support_atoms(base: FamilySpec):
-    """The series' parameters, and its lattice atoms at the support point
-    s = a + j as exact rationals, as a function of j: j on the linear lattice
-    and q^-j or q^(j+1) (the argument qX) on the q-linear ones (where a = 0),
-    (-j, 2a + 1 + j) on the quadratic one and (q^-j, (q^a)^2 q^j) on the
-    q-quadratic one.  Near the top of the support the series cancels far
-    below its terms, which any rounding of the atoms would swamp; off the
-    linear lattice the parameters are rationals too, so each family is an
-    exact polynomial model.  The integers j and -j stand as they are, and
-    2a + 1 and (q^a)^2 are formed once."""
+    """The series' parameters, and its lattice atoms at the support points
+    s = a + j as exact rationals, as a function of a nonempty run of j (a
+    range): j on the linear lattice and q^-j or q^(j+1) (the argument qX) on
+    the q-linear ones (where a = 0), (-j, 2a + 1 + j) on the quadratic one
+    and (q^-j, (q^a)^2 q^j) on the q-quadratic one.  Near the top of the
+    support the series cancels far below its terms, which any rounding of
+    the atoms would swamp; off the linear lattice the parameters are
+    rationals too (_Ratio), so each family is an exact polynomial model.
+    The integers j and -j stand as they are, 2a + 1 and (q^a)^2 are formed
+    once, and the q-powers of a run are _Ratio pairs, each from the one
+    before by one product of each integer (_powers)."""
     tag = base.grid.tag
     p = base.params if tag == LINEAR else _rational_params(base)
     q, a = p.get("q"), p.get("a")
     if tag == LINEAR:
-        return p, lambda j: j
+        return p, list
     if tag == QUADRATIC:
         c = 2 * a + 1
-        return p, lambda j: (-j, c + j)
+        return p, lambda ks: [(-j, c + j) for j in ks]
     if tag == Q_EXP_NEG:
-        return p, lambda j: q**-j
+        return p, lambda ks: _powers(q**-1, ks)
     if tag == Q_EXP:
-        return p, lambda j: q ** (j + 1)
+        return p, lambda ks: _powers(q, ks, q)
     aa = a * a
-    return p, lambda j: (q**-j, aa * q**j)
+    return p, lambda ks: list(zip(_powers(q**-1, ks), _powers(q, ks, aa)))
 
 
 def _rational_params(base: FamilySpec) -> dict:
-    """The parameters as exact rationals, N as its int; on the q-quadratic
-    lattice a, alpha and beta as their rounded powers q^a, q^alpha, q^beta."""
+    """The parameters as exact rationals (_Ratio), N as its int; on the
+    q-quadratic lattice a, alpha and beta as their rounded powers q^a,
+    q^alpha, q^beta.  The series form their derived parameters from these
+    by the usual operators, with no gcd."""
     q, power = base.grid.q, base.grid.tag == Q_SYMMETRIC
     return {
-        name: v if name == "N" else Fraction(q**v if power and name != "q" else v)
+        name: v if name == "N" else _exact(q**v if power and name != "q" else v)
         for name, v in base.params.items()
     }
 

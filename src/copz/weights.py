@@ -185,6 +185,16 @@ def _pair_sum_values(
     return total + comp
 
 
+def _check_table(family: FamilySpec, table: WeightTable) -> None:
+    """DomainError unless the table was walked for family, or for a family of
+    the same base: an alias's table is its base's, point for point."""
+    if family.resolve_base() != table.family.resolve_base():
+        raise DomainError(
+            f"{family.kind} {dict(family.params)}: the weight table was walked for"
+            f" {table.family.kind} {dict(table.family.params)}"
+        )
+
+
 def orthogonality_residual(
     family: FamilySpec, m: int, n: int, table: WeightTable
 ) -> float:
@@ -192,8 +202,10 @@ def orthogonality_residual(
 
     The norm is the family's own, an alias's prefactor included.  The m != n
     pairing reads an alias's base values, as the Gram matrix does: the
-    normalization cancels the prefactor.
+    normalization cancels the prefactor.  A table walked for a family of
+    another base raises DomainError, as in pearson_residual_max.
     """
+    _check_table(family, table)
     if m == n:
         (v,) = eval_exact_at_support(family, (n,), range(len(table)))
         return _pair_sum_values(table, v, v)
@@ -209,9 +221,11 @@ def gram_offdiag_max(family: FamilySpec, kmax: int, table: WeightTable) -> float
 
     An alias pairs its base's values: its prefactor only rescales each degree.
     A kmax that is not an integer (by operator.index) or is negative raises
-    DomainError.
+    DomainError, and so does a table walked for a family of another base, as
+    in pearson_residual_max.
     """
     kmax = _count(family, "kmax", kmax)
+    _check_table(family, table)
     values = eval_exact_at_support(family.resolve_base(), range(kmax + 1), range(len(table)))
     norms = [_pair_sum_values(table, v, v) for v in values]
     worst = 0.0
@@ -228,13 +242,10 @@ def pearson_residual_max(family: FamilySpec, table: WeightTable) -> float:
     """Largest pointwise residual of the ratio recurrence over the table.
 
     The ratio terms are those the table's walk read (WeightTable.terms), so
-    family must be the table's own: another raises DomainError.
+    the table must be walked for family or a family of the same base, whose
+    terms are the same: another raises DomainError.
     """
-    if family != table.family:
-        raise DomainError(
-            f"{family.kind} {dict(family.params)}: the weight table was walked for"
-            f" {table.family.kind} {dict(table.family.params)}"
-        )
+    _check_table(family, table)
     worst = 0.0
     for k, (t2, t1) in enumerate(table.terms):
         # w(s+1) t1 - w(s) t2 = 0, evaluated through the log table

@@ -1,13 +1,17 @@
 import dataclasses
+import fractions
 import json
 import math
+import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import copz.qseries
 from copz import (
@@ -26,7 +30,7 @@ from copz import (
     sample_params,
     weight_table,
 )
-from copz.families import _CATALOG, MAX_FINITE_SUPPORT, eval_exact_at_support
+from copz.families import _CATALOG, MAX_FINITE_SUPPORT, _Ratio, eval_exact_at_support
 from copz.qseries import exact_summation, hyper_sum, qhyper_sum
 from oracles import reference_hyper_sum, reference_qhyper_sum, x_inverse
 
@@ -711,6 +715,103 @@ def test_exact_values_take_integer_degrees_and_indices(monkeypatch):
         with pytest.raises(DomainError) as err:
             eval_exact_at_support(spec, n, k)
         assert str(err.value) == f"hahn: {message} is not an integer"
+
+
+# ---------------------------------------------------------------------------
+# the exact path's rationals: integer pairs that are never reduced
+# ---------------------------------------------------------------------------
+
+_BIG = st.integers(-(2**80), 2**80)
+# an exact operand as (_Ratio, Fraction): a pair with a common factor left in
+_RATIOS = st.builds(
+    lambda n, d, c: (_Ratio(n * c, d * c), Fraction(n, d)),
+    _BIG, st.integers(1, 2**80), st.integers(1, 2**20),
+)
+# any operand as (value, what Fraction is given in its place)
+_OPERANDS = st.one_of(
+    _RATIOS, _BIG.map(lambda i: (i, i)), st.floats().map(lambda x: (x, x))
+)
+
+
+def _result(f, *args, exact):
+    """f(*args) as a comparable record: the rational of a result of the
+    exact type, the type and repr of any other, or the error's type."""
+    try:
+        value = f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    if isinstance(value, exact):
+        return "exact", Fraction(value)
+    return type(value), repr(value)
+
+
+@given(_RATIOS, _OPERANDS)
+def test_ratio_operations_give_fractions_values(x, y):
+    # every operation a family series applies to its parameters, beside an
+    # exact rational, an int or a float, in either order
+    (a, fa), (b, fb) = x, y
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.lt, operator.gt, operator.le, operator.ge, operator.eq)
+    for op in ops:
+        assert _result(op, a, b, exact=_Ratio) == _result(op, fa, fb, exact=Fraction), op
+        assert _result(op, b, a, exact=_Ratio) == _result(op, fb, fa, exact=Fraction), op
+    assert _result(operator.neg, a, exact=_Ratio) == _result(operator.neg, fa, exact=Fraction)
+
+
+@given(_RATIOS, st.integers(-8, 8))
+def test_ratio_powers_give_fractions_values(x, e):
+    # zero and negative exponents too: a zero base raises ZeroDivisionError
+    a, fa = x
+    assert _result(operator.pow, a, e, exact=_Ratio) == _result(operator.pow, fa, e, exact=Fraction)
+
+
+@given(_RATIOS)
+def test_ratio_reads_as_its_reduced_fraction(x):
+    # Fraction() takes it, as the reference sums of the tests do
+    a, fa = x
+    assert (a.numerator, a.denominator) == (fa.numerator, fa.denominator)
+    assert Fraction(a) == fa and a == fa and fa == a
+    assert hash(a) == hash(fa)
+    assert repr(float(a)) == repr(float(fa))
+    assert _result(operator.add, fa, a, exact=_Ratio) == ("exact", 2 * fa)
+
+
+@pytest.mark.parametrize("kind", ["hahn", "racah", "q_hahn", "little_q_jacobi", "q_racah"])
+def test_exact_support_runs_build_no_fraction(kind):
+    # one family on each lattice: the parameters, the atoms and the q-powers
+    # of the run are _Ratio pairs; a Fraction would run code in fractions.py
+    spec = make_family(kind, sample_params(kind, random.Random(f"no fraction {kind}")))
+    calls = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(spy)
+    try:
+        eval_exact_at_support(spec, range(5), range(1, 5))
+        eval_exact_at_support(spec, 4, 3)
+    finally:
+        sys.setprofile(previous)
+    assert calls == []
+
+
+#: eval_exact_at_support at high degree, recorded as hex before the exact
+#: path's rationals lost their gcd: the eight draws of the ROADMAP degree
+#: ladder at their top degree, over the support, or on an infinite one over
+#: the first max(2n + 8, 16) points, doubled until the values change sign n
+#: times; q_hahn and q_racah at every degree
+EXACT_HIGH_DEGREE = Path(__file__).parent / "data" / "exact_high_degree.json"
+
+
+@pytest.mark.parametrize(
+    "record", json.loads(EXACT_HIGH_DEGREE.read_text()), ids=lambda r: r["kind"]
+)
+def test_high_degree_exact_values_match_their_record(record):
+    spec = make_family(record["kind"], record["params"])
+    rows = eval_exact_at_support(spec, record["degrees"], range(record["points"]))
+    assert [[v.hex() for v in row] for row in rows] == record["values"]
 
 
 def test_degrees_that_are_not_integers_raise_a_domain_error():

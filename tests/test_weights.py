@@ -97,6 +97,21 @@ def test_pearson_rejects_a_table_walked_for_another_family():
     assert pearson_residual_max(make_family("hahn", alpha=0.5, beta=1.0, N=10), table) < 1e-12
 
 
+def test_pairing_sums_reject_a_table_walked_for_another_family():
+    # another family's table paired the values under the wrong weights: the
+    # Gram matrix read 0.848 and the pairing 0.830 with no error, and a table
+    # of another size raised "support index k=10 outside"
+    spec = make_family("hahn", alpha=0.5, beta=1.0, N=10)
+    for other in ({"alpha": 3.0, "beta": 0.2, "N": 10}, {"alpha": 0.5, "beta": 1.0, "N": 12}):
+        table = weight_table(make_family("hahn", other), degree_hint=3)
+        with pytest.raises(DomainError, match=r"^hahn .*: the weight table was walked for hahn"):
+            gram_offdiag_max(spec, 3, table)
+        for m, n in ((1, 2), (2, 2)):
+            with pytest.raises(DomainError, match="walked for hahn"):
+                orthogonality_residual(spec, m, n, table)
+    assert gram_offdiag_max(spec, 3, weight_table(spec, degree_hint=3)) < 1e-12
+
+
 #: a racah draw whose support points a + k are not always the float
 #: (a + (k - 1)) + 1.0 the step before reads its A, B and dx at: at k = 4
 _RACAH_MISSTEP = {"a": 0.15306868060822457, "alpha": -0.46138361286703544,
