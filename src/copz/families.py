@@ -179,8 +179,7 @@ class FamilySpec:
         too, so only where the pass raises, or its first value is NaN or inf,
         does many call the first sample as one point, and on a raise the
         atoms of the rest one at a time.  Under exact summation the pass is
-        _exact_many.  Its attribute at_atoms(x) is the value at lattice
-        atoms x, which the complex step of zeros._tail_start takes.
+        _exact_many.
 
         The function is no reference cycle: many calls a twin of it, not
         the function itself, on its cold paths.  So it and its plan die by
@@ -242,7 +241,7 @@ class FamilySpec:
                 out[0] = one(float(ss[0]))
             return out
 
-        at_s.many, at_s.at_atoms = many, value
+        at_s.many = many
         return at_s
 
     def _of_atoms(self, n: int, p) -> tuple[Callable[[object], float], tuple]:
@@ -1683,6 +1682,54 @@ _SLOTS = {
     Q_EXP: _Slot(),
     Q_SYMMETRIC: (_Slot(0), _Slot(1)),
 }
+
+
+def _zeros_end(base: FamilySpec, n: int) -> float:
+    """The s past which no zero of the degree-n polynomial lies, on an
+    infinite support: the Laguerre-Samuelson bound mu + sigma sqrt(n - 1) on
+    n reals of mean mu and variance sigma^2 (Samuelson, JASA 1968), mapped
+    to s.  It bounds the zeros in X, or on the q^s lattice the reciprocals
+    1/z of the argument z = qX.  Their e_1 and e_2 come from the term ratios
+    r_k = p_k/d_k and steps (u_k, v_k) of the series' exact plan, built
+    without the prefactors, which may overflow where the series does not:
+    - on the q^s lattice P = 1 + r_0 z + r_0 r_1 z^2 + ..., so e_1 = -r_0
+      and e_2 = r_0 r_1;
+    - elsewhere term factor k is c_k (x - t_k), c_k = sigma r_k u_k and t_k
+      = -sigma v_k / u_k, sigma = -1 on a negated slot, so e_1 = sum t_k -
+      1/c_(n-1), and the zeros' sum of squares is sum t_k^2 + 1/c_(n-1)
+      (1/c_(n-1) - 2 t_(n-1) - 2/c_(n-2)).
+    The bound is homogeneous of degree 1, so each input is the float of its
+    integer ratio times 2^-m, m the largest binary exponent among them, and
+    none leaves the float range at any q.  On the linear lattice the end
+    itself may (OverflowError).
+    """
+    tag = base.grid.tag
+    with exact_summation():
+        plan = _CATALOG[base.kind].series(base.params, n, _SLOTS[tag])
+
+    def scaled(num, den, m):
+        return num / (den << m) if m >= 0 else (num << -m) / den
+
+    sign = -1 if plan.reads[-1].neg else 1  # the slot of z on the q^s lattice, else of X
+    (p0, d0), *rest = plan.ratios
+    if tag == Q_EXP:
+        m = p0.bit_length() - d0.bit_length()
+        e1 = -sign * scaled(p0, d0, m)
+        squares = e1 * e1 - (2.0 * scaled(p0 * rest[0][0], d0 * rest[0][1], 2 * m) if rest else 0.0)
+    else:
+        ts = [(-sign * v, u) for u, v in plan.steps]
+        rs = [(d, sign * p * u) for (p, d), (u, _) in zip(plan.ratios[-2:], plan.steps[-2:])]
+        m = max(num.bit_length() - den.bit_length() for num, den in ts + rs)
+        ts = [scaled(*t, m) for t in ts]
+        *r2, r1 = [scaled(*r, m) for r in rs]
+        e1 = math.fsum(ts) - r1
+        squares = math.fsum(t * t for t in ts) + r1 * (r1 - 2.0 * (ts[-1] + sum(r2)))
+    mu = e1 / n
+    bound = mu + math.sqrt((n - 1) * max(squares / n - mu * mu, 0.0))
+    if tag == LINEAR:
+        return math.ldexp(bound, m)
+    end = (math.log(bound) + m * math.log(2.0)) / -math.log(base.grid.q)
+    return end - 1.0 if tag == Q_EXP else end
 
 
 def _support_atoms(base: FamilySpec):

@@ -4,17 +4,14 @@ Consecutive zeros of these polynomials sit more than one lattice unit apart in
 s wherever the coefficient ratio is positive on the zero set, on finite and
 infinite supports alike, so sampling at step 1/2 brackets every zero; the
 scan still refines to steps 1/4 and 1/8 before declaring a count failure.
-A search reads the series through one function of s, the base family's
-FamilySpec._at_s(n), built once: one-point calls, and its array pass many,
-which gives each value bit for bit.  Each scan evaluates its samples in one
-array pass, all but those it shares with the search's previous scan: the
-rescans at steps 1/4 and 1/8 and each doubled window take those values from
-the scan before.  On the q^s lattice of an infinite support, where X = q^s
-tends to 0 and no zero lies near it, a scan stops summing at a tail start s*
-that the search certifies once (_tail_start): past it the series provably
-keeps the sign of P(0), so every scan sums only its samples before s* and
-the first two at or past it, and each bracket, window, count and error is
-the one of a scan to the window's end.  A scan of _ARRAY_SCAN samples or
+On an infinite support the one window a search scans ends past the
+Laguerre-Samuelson bound on the zeros, which the series' own top
+coefficients give (families._zeros_end).  A search reads the series through
+one function of s, the base family's FamilySpec._at_s(n), built once:
+one-point calls, and its array pass many, which gives each value bit for
+bit.  Each scan evaluates its samples in one array pass, all but those it
+shares with the search's previous scan: the rescans at steps 1/4 and 1/8
+take those values from the scan before.  A scan of _ARRAY_SCAN samples or
 more, such as those of a search at high degree or over a wide window, also
 finds its node zeros and sign changes in a few numpy passes over the
 samples; a smaller one, such as every scan of copz verify at low degree,
@@ -44,14 +41,16 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, EvaluationOverflowError, SingularityError, ZeroCountError
-from .families import ZeroProblem
-from .grid import Q_EXP
+from .errors import EvaluationOverflowError, SingularityError, ZeroCountError
+from .families import ZeroProblem, _zeros_end
 from .qseries import _EXACT, exact_summation
 
 _STEPS = (0.5, 0.25, 0.125)
 _NODE_TOL = 1e-13
 _WIDTH_REL = 1e-12
+# the widest window on an infinite support, a guard on memory: a bound
+# outgrows it as q nears 1 (9,198 units at q_laguerre q = 0.999, n = 30) and
+# at huge parameters (2e12 samples at charlier alpha = 1e12)
 _MAX_WINDOW = 4096.0
 # open brackets from which one array pass of the float series refines them in
 # lockstep: the fewest for which one pass costs less than a one-point call
@@ -69,12 +68,6 @@ _LOCKSTEP = 8
 # 11 samples, 88-189 us against 67-168 us at 161, and 0.80-2.05 ms against
 # 0.15-0.92 ms at 2,561
 _ARRAY_SCAN = 85
-# the tail start s* on the q^s lattice: the atom z = q^(s+1) at most
-# _TAIL_REACH / e_1 there, and e_1 read by a complex step h of at most
-# e_1 h = _TAIL_STEP, from a first step of _TAIL_H down to _TAIL_H_MIN
-_TAIL_REACH = 0.125
-_TAIL_STEP = 1e-10
-_TAIL_H, _TAIL_H_MIN = 1e-20, 1e-280
 
 
 @dataclass(frozen=True)
@@ -137,17 +130,10 @@ class ZeroSet:
         return min(b - a for a, b in zip(self.zeros_s, self.zeros_s[1:]))
 
 
-def _scan(g, lo: float, hi: float, step: float, held=None, tail=math.inf):
+def _scan(g, lo: float, hi: float, step: float, held=None):
     """Sample g, a polynomial as a function of s (FamilySpec._at_s), on
     [lo, hi] and return zero brackets as (sl, sr, gl, gr) tuples, in
     increasing s, and the scan's samples and their values, as two arrays.
-
-    tail is the tail start s* of _tail_start: only the samples before it and
-    the first two at or past it are evaluated, and the brackets and the
-    samples returned are theirs.  Past s* the float series keeps within
-    e^(1/8) - 1 of P(0), so no sample there is a node zero or pairs a sign
-    change, and the first two settle the brackets of the samples before: the
-    full scan's brackets, bit for bit.
 
     held is the samples and values of the search's previous scan, or None.
     A sample equal as a float to a held one takes its value, since g is a
@@ -168,7 +154,6 @@ def _scan(g, lo: float, hi: float, step: float, held=None, tail=math.inf):
     """
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = lo + (hi - lo) * np.arange(count) / (count - 1)
-    ss = ss[: np.searchsorted(ss, tail) + 2]
     if held is None:
         vs = g.many(ss)
     else:
@@ -311,96 +296,48 @@ def _drive(steps, g, gx=None) -> tuple[float, float]:
         return stop.value
 
 
-def _tail_start(base, n: int, g) -> float:
-    """The tail start s* of a degree-n search on the q^s lattice, from which
-    the series keeps the sign of P(0): math.inf, no cut, on other lattices,
-    under exact summation, and where s* is not certified.
-
-    A positive measure on {q^k} puts all n zeros z_i of P, as a polynomial
-    in its atom z = q^(s+1), in (0, q).  So the power series of P/P(0) in z
-    alternates, its k-th coefficient e_k(1/z_i) at most e_1^k / k!
-    (Maclaurin), with e_1 = sum 1/z_i = -P'(0)/P(0); and for z at most
-    _TAIL_REACH / e_1 = 1/(8 e_1), |P(z)/P(0) - 1| <= e^(1/8) - 1 < 0.134.
-    Such a sample is no node zero, its neighbours in the tail within a ratio
-    of 0.76, and no two of them pair a sign change.
-
-    e_1 is read by a complex step, P(ih)/P(0) = 1 - i e_1 h + O((e_1 h)^2),
-    from the search's function g (FamilySpec._at_s), whose at_atoms takes
-    a complex atom.  h shrinks from _TAIL_H until the step moves P by at
-    most _TAIL_STEP relative, which bounds e_1 h (e_1 grows like q^-n, so
-    no fixed step serves small q).  No cut is made where g's lookup of the
-    degree, prefactor or series raises, P(0) or e_1 is not finite, e_1 < n,
-    which the zeros' place forbids, or h would fall below _TAIL_H_MIN.
-    """
-    if base.grid.tag != Q_EXP or _EXACT.get():
-        return math.inf
+def _window_end(fam, n: int) -> float:
+    """The end of find_zeros' window on an infinite support, a + W: W the
+    whole units from a to just past the zeros' bound (families._zeros_end),
+    at most _MAX_WINDOW.  W is whole, so each sample a + W k / (2 W) of a
+    scan is a + k/2 bit for bit.  Where the bound is not formed, the window
+    is the widest: where the series' float parameters overflow (q**-n at
+    q = 1e-300, n = 2), the scan's first sample raises that overflow too."""
+    a = fam.support_start
     try:
-        value = g.at_atoms
-        p0, h = value(0.0), _TAIL_H
-        while math.isfinite(p0) and p0 != 0.0 and h >= _TAIL_H_MIN:
-            w = value(h * 1j) / p0
-            # |w - 1| bounds e_1 h: it is at least sin(arctan(e_1 h)) while
-            # the phase sum of arctan(h / z_i) stays below pi / 2, and a phase
-            # wound past 2 pi would take |w| past 1.9 at n <= 30
-            moved = abs(w - 1.0)
-            if moved <= _TAIL_STEP:
-                e1 = -w.imag / (h * w.real)
-                if not n <= e1 < math.inf:
-                    break
-                return math.log(e1 / _TAIL_REACH) / -math.log(base.grid.q) - 1.0
-            shrink = 0.5 * _TAIL_STEP / moved  # NaN or 0.0 past the float range
-            h *= shrink if shrink > 1e-30 else 1e-30
-    except (DomainError, ArithmeticError):
-        pass
-    return math.inf
+        end = _zeros_end(fam.resolve_base(), n)
+    except (ArithmeticError, ValueError):
+        end = math.inf
+    # at n = 1 the bound is the zero, and may round below it to a - 1e-16
+    return a + max(math.floor(min(end - a, _MAX_WINDOW - 1.0)), 0) + 1.0
 
 
 def find_zeros(problem: ZeroProblem) -> ZeroSet:
     """Locate all ``problem.degree`` zeros of the polynomial.
 
     The scan window starts at the support start a.  On a finite support it is
-    (a, b-1), the support less its top point, and is scanned once.  On an
-    infinite support it starts as a + max(6, 2n+4) and doubles, up to a width
-    of _MAX_WINDOW, while the step-1/2 scan finds fewer than n sign changes or
-    n of them without five separation units of clearance past the last.  The
-    final window is rescanned at steps 1/4 and 1/8 while fewer than n are
-    found.  Raises ZeroCountError with the window width and the count at each
-    step scanned when the count is not n; when it is short and the last scan
-    met NaN or inf values of the float series, the error also gives how many
-    and the first such s.
-
-    On the q^s lattice the tail start s* is computed once per search
-    (_tail_start), and each scan sums its samples up to the first two at or
-    past it: the windows, rescans, counts and errors are those of scans to
-    each window's end.
+    (a, b-1), the support less its top point.  On an infinite support it is
+    [a, a + W], W the whole units to just past the Laguerre-Samuelson bound
+    on the zeros (_window_end).  The window is scanned at step 1/2, and
+    rescanned at steps 1/4 and 1/8 while fewer than n sign changes are
+    found.  Raises ZeroCountError with the window width and the count at
+    each step scanned when the count is not n; when it is short and the last
+    scan met NaN or inf values of the float series, the error also gives how
+    many and the first such s.
     """
     fam = problem.family
     n = problem.degree
-    base = fam.resolve_base()
-    g = base._at_s(n)
-    tail = _tail_start(base, n, g)
+    g = fam.resolve_base()._at_s(n)
     a = fam.support_start
-    # a finite window never grows: doubling would leave the support, and a
-    # window that collapses in float (a + N - 1 == a) would double to itself
-    if fam.is_finite:
-        hi = fam.support_end - 1.0
-    else:
-        hi, top = a + max(6.0, 2.0 * n + 4.0), a + _MAX_WINDOW
-    held = None
-    while True:
-        brackets, held = _scan(g, a, hi, _STEPS[0], held, tail)
-        found, wider = len(brackets), a + 2.0 * (hi - a)
-        if fam.is_finite or wider > top or found > n or found == n and hi > brackets[-1][1] + 5.0:
-            break
-        hi = wider
+    hi = fam.support_end - 1.0 if fam.is_finite else _window_end(fam, n)
     diagnostics = {"kind": fam.kind, "degree": n, "window": hi - a}
-    diagnostics[f"count_at_step_{_STEPS[0]}"] = len(brackets)
-    for step in _STEPS[1:]:
+    held = None
+    for step in _STEPS:
+        brackets, held = _scan(g, a, hi, step, held)
+        diagnostics[f"count_at_step_{step}"] = len(brackets)
         # finer sampling can only reveal missed pairs, never remove changes
         if len(brackets) >= n:
             break
-        brackets, held = _scan(g, a, hi, step, held, tail)
-        diagnostics[f"count_at_step_{step}"] = len(brackets)
     if len(brackets) != n:
         message = f"{fam.kind}: found {len(brackets)} sign changes, expected {n}"
         # a short count is the step-1/8 scan's, and no pair crosses its NaN or inf
@@ -423,16 +360,17 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
 
     Zero j is bracketed inside its cell, which runs between the midpoints to
     the neighbouring guesses and is clipped to find_zeros' scan range: (a, b-1)
-    on a finite support, a + _MAX_WINDOW on an infinite one.  The bracket
-    starts at guesses[j] +/- radii[j], at least the refinement's stopping
-    width, and grows 4x while its ends have no strict sign change; a guess
-    outside its cell starts from the cell's nearer end.  n disjoint
-    brackets with a sign change each hold all n zeros of the polynomial, so
-    the result is the whole zero set.  When there are not n guesses and n
-    radii, the guesses are not strictly increasing, a guess or radius is NaN
-    or inf, or a cell holds no sign change, the zeros are not certified and
-    None is returned: the caller falls back to find_zeros.  The brackets
-    refine as find_zeros' do (_refined).
+    on a finite support, [a, _window_end] on an infinite one, whose end is
+    computed only where the last bracket must grow past its first try, not at
+    each point of a sweep.  The bracket starts at guesses[j] +/- radii[j], at
+    least the refinement's stopping width, and grows 4x while its ends have
+    no strict sign change; a guess outside its cell starts from the cell's
+    nearer end.  n disjoint brackets with a sign change each hold all n zeros
+    of the polynomial, so the result is the whole zero set.  When there are
+    not n guesses and n radii, the guesses are not strictly increasing, a
+    guess or radius is NaN or inf, or a cell holds no sign change, the zeros
+    are not certified and None is returned: the caller falls back to
+    find_zeros.  The brackets refine as find_zeros' do (_refined).
     """
     fam = problem.family
     n = problem.degree
@@ -442,7 +380,7 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
     if not all(map(math.isfinite, guesses)) or not all(map(math.isfinite, radii)):
         return None
     a = fam.support_start
-    top = fam.support_end - 1.0 if fam.is_finite else a + _MAX_WINDOW
+    top = fam.support_end - 1.0 if fam.is_finite else math.inf
     mids = [0.5 * (u + v) for u, v in zip(guesses, guesses[1:])]
     brackets = []
     g = fam.resolve_base()._at_s(n)
@@ -460,7 +398,12 @@ def track_zeros(problem: ZeroProblem, guesses, radii) -> ZeroSet | None:
                 return None
             if gl * gr < 0.0:
                 break
-            if sl == cl and sr == cr:
+            if cr == math.inf:
+                cr = _window_end(fam, n)
+                if not cl < cr:
+                    return None
+                p = min(p, cr)
+            elif sl == cl and sr == cr:
                 return None
             r *= 4.0
         brackets.append((sl, sr, gl, gr))

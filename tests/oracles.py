@@ -14,9 +14,12 @@ weighted lower coefficient, which vanish at both support ends.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from unittest.mock import patch
 
+import copz.families
 from copz import DomainError, SingularityError, UndefinedSeriesError, weight_table
-from copz.families import FamilySpec
+from copz.families import _CATALOG, FamilySpec
 from copz.grid import LINEAR, Q_EXP, Q_EXP_NEG, Q_SYMMETRIC, QUADRATIC, Grid
 from copz.qseries import Neumaier, q_pochhammer
 from copz.weights import weight_ratio
@@ -286,3 +289,91 @@ def boundary_check(family: FamilySpec, k_max: int = 3) -> BoundaryReport:
         end.append(math.exp(tail - log_max) / max(scale, 1.0))
     ok = all(r <= 1e-10 for r in start) and all(r <= 1e-8 for r in end)
     return BoundaryReport(ok, tuple(start), tuple(end))
+
+
+class _Polynomial(dict):
+    """A polynomial in one lattice atom, its Fraction coefficients by power:
+    the atom a family series takes as X or z, negated as the series negate
+    an atom."""
+
+    def __neg__(self):
+        return _Polynomial({k: -c for k, c in self.items()})
+
+
+def _expanded_sums(keep):
+    """iFj and iφj over k = 0..n as polynomials in their atom, expanded over
+    Fraction one term after another, each product and sum cut to the powers
+    that keep picks from its sorted powers: the three highest (or lowest)
+    powers of a product or sum follow from those of its operands alone."""
+
+    def poly(x):
+        return x if isinstance(x, dict) else {0: Fraction(x)}
+
+    def cut(out):
+        return {k: out[k] for k in keep(sorted(out))}
+
+    def times(a, b):
+        out = {}
+        for i, u in poly(a).items():
+            for j, v in poly(b).items():
+                out[i + j] = out.get(i + j, 0) + u * v
+        return cut(out)
+
+    def plus(a, b):
+        out = dict(poly(a))
+        for k, v in poly(b).items():
+            out[k] = out.get(k, 0) + v
+        return cut(out)
+
+    def hyper_sum(num, den, z, n):
+        total = term = poly(1)
+        for k in range(n):
+            ratio = times(z, Fraction(1, k + 1))
+            for a in num:
+                ratio = times(ratio, plus(a, k))
+            for b in den:
+                ratio = times(ratio, 1 / (Fraction(b) + k))
+            term = times(term, ratio)
+            total = plus(total, term)
+        return total
+
+    def qhyper_sum(num, den, q, z, n):
+        q, excess = Fraction(q), 1 + len(den) - len(num)
+        total = term = poly(1)
+        for k in range(n):
+            qk = q**k
+            ratio = times(z, (-qk) ** excess / (1 - q * qk))
+            for a in num:
+                ratio = times(ratio, plus(1, times(a, -qk)))
+            for b in den:
+                ratio = times(ratio, 1 / (1 - Fraction(b) * qk))
+            term = times(term, ratio)
+            total = plus(total, term)
+        return total
+
+    return {"hyper_sum": hyper_sum, "qhyper_sum": qhyper_sum}
+
+
+def samuelson_end(spec: FamilySpec, n: int) -> float:
+    """The s past which no zero of spec's degree-n polynomial lies, on an
+    infinite support: the Laguerre-Samuelson bound mu + sigma sqrt(n - 1) on
+    the zeros in X, or on the q^s lattice on the reciprocals 1/z of the atom
+    z = qX, mapped to s.  mu and sigma^2 are exact, from the polynomial's
+    three highest coefficients (on the q^s lattice its three lowest), the
+    series expanded over Fraction in place of the library's sums; the square
+    root and the map to s are float."""
+    base = spec.resolve_base()
+    low = base.grid.tag == Q_EXP
+    params = {k: v if k == "N" else Fraction(v) for k, v in base.params.items()}
+    sums = _expanded_sums((lambda ks: ks[:3]) if low else (lambda ks: ks[-3:]))
+    with patch.multiple(copz.families, **sums):
+        c = _CATALOG[base.kind].series(params, n, _Polynomial({1: Fraction(1)}))
+    # on the q^s lattice the reciprocals' monic polynomial is P's, reversed
+    first, second, third = (0, 1, 2) if low else (n, n - 1, n - 2)
+    e1, e2 = -c[second] / c[first], c.get(third, 0) / c[first]
+    mu = e1 / n
+    bound = float(mu) + math.sqrt(float((n - 1) * ((e1 * e1 - 2 * e2) / n - mu * mu)))
+    if base.grid.tag == LINEAR:
+        return bound
+    end = math.log(bound) / -math.log(base.grid.q)
+    return end - 1.0 if low else end

@@ -402,9 +402,12 @@ def test_interlace_solves_each_instance_once(monkeypatch):
         # the prefactor q^(-C(n,2)) overflows before the first sample's series
         (["alpha=0.5", "q=0.1"], 30,
          "al_salam_carlitz_2: the degree-30 value at s=0.0 overflows the float range"),
-        # the lattice power q^(-s) overflows as the window grows
+        # the float series is NaN or inf from s = 30.625 to the end of the
+        # search's one window, 59 units, short of the lattice power q^(-s)'s
+        # overflow at s = 237: 15 of the 30 zeros are lost there
         (["alpha=0.5", "beta=0.5", "q=0.05"], 30,
-         "q_meixner: the degree-30 value at s=237.0 overflows the float range"),
+         "q_meixner: found 15 sign changes, expected 30; the float series is not finite at"
+         " 228 samples of the step-0.125 scan, the first at s=30.625"),
         # alpha^n in the prefactor
         (["alpha=1e300", "q=0.5", "N=10"], 5,
          "quantum_q_krawtchouk: the degree-5 value at s=0.0 overflows the float range"),
@@ -437,15 +440,19 @@ def test_verify_exact_path_overflow_is_invalid_input():
 
 @pytest.mark.parametrize("command", ["zeros", "verify"])
 def test_alias_overflow_names_the_alias(command):
-    # q_charlier is searched through its base, q_meixner, whose lattice power
-    # q^(-s) overflows as the window grows; the error names the family asked for
+    # q_charlier is searched through its base, q_meixner, whose float series
+    # is not finite from s = 0.125, by its zeros at s <= 1; the error names the
+    # family asked for
     code, out, err = run_cli(
         [command, "--family", "q_charlier", "--n", "2",
          "--set", "alpha=1e-300", "--set", "q=0.5"]
     )
     assert code == 2
     assert out == ""
-    assert err == "error: q_charlier: the degree-2 value at s=1024.0 overflows the float range\n"
+    assert err == (
+        "error: q_charlier: found 0 sign changes, expected 2; the float series is not finite"
+        " at 15 samples of the step-0.125 scan, the first at s=0.125\n"
+    )
 
 
 def test_verify_coefficient_overflow_is_invalid_input():

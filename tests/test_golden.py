@@ -19,6 +19,10 @@ DATA = Path(__file__).parent / "data"
     "argv, reference",
     [
         (["verify-all", "--seed", "42"], "verify_all_seed42.txt"),
+        # recorded while the meixner draw's search window still doubled twice,
+        # from 8 to 32 units: its one window from the bound, 17 units, gives the
+        # same bytes
+        (["verify-all", "--seed", "20"], "verify_all_seed20.txt"),
         (["families"], "families.txt"),
         (["families", "--format", "json"], "families.json"),
         (
@@ -81,7 +85,8 @@ DATA = Path(__file__).parent / "data"
              "--set", "beta=0.5", "--set", "q=0.7", "--set", "N=10", "--format", "json"],
             "zeros_q_racah.json",
         ),
-        # the search window doubles once, from 24 to 48 lattice units
+        # recorded while the search window doubled once, from 24 to 48 lattice
+        # units; the one window from the bound is 22 units
         (
             ["zeros", "--family", "little_q_jacobi", "--n", "10",
              "--set", "alpha=1", "--set", "beta=0.5", "--set", "q=0.8"],
@@ -95,6 +100,7 @@ DATA = Path(__file__).parent / "data"
     ],
     ids=[
         "verify-all-seed42",
+        "verify-all-seed20",
         "families-text",
         "families-json",
         "stieltjes-text",

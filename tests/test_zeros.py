@@ -6,8 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import copz.cli
 import copz.qseries
@@ -24,7 +22,7 @@ from copz import (
     zero_derivatives_fd,
 )
 from copz.qseries import exact_summation
-from oracles import reference_itp
+from oracles import reference_itp, samuelson_end
 
 FLAGGED = {"q_bessel", "little_q_laguerre", "q_laguerre"}
 
@@ -226,10 +224,9 @@ def test_no_node_zero_beside_a_non_finite_sample(params, n):
 # ---------------------------------------------------------------------------
 
 
-def _per_sample_scan(g, lo, hi, step, held=None, tail=None):
+def _per_sample_scan(g, lo, hi, step, held=None):
     """zeros._scan with one call of g per sample, not its array pass g.many;
-    it takes no value from held, the previous scan's samples, and scans past
-    tail, the tail start, to the window's end."""
+    it takes no value from held, the previous scan's samples."""
     count = max(2, int(round((hi - lo) / step)) + 1)
     ss = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     vs = [g(s) for s in ss]
@@ -354,22 +351,14 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
         assert lost == want_ss[~np.isfinite(want_vs)].tolist()
         sizes.add((len(values) >= gate, bool(lost)))
     assert sizes == {(False, False), (False, True), (True, False), (True, True)}
-    # then whole searches, whose scans take both paths, and on the q^s
-    # lattice stop at the tail start, where the per-sample scan does not
-    paths, cut, scan = set(), [], copz.zeros._scan
+    # then whole searches, whose scans take both paths
+    paths = set()
     for name in ("_array_brackets", "_looped_brackets"):
         finder = getattr(copz.zeros, name)
         monkeypatch.setattr(copz.zeros, name, lambda *a, n=name, f=finder: paths.add(n) or f(*a))
-
-    def recorded(g, lo, hi, step, held, tail):
-        out = scan(g, lo, hi, step, held, tail)
-        cut.append(out[1][0][-1] < hi)
-        return out
-
-    monkeypatch.setattr(copz.zeros, "_scan", recorded)
     problems = _oracle_problems()
     got = [_zero_outcome(p) for p in problems]
-    assert paths == {"_array_brackets", "_looped_brackets"} and sum(cut) >= 5
+    assert paths == {"_array_brackets", "_looped_brackets"}
     monkeypatch.setattr(copz.zeros, "_scan", _per_sample_scan)
     want = [_zero_outcome(p) for p in problems]
     for problem, g, w in zip(problems, got, want):
@@ -381,7 +370,7 @@ def test_find_zeros_matches_the_per_sample_scan(monkeypatch):
 
 
 def test_a_short_count_reports_the_last_scans_non_finite_samples():
-    # 25 of 30 sign changes at every step, the window at its cap: the error
+    # 25 of 30 sign changes at every step: the error
     # names the samples of the step-1/8 scan where the float series is NaN
     # or inf, as the per-sample scan over the whole window finds them
     problem = ZeroProblem(make_family("big_q_jacobi_special", alpha=5.0, beta=5.0, q=0.1), 30)
@@ -402,8 +391,8 @@ def test_a_short_count_reports_the_last_scans_non_finite_samples():
 # ---------------------------------------------------------------------------
 
 #: the oracle problems above, the zeros_high_degree seed-1 benchmark cases that
-#: reach the largest window or steps 1/4 and 1/8, and the meixner draw of
-#: `verify-all --seed 20`, which needs its window doubled twice
+#: reached the largest doubled window or steps 1/4 and 1/8, and the meixner
+#: draw of `verify-all --seed 20`, which needed three doubled windows
 ZERO_OUTCOMES = json.loads((Path(__file__).parent / "data" / "zero_outcomes.json").read_text())
 
 
@@ -429,7 +418,8 @@ def test_find_zeros_matches_recorded_outcomes(case):
 
 #: every q^s-lattice case of the zeros_high_degree benchmark: slots 13 and
 #: 90-99, which keep their centres, so the same cases at seeds 1-5.  Recorded
-#: while each scan still summed every sample up to its window's end
+#: while the windows still doubled, each scan summing every sample to its
+#: end; slot 13's count failure now quotes its one window
 Q_EXP_OUTCOMES = json.loads((Path(__file__).parent / "data" / "q_exp_outcomes.json").read_text())
 
 
@@ -448,9 +438,10 @@ def test_q_exp_searches_match_recorded_outcomes(case):
 
 
 def test_q_exp_searches_stop_summing_at_the_tail(monkeypatch):
-    # seed-1 slots 13, 93, 95 and 96 grow their windows to the largest and
-    # rescan them; summed to the window's end, their scans took 54,788
-    # distinct samples
+    # seed-1 slots 13, 93, 95 and 96 grew their doubled windows to the
+    # largest and rescanned them: summed to the window's end, their scans took
+    # 54,788 distinct samples.  One window past the bound on the zeros takes
+    # a few hundred
     scan, samples = copz.zeros._scan, set()
 
     def recorded(*args):
@@ -472,7 +463,7 @@ def test_q_exp_searches_stop_summing_at_the_tail(monkeypatch):
 
 
 def test_verify_scans_take_the_loop(monkeypatch, capsys):
-    # copz verify scans 11-81 samples at a time, below _ARRAY_SCAN, where one
+    # copz verify scans 11-51 samples at a time, below _ARRAY_SCAN, where one
     # loop over the samples costs less than the array passes' numpy calls
     counts = []
     looped = copz.zeros._looped_brackets
@@ -484,16 +475,16 @@ def test_verify_scans_take_the_loop(monkeypatch, capsys):
             "--set", "alpha=0.7168482900438996", "--set", "beta=2.404502717505038"]
     assert copz.cli.main(argv) == 0
     assert "verify meixner: PASS" in capsys.readouterr().out
-    assert max(counts) == 81 < copz.zeros._ARRAY_SCAN
+    assert max(counts) == 51 < copz.zeros._ARRAY_SCAN
 
 
 def test_failed_window_growth_reports_the_scans_it_ran():
-    # the flagged q-Bessel table keeps 27 sign changes at every window up to
-    # the largest; the count failure quotes the step-1/4 scan of that window
+    # the flagged q-Bessel table finds 27 sign changes in its one window, 50
+    # units; the count failure quotes the step-1/4 scan of that window
     with pytest.raises(copz.ZeroCountError, match="^q_bessel: found 39 sign changes, expected 30$") as err:
         find_zeros(ZeroProblem(make_family("q_bessel", alpha=1.0, q=0.95), 30))
     diag = err.value.diagnostics
-    assert diag["window"] == 4096.0
+    assert diag["window"] == 50.0
     assert diag["count_at_step_0.5"] == 27
     assert diag["count_at_step_0.25"] == 39
     assert "count_at_step_0.125" not in diag
@@ -518,30 +509,25 @@ def _scans_run(monkeypatch):
 @pytest.mark.parametrize(
     "kind, params, n, scans",
     [
-        # the tail start is s* = 127.02
-        ("q_bessel", {"alpha": 1.0, "q": 0.95}, 30,
-         [(64.0, 0.5, 129, 27)] + [(64.0 * 2**k, 0.5, 257, 27) for k in range(1, 7)]
-         + [(4096.0, 0.25, 511, 39)]),
+        # the flagged q-Bessel table: a count failure from its one window
+        ("q_bessel", {"alpha": 1.0, "q": 0.95}, 30, [(50.0, 0.5, 101, 27), (50.0, 0.25, 201, 39)]),
         # zeros_high_degree seed-1 slot 93, with a zero on the window's first
-        # sample: every step-1/2 scan finds 14 of 15 sign changes; s* = 20.11
+        # sample: the step-1/2 scan finds 14 of 15 sign changes
         ("little_q_jacobi",
          {"alpha": 0.5322822863482816, "beta": 0.5195442457881403, "q": 0.5807318495734701}, 15,
-         [(34.0 * 2**k, 0.5, 43, 14) for k in range(7)]
-         + [(2176.0, 0.25, 83, 14), (2176.0, 0.125, 163, 15)]),
+         [(16.0, 0.5, 33, 14), (16.0, 0.25, 65, 14), (16.0, 0.125, 129, 15)]),
     ],
     ids=["q-bessel-count-error", "slot-93"],
 )
 def test_window_growth_keeps_its_scans_and_outcome(monkeypatch, kind, params, n, scans):
-    # the two searches that grow their window to the largest and rescan it:
-    # every scan's window end, step and bracket count, the samples it sums up
-    # to the first two past the tail start, and the whole outcome, error text
-    # and diagnostics included.  Each window end and bracket count is the one
-    # a scan to the window's end gave
+    # two searches that rescan their window, and once grew it to the
+    # largest: every scan's window end, step, samples and bracket count, and
+    # the whole outcome, error text and diagnostics included
     problem = ZeroProblem(make_family(kind, params), n)
     scan, run = copz.zeros._scan, []
 
-    def recorded(g, lo, hi, step, held, tail):
-        out = scan(g, lo, hi, step, held, tail)
+    def recorded(g, lo, hi, step, held):
+        out = scan(g, lo, hi, step, held)
         run.append((hi, step, len(out[1][0]), len(out[0])))
         return out
 
@@ -552,7 +538,7 @@ def test_window_growth_keeps_its_scans_and_outcome(monkeypatch, kind, params, n,
         assert got == (
             copz.ZeroCountError,
             "q_bessel: found 39 sign changes, expected 30",
-            {"kind": "q_bessel", "degree": 30, "window": 4096.0,
+            {"kind": "q_bessel", "degree": 30, "window": 50.0,
              "count_at_step_0.5": 27, "count_at_step_0.25": 39},
         )
     else:
@@ -564,8 +550,7 @@ def test_window_growth_keeps_its_scans_and_outcome(monkeypatch, kind, params, n,
 @pytest.mark.parametrize("kind", catalog_kinds())
 def test_a_search_plans_its_series_once(monkeypatch, kind):
     # find_zeros and track_zeros each plan the float series once, for all
-    # their samples, one-point calls and array passes alike, and the tail
-    # start's complex step on the q^s lattice
+    # their samples, one-point calls and array passes alike
     plans, runs, plan = [], [], copz.qseries._plan
 
     def counted(*args):
@@ -587,9 +572,9 @@ def test_a_search_plans_its_series_once(monkeypatch, kind):
 
 def test_searches_sum_each_scan_sample_once(monkeypatch):
     # over the recorded outcomes: the array passes of a search's scans take
-    # each of its distinct samples once, whatever the window growth and
-    # rescans repeat, and a pass whose first value is finite sums every
-    # point in it, with no one-point call
+    # each of its distinct samples once, whatever the rescans repeat, and a
+    # pass whose first value is finite sums every point in it, with no
+    # one-point call
     passes, singles, refining = [], [], []
     lattice_atoms, at_s, refine = (
         copz.families._lattice_atoms, copz.families.FamilySpec._at_s, copz.zeros._refined
@@ -638,7 +623,7 @@ def test_searches_sum_each_scan_sample_once(monkeypatch):
             if summed:
                 summed_passes += 1
                 assert calls == 0, case["kind"]
-    # window growth and rescans, and many passes, are covered
+    # rescans, and many passes, are covered
     assert rescanned >= 10 and summed_passes >= 100
 
 
@@ -684,52 +669,84 @@ def test_collapsed_finite_window_is_scanned_once(monkeypatch, kind, params):
 
 
 # ---------------------------------------------------------------------------
-# the tail start on the q^s lattice
+# the one window of an infinite-support search
 # ---------------------------------------------------------------------------
 
-#: each q^s-lattice kind's parameters, inside its domain, from two draws u, v
-#: in (0, 1) and the base q
-_Q_EXP_PARAMS = {
-    "q_bessel": lambda u, v, q: {"alpha": 0.2 + 2.8 * u},
-    "little_q_jacobi": lambda u, v, q: {"alpha": u / q, "beta": -1.5 + v * (1.5 + 1.0 / q)},
-    "little_q_laguerre": lambda u, v, q: {"alpha": u / q},
-    "big_q_jacobi_special": lambda u, v, q: {"alpha": u / q, "beta": v / q},
-    "q_laguerre": lambda u, v, q: {"alpha": -1.0 + 2.5 * u},
-}
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(sorted(_Q_EXP_PARAMS)),
-    q=st.floats(math.log(1e-3), math.log(0.99)).map(math.exp),
-    n=st.integers(1, 30),
-    u=st.floats(0.01, 0.99),
-    v=st.floats(0.01, 0.99),
+#: every kind on an infinite support, aliases included
+_INFINITE_KINDS = (
+    "charlier", "meixner", "q_meixner", "q_charlier", "al_salam_carlitz_1",
+    "al_salam_carlitz_2", "q_bessel", "little_q_jacobi", "little_q_laguerre",
+    "big_q_jacobi_special", "q_laguerre",
 )
-def test_values_past_the_tail_start_keep_to_the_value_at_zero(kind, q, n, u, v):
-    # at and past s*, the float and exact values lie within e^(1/8) - 1 of
-    # P(0), relatively: so no sample there is a node zero or pairs a sign
-    # change, and a scan may stop summing at s*
-    base = make_family(kind, dict(_Q_EXP_PARAMS[kind](u, v, q), q=q)).resolve_base()
-    g = base._at_s(n)
-    tail = copz.zeros._tail_start(base, n, g)
-    if tail == math.inf:
-        return
-    p0 = g.at_atoms(0.0)
-    for s in (tail, tail + 0.5, tail + 3.0, tail + 50.0):
-        with exact_summation():
-            exact = base.eval_at_s(n, s)
-        for value in (g(s), exact):
-            assert abs(value / p0 - 1.0) <= math.exp(0.125) - 1.0, (s, value, p0)
 
 
-@pytest.mark.parametrize("kind", sorted(_Q_EXP_PARAMS))
-def test_no_tail_start_where_the_complex_step_cannot_resolve(kind):
-    # at q = 1e-12 and n = 30, e_1 grows like q^-n past the float range, and
-    # the step would fall below 1e-280: the scans sum every sample
-    base = make_family(kind, dict(_Q_EXP_PARAMS[kind](0.5, 0.5, 1e-12), q=1e-12)).resolve_base()
-    assert copz.zeros._tail_start(base, 30, base._at_s(30)) == math.inf
-    assert copz.zeros._tail_start(base, 1, base._at_s(1)) < math.inf
+def test_the_infinite_kinds_are_the_catalogs():
+    rng = random.Random(0)
+    infinite = {k for k in catalog_kinds() if not make_family(k, sample_params(k, rng)).is_finite}
+    assert infinite == set(_INFINITE_KINDS)
+
+
+@pytest.mark.parametrize("kind", _INFINITE_KINDS)
+def test_the_window_ends_past_the_samuelson_bound(kind):
+    # the window's end against the bound from the polynomial expanded over
+    # Fraction: never short of it, and within the one unit W rounds up by
+    rng = random.Random(f"window/{kind}")
+    for n in (1, 2, 3, 10, 20, 30):
+        for _ in range(3):
+            spec = make_family(kind, sample_params(kind, rng))
+            want, end = samuelson_end(spec, n), copz.zeros._window_end(spec, n)
+            assert want <= end <= max(want, spec.support_start) + 1.0, (n, spec.params)
+
+
+def test_an_infinite_search_scans_one_window(monkeypatch):
+    # over the recorded outcomes on infinite supports, zero sets and count
+    # failures alike: every scan of a search shares one end, the window's
+    scan, ends = copz.zeros._scan, []
+
+    def recorded(g, lo, hi, step, held=None):
+        ends.append(hi)
+        return scan(g, lo, hi, step, held)
+
+    monkeypatch.setattr(copz.zeros, "_scan", recorded)
+    rescanned = failed = 0
+    for case in ZERO_OUTCOMES + Q_EXP_OUTCOMES:
+        problem = _recorded_problem(case)
+        if problem.family.is_finite:
+            continue
+        ends.clear()
+        try:
+            find_zeros(problem)
+        except copz.ZeroCountError as exc:
+            failed += 1
+            assert exc.diagnostics["window"] == ends[0] - problem.family.support_start
+        except copz.CopzError:
+            pass
+        assert set(ends) == {copz.zeros._window_end(problem.family, problem.degree)}, case["kind"]
+        rescanned += len(ends) > 1
+    assert rescanned >= 3 and failed >= 3
+
+
+def test_a_tracked_set_forms_the_window_end_only_where_its_last_bracket_grows(monkeypatch):
+    # track_zeros clips its last cell at find_zeros' window end, which it
+    # forms only where that cell's bracket has no sign change at its first try
+    problem = ZeroProblem(make_family("meixner", alpha=0.5, beta=1.5), 3)
+    zs = find_zeros(problem).zeros_s
+    window_end, ends = copz.zeros._window_end, []
+    monkeypatch.setattr(copz.zeros, "_window_end", lambda *a: ends.append(a) or window_end(*a))
+    tracked = copz.zeros.track_zeros(problem, zs, [0.25] * 3)
+    assert tracked.zeros_s == pytest.approx(zs, rel=1e-12) and ends == []
+    # the last guess past its zero by a third of the gap, radius 0: the
+    # bracket grows, and the end is formed once
+    guesses = [*zs[:2], zs[2] + (zs[2] - zs[1]) / 3.0]
+    tracked = copz.zeros.track_zeros(problem, guesses, [0.0] * 3)
+    assert tracked.zeros_s == pytest.approx(zs, rel=1e-12)
+    assert ends == [(problem.family, 3)]
+    # a last guess past the window's end starts from it, and a bracket that
+    # reaches both ends of its empty cell is no result
+    end = window_end(problem.family, 3)
+    ends.clear()
+    assert copz.zeros.track_zeros(problem, [*zs[1:], 2.0 * end], [0.0] * 3) is None
+    assert len(ends) == 1
 
 
 # ---------------------------------------------------------------------------
