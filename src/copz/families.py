@@ -39,11 +39,9 @@ take the base's lattice, support, degree cap, series, A, B and K.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -463,33 +461,25 @@ _BETA_BELOW_1_Q = ("beta", "0 < beta < 1/q", lambda p: 0.0 < p["beta"] < 1.0 / p
 
 
 def _pair(x):
-    """The integer ratio (n, d), d > 0, of an exact rational x (a _Ratio, an
-    int or another numbers.Rational), or None."""
+    """The integer ratio (n, d), d > 0, of a _Ratio or an int, or None."""
     if x.__class__ is _Ratio:
         return x._n, x._d
-    if x.__class__ is int:
+    if isinstance(x, int):
         return x, 1
-    if isinstance(x, numbers.Rational):
-        return x.numerator, x.denominator
     return None
 
 
-def _operators(exact, fallback):
-    """An arithmetic operator of _Ratio and its reflection, as Fraction pairs
-    them: exact(an, ad, bn, bd) on two exact rationals, and fallback on the
-    float of the rational beside a float."""
+def _operators(exact):
+    """An arithmetic operator of _Ratio and its reflection: exact(an, ad, bn,
+    bd) on the pairs of a _Ratio and a _Ratio or an int."""
 
     def forward(a, b):
         pair = _pair(b)
-        if pair is not None:
-            return exact(a._n, a._d, *pair)
-        return fallback(float(a), b) if isinstance(b, float) else NotImplemented
+        return NotImplemented if pair is None else exact(a._n, a._d, *pair)
 
     def reverse(b, a):
         pair = _pair(a)
-        if pair is not None:
-            return exact(*pair, b._n, b._d)
-        return fallback(a, float(b)) if isinstance(a, float) else NotImplemented
+        return NotImplemented if pair is None else exact(*pair, b._n, b._d)
 
     return forward, reverse
 
@@ -501,35 +491,23 @@ def _quotient(an, ad, bn, bd):
 
 
 def _comparison(op):
-    """A comparison of _Ratio with an exact rational or a float, exact as
-    Fraction's: a float that is not finite compares as it does with 0.0."""
+    """A comparison of _Ratio with a _Ratio or an int, exact: both
+    denominators are positive."""
 
     def compare(a, b):
         pair = _pair(b)
-        if pair is None:
-            if not isinstance(b, float):
-                return NotImplemented
-            if not math.isfinite(b):
-                return op(0.0, b)
-            pair = b.as_integer_ratio()
-        return op(a._n * pair[1], pair[0] * a._d)
+        return NotImplemented if pair is None else op(a._n * pair[1], pair[0] * a._d)
 
     return compare
 
 
-def _via_fraction(name):
-    """The Fraction method of that name, on the reduced value: for the
-    operations of numbers.Rational that no series takes."""
-    return lambda a, *args: getattr(Fraction(a._n, a._d), name)(*args)
-
-
-class _Ratio(numbers.Rational):
+class _Ratio:
     """An exact rational n/d, d > 0, held as the integers its operations
     formed: no gcd is taken, so a product is two integer products and a sum
-    three (Knuth, TAOCP vol. 2, 4.5.1).  The exact plans read the pair by
-    as_integer_ratio(); numerator and denominator read it reduced, so
-    Fraction() takes it.  With an exact rational each operation gives the
-    rational Fraction gives, and with a float the float Fraction gives."""
+    three (Knuth, TAOCP vol. 2, 4.5.1).  It has what the series and the
+    exact plans take: +, -, * and / with a _Ratio or an int, in either
+    order, integer powers, negation, < and >, and as_integer_ratio(), the
+    pair the plans read.  Each gives the rational Fraction gives."""
 
     __slots__ = ("_n", "_d")
 
@@ -539,63 +517,25 @@ class _Ratio(numbers.Rational):
     def as_integer_ratio(self) -> tuple[int, int]:
         return self._n, self._d
 
-    @property
-    def numerator(self) -> int:
-        return self._n // math.gcd(self._n, self._d)
-
-    @property
-    def denominator(self) -> int:
-        return self._d // math.gcd(self._n, self._d)
-
-    __add__, __radd__ = _operators(
-        lambda an, ad, bn, bd: _Ratio(an * bd + bn * ad, ad * bd), operator.add
-    )
-    __sub__, __rsub__ = _operators(
-        lambda an, ad, bn, bd: _Ratio(an * bd - bn * ad, ad * bd), operator.sub
-    )
-    __mul__, __rmul__ = _operators(lambda an, ad, bn, bd: _Ratio(an * bn, ad * bd), operator.mul)
-    __truediv__, __rtruediv__ = _operators(_quotient, operator.truediv)
-    __lt__, __le__ = _comparison(operator.lt), _comparison(operator.le)
-    __gt__, __ge__ = _comparison(operator.gt), _comparison(operator.ge)
-    __eq__ = _comparison(operator.eq)
+    __add__, __radd__ = _operators(lambda an, ad, bn, bd: _Ratio(an * bd + bn * ad, ad * bd))
+    __sub__, __rsub__ = _operators(lambda an, ad, bn, bd: _Ratio(an * bd - bn * ad, ad * bd))
+    __mul__, __rmul__ = _operators(lambda an, ad, bn, bd: _Ratio(an * bn, ad * bd))
+    __truediv__, __rtruediv__ = _operators(_quotient)
+    __lt__, __gt__ = _comparison(operator.lt), _comparison(operator.gt)
 
     def __pow__(self, e):
-        """An integer power exactly, as Fraction's; any other, of the float."""
-        if isinstance(e, numbers.Rational) and e.denominator == 1:
-            e = e.numerator
-            if e >= 0:
-                return _Ratio(self._n**e, self._d**e)
-            return _quotient(1, 1, self._n**-e, self._d**-e)
-        return float(self) ** (float(e) if isinstance(e, numbers.Rational) else e)
-
-    def __rpow__(self, b):
-        n, d = self._n, self._d
-        return b ** (n // d) if n % d == 0 else b ** float(self)
+        """An integer power, as Fraction's."""
+        if not isinstance(e, int):
+            return NotImplemented
+        if e >= 0:
+            return _Ratio(self._n**e, self._d**e)
+        return _quotient(1, 1, self._n**-e, self._d**-e)
 
     def __neg__(self):
         return _Ratio(-self._n, self._d)
 
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        return _Ratio(abs(self._n), self._d)
-
-    def __float__(self) -> float:
-        return self._n / self._d  # correctly rounded, as Fraction's
-
-    def __hash__(self) -> int:
-        return hash(Fraction(self._n, self._d))
-
     def __repr__(self) -> str:
         return f"_Ratio({self._n}, {self._d})"
-
-    __trunc__, __floor__, __ceil__, __round__ = map(
-        _via_fraction, ("__trunc__", "__floor__", "__ceil__", "__round__")
-    )
-    __floordiv__, __rfloordiv__, __mod__, __rmod__ = map(
-        _via_fraction, ("__floordiv__", "__rfloordiv__", "__mod__", "__rmod__")
-    )
 
 
 def _exact(x) -> _Ratio:
@@ -636,13 +576,13 @@ def _qp(q, e1, e2=0, e3=0, e4=0):
 
 
 # ---------------------------------------------------------------------------
-# lattice X = s
+# lattice X = s; each series takes its numerator parameter -x = -s as the atom
 # ---------------------------------------------------------------------------
 
 
-def _hahn_series(p, n, X):
+def _hahn_series(p, n, minus_x):
     al, be, N = p["alpha"], p["beta"], p["N"]
-    return hyper_sum((-float(n), -X, al + be + n + 1.0), (be + 1.0, 1.0 - N), 1.0, n)
+    return hyper_sum((-float(n), minus_x, al + be + n + 1.0), (be + 1.0, 1.0 - N), 1.0, n)
 
 
 def _hahn_ab(p, s):
@@ -660,19 +600,19 @@ def _hahn_claims(p):
     )
 
 
-def _charlier_series(p, n, X):
-    return hyper_sum((-float(n), -X), (), -1.0 / p["alpha"], n)
+def _charlier_series(p, n, minus_x):
+    return hyper_sum((-float(n), minus_x), (), -1.0 / p["alpha"], n)
 
 
 _POSITIVE_WINDOW = _central(0.0, 4.0)  # representative finite window for (0, inf)
 
 
-def _krawtchouk_series(p, n, X):
-    return hyper_sum((-float(n), -X), (1.0 - p["N"],), 1.0 / p["alpha"], n)
+def _krawtchouk_series(p, n, minus_x):
+    return hyper_sum((-float(n), minus_x), (1.0 - p["N"],), 1.0 / p["alpha"], n)
 
 
-def _meixner_series(p, n, X):
-    return hyper_sum((-float(n), -X), (p["beta"],), 1.0 - 1.0 / p["alpha"], n)
+def _meixner_series(p, n, minus_x):
+    return hyper_sum((-float(n), minus_x), (p["beta"],), 1.0 - 1.0 / p["alpha"], n)
 
 
 # ---------------------------------------------------------------------------
@@ -1638,10 +1578,10 @@ def _count(family: FamilySpec, name: str, value) -> int:
 
 def _lattice_atoms(base: FamilySpec, exact: bool):
     """The series' parameters, and its lattice atoms as a function of s and
-    as one of a float array of s, picked once per lattice: s, (a - s,
-    s + a + 1) on the quadratic lattice, q^-s on the q^-s lattice, q q^s on
-    the q^s one (its series' argument z = qX), (q^a q^-s, q^a q^s) on the
-    q-quadratic one.  Exact, the quadratic atoms and parameters are
+    as one of a float array of s, picked once per lattice: -s on the linear
+    lattice (its series' -x), (a - s, s + a + 1) on the quadratic one, q^-s
+    on the q^-s lattice, q q^s on the q^s one (its series' argument z = qX),
+    (q^a q^-s, q^a q^s) on the q-quadratic one.  Exact, the quadratic atoms and parameters are
     rationals (_Ratio), the atoms from the exact s; other lattices keep
     their float atoms, summed exactly.
 
@@ -1667,7 +1607,7 @@ def _lattice_atoms(base: FamilySpec, exact: bool):
         qa = q ** p["a"]
         return p, lambda s: (qa * q**-s, qa * q**s), lambda ss: (qa * powers(-ss), qa * powers(ss))
     if tag == LINEAR:
-        return p, lambda s: s, lambda ss: ss
+        return p, lambda s: -s, lambda ss: -ss
     if tag == Q_EXP_NEG:
         return p, lambda s: q**-s, lambda ss: powers(-ss)
     return p, lambda s: q * q**s, lambda ss: q * powers(ss)
@@ -1694,10 +1634,11 @@ def _zeros_end(base: FamilySpec, n: int) -> float:
     without the prefactors, which may overflow where the series does not:
     - on the q^s lattice P = 1 + r_0 z + r_0 r_1 z^2 + ..., so e_1 = -r_0
       and e_2 = r_0 r_1;
-    - elsewhere term factor k is c_k (x - t_k), c_k = sigma r_k u_k and t_k
-      = -sigma v_k / u_k, sigma = -1 on a negated slot, so e_1 = sum t_k -
-      1/c_(n-1), and the zeros' sum of squares is sum t_k^2 + 1/c_(n-1)
-      (1/c_(n-1) - 2 t_(n-1) - 2/c_(n-2)).
+    - elsewhere term factor k is c_k (x - t_k), c_k = sigma r_k u_k and
+      t_k = -sigma v_k / u_k, sigma = -1 on the linear lattice, whose atom
+      is -X, and 1 elsewhere, so e_1 = sum t_k - 1/c_(n-1), and the zeros'
+      sum of squares is sum t_k^2 + 1/c_(n-1) (1/c_(n-1) - 2 t_(n-1) -
+      2/c_(n-2)).
     The bound is homogeneous of degree 1, so each input is the float of its
     integer ratio times 2^-m, m the largest binary exponent among them, and
     none leaves the float range at any q.  On the linear lattice the end
@@ -1710,7 +1651,7 @@ def _zeros_end(base: FamilySpec, n: int) -> float:
     def scaled(num, den, m):
         return num / (den << m) if m >= 0 else (num << -m) / den
 
-    sign = -1 if plan.reads[-1].neg else 1  # the slot of z on the q^s lattice, else of X
+    sign = -1 if tag == LINEAR else 1  # the atom is -X on the linear lattice
     (p0, d0), *rest = plan.ratios
     if tag == Q_EXP:
         m = p0.bit_length() - d0.bit_length()
@@ -1735,20 +1676,20 @@ def _zeros_end(base: FamilySpec, n: int) -> float:
 def _support_atoms(base: FamilySpec):
     """The series' parameters, and its lattice atoms at the support points
     s = a + j as exact rationals, as a function of a nonempty run of j (a
-    range): j on the linear lattice and q^-j or q^(j+1) (the argument qX) on
+    range): -j on the linear lattice and q^-j or q^(j+1) (the argument qX) on
     the q-linear ones (where a = 0), (-j, 2a + 1 + j) on the quadratic one
     and (q^-j, (q^a)^2 q^j) on the q-quadratic one.  Near the top of the
     support the series cancels far below its terms, which any rounding of
     the atoms would swamp; off the linear lattice the parameters are
     rationals too (_Ratio), so each family is an exact polynomial model.
-    The integers j and -j stand as they are, 2a + 1 and (q^a)^2 are formed
+    The integers -j and j stand as they are, 2a + 1 and (q^a)^2 are formed
     once, and the q-powers of a run are _Ratio pairs, each from the one
     before by one product of each integer (_powers)."""
     tag = base.grid.tag
     p = base.params if tag == LINEAR else _rational_params(base)
     q, a = p.get("q"), p.get("a")
     if tag == LINEAR:
-        return p, list
+        return p, lambda ks: [-j for j in ks]
     if tag == QUADRATIC:
         c = 2 * a + 1
         return p, lambda ks: [(-j, c + j) for j in ks]

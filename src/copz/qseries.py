@@ -379,8 +379,7 @@ def _read(x, slot):
     a constant z (slot None)."""
     if slot is None:
         return 1, 1
-    n, d = (x if slot.index is None else x[slot.index]).as_integer_ratio()
-    return (-n, d) if slot.neg else (n, d)
+    return (x if slot.index is None else x[slot.index]).as_integer_ratio()
 
 
 def _sum_points(plans, points):
@@ -436,25 +435,46 @@ def _sum_points(plans, points):
     return rows
 
 
-def _hyper_plan(num, den, z, n: int) -> _ExactPlan:
-    # atoms a = an/ad enter as (an + k ad)/ad; the ad, bd and z move into
-    # constants; the slots' atoms enter point by point
+def _exact_plan(num, den, q, z, n: int) -> _ExactPlan:
+    """The exact plan of the ordinary series (q None) or the basic one.
+
+    At term k a parameter c = cn/cd, numerator or denominator, has the
+    factor (cn u + cd v)/cd, from the step (u, v): (1, k) on the ordinary
+    series, where it is c + k, and (-Qn, Qd), q^k = Qn/Qd, on the basic one,
+    where it is 1 - c q^k.  The last denominator factor, k + 1 or the
+    1 - q^(k+1) of (q; q)_k, is the factor of 1 or of q.  The cd, bd and z
+    move into constants; on the basic series the powers of Qd cancel across
+    each ratio, (-q^k)^excess included, leaving u^excess, on the denominator
+    side when excess < 0.  The slots' atoms enter point by point."""
+    hyper = q is None
+    # integer bounds: comparing an exact base with float bounds converts them
+    if not hyper and not 0 < q < 1:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
     nums = [a.as_integer_ratio() for a in num if _scalar(a)]
     dens = [b.as_integer_ratio() for b in den]
+    qn, qd = (1, 1) if hyper else q.as_integer_ratio()
+    dens.append((qn, qd))
     zn, zd = z.as_integer_ratio() if _scalar(z) else (1, 1)
     cn, cd = zn * prod(bd for _, bd in dens), zd * prod(ad for _, ad in nums)
+    excess = 0 if hyper else 1 + len(den) - len(num)
+    u, v = (1, 0) if hyper else (-1, 1)
     ratios, steps = [], []
     for k in range(n):
-        p, d = cn, cd * (k + 1)
+        p, d = cn, cd
         for an, ad in nums:
-            p *= an + k * ad
+            p *= an * u + ad * v
         for bn, bd in dens:
-            f = bn + k * bd
+            f = bn * u + bd * v
             if not f:
                 raise _vanishing(bn, bd, k)
             d *= f
+        if excess > 0:
+            p *= u**excess
+        elif excess < 0:
+            d *= u**-excess
         ratios.append((p, d))
-        steps.append((1, k))
+        steps.append((u, v))
+        u, v = (u, v + 1) if hyper else (u * qn, v * qd)
     return _ExactPlan(ratios, steps, z, num)
 
 
@@ -483,16 +503,12 @@ class _Slot:
     """The place of an atom in a series call, which then returns the series'
     plan (_plan, or _ExactPlan under exact summation) in place of its sum.  A
     run of the plan on x reads the atom as x[index], or as x itself where
-    index is None; neg marks the atom's negative, the one operation a family
-    series applies to an atom."""
+    index is None."""
 
-    __slots__ = ("index", "neg")
+    __slots__ = ("index",)
 
-    def __init__(self, index=None, neg=False):
-        self.index, self.neg = index, neg
-
-    def __neg__(self):
-        return _Slot(self.index, not self.neg)
+    def __init__(self, index=None):
+        self.index = index
 
 
 def _plan(num, den, q, z, n: int):
@@ -511,14 +527,14 @@ def _plan(num, den, q, z, n: int):
     multiplies in the power: the loop's factors, in the loop's order, so
     each sum is the loop's bit for bit.
 
-    A run reads those numerators from xs: the atoms, then their negatives
-    where a slot is negated, then the constant numerators from the first
-    atom on; js holds their places in xs, and zj the place of z where it is
-    an atom.  A vanishing denominator factor and a power of q that raises
-    are constants of the plan: building it raises them, in the loop's
-    order.  A plan with atoms of degree _BLOCK_DEGREE or more also holds its
-    rows as one block row, whose fields are columns over k: a run on arrays
-    of at most _BLOCK_POINTS points takes it, every term at once.
+    A run reads those numerators from xs: the atoms, then the constant
+    numerators from the first atom on; js holds their places in xs, and zj
+    the place of z where it is an atom.  A vanishing denominator factor and
+    a power of q that raises are constants of the plan: building it raises
+    them, in the loop's order.  A plan with atoms of degree _BLOCK_DEGREE or
+    more also holds its rows as one block row, whose fields are columns over
+    k: a run on arrays of at most _BLOCK_POINTS points takes it, every term
+    at once.
     """
     if q is not None and not 0.0 < q < 1.0:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
@@ -528,9 +544,9 @@ def _plan(num, den, q, z, n: int):
     kinds = [*map(type, (z, *num))]
     first = kinds.index(_Slot) - 1 if _Slot in kinds else len(num)
     head, tail = num[: max(first, 0)], num[max(first, 0) :]
-    # whether x is the one atom (a slot's index is None), the atoms read
-    # from it, and whether a slot is negated
-    bare = flip = False
+    # whether x is the one atom (a slot's index is None), and the atoms
+    # read from it
+    bare = False
     width = 1
     for a in (z, *tail) if first < 0 else tail:
         if a.__class__ is _Slot:
@@ -538,18 +554,15 @@ def _plan(num, den, q, z, n: int):
                 bare = True
             elif a.index >= width:
                 width = a.index + 1
-            if a.neg:
-                flip = True
-    at = (2 if flip else 1) * width  # the place of the first constant
     consts, js = [], []
     for a in tail:
         if a.__class__ is _Slot:
-            js.append((a.index or 0) + a.neg * width)
+            js.append(a.index or 0)
         else:
-            js.append(at + len(consts))
+            js.append(width + len(consts))
             consts.append(a)
     consts = tuple(consts)
-    zj = (z.index or 0) + z.neg * width if first < 0 else None
+    zj = (z.index or 0) if first < 0 else None
     excess = 1 + len(den) - len(num)
     rows = []
     qk = 1.0  # q^k by repeated multiplication
@@ -590,10 +603,7 @@ def _plan(num, den, q, z, n: int):
         )]
 
     def run(x):
-        if bare:
-            xs = (x, -x) if flip else (x,)
-        else:
-            xs = x + tuple([-a for a in x]) if flip else x
+        xs = (x,) if bare else x
         if consts:
             xs += consts
         whole = block is not None and 0 < _points(xs) <= _BLOCK_POINTS
@@ -643,10 +653,10 @@ def _float_sum(num, den, q, z, n: int):
 
 
 def _exact_sum(num, den, q, z, n: int):
-    """The exact sum: a call given slots returns its plan (_hyper_plan,
-    _qhyper_plan), one given per-point sequences of atoms, one entry per
-    point, the list of the points' sums from one run of the plan over them,
-    and one given scalars alone its sum."""
+    """The exact sum: a call given slots returns its plan (_exact_plan), one
+    given per-point sequences of atoms, one entry per point, the list of the
+    points' sums from one run of the plan over them, and one given scalars
+    alone its sum."""
     planned = z.__class__ is _Slot or _Slot in map(type, num)
     columns = []
 
@@ -658,7 +668,7 @@ def _exact_sum(num, den, q, z, n: int):
 
     if not planned:
         num, z = [slotted(a) for a in num], slotted(z)
-    plan = _hyper_plan(num, den, z, n) if q is None else _qhyper_plan(num, den, q, z, n)
+    plan = _exact_plan(num, den, q, z, n)
     if planned:
         return plan
     if not columns:
@@ -674,42 +684,6 @@ def hyper_sum(num, den, z: float, n: int) -> float:
     if _EXACT.get():
         return _exact_sum(num, den, None, z, n)
     return _float_sum(num, den, None, z, n)
-
-
-def _qhyper_plan(num, den, q, z, n: int) -> _ExactPlan:
-    # integer bounds: comparing an exact base with float bounds converts them
-    if not 0 < q < 1:
-        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
-    nums = [a.as_integer_ratio() for a in num if _scalar(a)]
-    dens = [b.as_integer_ratio() for b in den]
-    qn, qd = q.as_integer_ratio()
-    zn, zd = z.as_integer_ratio() if _scalar(z) else (1, 1)
-    excess = 1 + len(den) - len(num)
-    # with q^k = Qn/Qd and c = c_n/c_d each factor 1 - c q^k is
-    # (c_d Qd - c_n Qn)/(c_d Qd); the powers of Qd cancel across the ratio,
-    # (-q^k)^excess included, leaving (-Qn)^excess, on the denominator side
-    # when excess < 0
-    cn, cd = zn * qd * prod(bd for _, bd in dens), zd * prod(ad for _, ad in nums)
-    Qn = Qd = 1
-    ratios, steps = [], []
-    for k in range(n):
-        p, d = cn, cd
-        for an, ad in nums:
-            p *= ad * Qd - an * Qn
-        for bn, bd in dens:
-            f = bd * Qd - bn * Qn
-            if not f:
-                raise _vanishing(bn, bd, k)
-            d *= f
-        if excess > 0:
-            p *= (-Qn) ** excess
-        elif excess < 0:
-            d *= (-Qn) ** -excess
-        steps.append((-Qn, Qd))
-        Qn *= qn
-        Qd *= qd
-        ratios.append((p, d * (Qd - Qn)))  # 1 - q^(k+1), from (q; q)_k
-    return _ExactPlan(ratios, steps, z, num)
 
 
 def qhyper_sum(num, den, q: float, z: float, n: int) -> float:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import EvaluationOverflowError, SingularityError, ZeroCountError
 from .families import ZeroProblem, _zeros_end
-from .qseries import _EXACT, exact_summation
+from .qseries import _EXACT
 
 _STEPS = (0.5, 0.25, 0.125)
 _NODE_TOL = 1e-13
@@ -491,28 +491,19 @@ def eq1_consistency(zs: ZeroSet) -> Eq1Report:
     """The identity at each zero, P(x(y +/- 1)) summed exactly: at higher
     degrees the float series loses enough digits near the top of q-lattice
     supports to mimic a flag.  The 2n shifted points y_1 - 1, y_1 + 1,
-    y_2 - 1, ... are one exact array pass (FamilySpec._exact_many); where it
-    raises, each zero evaluates its own two, so an error is met, or counted
-    as an anomaly, at the zero it belongs to."""
+    y_2 - 1, ... are one exact array pass (FamilySpec._exact_many), which
+    raises the error of the first point whose sum fails."""
     fam = zs.problem.family
     base = fam.resolve_base()
     n = zs.problem.degree
-    try:
-        values = base._exact_many(n, [y + d for y in zs.zeros_s for d in (-1.0, 1.0)]).tolist()
-    except (ValueError, ArithmeticError):
-        values = None
+    values = base._exact_many(n, [y + d for y in zs.zeros_s for d in (-1.0, 1.0)]).tolist()
     residuals = []
     f_values = []
     rhs_values = []
     anomalies = []
     for j, y in enumerate(zs.zeros_s):
+        p_minus, p_plus = values[2 * j : 2 * j + 2]
         try:
-            if values is None:
-                with exact_summation():
-                    p_minus = base.eval_at_s(n, y - 1.0)
-                    p_plus = base.eval_at_s(n, y + 1.0)
-            else:
-                p_minus, p_plus = values[2 * j : 2 * j + 2]
             if p_plus == 0.0:
                 raise ZeroDivisionError
             fv = fam.monotonicity_f(y)

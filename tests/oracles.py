@@ -367,7 +367,9 @@ def samuelson_end(spec: FamilySpec, n: int) -> float:
     params = {k: v if k == "N" else Fraction(v) for k, v in base.params.items()}
     sums = _expanded_sums((lambda ks: ks[:3]) if low else (lambda ks: ks[-3:]))
     with patch.multiple(copz.families, **sums):
-        c = _CATALOG[base.kind].series(params, n, _Polynomial({1: Fraction(1)}))
+        # the atom is -X on the linear lattice
+        atom = _Polynomial({1: Fraction(-1 if base.grid.tag == LINEAR else 1)})
+        c = _CATALOG[base.kind].series(params, n, atom)
     # on the q^s lattice the reciprocals' monic polynomial is P's, reversed
     first, second, third = (0, 1, 2) if low else (n, n - 1, n - 2)
     e1, e2 = -c[second] / c[first], c.get(third, 0) / c[first]

@@ -531,6 +531,32 @@ def test_degenerate_zero_sets_are_invalid_input(argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeros", "--family", "charlier", "--n", "2", "--set", "alpha"],
+         "--set expects NAME=VALUE, got 'alpha'"),
+        (["zeros", "--family", "charlier", "--n", "2", "--set", "alpha=x"],
+         "--set alpha: 'x' is not a number"),
+        (["interlace", "--family", "hahn", "--n", "2", "--set", "alpha=0", "--set", "beta=0.5"],
+         "interlace needs --set N=<support size>"),
+        (["sweep", "--family", "charlier", "--n", "1", "--param", "alpha",
+          "--from", "2", "--to", "1"],
+         "empty sweep range (2.0, 1.0)"),
+        (["stieltjes", "--family", "meixner", "--n", "2", "--param", "nosuch",
+          "--set", "alpha=0.5", "--set", "beta=1.5"],
+         "meixner has no parameter 'nosuch'"),
+    ],
+    ids=["set-without-value", "set-not-a-number", "interlace-without-N", "empty-sweep-range",
+         "stieltjes-unknown-parameter"],
+)
+def test_malformed_input_is_invalid_input(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "target, reason",
     [("missing/x.txt", "No such file or directory"), (".", "Is a directory")],
     ids=["missing-directory", "directory"],

@@ -61,6 +61,12 @@ DATA = Path(__file__).parent / "data"
              "--from", "-0.5", "--to", "2", "--steps", "9", "--set", "beta=1", "--set", "N=8"],
             "sweep_hahn.csv",
         ),
+        (
+            ["sweep", "--family", "hahn", "--n", "3", "--param", "alpha",
+             "--from", "-0.5", "--to", "2", "--steps", "9", "--set", "beta=1", "--set", "N=8",
+             "--format", "json"],
+            "sweep_hahn.json",
+        ),
         # three rounds of midpoints where the zeros jump: 40 points, not 15
         (
             ["sweep", "--family", "meixner", "--n", "2", "--param", "alpha",
@@ -74,6 +80,11 @@ DATA = Path(__file__).parent / "data"
             ["zeros", "--family", "krawtchouk", "--n", "19", "--set", "alpha=0.3", "--set", "N=20",
              "--format", "json"],
             "zeros_krawtchouk.json",
+        ),
+        (
+            ["zeros", "--family", "krawtchouk", "--n", "19", "--set", "alpha=0.3", "--set", "N=20",
+             "--format", "csv"],
+            "zeros_krawtchouk.csv",
         ),
         (
             ["zeros", "--family", "q_racah", "--n", "6", "--set", "a=1", "--set", "alpha=0.5",
@@ -110,9 +121,11 @@ DATA = Path(__file__).parent / "data"
         "interlace-not-applicable",
         "interlace-force",
         "sweep-csv",
+        "sweep-json",
         "sweep-csv-refined",
         "zeros-linear-text",
         "zeros-linear-json",
+        "zeros-linear-csv",
         "zeros-q-symmetric-text",
         "zeros-q-symmetric-json",
         "zeros-window-growth-text",

@@ -698,6 +698,27 @@ def test_the_window_ends_past_the_samuelson_bound(kind):
             assert want <= end <= max(want, spec.support_start) + 1.0, (n, spec.params)
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("q_meixner", {"alpha": 1.0, "beta": 0.5}),
+        ("q_charlier", {"alpha": 1.0}),
+        ("al_salam_carlitz_2", {"alpha": 0.5}),
+    ],
+)
+def test_a_window_whose_bound_cannot_be_formed_is_the_widest(kind, params):
+    # at q = 1e-300 the series' parameter q**-2 overflows, so the bound is not
+    # formed; the window is the widest, and the scan's first sample raises
+    # the overflow, named for the family asked for, not its base
+    spec = make_family(kind, {**params, "q": 1e-300})
+    problem = ZeroProblem(spec, 2)
+    assert copz.zeros._window_end(spec, 2) == spec.support_start + 4096.0
+    with pytest.raises(copz.EvaluationOverflowError) as err:
+        find_zeros(problem)
+    assert str(err.value) == f"{kind}: the degree-2 value at s=0.0 overflows the float range"
+    assert copz.zeros.track_zeros(problem, [1.0, 3.0], [0.5, 0.5]) is None
+
+
 def test_an_infinite_search_scans_one_window(monkeypatch):
     # over the recorded outcomes on infinite supports, zero sets and count
     # failures alike: every scan of a search shares one end, the window's
