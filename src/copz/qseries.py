@@ -7,38 +7,35 @@ The basic series uses the convention
 so the correction factor is trivial whenever i = j + 1.  A series is summed
 over k = 0..n only; the caller supplies the termination degree n.
 
-On the float path a call is planned once for its degree (_plan) and then
-run: the atoms of the call, the numerator parameters and the argument given
-as slots (_Slot) or numpy arrays, become the plan's arguments, and the rest
+A call given slots (_Slot) in place of its atoms, the numerator parameters
+and the argument that depend on the point, returns the series' plan, built
+once for its degree, and a call given constants alone its sum, which is that
+plan's run on no atoms.  A family's zero search runs the float plan at each
+of its samples (FamilySpec._at_s), and its exact sums run the exact plan over
+the support (_sum_points).
+
+On the float path (_plan) the atoms are the plan's arguments and the rest
 its constants.  For each term, the plan folds the constant factors before
 the first atom's into one start and keeps each later constant factor, so a
 run multiplies in only the atoms' factors and those constants, one by one
-in the term loop's order, and each sum is the loop's bit for bit.  A call
-given slots returns its plan, which a family's zero search runs at each of
-its samples (FamilySpec._at_s); a call given floats or arrays runs its plan
-at once.  On arrays, one entry per sample, each sample's sum is the one a
-scalar call gives, bit for bit; the denominator parameters stay scalar.
-The one term loop takes each step as a few numpy calls over the samples.  A
-run on arrays of at most 256 samples, at degree 8 or more, where numpy's
-per-call cost dominates, takes all terms as one (terms x points) block
-instead: the term ratios of all k from one elementwise op per step, in the
-loop's order, then the terms, the running totals and their TwoSum errors
-each from one accumulate along the term axis.  Accumulate is sequential
-and each op is the one the loop makes, so each value is the loop's bit for
-bit.
+in the term loop's order, and each sum is the loop's bit for bit.  A run
+may take numpy arrays of atoms, one entry per sample, and gives each sample
+the sum of a scalar run, bit for bit; the denominator parameters stay
+scalar.  The one term loop takes each step as a few numpy calls over the
+samples.  A run on arrays of at most 256 samples, at degree 8 or more, where
+numpy's per-call cost dominates, takes all terms as one (terms x points)
+block instead: the term ratios of all k from one elementwise op per step, in
+the loop's order, then the terms, the running totals and their TwoSum errors
+each from one accumulate along the term axis.  Accumulate is sequential and
+each op is the one the loop makes, so each value is the loop's bit for bit.
 
-The exact path has plans too.  A call given slots returns its exact plan
-(_ExactPlan), built once for its degree with no per-point work: the term
-ratios (p, d) over the constant parameters, the steps (u, v) that turn an
-atom an/ad into its factor (an u + ad v)/ad of each ratio, and the slots
-its argument and atoms are read from.  _sum_points runs the plans of one
-series at several degrees over many points, points outer: each point
-converts its atoms to integer ratios once, forms once, up to the highest
-degree, what the sums of every degree share, and then takes each degree's
-sum in turn.  A call given per-point sequences of exact atoms, one entry per
-point, runs its plan over those points and returns the list of their sums,
-and a call given scalars alone returns its one sum: each the one-point
-call's bit for bit.
+The exact plan (_ExactPlan) is built with no per-point work: the term ratios
+(p, d) over the constant parameters, the steps (u, v) that turn an atom
+an/ad into its factor (an u + ad v)/ad of each ratio, and the slots its
+argument and atoms are read from.  _sum_points runs the plans of one series
+at several degrees over many points, points outer: each point converts its
+atoms to integer ratios once, forms once, up to the highest degree, what
+the sums of every degree share, and then takes each degree's sum in turn.
 
 Each exact sum is the exact rational's correctly rounded float.  A plan of
 degree 0 has no term ratios: its sum is 1 at every point, and a run takes
@@ -86,21 +83,21 @@ def exact_summation():
         _EXACT.reset(token)
 
 
-# the float sums of degree _BLOCK_DEGREE or more over arrays of at most
-# _BLOCK_POINTS points run as one block (_block_sum).  Measured on a 2-vCPU
-# x86-64 host, the block pass beats the per-term loop from degree 8 up to
-# about 300 points: 1.2-3.2x at 16-192 points and 1.0-1.4x at 256, where its
-# accumulates, 3-4 ns a cell along the term axis, start to outweigh the
-# loop's saved numpy calls; it breaks even at 320.  Forced at degree 6, it
-# still won 1.2-1.6x at 96 points.  A degree-59 pass of 59 points took
-# 62-103 us
+# a float plan of degree _BLOCK_DEGREE or more run on arrays of at most
+# _BLOCK_POINTS points takes them as one block (_block_sum).  Measured on a
+# 2-vCPU x86-64 host (Python 3.11, numpy 2.4), a 3F2 and a 3phi2 with one
+# array atom at degrees 4-8: the block beats the per-term loop 2.1-3.9x at 16
+# points and 1.4-2.0x at 96; at 256, where its accumulates outweigh the saved
+# numpy calls, 0.86-0.95x at degrees 4-5 and 1.05-1.3x at 6-8.  No workload
+# runs array passes at degrees 4-7, so a lower floor would show no gain; it
+# moves no bit.  At degree 59 over 59 points: 80-84 us, the loop 377-559 us
 _BLOCK_DEGREE = 8
 _BLOCK_POINTS = 256
 
 
 def _points(atoms) -> int:
-    """The points of a float sum: the length of its ndarray atoms, and 0
-    where they are plain floats or complex."""
+    """The points of a float plan's run: the length of its ndarray atoms,
+    and 0 where they are plain floats or complex."""
     for x in atoms:
         if isinstance(x, np.ndarray):
             return len(x)
@@ -179,11 +176,6 @@ class _PointOverflow(OverflowError):
     def __init__(self, index: int, plan: int):
         super().__init__(f"the sum at point {index} overflows the float range")
         self.index, self.plan = index, plan
-
-
-def _scalar(atom) -> bool:
-    """True for an exact number; a per-point atom is a sequence of them."""
-    return hasattr(atom, "as_integer_ratio")
 
 
 # The certified pass holds a value as a ball (m, e, r): the interval
@@ -450,11 +442,11 @@ def _exact_plan(num, den, q, z, n: int) -> _ExactPlan:
     # integer bounds: comparing an exact base with float bounds converts them
     if not hyper and not 0 < q < 1:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
-    nums = [a.as_integer_ratio() for a in num if _scalar(a)]
+    nums = [a.as_integer_ratio() for a in num if a.__class__ is not _Slot]
     dens = [b.as_integer_ratio() for b in den]
     qn, qd = (1, 1) if hyper else q.as_integer_ratio()
     dens.append((qn, qd))
-    zn, zd = z.as_integer_ratio() if _scalar(z) else (1, 1)
+    zn, zd = (1, 1) if z.__class__ is _Slot else z.as_integer_ratio()
     cn, cd = zn * prod(bd for _, bd in dens), zd * prod(ad for _, ad in nums)
     excess = 0 if hyper else 1 + len(den) - len(num)
     u, v = (1, 0) if hyper else (-1, 1)
@@ -636,64 +628,32 @@ def _plan(num, den, q, z, n: int):
     return run
 
 
-def _float_sum(num, den, q, z, n: int):
-    """The float sum, its ndarray atoms (z or numerator parameters) taken as
-    slots of a plan run on them; a call given slots returns the plan."""
+def _series(num, den, q, z, n: int):
+    """The series' plan where a slot (_Slot) stands for an atom, z or a
+    numerator parameter, and else its sum: _plan's in float, _exact_plan's
+    under exact summation."""
+    plan = (_exact_plan if _EXACT.get() else _plan)(num, den, q, z, n)
     if z.__class__ is _Slot or _Slot in map(type, num):
-        return _plan(num, den, q, z, n)
-    arrays = []
-
-    def slotted(a):
-        if not isinstance(a, np.ndarray):
-            return a
-        arrays.append(a)
-        return _Slot(len(arrays) - 1)
-
-    return _plan([slotted(a) for a in num], den, q, slotted(z), n)(tuple(arrays))
-
-
-def _exact_sum(num, den, q, z, n: int):
-    """The exact sum: a call given slots returns its plan (_exact_plan), one
-    given per-point sequences of atoms, one entry per point, the list of the
-    points' sums from one run of the plan over them, and one given scalars
-    alone its sum."""
-    planned = z.__class__ is _Slot or _Slot in map(type, num)
-    columns = []
-
-    def slotted(a):
-        if _scalar(a):
-            return a
-        columns.append(a)
-        return _Slot(len(columns) - 1)
-
-    if not planned:
-        num, z = [slotted(a) for a in num], slotted(z)
-    plan = _exact_plan(num, den, q, z, n)
-    if planned:
         return plan
-    if not columns:
-        return plan(())
-    return _sum_points((plan,), list(zip(*columns)))[0]
+    return plan(())
 
 
 def hyper_sum(num, den, z: float, n: int) -> float:
     """Terminating ordinary series iFj(num; den; z), summed over k = 0..n.
 
-    Given slots (_Slot) in place of atoms, it returns the series' plan
-    instead of its sum: _plan in float, _ExactPlan under exact summation."""
-    if _EXACT.get():
-        return _exact_sum(num, den, None, z, n)
-    return _float_sum(num, den, None, z, n)
+    Given slots (_Slot) in place of atoms, it returns the series' plan (_plan
+    in float, _ExactPlan under exact summation), and given constants alone
+    its sum."""
+    return _series(num, den, None, z, n)
 
 
 def qhyper_sum(num, den, q: float, z: float, n: int) -> float:
     """Terminating basic series iφj(num; den; q, z), summed over k = 0..n.
 
-    Given slots (_Slot) in place of atoms, it returns the series' plan
-    instead of its sum: _plan in float, _ExactPlan under exact summation."""
-    if _EXACT.get():
-        return _exact_sum(num, den, q, z, n)
-    return _float_sum(num, den, q, z, n)
+    Given slots (_Slot) in place of atoms, it returns the series' plan (_plan
+    in float, _ExactPlan under exact summation), and given constants alone
+    its sum."""
+    return _series(num, den, q, z, n)
 
 
 def binom2(k: int) -> int:

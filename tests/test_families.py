@@ -1132,9 +1132,9 @@ def test_block_passes_keep_nan_and_infinite_values(monkeypatch):
 def test_a_call_on_arrays_takes_the_block_from_its_own_arguments(
     monkeypatch, series, num, den, base
 ):
-    # the block opens exactly for ndarray atoms, the argument z or a numerator
-    # parameter, of 1 to _BLOCK_POINTS points at degree _BLOCK_DEGREE or more,
-    # and gives the values of one scalar call per point
+    # a plan run on ndarray atoms, the argument z or a numerator parameter,
+    # opens the block exactly at 1 to _BLOCK_POINTS points and degree
+    # _BLOCK_DEGREE or more, and gives the values of one scalar call per point
     floor, cap = copz.qseries._BLOCK_DEGREE, copz.qseries._BLOCK_POINTS
     widths = _block_widths(monkeypatch)
     for n in (floor - 1, floor, 30):
@@ -1147,7 +1147,7 @@ def test_a_call_on_arrays_takes_the_block_from_its_own_arguments(
             ):
                 block = [points] if n >= floor and points <= cap else []
                 widths.clear()
-                got = call(xs)
+                got = call(copz.qseries._Slot())(xs)
                 assert widths == block, (n, points)
                 want = [call(x) for x in xs.tolist()]  # scalar calls open no block
                 assert widths == block

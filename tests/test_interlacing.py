@@ -97,6 +97,19 @@ def test_trichotomy_classifier():
     assert classify_case(zeros, 5.0, 1e-12, 1.0) == "identical"
 
 
+def test_a_value_at_x_b_within_the_tolerance_is_the_identical_case():
+    # near q = 1 the zeros span less than 1, so the test |P_n(x(b))| <= 1e-10
+    # max(scale, 1) is absolute: P_3(x(b)) = 5.7e-11 meets it here, though
+    # x(b) lies past every zero.  The identical case compares the two zero
+    # sets directly, and they differ
+    rep = interlace_check("q_krawtchouk", {"alpha": 0.5, "q": 0.9999}, 3, 10, check_weight=False)
+    assert rep.case == "identical"
+    assert rep.xb > max(rep.zeros_n)
+    assert rep.zone_counts == ()
+    assert not rep.zones_ok
+    assert max(abs(u - v) for u, v in zip(rep.zeros_n, rep.zeros_n1)) > 1e-8 * max(1.0, rep.xb)
+
+
 def test_trichotomy_exhaustive_on_random_instances():
     rng = random.Random(8)
     for _ in range(25):

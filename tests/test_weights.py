@@ -339,6 +339,41 @@ def test_infinite_truncation_error_cap():
         weight_table(lql, allow_sign_flip=True)
 
 
+def test_weight_ratio_at_a_zero_denominator_is_infinite():
+    # A(s+1) dx(s+1/2) = 0 at s = -1, where Hahn's A(0) = 0
+    with pytest.raises(WeightPositivityError) as err:
+        weight_ratio(make_family("hahn", alpha=0.5, beta=1.0, N=10), -1.0)
+    assert err.value.s == -1.0 and err.value.ratio == math.inf
+
+
+def test_weight_table_at_a_zero_denominator_is_infinite():
+    # A(1) = alpha (q - 1) rounds to -0.0 at the least subnormal alpha
+    with pytest.raises(WeightPositivityError) as err:
+        weight_table(make_family("q_krawtchouk", alpha=5e-324, q=0.9, N=10))
+    assert err.value.s == 0.0 and err.value.ratio == math.inf
+
+
+def test_a_diverging_measure_is_a_truncation_error():
+    # dx(1/2) near q^-1 = 1e200 carries the measure past e^600 at the first
+    # step, while the weight itself stays in range
+    spec = make_family("q_meixner", alpha=1e200, beta=0.5, q=1e-200)
+    with pytest.raises(
+        TruncationError,
+        match=r"^q_meixner: weight measure diverges \(log mass 690\.4 at s=1\.0\)$",
+    ):
+        weight_table(spec)
+
+
+def test_a_tail_slower_than_the_point_cap_is_a_truncation_error():
+    # w(s) = alpha^s: the tail bound needs far more than 10,000 points
+    spec = make_family("meixner", alpha=0.9999, beta=1.0)
+    with pytest.raises(
+        TruncationError,
+        match=r"^meixner: weight table exceeded 10000 points without meeting its tail bound$",
+    ):
+        weight_table(spec)
+
+
 def test_log_measures_are_weight_times_step():
     rng = random.Random(37)
     for kind in ("hahn", "racah", "meixner", "q_hahn", "little_q_jacobi", "q_racah", "q_charlier"):
